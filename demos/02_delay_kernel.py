@@ -3,17 +3,17 @@
 
 Reactions lag the posts they answer. This script simulates two styles of
 network - one where most reactions arrive within minutes, one much slower -
-estimates the delay kernel of each from joined (post, reaction) pairs, and
-prints the reaction-speed quantiles plus the first hour of the cumulative
-curve. The delayed-profile transform at the end shows what the kernel is
-for: moving a reaction profile back onto the posting times that caused it.
+estimates the delay kernel of each from the delays of joined (post,
+reaction) pairs, and prints the reaction-speed quantiles plus the first
+hour of the cumulative curve. The delayed-profile transform at the end
+shows what the kernel is for: moving a reaction profile back onto the
+posting times that caused it.
 """
 
 import numpy as np
 
 from postsched import (
     ActionProfile,
-    DelayPair,
     WeeklyGrid,
     cumulative_curve,
     delayed_profile,
@@ -25,21 +25,21 @@ from postsched.temporal import KIND_REACTIONS
 rng = np.random.default_rng(8)
 
 
-def simulate_pairs(mean_lags, n=50_000):
+def simulate_delays(mean_lags, n=50_000):
+    """Post-to-reaction delays in seconds, as in ``PairTable.delay``."""
     lags = rng.geometric(1.0 / mean_lags, size=n) - 1
-    delays = lags * 900 + rng.integers(0, 900, size=n)
-    return [DelayPair("a", "b", 0, int(d)) for d in delays]
+    return lags * 900 + rng.integers(0, 900, size=n)
 
 
-fast = simulate_pairs(mean_lags=2.0)    # most reactions inside 30 minutes
-slow = simulate_pairs(mean_lags=12.0)   # reactions spread over hours
+fast = simulate_delays(mean_lags=2.0)    # most reactions inside 30 minutes
+slow = simulate_delays(mean_lags=12.0)   # reactions spread over hours
 
-for name, pairs in (("fast network", fast), ("slow network", slow)):
-    kernel = estimate_delay_kernel(pairs)
-    curve = cumulative_curve(pairs)
+for name, delays in (("fast network", fast), ("slow network", slow)):
+    kernel = estimate_delay_kernel(delays)
+    curve = cumulative_curve(delays)
     print(f"\n{name}: {kernel.n_lags} lags of {kernel.lag_width_s}s")
     for p in (0.25, 0.50, 0.75, 0.90):
-        t = time_to_fraction(pairs, p)
+        t = time_to_fraction(delays, p)
         print(f"  {int(p * 100):>2d}% of reactions within {t // 3600:02d}:"
               f"{t % 3600 // 60:02d} (hh:mm)")
     hour = ", ".join(f"{c:.2f}" for c in curve[:4])
@@ -51,7 +51,6 @@ grid = WeeklyGrid()
 reactions = np.zeros(grid.buckets_per_week)
 reactions[40] = 100.0
 shifted = delayed_profile(ActionProfile(reactions, KIND_REACTIONS),
-                          estimate_delay_kernel(
-                              [DelayPair("a", "b", 0, 900)] * 10))
+                          estimate_delay_kernel(np.full(10, 900)))
 print(f"\nreactions peak at bucket 40; delayed profile peaks at "
       f"{int(np.argmax(shifted.values))} -> post one bucket earlier")

@@ -14,7 +14,7 @@ import numpy as np
 from postsched import SynthConfig, TimeWindow, generate, ground_truth_peak
 from postsched.delays import estimate_delay_kernel
 from postsched.evaluation import evaluate_schedules
-from postsched.ingest import SocialGraph, join_reactions
+from postsched.ingest import PostTable, ReactionTable, SocialGraph, join_reactions
 from postsched.pipeline import derive_schedules
 from postsched.schedules import top_k_times
 
@@ -38,10 +38,12 @@ print(f"generated {len(result.posts)} posts, {len(result.reactions)} reactions,"
 
 derivation = TimeWindow.from_days(cfg.start_epoch, 63)
 evaluation = TimeWindow.from_days(derivation.end + 1, 56)
-join = join_reactions(result.posts, result.reactions)
-kernel = estimate_delay_kernel(
-    [p for p in join.pairs if derivation.contains(p.post_time)])
-derived = derive_schedules(result.posts, join.pairs, SocialGraph(result.edges),
+# The generator returns rows; the pipeline reads column tables.
+posts = PostTable.from_records(result.posts)
+join = join_reactions(posts, ReactionTable.from_records(result.reactions))
+pairs = join.pairs
+kernel = estimate_delay_kernel(pairs.delay[derivation.mask(pairs.post_time)])
+derived = derive_schedules(posts, pairs, SocialGraph(result.edges),
                            result.users, cfg.grid, kernel, derivation,
                            targets=cfg.author_ids())
 
@@ -53,7 +55,7 @@ print(f"S1 recovered the planted peak for {hits}/{cfg.n_authors} authors")
 
 by_kind = {k: v for k, v in derived.personalized.items() if v}
 by_kind.update(derived.expand_baselines(cfg.author_ids()))
-report = evaluate_schedules(by_kind, result.posts, join.pairs, result.users,
+report = evaluate_schedules(by_kind, posts, pairs, result.users,
                             evaluation, cfg.grid, k=8)
 
 print(f"\naverage reaction gain by rank ({int(evaluation.n_days)}-day holdout,"

@@ -29,14 +29,16 @@ from .temporal import (
 )
 from .delays import (
     DelayKernel,
-    DelayPair,
     cumulative_curve,
     estimate_delay_kernel,
     time_to_fraction,
 )
 from .ingest import (
+    PairTable,
     PostRecord,
+    PostTable,
     ReactionRecord,
+    ReactionTable,
     SocialGraph,
     UserMeta,
     build_profiles,

@@ -21,10 +21,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,6 @@ import numpy as np
 from . import analysis, delays, evaluation, pipeline, schedules, synth
 from .errors import ConfigError, InsufficientDataError, PostschedError
 from .ingest import (
-    MISSING_ID,
     NETWORKS,
     join_reactions,
     load_graph,
@@ -40,7 +41,7 @@ from .ingest import (
     load_reactions,
     load_users,
 )
-from .temporal import DAY_FILTERS, TimeWindow, WeeklyGrid
+from .temporal import DAY_FILTERS, WEEK_SECONDS, TimeWindow, WeeklyGrid
 
 DAY_SECONDS = 86400
 
@@ -135,13 +136,18 @@ def _coerce(key: str, value: str, target_type) -> object:
                           f"{target_type.__name__}") from None
 
 
-def parse_config(path) -> RunConfig:
-    """Parse a key=value config file into a validated RunConfig."""
+def _field_types() -> dict[str, type]:
     types: dict[str, type] = {}
     for f in fields(RunConfig):
         t = f.type if isinstance(f.type, str) else f.type.__name__
         base = t.split(" | ")[0]
         types[f.name] = {"str": str, "int": int, "float": float, "bool": bool}[base]
+    return types
+
+
+def parse_config(path) -> RunConfig:
+    """Parse a key=value config file into a validated RunConfig."""
+    types = _field_types()
     values: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -167,11 +173,24 @@ def _validate_static(cfg: RunConfig) -> None:
     if cfg.day_filter not in DAY_FILTERS:
         raise ConfigError(f"day_filter: must be one of {'/'.join(DAY_FILTERS)}")
     for key in ("derivation_days", "evaluation_days", "ranks", "workers",
-                "sample_budget", "buckets_per_week", "min_cohort"):
+                "sample_budget", "buckets_per_week", "min_cohort",
+                "delay_window_s", "delay_lag_s"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key}: must be >= 1")
+    for key, t in _field_types().items():
+        if t is float and not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key}: must be a finite number")
+    if cfg.alpha < 0:
+        raise ConfigError("alpha: must be >= 0")
     if not cfg.beta > 0:
         raise ConfigError("beta: must be > 0")
+    if WEEK_SECONDS % cfg.buckets_per_week != 0:
+        raise ConfigError(f"buckets_per_week: must divide a week of "
+                          f"{WEEK_SECONDS} s exactly")
+    if cfg.delay_lag_s != WEEK_SECONDS // cfg.buckets_per_week:
+        raise ConfigError(
+            f"delay_lag_s: must equal the bucket width, {WEEK_SECONDS} / "
+            f"buckets_per_week = {WEEK_SECONDS // cfg.buckets_per_week} s")
     if cfg.delay_window_s % cfg.delay_lag_s != 0:
         raise ConfigError("delay_window_s: must be a multiple of delay_lag_s")
     if cfg.derivation_start is not None and cfg.evaluation_start is not None:
@@ -242,11 +261,39 @@ def _input_paths(cfg: RunConfig, keys: tuple[str, ...]) -> list[Path]:
     return [Path(getattr(cfg, k)) for k in keys if getattr(cfg, k)]
 
 
-def _load_events(cfg: RunConfig):
-    posts, posts_rep = load_posts(cfg.posts, cfg.network, cfg.max_malformed_frac)
-    reactions, react_rep = load_reactions(cfg.reactions, cfg.network,
-                                          cfg.max_malformed_frac)
-    return posts, reactions, posts_rep, react_rep
+class Inputs:
+    """The parsed input files of one invocation.
+
+    Each file is parsed on first use and kept, so `all` parses and joins
+    its inputs once and a single subcommand parses only the files it reads.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def posts(self):
+        return load_posts(self.cfg.posts, self.cfg.network,
+                          self.cfg.max_malformed_frac)
+
+    @cached_property
+    def reactions(self):
+        return load_reactions(self.cfg.reactions, self.cfg.network,
+                              self.cfg.max_malformed_frac)
+
+    @cached_property
+    def join(self):
+        return join_reactions(self.posts[0], self.reactions[0])
+
+    @cached_property
+    def graph(self):
+        return load_graph(self.cfg.edges, self.cfg.network,
+                          self.cfg.bidirectional, self.cfg.max_malformed_frac)
+
+    @cached_property
+    def users(self):
+        return load_users(self.cfg.users, self.cfg.network,
+                          self.cfg.max_malformed_frac)
 
 
 def _artifact(out_dir: Path, name: str, producer: str) -> Path:
@@ -257,7 +304,7 @@ def _artifact(out_dir: Path, name: str, producer: str) -> Path:
     return path
 
 
-def stage_synth(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     n_lags = cfg.delay_window_s // cfg.delay_lag_s
     followers = cfg.synth_followers
     fp: int | tuple[int, int]
@@ -318,14 +365,15 @@ def stage_synth(cfg: RunConfig, out_dir: Path) -> list[Path]:
     return [Path(p) for p in result.paths.values()] + [run_cfg]
 
 
-def stage_ingest_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def stage_ingest_report(cfg: RunConfig, out_dir: Path,
+                        inputs: Inputs) -> list[Path]:
     _require_inputs(cfg, ("posts", "reactions", "edges", "users"))
-    posts, reactions, posts_rep, react_rep = _load_events(cfg)
-    graph, edges_rep = load_graph(cfg.edges, cfg.network, cfg.bidirectional,
-                                  cfg.max_malformed_frac)
-    users, users_rep = load_users(cfg.users, cfg.network, cfg.max_malformed_frac)
-    join = join_reactions(posts, reactions)
-    reactors_present = any(p.reactor != MISSING_ID for p in join.pairs)
+    _, posts_rep = inputs.posts
+    _, react_rep = inputs.reactions
+    graph, edges_rep = inputs.graph
+    _, users_rep = inputs.users
+    join = inputs.join
+    reactors_present = bool(join.pairs.known_reactor.any())
     report = {
         "files": {
             "posts": vars(posts_rep),
@@ -353,16 +401,15 @@ def stage_ingest_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
     return [path]
 
 
-def stage_ptr(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def stage_ptr(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     _require_inputs(cfg, ("posts", "reactions"))
-    posts, reactions, _, _ = _load_events(cfg)
-    join = join_reactions(posts, reactions)
-    kernel = delays.estimate_delay_kernel(join.pairs, cfg.delay_window_s,
+    delay = inputs.join.pairs.delay
+    kernel = delays.estimate_delay_kernel(delay, cfg.delay_window_s,
                                           cfg.delay_lag_s)
     kernel_path = out_dir / "delay_kernel.tsv"
     delays.write_kernel_table(kernel, kernel_path)
 
-    curve = delays.cumulative_curve(join.pairs, cfg.delay_window_s, cfg.delay_lag_s)
+    curve = delays.cumulative_curve(delay, cfg.delay_window_s, cfg.delay_lag_s)
     curve_path = out_dir / "cumulative_curve.csv"
     with open(curve_path, "w", encoding="utf-8") as fh:
         fh.write("network,lag_start_s,cumulative_fraction\n")
@@ -372,38 +419,36 @@ def stage_ptr(cfg: RunConfig, out_dir: Path) -> list[Path]:
     quant_path = out_dir / "delay_quantiles.tsv"
     with open(quant_path, "w", encoding="utf-8") as fh:
         for p in (0.25, 0.50, 0.75, 0.90):
-            t = delays.time_to_fraction(join.pairs, p, cfg.delay_window_s)
+            t = delays.time_to_fraction(delay, p, cfg.delay_window_s)
             fh.write(f"{p:.2f}\t{t}\n")
     return [kernel_path, curve_path, quant_path]
 
 
-def _derive(cfg: RunConfig, out_dir: Path):
-    posts, reactions, _, _ = _load_events(cfg)
-    graph, _ = load_graph(cfg.edges, cfg.network, cfg.bidirectional,
-                          cfg.max_malformed_frac)
-    users, _ = load_users(cfg.users, cfg.network, cfg.max_malformed_frac)
-    join = join_reactions(posts, reactions)
+def _derive(cfg: RunConfig, inputs: Inputs) -> pipeline.DerivedSchedules:
+    posts, _ = inputs.posts
+    graph, _ = inputs.graph
+    users, _ = inputs.users
+    pairs = inputs.join.pairs
     window = cfg.derivation_window
-    usable = [p for p in join.pairs if p.reactor != MISSING_ID]
-    if not usable:
+    usable = pairs.select(pairs.known_reactor)
+    if not len(usable):
         raise PostschedError(
             "reactor ids are absent from the reaction log; this dataset is "
             "analysis-only and cannot drive schedule derivation")
-    in_window = [p for p in usable if window.contains(p.post_time)]
+    in_window = usable.select(window.mask(usable.post_time))
     try:
-        kernel = delays.estimate_delay_kernel(in_window, cfg.delay_window_s,
+        kernel = delays.estimate_delay_kernel(in_window.delay, cfg.delay_window_s,
                                               cfg.delay_lag_s)
     except InsufficientDataError:
         raise PostschedError("no joined reactions inside the derivation window")
-    derived = pipeline.derive_schedules(
+    return pipeline.derive_schedules(
         posts, usable, graph, users, cfg.grid, kernel, window,
         schedules.VisibilityModel(cfg.alpha, cfg.beta), workers=cfg.workers)
-    return posts, usable, users, derived
 
 
-def stage_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def stage_schedule(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     _require_inputs(cfg, ("posts", "reactions", "edges", "users"))
-    _, _, _, derived = _derive(cfg, out_dir)
+    derived = _derive(cfg, inputs)
     grid = cfg.grid
 
     sched_path = out_dir / "schedules.tsv"
@@ -432,13 +477,13 @@ def stage_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
     return [sched_path, base_path, rec_path, ranked_path]
 
 
-def stage_evaluate(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def stage_evaluate(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     _require_inputs(cfg, ("posts", "reactions", "users"))
     sched_path = _artifact(out_dir, "schedules.tsv", "schedule")
     base_path = _artifact(out_dir, "baselines.tsv", "schedule")
-    posts, reactions, _, _ = _load_events(cfg)
-    users, _ = load_users(cfg.users, cfg.network, cfg.max_malformed_frac)
-    join = join_reactions(posts, reactions)
+    posts, _ = inputs.posts
+    users, _ = inputs.users
+    join = inputs.join
     window = cfg.evaluation_window
     if cfg.derivation_start is not None and window.overlaps(cfg.derivation_window):
         raise ConfigError("evaluation_start: evaluation window overlaps the "
@@ -472,10 +517,10 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path) -> list[Path]:
     return [tsv, csv]
 
 
-def stage_analyze(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     _require_inputs(cfg, ("users",))
     sched_path = _artifact(out_dir, "schedules.tsv", "schedule")
-    users, _ = load_users(cfg.users, cfg.network, cfg.max_malformed_frac)
+    users, _ = inputs.users
     grid = cfg.grid
     s1 = pipeline.read_schedules(sched_path).get("S1", {})
     if not s1:
@@ -544,18 +589,19 @@ INPUT_KEYS = ("posts", "reactions", "edges", "users")
 def _run(subcommand: str, cfg: RunConfig) -> list[Path]:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    inputs = Inputs(cfg)
     if subcommand == "all":
         _require_inputs(cfg, INPUT_KEYS)
         outputs: list[Path] = []
         for name in ALL_CHAIN:
-            outputs.extend(STAGES[name](cfg, out_dir))
-        inputs = _input_paths(cfg, INPUT_KEYS)
+            outputs.extend(STAGES[name](cfg, out_dir, inputs))
+        input_paths = _input_paths(cfg, INPUT_KEYS)
     else:
-        outputs = STAGES[subcommand](cfg, out_dir)
-        inputs = [p for p in _input_paths(cfg, INPUT_KEYS) if p.exists()]
+        outputs = STAGES[subcommand](cfg, out_dir, inputs)
+        input_paths = [p for p in _input_paths(cfg, INPUT_KEYS) if p.exists()]
         if subcommand == "synth":
-            inputs = []
-    outputs.append(_write_manifest(out_dir, subcommand, cfg, inputs, outputs))
+            input_paths = []
+    outputs.append(_write_manifest(out_dir, subcommand, cfg, input_paths, outputs))
     return outputs
 
 

@@ -25,25 +25,6 @@ _QUANTILE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class DelayPair:
-    """One joined (post, reaction) observation; delay is never negative
-    because negative-delay reactions are rejected at join time."""
-
-    author: str
-    reactor: str
-    post_time: int
-    reaction_time: int
-
-    def __post_init__(self) -> None:
-        if self.reaction_time < self.post_time:
-            raise ValueError("reaction precedes post; negative delays are rejected")
-
-    @property
-    def delay(self) -> int:
-        return self.reaction_time - self.post_time
-
-
-@dataclass(frozen=True)
 class DelayKernel:
     """Discrete probability distribution of post-to-reaction delay over
     equal-width lags covering ``n_lags * lag_width_s`` seconds."""
@@ -86,61 +67,55 @@ class DelayKernel:
         return cls(m, lag_width_s)
 
 
-def _delay_array(pairs) -> np.ndarray:
-    """Accepts a sequence of DelayPair or a bare array of delays in seconds."""
-    if isinstance(pairs, np.ndarray):
-        return pairs.astype(np.int64, copy=False)
-    return np.fromiter((getattr(p, "delay", p) for p in pairs), dtype=np.int64)
-
-
-def _in_window(pairs, window_s: int) -> np.ndarray:
-    d = _delay_array(pairs)
+def _in_window(delays, window_s: int) -> np.ndarray:
+    d = np.asarray(delays, dtype=np.int64)
     return d[(d >= 0) & (d < window_s)]
 
 
-def estimate_delay_kernel(pairs, window_s: int = DEFAULT_WINDOW_S,
+def estimate_delay_kernel(delays, window_s: int = DEFAULT_WINDOW_S,
                           lag_width_s: int = DEFAULT_LAG_WIDTH_S) -> DelayKernel:
-    """Histogram in-window delays into lags and renormalize.
+    """Histogram in-window delays (seconds, e.g. ``PairTable.delay``) into
+    lags and renormalize.
 
     Lag m collects delays in ``[m * lag_width_s, (m+1) * lag_width_s)``;
     delays at or beyond ``window_s`` are excluded. Raises
-    :class:`InsufficientDataError` when no pair falls inside the window.
+    :class:`InsufficientDataError` when no delay falls inside the window.
     """
     if window_s <= 0 or lag_width_s <= 0 or window_s % lag_width_s != 0:
         raise ValueError("window_s must be a positive multiple of lag_width_s")
     n_lags = window_s // lag_width_s
-    d = _in_window(pairs, window_s)
+    d = _in_window(delays, window_s)
     if d.size == 0:
         raise InsufficientDataError("no delays inside the attribution window")
     hist = np.bincount(d // lag_width_s, minlength=n_lags)
     return DelayKernel(hist / hist.sum(), lag_width_s)
 
 
-def time_to_fraction(pairs, p: float, window_s: int = DEFAULT_WINDOW_S) -> int:
+def time_to_fraction(delays, p: float, window_s: int = DEFAULT_WINDOW_S) -> int:
     """Smallest delay t (seconds) by which a fraction p of in-window
     reactions have occurred.
 
     Formally the smallest t with ``count(delay <= t) >= p * count``, reported
-    at 1-second resolution. Non-decreasing in p for fixed pairs.
+    at 1-second resolution. Non-decreasing in p for fixed delays.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
-    d = np.sort(_in_window(pairs, window_s))
+    d = np.sort(_in_window(delays, window_s))
     if d.size == 0:
         raise InsufficientDataError("no delays inside the attribution window")
     idx = math.ceil(p * d.size - _QUANTILE_EPS) - 1
     return int(d[min(max(idx, 0), d.size - 1)])
 
 
-def cumulative_curve(pairs, window_s: int = DEFAULT_WINDOW_S,
+def cumulative_curve(delays, window_s: int = DEFAULT_WINDOW_S,
                      lag_width_s: int = DEFAULT_LAG_WIDTH_S) -> np.ndarray:
     """Cumulative fraction of in-window reactions per lag.
 
     Computed as the running prefix-sum of the estimated kernel mass, so the
-    two aggregations agree exactly on the same pairs and lags. The curve is
+    two aggregations agree exactly on the same delays and lags. The curve is
     monotone non-decreasing and ends at 1 (up to float rounding).
     """
-    return np.cumsum(estimate_delay_kernel(pairs, window_s, lag_width_s).mass)
+    return np.cumsum(estimate_delay_kernel(delays, window_s, lag_width_s).mass)
 
 
 def write_kernel_table(kernel: DelayKernel, path) -> None:

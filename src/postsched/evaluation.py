@@ -16,8 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .delays import DelayPair
-from .ingest import PostRecord, UserMeta
+from .ingest import PairTable, PostTable, UserMeta, group_by_user
 from .schedules import RankedTimes, top_k_times
 from .temporal import Schedule, TimeWindow, WeeklyGrid
 
@@ -43,29 +42,26 @@ class UserEvalData:
         return int(self.post_buckets.size)
 
 
-def build_eval_data(posts: list[PostRecord], pairs: list[DelayPair],
+def build_eval_data(posts: PostTable, pairs: PairTable,
                     users: list[UserMeta], window: TimeWindow,
                     grid: WeeklyGrid) -> dict[str, UserEvalData]:
     """Index in-window posts and received reactions per author."""
     tz = {u.user: u.tz_offset_min for u in users}
-    post_times: dict[str, list[int]] = {}
-    for p in posts:
-        if window.contains(p.created_at):
-            post_times.setdefault(p.author, []).append(p.created_at)
-    pair_times: dict[str, list[int]] = {}
-    pair_delays: dict[str, list[int]] = {}
-    for pr in pairs:
-        if window.contains(pr.post_time) and window.contains(pr.reaction_time):
-            pair_times.setdefault(pr.author, []).append(pr.post_time)
-            pair_delays.setdefault(pr.author, []).append(pr.delay)
+    post_rows = group_by_user(posts.users, posts.author,
+                              window.mask(posts.created_at))
+    pair_rows = group_by_user(
+        pairs.users, pairs.author,
+        window.mask(pairs.post_time) & window.mask(pairs.reaction_time))
+    delay = pairs.delay
 
+    none = np.empty(0, dtype=np.int64)
     data = {}
-    for user in set(post_times) | set(pair_times):
+    for user in set(post_rows) | set(pair_rows):
         off = tz.get(user, 0)
-        pb = grid.bucket_indices(np.array(post_times.get(user, []), dtype=np.int64), off)
-        rb = grid.bucket_indices(np.array(pair_times.get(user, []), dtype=np.int64), off)
-        dl = np.array(pair_delays.get(user, []), dtype=np.int64)
-        data[user] = UserEvalData(pb, rb, dl)
+        rows = pair_rows.get(user, none)
+        pb = grid.bucket_indices(posts.created_at[post_rows.get(user, none)], off)
+        rb = grid.bucket_indices(pairs.post_time[rows], off)
+        data[user] = UserEvalData(pb, rb, delay[rows])
     return data
 
 
@@ -136,7 +132,7 @@ class GainReport:
 
 
 def evaluate_schedules(schedules_by_kind: Mapping[str, Mapping[str, Schedule]],
-                       posts: list[PostRecord], pairs: list[DelayPair],
+                       posts: PostTable, pairs: PairTable,
                        users: list[UserMeta], window: TimeWindow,
                        grid: WeeklyGrid, k: int = DEFAULT_RANKS,
                        day_filter: str = "weekday",

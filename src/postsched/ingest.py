@@ -8,18 +8,28 @@ Canonical inputs are headerless UTF-8 TSV files with LF line endings;
     edges.tsv      network <tab> src <tab> dst     (dst is in src's audience)
     users.tsv      user <tab> tz_offset_minutes <tab> city <tab> network
 
-The reactor column may hold "-" when the source data does not identify who
-reacted; such rows support delay estimation and analysis but not schedule
-derivation. Malformed lines are counted, never silently dropped.
+Timestamps are ASCII decimal integers, ``-?[0-9]+``, within the signed
+64-bit range. The reactor column may hold "-" when the source data does not
+identify who reacted; such rows support delay estimation and analysis but
+not schedule derivation. Malformed lines are counted, never silently
+dropped.
+
+Posts and reactions load into column tables (:class:`PostTable`,
+:class:`ReactionTable`) whose user ids are interned as integer codes into a
+``users`` vocabulary and whose times are int64 arrays. :func:`join_reactions`
+turns the two into one :class:`PairTable`, which every later stage reads.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain, compress, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .delays import DelayPair
+import numpy as np
+
 from .errors import IngestError
 from .temporal import (
     ActionProfile,
@@ -40,9 +50,21 @@ MISSING_ID = "-"
 
 DEFAULT_MAX_MALFORMED_FRAC = 0.01
 
+# ``int()`` alone would also take "1_000", "+5", padded whitespace and
+# non-ASCII digits.
+_TIMESTAMP = re.compile(r"-?[0-9]+")
+_TIMESTAMP_COLUMN = re.compile(r"-?[0-9]+(?:\t-?[0-9]+)*")
+_INT64 = np.iinfo(np.int64)
+
+# Posts and reactions are parsed in blocks of whole lines of about this many
+# characters, which bounds the memory taken by per-field strings.
+_BLOCK_CHARS = 1 << 20
+
 
 @dataclass(frozen=True)
 class PostRecord:
+    """One post as a row; the synthetic generator's output unit."""
+
     network: str
     author: str
     post_id: str
@@ -51,6 +73,8 @@ class PostRecord:
 
 @dataclass(frozen=True)
 class ReactionRecord:
+    """One reaction as a row; the synthetic generator's output unit."""
+
     network: str
     post_id: str
     reactor: str
@@ -75,6 +99,129 @@ class LoadReport:
     parsed: int
     malformed: int
     skipped_network: int = 0
+
+
+def _intern(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Vocabulary of distinct names, in first-seen order, and the int64 code
+    of each input name into it."""
+    index = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+    return np.array(list(index), dtype=object), codes
+
+
+@dataclass(frozen=True)
+class PostTable:
+    """Posts as columns; ``author`` holds codes into ``users``."""
+
+    networks: frozenset[str]
+    users: np.ndarray        # code -> user id
+    author: np.ndarray       # int64 user codes
+    post_id: Sequence[str]
+    created_at: np.ndarray   # int64 epoch seconds
+
+    def __len__(self) -> int:
+        return int(self.created_at.size)
+
+    @classmethod
+    def from_columns(cls, networks: Iterable[str], authors: Sequence[str],
+                     post_ids: Iterable[str], created_at) -> "PostTable":
+        """Table from plain columns; ``networks`` holds the network names
+        present, one per row or each once, and author ids are interned."""
+        users, author = _intern(authors)
+        return cls(frozenset(networks), users, author, list(post_ids),
+                   np.asarray(created_at, dtype=np.int64))
+
+    @classmethod
+    def from_records(cls, records: Iterable[PostRecord]) -> "PostTable":
+        rows = list(records)
+        return cls.from_columns([r.network for r in rows], [r.author for r in rows],
+                                [r.post_id for r in rows],
+                                [r.created_at for r in rows])
+
+
+@dataclass(frozen=True)
+class ReactionTable:
+    """Reactions as columns; ``reactor`` holds codes into ``users``."""
+
+    networks: frozenset[str]
+    users: np.ndarray        # code -> user id
+    post_id: Sequence[str]
+    reactor: np.ndarray      # int64 user codes
+    reacted_at: np.ndarray   # int64 epoch seconds
+
+    def __len__(self) -> int:
+        return int(self.reacted_at.size)
+
+    @classmethod
+    def from_columns(cls, networks: Iterable[str], post_ids: Iterable[str],
+                     reactors: Sequence[str], reacted_at) -> "ReactionTable":
+        """Table from plain columns, as :meth:`PostTable.from_columns`."""
+        users, reactor = _intern(reactors)
+        return cls(frozenset(networks), users, list(post_ids), reactor,
+                   np.asarray(reacted_at, dtype=np.int64))
+
+    @classmethod
+    def from_records(cls, records: Iterable[ReactionRecord]) -> "ReactionTable":
+        rows = list(records)
+        return cls.from_columns([r.network for r in rows], [r.post_id for r in rows],
+                                [r.reactor for r in rows],
+                                [r.reacted_at for r in rows])
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Joined (post, reaction) pairs as columns; ``author`` and ``reactor``
+    hold codes into ``users``. A delay is never negative, because
+    negative-delay reactions are rejected at join time."""
+
+    users: np.ndarray          # code -> user id
+    author: np.ndarray         # int64 user codes
+    reactor: np.ndarray        # int64 user codes
+    post_time: np.ndarray      # int64 epoch seconds
+    reaction_time: np.ndarray  # int64 epoch seconds
+
+    def __post_init__(self) -> None:
+        if np.any(self.reaction_time < self.post_time):
+            raise ValueError("reaction precedes post; negative delays are rejected")
+
+    def __len__(self) -> int:
+        return int(self.post_time.size)
+
+    @property
+    def delay(self) -> np.ndarray:
+        return self.reaction_time - self.post_time
+
+    @property
+    def known_reactor(self) -> np.ndarray:
+        """Mask of the pairs whose reactor is identified (not ``MISSING_ID``)."""
+        return self.users[self.reactor] != MISSING_ID
+
+    def select(self, rows) -> "PairTable":
+        """The pairs at ``rows``, an index array or a boolean mask."""
+        return PairTable(self.users, self.author[rows], self.reactor[rows],
+                         self.post_time[rows], self.reaction_time[rows])
+
+    @classmethod
+    def from_columns(cls, authors: Sequence[str], reactors: Sequence[str],
+                     post_time, reaction_time) -> "PairTable":
+        """Table from plain columns; author and reactor ids share one
+        vocabulary."""
+        users, codes = _intern([*authors, *reactors])
+        n = len(authors)
+        return cls(users, codes[:n], codes[n:],
+                   np.asarray(post_time, dtype=np.int64),
+                   np.asarray(reaction_time, dtype=np.int64))
+
+
+def group_by_user(users: np.ndarray, codes: np.ndarray,
+                  mask: np.ndarray) -> dict[str, np.ndarray]:
+    """Indices of the rows that ``mask`` selects, grouped by the user id their
+    code names; each group keeps row order."""
+    rows = np.flatnonzero(mask)
+    rows = rows[np.argsort(codes[rows], kind="stable")]
+    keys = codes[rows]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return dict(zip(users[keys[starts]].tolist(), np.split(rows, starts[1:])))
 
 
 class SocialGraph:
@@ -131,51 +278,142 @@ class SocialGraph:
         return self._out == self._in
 
 
-def _load_tsv(path, n_fields: int, parse_row, network: str | None,
-              network_field: int, max_malformed_frac: float):
+def _blocks(path) -> Iterator[list[str]]:
+    """The data lines of a TSV file, without comments and blank lines, read
+    in blocks of about ``_BLOCK_CHARS`` characters so that the per-line
+    strings of a large file never exist all at once."""
+    with open(path, encoding="utf-8") as fh:
+        while text := fh.read(_BLOCK_CHARS):
+            text += fh.readline()
+            yield [line for line in text.split("\n") if line and line[0] != "#"]
+
+
+def _check_lines(lines: Iterable[str], n_fields: int, parse_row,
+                 network: str | None, network_field: int):
+    """Check and parse lines one at a time. Returns the parsed records and
+    the counts of malformed lines and of lines of another network."""
     records = []
     malformed = 0
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                malformed += 1
-                continue
-            if fields[network_field] not in NETWORKS:
-                malformed += 1
-                continue
-            if network is not None and fields[network_field] != network:
-                skipped += 1
-                continue
-            try:
-                records.append(parse_row(fields))
-            except ValueError:
-                malformed += 1
-    total = len(records) + malformed
+    for line in lines:
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            malformed += 1
+            continue
+        if fields[network_field] not in NETWORKS:
+            malformed += 1
+            continue
+        if network is not None and fields[network_field] != network:
+            skipped += 1
+            continue
+        try:
+            records.append(parse_row(fields))
+        except ValueError:
+            malformed += 1
+    return records, malformed, skipped
+
+
+def _report(path, parsed: int, malformed: int, skipped: int,
+            max_malformed_frac: float) -> LoadReport:
+    total = parsed + malformed
     if total and malformed / total > max_malformed_frac:
         raise IngestError(
             f"{path}: {malformed} of {total} lines malformed, above the "
             f"{max_malformed_frac:.2%} limit"
         )
-    return records, LoadReport(str(path), len(records), malformed, skipped)
+    return LoadReport(str(path), parsed, malformed, skipped)
+
+
+def _load_tsv(path, n_fields: int, parse_row, network: str | None,
+              network_field: int, max_malformed_frac: float):
+    records, malformed, skipped = _check_lines(
+        chain.from_iterable(_blocks(path)), n_fields, parse_row, network,
+        network_field)
+    return records, _report(path, len(records), malformed, skipped,
+                            max_malformed_frac)
+
+
+def _timestamp(text: str) -> int:
+    if not _TIMESTAMP.fullmatch(text):
+        raise ValueError(f"bad timestamp {text!r}")
+    value = int(text)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"timestamp {text} out of the int64 range")
+    return value
+
+
+def _event_row(f: list[str]) -> tuple[str, str, str, int]:
+    return f[0], f[1], f[2], _timestamp(f[3])
+
+
+def _split_clean(lines: list[str], network: str | None):
+    """Columns of event lines that all pass every check, split at once; None
+    when some line fails one. Lines of a network other than ``network`` are
+    dropped."""
+    if not lines:
+        return [], [], [], np.empty(0, dtype=np.int64)
+    if set(map(str.count, lines, repeat("\t"))) != {3}:
+        return None
+    tokens = "\t".join(lines).split("\t")
+    nets, first, second, stamps = (tokens[i::4] for i in range(4))
+    present = set(nets)
+    if not present.issubset(NETWORKS):
+        return None
+    if not _TIMESTAMP_COLUMN.fullmatch("\t".join(stamps)):
+        return None
+    try:
+        times = np.array(stamps, dtype=np.int64)
+    except OverflowError:
+        return None
+    if network is not None and present != {network}:
+        keep = [n == network for n in nets]
+        nets, first, second = (list(compress(c, keep)) for c in (nets, first, second))
+        times = times[np.array(keep, dtype=bool)]
+    return nets, first, second, times
+
+
+def _load_events(path, network: str | None, max_malformed_frac: float):
+    """Networks present, two id columns and int64 times of a posts or
+    reactions file, with its report. A block of lines that all pass the
+    checks is split by columns; any other block is checked line by line,
+    so the counts are exact either way."""
+    networks: set[str] = set()
+    first: list[str] = []
+    second: list[str] = []
+    times = [np.empty(0, dtype=np.int64)]
+    malformed = 0
+    skipped = 0
+    for lines in _blocks(path):
+        columns = _split_clean(lines, network)
+        if columns is None:
+            rows, bad, other = _check_lines(lines, 4, _event_row, network, 0)
+            malformed += bad
+            skipped += other
+            columns = tuple(zip(*rows)) if rows else ((), (), (), ())
+        else:
+            skipped += len(lines) - len(columns[3])
+        networks.update(columns[0])
+        first += columns[1]
+        second += columns[2]
+        times.append(np.asarray(columns[3], dtype=np.int64))
+    report = _report(path, len(first), malformed, skipped, max_malformed_frac)
+    return (networks, first, second, np.concatenate(times)), report
 
 
 def load_posts(path, network: str | None = None,
-               max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC):
-    def row(f):
-        return PostRecord(f[0], f[1], f[2], int(f[3]))
-    return _load_tsv(path, 4, row, network, 0, max_malformed_frac)
+               max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC
+               ) -> tuple[PostTable, LoadReport]:
+    (nets, authors, post_ids, times), report = _load_events(
+        path, network, max_malformed_frac)
+    return PostTable.from_columns(nets, authors, post_ids, times), report
 
 
 def load_reactions(path, network: str | None = None,
-                   max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC):
-    def row(f):
-        return ReactionRecord(f[0], f[1], f[2], int(f[3]))
-    return _load_tsv(path, 4, row, network, 0, max_malformed_frac)
+                   max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC
+                   ) -> tuple[ReactionTable, LoadReport]:
+    (nets, post_ids, reactors, times), report = _load_events(
+        path, network, max_malformed_frac)
+    return ReactionTable.from_columns(nets, post_ids, reactors, times), report
 
 
 def load_users(path, network: str | None = None,
@@ -204,7 +442,7 @@ def load_graph(path, network: str | None = None, bidirectional: bool = False,
 
 @dataclass(frozen=True)
 class JoinResult:
-    pairs: list[DelayPair]
+    pairs: PairTable
     n_dangling: int
     n_negative_delay: int
 
@@ -213,36 +451,42 @@ class JoinResult:
         return len(self.pairs)
 
 
-def join_reactions(posts: list[PostRecord],
-                   reactions: list[ReactionRecord]) -> JoinResult:
+def join_reactions(posts: PostTable, reactions: ReactionTable) -> JoinResult:
     """Join reactions to their posts, producing delay pairs.
 
-    One pair per reaction whose post_id resolves and whose delay is >= 0.
-    Dangling references and negative delays (clock skew, perturbation
-    artifacts) are dropped and counted separately, so that
+    One pair per reaction whose post_id resolves and whose delay is >= 0,
+    in reaction order. Dangling references and negative delays (clock skew,
+    perturbation artifacts) are dropped and counted separately, so that
     ``n_joined + n_dangling + n_negative_delay == len(reactions)``.
     """
-    networks = {p.network for p in posts} | {r.network for r in reactions}
+    networks = posts.networks | reactions.networks
     if len(networks) > 1:
         raise IngestError(f"join requires a single network, got {sorted(networks)}")
-    index: dict[str, PostRecord] = {}
-    for p in posts:
-        if p.post_id in index:
-            raise IngestError(f"duplicate post_id {p.post_id!r}")
-        index[p.post_id] = p
-    pairs: list[DelayPair] = []
-    dangling = 0
-    negative = 0
-    for r in reactions:
-        post = index.get(r.post_id)
-        if post is None:
-            dangling += 1
-        elif r.reacted_at < post.created_at:
-            negative += 1
-        else:
-            pairs.append(DelayPair(post.author, r.reactor,
-                                   post.created_at, r.reacted_at))
-    return JoinResult(pairs, dangling, negative)
+    index = dict(zip(posts.post_id, range(len(posts))))
+    if len(index) < len(posts):
+        seen: set[str] = set()
+        for pid in posts.post_id:
+            if pid in seen:
+                raise IngestError(f"duplicate post_id {pid!r}")
+            seen.add(pid)
+    post_row = np.fromiter(map(index.get, reactions.post_id, repeat(-1)),
+                           np.int64, len(reactions))
+    resolved = np.flatnonzero(post_row >= 0)
+    post_row = post_row[resolved]
+    in_order = reactions.reacted_at[resolved] >= posts.created_at[post_row]
+    joined, post_row = resolved[in_order], post_row[in_order]
+
+    codes = {name: i for i, name in enumerate(posts.users)}
+    reactor_code = np.fromiter(
+        (codes.setdefault(name, len(codes)) for name in reactions.users),
+        np.int64, len(reactions.users))
+    pairs = PairTable(np.array(list(codes), dtype=object),
+                      posts.author[post_row],
+                      reactor_code[reactions.reactor[joined]],
+                      posts.created_at[post_row],
+                      reactions.reacted_at[joined])
+    return JoinResult(pairs, len(reactions) - resolved.size,
+                      resolved.size - joined.size)
 
 
 @dataclass(frozen=True)
@@ -254,9 +498,8 @@ class UserProfiles:
     unknown_tz: frozenset[str]  # users bucketized at UTC for lack of metadata
 
 
-def build_profiles(posts: list[PostRecord], pairs: list[DelayPair],
-                   users: list[UserMeta], grid: WeeklyGrid,
-                   window: TimeWindow) -> UserProfiles:
+def build_profiles(posts: PostTable, pairs: PairTable, users: list[UserMeta],
+                   grid: WeeklyGrid, window: TimeWindow) -> UserProfiles:
     """Aggregate in-window events into per-user weekly profiles.
 
     Created-post profiles count a user's authored posts; self-reaction
@@ -266,23 +509,23 @@ def build_profiles(posts: list[PostRecord], pairs: list[DelayPair],
     flagged in ``unknown_tz``.
     """
     tz = {u.user: u.tz_offset_min for u in users}
-    post_times: dict[str, list[int]] = defaultdict(list)
-    for p in posts:
-        if window.contains(p.created_at):
-            post_times[p.author].append(p.created_at)
-    react_times: dict[str, list[int]] = defaultdict(list)
-    for pr in pairs:
-        if pr.reactor != MISSING_ID and window.contains(pr.reaction_time):
-            react_times[pr.reactor].append(pr.reaction_time)
+    post_rows = group_by_user(posts.users, posts.author,
+                              window.mask(posts.created_at))
+    react_rows = group_by_user(pairs.users, pairs.reactor,
+                               window.mask(pairs.reaction_time))
+    react_rows.pop(MISSING_ID, None)
 
-    everyone = set(tz) | set(post_times) | set(react_times)
+    none = np.empty(0, dtype=np.int64)
+    everyone = set(tz) | set(post_rows) | set(react_rows)
     created = {}
     reactions = {}
     for u in everyone:
         off = tz.get(u, 0)
-        created[u] = aggregate_profile(post_times.get(u, ()), off, grid, KIND_CREATED)
-        reactions[u] = aggregate_profile(react_times.get(u, ()), off, grid, KIND_REACTIONS)
-    unknown = frozenset((set(post_times) | set(react_times)) - set(tz))
+        created[u] = aggregate_profile(posts.created_at[post_rows.get(u, none)],
+                                       off, grid, KIND_CREATED)
+        reactions[u] = aggregate_profile(pairs.reaction_time[react_rows.get(u, none)],
+                                         off, grid, KIND_REACTIONS)
+    unknown = frozenset((set(post_rows) | set(react_rows)) - set(tz))
     return UserProfiles(created, reactions, unknown)
 
 

@@ -20,9 +20,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .delays import DelayKernel, DelayPair
+from .delays import DelayKernel
 from .errors import EmptyHistoryError, NoSignalError
-from .ingest import MISSING_ID, PostRecord, SocialGraph, UserMeta, build_profiles
+from .ingest import (
+    PairTable,
+    PostTable,
+    SocialGraph,
+    UserMeta,
+    build_profiles,
+    group_by_user,
+)
 from .schedules import (
     RankedTimes,
     VisibilityModel,
@@ -70,7 +77,7 @@ class DerivedSchedules:
         return out
 
 
-def derive_schedules(posts: list[PostRecord], pairs: list[DelayPair],
+def derive_schedules(posts: PostTable, pairs: PairTable,
                      graph: SocialGraph, users: list[UserMeta],
                      grid: WeeklyGrid, kernel: DelayKernel,
                      window: TimeWindow,
@@ -88,9 +95,6 @@ def derive_schedules(posts: list[PostRecord], pairs: list[DelayPair],
     profiles = build_profiles(posts, pairs, users, grid, window)
     tz_of = {u.user: u.tz_offset_min for u in users}
     n = grid.buckets_per_week
-
-    in_window = [p for p in pairs
-                 if window.contains(p.post_time) and p.reactor != MISSING_ID]
 
     delayed: dict[str, ActionProfile] = {}
     for user, prof in profiles.reactions.items():
@@ -111,16 +115,17 @@ def derive_schedules(posts: list[PostRecord], pairs: list[DelayPair],
                     if a in profiles.created]
         visible[b] = visible_posts(creators, model, n)
 
-    received: dict[str, list[DelayPair]] = defaultdict(list)
-    for p in in_window:
-        received[p.author].append(p)
+    received = group_by_user(pairs.users, pairs.author,
+                             window.mask(pairs.post_time) & pairs.known_reactor)
+    none = np.empty(0, dtype=np.int64)
 
     def derive_one(user: str):
         aud = sorted(graph.audience(user))
         delayed_map = {b: delayed[b] for b in aud if b in delayed}
         visible_map = {b: visible[b] for b in delayed_map}
         try:
-            weights = compute_weights(user, received.get(user, ()), window)
+            weights = compute_weights(user, pairs.select(received.get(user, none)),
+                                      window)
         except EmptyHistoryError:
             weights = None
         out: dict[str, Schedule] = {}

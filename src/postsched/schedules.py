@@ -17,14 +17,13 @@ plus two non-personalized baselines aggregated over a timezone cohort:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .delays import DelayPair
 from .errors import EmptyHistoryError, NoSignalError
+from .ingest import PairTable
 from .temporal import (
     ActionProfile,
     KIND_AUDIENCE,
@@ -164,7 +163,7 @@ def weighted_second_degree(delayed_by_member: Mapping[str, ActionProfile],
     return normalize_to_schedule(ActionProfile(q, KIND_AUDIENCE), "S2w")
 
 
-def compute_weights(user: str, pairs: Iterable[DelayPair],
+def compute_weights(user: str, pairs: PairTable,
                     window: TimeWindow | None = None) -> dict[str, float]:
     """Audience weights: each member's share of the reactions the user has
     received.
@@ -173,17 +172,15 @@ def compute_weights(user: str, pairs: Iterable[DelayPair],
     evaluation leakage. Raises :class:`EmptyHistoryError` when the user
     never received a reaction.
     """
-    counts: Counter[str] = Counter()
-    for p in pairs:
-        if p.author != user:
-            continue
-        if window is not None and not window.contains(p.post_time):
-            continue
-        counts[p.reactor] += 1
-    total = sum(counts.values())
+    received = pairs.users[pairs.author] == user
+    if window is not None:
+        received &= window.mask(pairs.post_time)
+    reactors, counts = np.unique(pairs.reactor[received], return_counts=True)
+    total = int(counts.sum())
     if total == 0:
         raise EmptyHistoryError(f"user {user!r} has no received reactions")
-    return {b: c / total for b, c in counts.items()}
+    return {b: int(c) / total
+            for b, c in zip(pairs.users[reactors].tolist(), counts)}
 
 
 def mfu_baseline(creation_profiles: Iterable[ActionProfile]) -> Schedule:

@@ -45,6 +45,8 @@ from postsched import (
 )
 from postsched.evaluation import evaluate_schedules
 from postsched.ingest import (
+    PostTable,
+    ReactionTable,
     join_reactions,
     load_posts,
     load_reactions,
@@ -207,15 +209,20 @@ def planted_config(span_days, seed=424242):
     )
 
 
+def synth_tables(result):
+    posts = PostTable.from_records(result.posts)
+    return posts, join_reactions(posts, ReactionTable.from_records(result.reactions))
+
+
 def derive_for(cfg, result, window):
-    join = join_reactions(result.posts, result.reactions)
+    posts, join = synth_tables(result)
     graph = SocialGraph(result.edges)
-    in_window = [p for p in join.pairs if window.contains(p.post_time)]
-    kernel = estimate_delay_kernel(in_window, 96 * cfg.lag_width_s,
+    in_window = join.pairs.select(window.mask(join.pairs.post_time))
+    kernel = estimate_delay_kernel(in_window.delay, 96 * cfg.lag_width_s,
                                    cfg.lag_width_s)
-    return join, derive_schedules(result.posts, join.pairs, graph,
-                                  result.users, cfg.grid, kernel, window,
-                                  targets=cfg.author_ids())
+    return posts, join, derive_schedules(posts, join.pairs, graph,
+                                         result.users, cfg.grid, kernel, window,
+                                         targets=cfg.author_ids())
 
 
 def test_criterion_2_planted_peak_recovery():
@@ -223,7 +230,7 @@ def test_criterion_2_planted_peak_recovery():
     cfg = planted_config(span_days=63)
     result = generate(cfg)
     window = TimeWindow.from_days(cfg.start_epoch, 63)
-    _, derived = derive_for(cfg, result, window)
+    _, _, derived = derive_for(cfg, result, window)
     grid = cfg.grid
     hits = 0
     for author in cfg.author_ids():
@@ -266,7 +273,7 @@ def test_criterion_3_delay_shift():
                       kernel=tuple(kernel_mass), reaction_probability=1.0)
     result = generate(cfg, population=pop)
     window = TimeWindow.from_days(cfg.start_epoch, 63)
-    join, derived = derive_for_population(cfg, result, pop, window)
+    _, derived = derive_for_population(cfg, result, pop, window)
     grid = cfg.grid
 
     reaction_buckets = {}
@@ -290,11 +297,11 @@ def test_criterion_3_delay_shift():
 
 
 def derive_for_population(cfg, result, pop, window):
-    join = join_reactions(result.posts, result.reactions)
+    posts, join = synth_tables(result)
     graph = SocialGraph(result.edges)
     kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
     authors = sorted({src for src, _ in pop.edges})
-    return join, derive_schedules(result.posts, join.pairs, graph,
+    return join, derive_schedules(posts, join.pairs, graph,
                                   result.users, cfg.grid, kernel, window,
                                   targets=authors)
 
@@ -305,13 +312,13 @@ def test_criterion_4_gain_monotonicity():
     derivation = TimeWindow.from_days(cfg.start_epoch, 63)
     evaluation = TimeWindow.from_days(derivation.end + 1, 56)
     assert not derivation.overlaps(evaluation)
-    join, derived = derive_for(cfg, result, derivation)
+    posts, join, derived = derive_for(cfg, result, derivation)
 
     k = 32
     by_kind = {"S1": derived.personalized["S1"]}
     baselines = derived.expand_baselines(cfg.author_ids())
     by_kind["MFU"] = baselines["MFU"]
-    gain = evaluate_schedules(by_kind, result.posts, join.pairs, result.users,
+    gain = evaluate_schedules(by_kind, posts, join.pairs, result.users,
                               evaluation, cfg.grid, k=k, day_filter="weekday")
 
     rg_top = gain.row("S1", 1).rg_avg
@@ -354,9 +361,10 @@ def test_criterion_4_weighted_dominance():
     join, derived = derive_for_population(cfg, result, pop, window)
     grid = cfg.grid
 
-    received = [p for p in join.pairs if p.author == "alice"
-                and window.contains(p.post_time)]
-    share_b1 = sum(1 for p in received if p.reactor == "b1") / len(received)
+    pairs = join.pairs
+    received = (pairs.users[pairs.author] == "alice") & window.mask(pairs.post_time)
+    from_b1 = received & (pairs.users[pairs.reactor] == "b1")
+    share_b1 = int(from_b1.sum()) / int(received.sum())
     s1_top = top_k_times(derived.personalized["S1"]["alice"], 1, grid).entries[0][0]
     s1w_top = top_k_times(derived.personalized["S1w"]["alice"], 1, grid).entries[0][0]
     ok = share_b1 >= 0.9 and s1w_top == betas[0] and s1_top != betas[0]
@@ -375,13 +383,13 @@ def test_criterion_5_kernel_recovery():
                       author_base_rate=1.2, follower_base_rate=0.05,
                       follower_peak_rate=0.0, reaction_probability=1.0)
     result = generate(cfg)
-    join = join_reactions(result.posts, result.reactions)
+    _, join = synth_tables(result)
     n = join.n_joined
-    est = estimate_delay_kernel(join.pairs)
+    est = estimate_delay_kernel(join.pairs.delay)
     tv = 0.5 * float(np.abs(est.mass - mass).sum())
 
     ps = np.linspace(0.02, 1.0, 50)
-    ts = [time_to_fraction(join.pairs, float(p)) for p in ps]
+    ts = [time_to_fraction(join.pairs.delay, float(p)) for p in ps]
     monotone = all(a <= b for a, b in zip(ts, ts[1:]))
     ok = n >= 100_000 and tv <= 0.05 and monotone
     report("5 kernel-recovery", ok, f"({n} reactions, TV {tv:.4f})")
@@ -502,8 +510,8 @@ def test_criterion_7_open_dataset_statistics():
         reactions, _ = load_reactions(root / f"{prefix}_reactions.tsv",
                                       network=net)
         join = join_reactions(posts, reactions)
-        curves[net] = cumulative_curve(join.pairs)
-        quantiles[net] = {p: time_to_fraction(join.pairs, p)
+        curves[net] = cumulative_curve(join.pairs.delay)
+        quantiles[net] = {p: time_to_fraction(join.pairs.delay, p)
                           for p in (0.25, 0.50)}
 
     t50 = quantiles["TW"][0.50]

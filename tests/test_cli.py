@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from postsched import cli
 from postsched.cli import main, parse_config
 from postsched.errors import ConfigError
 
@@ -95,6 +97,23 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c", network="ZZ")
         assert run(["ptr", "--config", cfg]) == 1
         assert "network" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("alpha", "nan"),
+        ("alpha", "-50"),
+        ("beta", "inf"),
+        ("metric_bin_width", "nan"),
+        ("max_malformed_frac", "-inf"),
+        ("delay_lag_s", "0"),
+        ("delay_window_s", "0"),
+        ("buckets_per_week", "168"),    # with the default 900 s lag
+        ("buckets_per_week", "1000"),   # does not divide a week
+    ])
+    def test_config_hole_returns_one_naming_key(self, tmp_path, capsys,
+                                                key, value):
+        cfg = write_config(tmp_path / "c", out=tmp_path / "o", **{key: value})
+        assert run(["all", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
 
     def test_missing_input_file_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c", posts="nope.tsv",
@@ -189,6 +208,25 @@ class TestFullChain:
         assert {"S1", "S2", "S1w", "S2w", "MFU", "AFD"} <= schedules
         for sched in schedules:
             assert sum(1 for r in rows if r.startswith(sched + ",")) == 4
+
+    def test_inputs_are_parsed_once_per_run(self, tmp_path, monkeypatch):
+        cfg, out = synth_config(tmp_path)
+        assert run(["synth", "--config", cfg]) == 0
+        calls = Counter()
+        for name in ("load_posts", "load_reactions", "join_reactions",
+                     "load_graph", "load_users"):
+            def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        assert run(["all", "--config", out / "synth.config"]) == 0
+        assert calls == {"load_posts": 1, "load_reactions": 1,
+                         "join_reactions": 1, "load_graph": 1, "load_users": 1}
+        # A single subcommand parses only the files it reads.
+        calls.clear()
+        assert run(["ptr", "--config", out / "synth.config"]) == 0
+        assert calls == {"load_posts": 1, "load_reactions": 1,
+                         "join_reactions": 1}
 
     def test_cumulative_curve_ends_at_one(self, tmp_path):
         cfg, out = synth_config(tmp_path)

@@ -5,8 +5,8 @@ import pytest
 
 from postsched import (
     DelayKernel,
-    DelayPair,
     InsufficientDataError,
+    PairTable,
     cumulative_curve,
     estimate_delay_kernel,
     time_to_fraction,
@@ -15,16 +15,19 @@ from postsched.delays import read_kernel_table, write_kernel_table
 
 
 def pairs_from_delays(delays):
-    return [DelayPair("a", "b", 1000, 1000 + d) for d in delays]
+    """The delay column of joined pairs with the given delays."""
+    n = len(delays)
+    return PairTable.from_columns(["a"] * n, ["b"] * n, [1000] * n,
+                                  [1000 + d for d in delays]).delay
 
 
 class TestDelayPair:
     def test_delay(self):
-        assert DelayPair("a", "b", 100, 400).delay == 300
+        assert PairTable.from_columns(["a"], ["b"], [100], [400]).delay[0] == 300
 
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
-            DelayPair("a", "b", 100, 50)
+            PairTable.from_columns(["a"], ["b"], [100], [50])
 
 
 class TestEstimateKernel:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from postsched import DelayPair, TimeWindow, WeeklyGrid, evaluate_schedules
+from postsched import PairTable, TimeWindow, WeeklyGrid, evaluate_schedules
 from postsched.evaluation import (
     UserEvalData,
     build_eval_data,
@@ -13,7 +13,7 @@ from postsched.evaluation import (
     write_gain_csv,
     write_gain_tsv,
 )
-from postsched.ingest import PostRecord, UserMeta
+from postsched.ingest import PostRecord, PostTable, UserMeta
 from postsched.schedules import RankedTimes
 from postsched.temporal import Schedule
 
@@ -24,6 +24,13 @@ def data(post_buckets, pair_buckets=(), pair_delays=()):
     return UserEvalData(np.asarray(post_buckets, dtype=np.int64),
                         np.asarray(pair_buckets, dtype=np.int64),
                         np.asarray(pair_delays, dtype=np.int64))
+
+
+def tables(posts, pairs):
+    """Column tables of PostRecords and (author, reactor, post_time,
+    reaction_time) rows."""
+    columns = list(zip(*pairs)) if pairs else [[], [], [], []]
+    return PostTable.from_records(posts), PairTable.from_columns(*columns)
 
 
 def ranked(*buckets):
@@ -88,12 +95,12 @@ class TestBuildEvalData:
             PostRecord("TW", "u1", "p2", MONDAY - 100),  # before window
         ]
         pairs = [
-            DelayPair("u1", "b", MONDAY + 100, MONDAY + 200),
-            DelayPair("u1", "b", MONDAY - 100, MONDAY + 50),   # post outside
-            DelayPair("u1", "b", window.end - 10, window.end + 50),  # reaction outside
+            ("u1", "b", MONDAY + 100, MONDAY + 200),
+            ("u1", "b", MONDAY - 100, MONDAY + 50),   # post outside
+            ("u1", "b", window.end - 10, window.end + 50),  # reaction outside
         ]
         users = [UserMeta("u1", 0, None, "TW")]
-        d = build_eval_data(posts, pairs, users, window, grid)["u1"]
+        d = build_eval_data(*tables(posts, pairs), users, window, grid)["u1"]
         assert d.n_posts == 1
         assert d.pair_delays.size == 1
 
@@ -102,7 +109,7 @@ class TestBuildEvalData:
         grid = WeeklyGrid()
         posts = [PostRecord("TW", "u1", "p1", MONDAY)]
         users = [UserMeta("u1", 60, None, "TW")]
-        d = build_eval_data(posts, [], users, window, grid)["u1"]
+        d = build_eval_data(*tables(posts, []), users, window, grid)["u1"]
         assert d.post_buckets[0] == 4
 
 
@@ -117,7 +124,7 @@ class TestEvaluateSchedules:
             bucket = grid.bucket_index(t)
             posts.append(PostRecord("TW", "u1", f"p{i}", t))
             for _ in range(rpm_by_bucket.get(bucket, 0)):
-                pairs.append(DelayPair("u1", "b", t, t + 60))
+                pairs.append(("u1", "b", t, t + 60))
             t += grid.bucket_width_s
             i += 1
         return posts, pairs
@@ -129,7 +136,7 @@ class TestEvaluateSchedules:
         posts, pairs = self._flat_user(grid, window, rpm)
         users = [UserMeta("u1", 0, None, "TW")]
         sched = Schedule(np.full(672, 1 / 672), "S1")
-        report = evaluate_schedules({"S1": {"u1": sched}}, posts, pairs,
+        report = evaluate_schedules({"S1": {"u1": sched}}, *tables(posts, pairs),
                                     users, window, grid, k=8)
         for rank in range(1, 9):
             row = report.row("S1", rank)
@@ -146,7 +153,7 @@ class TestEvaluateSchedules:
         p = np.ones(672)
         p[10] = 100.0
         sched = Schedule(p / p.sum(), "S1")
-        report = evaluate_schedules({"S1": {"u1": sched}}, posts, pairs,
+        report = evaluate_schedules({"S1": {"u1": sched}}, *tables(posts, pairs),
                                     users, window, grid, k=4)
         assert report.row("S1", 1).rg_avg > 1.0
         assert report.row("S1", 2).rg_avg < 1.0
@@ -157,7 +164,7 @@ class TestEvaluateSchedules:
         posts = [PostRecord("TW", "u1", "p1", MONDAY + 900 * 5)]
         users = [UserMeta("u1", 0, None, "TW")]
         sched = Schedule(np.full(672, 1 / 672), "S1")
-        report = evaluate_schedules({"S1": {"u1": sched}}, posts, [],
+        report = evaluate_schedules({"S1": {"u1": sched}}, *tables(posts, []),
                                     users, window, grid, k=2)
         assert report.excluded_zero_rpm["S1"] == 1
         assert report.row("S1", 1).n_users == 0
@@ -171,16 +178,16 @@ class TestEvaluateSchedules:
         posts = [PostRecord("TW", "u1", "p1", MONDAY),
                  PostRecord("TW", "u1", "p2", MONDAY + 900),
                  PostRecord("TW", "u2", "p3", MONDAY + 900)]
-        pairs = [DelayPair("u1", "b", MONDAY, MONDAY + 10),
-                 DelayPair("u1", "b", MONDAY, MONDAY + 20),
-                 DelayPair("u2", "b", MONDAY + 900, MONDAY + 910)]
+        pairs = [("u1", "b", MONDAY, MONDAY + 10),
+                 ("u1", "b", MONDAY, MONDAY + 20),
+                 ("u2", "b", MONDAY + 900, MONDAY + 910)]
         users = [UserMeta("u1", 0, None, "TW"), UserMeta("u2", 0, None, "TW")]
         p = np.zeros(672)
         p[0] = 0.9
         p[1] = 0.1
         sched = Schedule(p, "S1")
         report = evaluate_schedules({"S1": {"u1": sched, "u2": sched}},
-                                    posts, pairs, users, window, grid, k=2)
+                                    *tables(posts, pairs), users, window, grid, k=2)
         r1 = report.row("S1", 1)
         assert r1.n_users == 1  # only u1 posted in bucket 0
         assert r1.rg_avg == pytest.approx(2.0 / 1.0)
@@ -191,10 +198,10 @@ class TestEvaluateSchedules:
         grid = WeeklyGrid(672)
         window = TimeWindow.from_days(MONDAY, 7)
         posts = [PostRecord("TW", "u1", "p1", MONDAY)]
-        pairs = [DelayPair("u1", "b", MONDAY, MONDAY + 10)]
+        pairs = [("u1", "b", MONDAY, MONDAY + 10)]
         users = [UserMeta("u1", 0, None, "TW")]
         sched = Schedule(np.full(672, 1 / 672), "S1")
-        report = evaluate_schedules({"S1": {"u1": sched}}, posts, pairs,
+        report = evaluate_schedules({"S1": {"u1": sched}}, *tables(posts, pairs),
                                     users, window, grid, k=3)
         tsv = tmp_path / "gain.tsv"
         csv = tmp_path / "gain.csv"

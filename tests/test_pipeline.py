@@ -11,7 +11,14 @@ from postsched import (
     generate,
     ground_truth_peak,
 )
-from postsched.ingest import SocialGraph, UserMeta, join_reactions
+from postsched.ingest import (
+    PairTable,
+    PostTable,
+    ReactionTable,
+    SocialGraph,
+    UserMeta,
+    join_reactions,
+)
 from postsched.pipeline import (
     rank_all,
     read_schedules,
@@ -38,18 +45,19 @@ def star_inputs(span_days=21, **overrides):
     base.update(overrides)
     cfg = SynthConfig(**base)
     result = generate(cfg)
-    join = join_reactions(result.posts, result.reactions)
+    posts = PostTable.from_records(result.posts)
+    join = join_reactions(posts, ReactionTable.from_records(result.reactions))
     graph = SocialGraph(result.edges)
-    return cfg, result, join, graph
+    return cfg, result, posts, join, graph
 
 
 class TestDeriveSchedules:
     def test_s1_recovers_planted_peaks(self):
-        cfg, result, join, graph = star_inputs()
+        cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        derived = derive_schedules(result.posts, join.pairs, graph,
+        derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         for author in cfg.author_ids():
             s1 = derived.personalized["S1"][author]
@@ -57,24 +65,24 @@ class TestDeriveSchedules:
             assert top == ground_truth_peak(cfg, author)
 
     def test_all_four_kinds_present_for_active_authors(self):
-        cfg, result, join, graph = star_inputs()
+        cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        derived = derive_schedules(result.posts, join.pairs, graph,
+        derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         for kind in ("S1", "S2", "S1w", "S2w"):
             for author in cfg.author_ids():
                 assert author in derived.personalized[kind], (kind, author)
 
     def test_workers_do_not_change_results(self):
-        cfg, result, join, graph = star_inputs()
+        cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        one = derive_schedules(result.posts, join.pairs, graph, result.users,
+        one = derive_schedules(posts, join.pairs, graph, result.users,
                                grid, kernel, window, workers=1)
-        four = derive_schedules(result.posts, join.pairs, graph, result.users,
+        four = derive_schedules(posts, join.pairs, graph, result.users,
                                 grid, kernel, window, workers=4)
         for kind, per_user in one.personalized.items():
             assert set(per_user) == set(four.personalized[kind])
@@ -84,11 +92,11 @@ class TestDeriveSchedules:
                     four.personalized[kind][user].probabilities)
 
     def test_fallback_chain_for_users_without_signal(self):
-        cfg, result, join, graph = star_inputs()
+        cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        derived = derive_schedules(result.posts, join.pairs, graph,
+        derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         # Followers have no audience: their recommendation falls back to a
         # timezone baseline (AFD first).
@@ -104,17 +112,18 @@ class TestDeriveSchedules:
         window = TimeWindow.from_days(DEFAULT_START_EPOCH, 7)
         kernel = DelayKernel.delta(0)
         users = [UserMeta("lonely", 0, None, "TW")]
-        derived = derive_schedules([], [], SocialGraph(()), users, grid,
-                                   kernel, window)
+        derived = derive_schedules(PostTable.from_records([]),
+                                   PairTable.from_columns([], [], [], []),
+                                   SocialGraph(()), users, grid, kernel, window)
         assert derived.recommended["lonely"].provenance == "uniform"
         assert np.allclose(derived.recommended["lonely"].probabilities, 1 / 672)
 
     def test_afd_cohort_restricted_to_users_with_audience_profile(self):
-        cfg, result, join, graph = star_inputs()
+        cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        derived = derive_schedules(result.posts, join.pairs, graph,
+        derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         assert set(derived.audience_profiles) == set(cfg.author_ids())
         afd = derived.baselines[0]["AFD"]
@@ -127,11 +136,11 @@ class TestDeriveSchedules:
 
 class TestPersistence:
     def test_schedule_roundtrip(self, tmp_path):
-        cfg, result, join, graph = star_inputs()
+        cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        derived = derive_schedules(result.posts, join.pairs, graph,
+        derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         path = tmp_path / "schedules.tsv"
         rows = [(u, s) for u, s in sorted(derived.personalized["S1"].items())]
@@ -142,11 +151,11 @@ class TestPersistence:
             assert np.array_equal(back["S1"][u].probabilities, s.probabilities)
 
     def test_schedule_file_format(self, tmp_path):
-        cfg, result, join, graph = star_inputs()
+        cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        derived = derive_schedules(result.posts, join.pairs, graph,
+        derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         path = tmp_path / "schedules.tsv"
         write_schedules(path, sorted(derived.personalized["S1"].items()))
@@ -158,11 +167,11 @@ class TestPersistence:
         assert abs(sum(float(x) for x in values) - 1.0) <= 1e-9
 
     def test_ranked_times_format(self, tmp_path):
-        cfg, result, join, graph = star_inputs()
+        cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        derived = derive_schedules(result.posts, join.pairs, graph,
+        derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         path = tmp_path / "ranked.tsv"
         write_ranked_times(path, rank_all(derived.recommended, 5, grid), grid)

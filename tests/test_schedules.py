@@ -5,9 +5,9 @@ import pytest
 
 from postsched import (
     ActionProfile,
-    DelayPair,
     EmptyHistoryError,
     NoSignalError,
+    PairTable,
     TimeWindow,
     VisibilityModel,
     WeeklyGrid,
@@ -106,26 +106,27 @@ class TestWeights:
         return TimeWindow.from_days(0, 63)
 
     def test_share_of_reactions(self):
-        pairs = [DelayPair("a0", "b1", 100, 200)] * 3 + \
-                [DelayPair("a0", "b2", 100, 200)] * 9
+        pairs = PairTable.from_columns(["a0"] * 12, ["b1"] * 3 + ["b2"] * 9,
+                                       [100] * 12, [200] * 12)
         w = compute_weights("a0", pairs, self.window())
         assert w["b1"] == pytest.approx(0.25)
         assert w["b2"] == pytest.approx(0.75)
         assert sum(w.values()) == pytest.approx(1.0)
 
     def test_single_source(self):
-        pairs = [DelayPair("a0", "b1", 100, 200)]
+        pairs = PairTable.from_columns(["a0"], ["b1"], [100], [200])
         assert compute_weights("a0", pairs) == {"b1": 1.0}
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistoryError):
-            compute_weights("a0", [DelayPair("other", "b1", 100, 200)])
+            compute_weights("a0", PairTable.from_columns(["other"], ["b1"],
+                                                         [100], [200]))
 
     def test_window_filters_pairs(self):
-        outside = DelayPair("a0", "b1", self.window().end + 1,
-                            self.window().end + 2)
+        outside = PairTable.from_columns(["a0"], ["b1"], [self.window().end + 1],
+                                         [self.window().end + 2])
         with pytest.raises(EmptyHistoryError):
-            compute_weights("a0", [outside], self.window())
+            compute_weights("a0", outside, self.window())
 
 
 class TestWeightedSchedules:

@@ -8,7 +8,7 @@ import pytest
 
 from postsched import Population, SynthConfig, UserSpec, generate, ground_truth_peak
 from postsched.delays import estimate_delay_kernel
-from postsched.ingest import join_reactions
+from postsched.ingest import PostTable, ReactionTable, join_reactions
 from postsched.synth import DEFAULT_START_EPOCH, resolve_population
 from postsched.temporal import WeeklyGrid
 
@@ -150,9 +150,10 @@ class TestEventProcess:
                            span_days=28, author_base_rate=0.5,
                            reaction_probability=0.9)
         result = generate(cfg)
-        join = join_reactions(result.posts, result.reactions)
+        join = join_reactions(PostTable.from_records(result.posts),
+                              ReactionTable.from_records(result.reactions))
         assert join.n_joined > 10_000
-        est = estimate_delay_kernel(join.pairs)
+        est = estimate_delay_kernel(join.pairs.delay)
         tv = 0.5 * float(np.abs(est.mass - mass).sum())
         assert tv <= 0.05
 
