@@ -35,7 +35,7 @@ for bucket in np.nonzero(profile.values)[0]:
     print(f"  {grid.bucket_label(int(bucket))}: {profile.values[bucket]:.0f}")
 
 # A schedule is the same vector normalized into a probability mass function.
-schedule = normalize_to_schedule(profile, "S1")
+schedule = normalize_to_schedule(profile.values, "S1")
 best = int(np.argmax(schedule.probabilities))
 print(f"\nas a schedule, the best bucket is {grid.bucket_label(best)} "
       f"with probability {schedule.probabilities[best]:.2f}")

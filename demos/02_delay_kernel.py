@@ -13,14 +13,12 @@ posting times that caused it.
 import numpy as np
 
 from postsched import (
-    ActionProfile,
     WeeklyGrid,
     cumulative_curve,
     delayed_profile,
     estimate_delay_kernel,
     time_to_fraction,
 )
-from postsched.temporal import KIND_REACTIONS
 
 rng = np.random.default_rng(8)
 
@@ -50,7 +48,6 @@ for name, delays in (("fast network", fast), ("slow network", slow)):
 grid = WeeklyGrid()
 reactions = np.zeros(grid.buckets_per_week)
 reactions[40] = 100.0
-shifted = delayed_profile(ActionProfile(reactions, KIND_REACTIONS),
-                          estimate_delay_kernel(np.full(10, 900)))
+shifted = delayed_profile(reactions, estimate_delay_kernel(np.full(10, 900)))
 print(f"\nreactions peak at bucket 40; delayed profile peaks at "
-      f"{int(np.argmax(shifted.values))} -> post one bucket earlier")
+      f"{int(np.argmax(shifted))} -> post one bucket earlier")

@@ -11,16 +11,16 @@ recommended times of each.
 import numpy as np
 
 from postsched import (
+    Adjacency,
     DelayKernel,
     VisibilityModel,
     WeeklyGrid,
-    first_degree,
-    second_degree,
+    audience_reaction_profile,
+    delayed_profile,
+    normalize_to_schedule,
     top_k_times,
     visible_posts,
-    weighted_first_degree,
 )
-from postsched.temporal import ActionProfile, KIND_CREATED, KIND_REACTIONS, delayed_profile
 
 grid = WeeklyGrid()
 N = grid.buckets_per_week
@@ -34,41 +34,40 @@ def habit(bucket, weight):
     return v
 
 
-# Observed reaction profiles for the audience, one lag of delay baked in.
-kernel = DelayKernel.delta(1)
-raw = {
-    "bob": habit(MORNING + 1, 8),
-    "carol": habit(NOON + 1, 6),
-    "dan": habit(EVENING + 1, 10),
-}
-delayed = {b: delayed_profile(ActionProfile(v, KIND_REACTIONS), kernel)
-           for b, v in raw.items()}
+def show(title, kind, weights=None, visible=None):
+    """Sum alice's audience rows one way, normalize, print the top times."""
+    q = audience_reaction_profile(delayed, audience, weights, visible)
+    print(title)
+    for bucket, prob in top_k_times(normalize_to_schedule(q[0], kind), 3,
+                                    grid).entries:
+        print(f"  {grid.bucket_label(bucket)}  p={prob:.3f}")
 
-s1 = first_degree(delayed)
-print("S1 (summed audience reactions, delay-corrected):")
-for bucket, prob in top_k_times(s1, 3, grid).entries:
-    print(f"  {grid.bucket_label(bucket)}  p={prob:.3f}")
+
+# Observed reaction profiles for the audience, one row per member and one
+# lag of delay baked in. The whole audience is transformed in one call.
+members = ["bob", "carol", "dan"]
+kernel = DelayKernel.delta(1)
+reactions = np.array([habit(MORNING + 1, 8), habit(NOON + 1, 6),
+                      habit(EVENING + 1, 10)])
+delayed = delayed_profile(reactions, kernel)
+
+# Alice is the only target (row 0); her audience edges point at members 0-2.
+audience = Adjacency.from_edges(1, [0, 0, 0], [0, 1, 2])
+show("S1 (summed audience reactions, delay-corrected):", "S1")
 
 # Second degree: discount members by how flooded their feeds are. Carol
 # follows two prolific accounts that post exactly at noon, so a reaction
 # from her at noon is less informative than bob's quiet-morning reaction.
-feeds = {
-    "bob": [],
-    "carol": [ActionProfile(habit(NOON, 50), KIND_CREATED)] * 2,
-    "dan": [],
-}
-visible = {b: visible_posts(feeds[b], VisibilityModel(), N) for b in delayed}
-s2 = second_degree(delayed, visible)
-print("\nS2 (reaction probability per visible post):")
-for bucket, prob in top_k_times(s2, 3, grid).entries:
-    print(f"  {grid.bucket_label(bucket)}  p={prob:.3f}")
+created = np.array([habit(NOON, 50), habit(NOON, 50)])
+followed = Adjacency.from_edges(len(members), [1, 1], [0, 1])  # carol -> both
+visible = visible_posts(created, followed, VisibilityModel())
+show("\nS2 (reaction probability per visible post):", "S2", visible=visible)
 
-# Weighted: dan produced 70% of the reactions alice ever received.
-weights = {"bob": 0.2, "carol": 0.1, "dan": 0.7}
-s1w = weighted_first_degree(delayed, weights)
-print("\nS1w (audience weighted by reactions actually given to alice):")
-for bucket, prob in top_k_times(s1w, 3, grid).entries:
-    print(f"  {grid.bucket_label(bucket)}  p={prob:.3f}")
+# Weighted: dan produced 70% of the reactions alice ever received. There is
+# one weight per audience edge.
+weights = np.array([0.2, 0.1, 0.7])
+show("\nS1w (audience weighted by reactions actually given to alice):", "S1w",
+     weights=weights)
 
 print("\nS1 favors dan's evening peak by volume; S1w leans on it even",
       "harder, while S2 boosts bob because his feed is quiet.")

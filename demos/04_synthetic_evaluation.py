@@ -15,7 +15,7 @@ from postsched import SynthConfig, TimeWindow, generate, ground_truth_peak
 from postsched.delays import estimate_delay_kernel
 from postsched.evaluation import evaluate_schedules
 from postsched.ingest import PostTable, ReactionTable, SocialGraph, join_reactions
-from postsched.pipeline import derive_schedules
+from postsched.pipeline import derive_schedules, expand_baselines
 from postsched.schedules import top_k_times
 
 weekday_pool = tuple(range(480))
@@ -54,7 +54,8 @@ hits = sum(
 print(f"S1 recovered the planted peak for {hits}/{cfg.n_authors} authors")
 
 by_kind = {k: v for k, v in derived.personalized.items() if v}
-by_kind.update(derived.expand_baselines(cfg.author_ids()))
+by_kind.update(expand_baselines(derived.baselines, derived.tz_of,
+                                cfg.author_ids()))
 report = evaluate_schedules(by_kind, posts, pairs, result.users,
                             evaluation, cfg.grid, k=8)
 

@@ -11,7 +11,6 @@ as the test oracle, and a CLI chains the stages over TSV files.
 
 from .errors import (
     ConfigError,
-    EmptyHistoryError,
     IngestError,
     InsufficientDataError,
     NoSignalError,
@@ -49,18 +48,15 @@ from .ingest import (
     load_users,
 )
 from .schedules import (
+    Adjacency,
     RankedTimes,
     VisibilityModel,
-    afd_baseline,
+    audience_reaction_profile,
+    cohort_sum,
     compute_weights,
-    first_degree,
-    mfu_baseline,
-    second_degree,
     top_k_times,
     uniform_schedule,
     visible_posts,
-    weighted_first_degree,
-    weighted_second_degree,
 )
 from .evaluation import (
     GainReport,
@@ -78,6 +74,6 @@ from .analysis import (
     pairwise_distribution,
 )
 from .synth import Population, SynthConfig, UserSpec, generate, ground_truth_peak
-from .pipeline import DerivedSchedules, derive_schedules
+from .pipeline import DerivedSchedules, derive_schedules, expand_baselines
 
 __version__ = "0.1.0"

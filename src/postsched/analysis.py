@@ -8,6 +8,7 @@ seeded samples of user pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -126,6 +127,16 @@ class MetricDistribution:
         return int(self.counts.sum())
 
 
+def histogram_bins(bin_width: float) -> int:
+    """Number of bins of width ``bin_width`` over [-1, 1]. Raises ValueError
+    unless the width is positive and divides [-1, 1] evenly."""
+    ratio = 2.0 / bin_width if bin_width > 0 else 0.0
+    n_bins = round(ratio) if math.isfinite(ratio) else 0
+    if n_bins < 1 or abs(n_bins * bin_width - 2.0) > 1e-12:
+        raise ValueError("bin_width must evenly divide [-1, 1]")
+    return n_bins
+
+
 def pairwise_distribution(series1: Sequence[np.ndarray],
                           series2: Sequence[np.ndarray], metric: str,
                           sample_budget: int, seed: int,
@@ -143,9 +154,7 @@ def pairwise_distribution(series1: Sequence[np.ndarray],
         raise UndefinedMetricError("both cohorts must be non-empty")
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
-    n_bins = round(2.0 / bin_width)
-    if n_bins < 1 or abs(n_bins * bin_width - 2.0) > 1e-12:
-        raise ValueError("bin_width must evenly divide [-1, 1]")
+    n_bins = histogram_bins(bin_width)
     fn = _METRIC_FNS[metric]
     rng = np.random.default_rng(seed)
     left = rng.integers(0, len(series1), size=sample_budget)

@@ -11,7 +11,7 @@ Subcommands cover the whole batch flow over canonical TSV inputs:
     all            chain ingest-report, ptr, schedule, evaluate, analyze
 
 Configuration is a plain key=value file ('#' comments allowed); flags
---seed/--network/--out/--workers override the corresponding keys. Every run
+--seed/--network/--out override the corresponding keys. Every run
 writes a manifest with input/output digests so reruns can be verified
 byte-for-byte. Exit codes: 0 success, 1 config validation, 2 runtime.
 """
@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -70,7 +71,6 @@ class RunConfig:
     min_cohort: int = 2
     seed: int = 0
     out: str = "out"
-    workers: int = 1
     max_malformed_frac: float = 0.01
     synth_authors: int = 20
     synth_followers: str = "10"
@@ -149,19 +149,22 @@ def parse_config(path) -> RunConfig:
     """Parse a key=value config file into a validated RunConfig."""
     types = _field_types()
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in types:
-                raise ConfigError(f"{key}: unknown configuration key")
-            values[key] = _coerce(key, value, types[key])
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in types:
+            raise ConfigError(f"{key}: unknown configuration key")
+        values[key] = _coerce(key, value, types[key])
     cfg = RunConfig(**values)
     _validate_static(cfg)
     return cfg
@@ -172,9 +175,8 @@ def _validate_static(cfg: RunConfig) -> None:
         raise ConfigError(f"network: must be one of {'/'.join(NETWORKS)}")
     if cfg.day_filter not in DAY_FILTERS:
         raise ConfigError(f"day_filter: must be one of {'/'.join(DAY_FILTERS)}")
-    for key in ("derivation_days", "evaluation_days", "ranks", "workers",
-                "sample_budget", "buckets_per_week", "min_cohort",
-                "delay_window_s", "delay_lag_s"):
+    for key in ("derivation_days", "evaluation_days", "ranks", "sample_budget",
+                "buckets_per_week", "min_cohort", "delay_window_s", "delay_lag_s"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key}: must be >= 1")
     for key, t in _field_types().items():
@@ -193,11 +195,26 @@ def _validate_static(cfg: RunConfig) -> None:
             f"buckets_per_week = {WEEK_SECONDS // cfg.buckets_per_week} s")
     if cfg.delay_window_s % cfg.delay_lag_s != 0:
         raise ConfigError("delay_window_s: must be a multiple of delay_lag_s")
+    try:
+        analysis.histogram_bins(cfg.metric_bin_width)
+    except ValueError:
+        raise ConfigError("metric_bin_width: must be > 0 and divide [-1, 1] "
+                          "evenly") from None
+    _synth_followers(cfg.synth_followers)
     if cfg.derivation_start is not None and cfg.evaluation_start is not None:
         if cfg.derivation_window.overlaps(cfg.evaluation_window):
             raise ConfigError(
                 "derivation_start/evaluation_start: derivation and evaluation "
                 "windows overlap; they must be disjoint")
+
+
+def _synth_followers(spec: str) -> int | tuple[int, int]:
+    """Followers per synthetic author: ``N``, or ``LO:HI`` drawn uniformly."""
+    match = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", spec)
+    if match is None or (match[2] and int(match[1]) > int(match[2])):
+        raise ConfigError("synth_followers: expected N or LO:HI with integers "
+                          f"0 <= LO <= HI, got {spec!r}")
+    return int(match[1]) if match[2] is None else (int(match[1]), int(match[2]))
 
 
 def _require_inputs(cfg: RunConfig, keys: tuple[str, ...]) -> None:
@@ -306,13 +323,6 @@ def _artifact(out_dir: Path, name: str, producer: str) -> Path:
 
 def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     n_lags = cfg.delay_window_s // cfg.delay_lag_s
-    followers = cfg.synth_followers
-    fp: int | tuple[int, int]
-    if ":" in followers:
-        lo, hi = followers.split(":")
-        fp = (int(lo), int(hi))
-    else:
-        fp = int(followers)
     grid = cfg.grid
     pool = None
     if cfg.synth_weekday_peaks:
@@ -320,7 +330,7 @@ def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     config = synth.SynthConfig(
         seed=cfg.seed,
         n_authors=cfg.synth_authors,
-        followers_per_author=fp,
+        followers_per_author=_synth_followers(cfg.synth_followers),
         span_days=cfg.synth_span_days,
         kernel=_parse_synth_kernel(cfg.synth_kernel, n_lags),
         lag_width_s=cfg.delay_lag_s,
@@ -443,7 +453,7 @@ def _derive(cfg: RunConfig, inputs: Inputs) -> pipeline.DerivedSchedules:
         raise PostschedError("no joined reactions inside the derivation window")
     return pipeline.derive_schedules(
         posts, usable, graph, users, cfg.grid, kernel, window,
-        schedules.VisibilityModel(cfg.alpha, cfg.beta), workers=cfg.workers)
+        schedules.VisibilityModel(cfg.alpha, cfg.beta))
 
 
 def stage_schedule(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
@@ -490,17 +500,13 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
                           "derivation window")
 
     by_kind = pipeline.read_schedules(sched_path)
-    tz_of = {u.user: u.tz_offset_min for u in users}
-    baselines_raw = pipeline.read_schedules(base_path)
-    evaluated_users = sorted({u for kind in by_kind.values() for u in kind})
-    for kind, per_tz in baselines_raw.items():
-        per_user = {}
-        for user in evaluated_users:
-            sched = per_tz.get(f"tz:{tz_of.get(user, 0)}")
-            if sched is not None:
-                per_user[user] = sched
-        if per_user:
-            by_kind[kind] = per_user
+    baselines: dict[int, dict] = {}
+    for kind, per_tz in pipeline.read_schedules(base_path).items():
+        for label, sched in per_tz.items():
+            baselines.setdefault(int(label.removeprefix("tz:")), {})[kind] = sched
+    by_kind.update(pipeline.expand_baselines(
+        baselines, {u.user: u.tz_offset_min for u in users},
+        sorted({u for kind in by_kind.values() for u in kind})))
 
     report = evaluation.evaluate_schedules(
         by_kind, posts, join.pairs, users, window, cfg.grid,
@@ -624,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--network", choices=NETWORKS, help="network override")
-        p.add_argument("--workers", type=int, help="worker thread count")
     return parser
 
 
@@ -632,7 +637,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
-        for key in ("out", "seed", "network", "workers"):
+        for key in ("out", "seed", "network"):
             value = getattr(args, key)
             if value is not None:
                 cfg = replace(cfg, **{key: value})

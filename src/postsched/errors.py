@@ -8,17 +8,13 @@ class PostschedError(Exception):
 class NoSignalError(PostschedError):
     """An aggregate that must carry mass is everywhere zero.
 
-    Raised when normalizing an all-zero profile or deriving a schedule from
+    Raised when normalizing an all-zero profile, such as the audience sum of
     an empty or inactive audience; callers fall back to a baseline schedule.
     """
 
 
 class InsufficientDataError(PostschedError):
     """No in-window observations to estimate a delay distribution from."""
-
-
-class EmptyHistoryError(PostschedError):
-    """A user has never received a reaction, so no weights can be computed."""
 
 
 class UndefinedMetricError(PostschedError):

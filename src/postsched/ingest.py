@@ -31,15 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import IngestError
-from .temporal import (
-    ActionProfile,
-    KIND_CREATED,
-    KIND_REACTIONS,
-    MAX_TZ_OFFSET_MIN,
-    TimeWindow,
-    WeeklyGrid,
-    aggregate_profile,
-)
+from .temporal import MAX_TZ_OFFSET_MIN, TimeWindow, WeeklyGrid
 
 NETWORKS = ("TW", "FB", "FP", "GP")
 
@@ -224,6 +216,12 @@ def group_by_user(users: np.ndarray, codes: np.ndarray,
     return dict(zip(users[keys[starts]].tolist(), np.split(rows, starts[1:])))
 
 
+def lookup(users: np.ndarray, index: Mapping[str, int]) -> np.ndarray:
+    """``index[users[code]]`` for every code of a vocabulary, -1 for a user
+    that ``index`` lacks."""
+    return np.array([index.get(u, -1) for u in users.tolist()], dtype=np.int64)
+
+
 class SocialGraph:
     """Audience and followed-set adjacency.
 
@@ -283,9 +281,12 @@ def _blocks(path) -> Iterator[list[str]]:
     in blocks of about ``_BLOCK_CHARS`` characters so that the per-line
     strings of a large file never exist all at once."""
     with open(path, encoding="utf-8") as fh:
-        while text := fh.read(_BLOCK_CHARS):
-            text += fh.readline()
-            yield [line for line in text.split("\n") if line and line[0] != "#"]
+        try:
+            while text := fh.read(_BLOCK_CHARS):
+                text += fh.readline()
+                yield [line for line in text.split("\n") if line and line[0] != "#"]
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _check_lines(lines: Iterable[str], n_fields: int, parse_row,
@@ -491,10 +492,12 @@ def join_reactions(posts: PostTable, reactions: ReactionTable) -> JoinResult:
 
 @dataclass(frozen=True)
 class UserProfiles:
-    """Per-user created-post and self-reaction profiles over one window."""
+    """Created-post and self-reaction counts over one window, as
+    users x buckets matrices whose rows follow the sorted ``users``."""
 
-    created: dict[str, ActionProfile]
-    reactions: dict[str, ActionProfile]
+    users: np.ndarray       # row -> user id, in ascending order
+    created: np.ndarray     # posts authored per row and local bucket
+    reactions: np.ndarray   # reactions performed per row and local bucket
     unknown_tz: frozenset[str]  # users bucketized at UTC for lack of metadata
 
 
@@ -504,29 +507,35 @@ def build_profiles(posts: PostTable, pairs: PairTable, users: list[UserMeta],
 
     Created-post profiles count a user's authored posts; self-reaction
     profiles count the reactions the user performed (as reactor), at the
-    reaction's own timestamp. Users without events get zero profiles;
-    users with events but no timezone metadata default to UTC and are
-    flagged in ``unknown_tz``.
+    reaction's own timestamp. The rows cover every user with metadata or
+    with in-window events; users without events get zero rows. Users with
+    events but no timezone metadata default to UTC and are flagged in
+    ``unknown_tz``.
     """
     tz = {u.user: u.tz_offset_min for u in users}
-    post_rows = group_by_user(posts.users, posts.author,
-                              window.mask(posts.created_at))
-    react_rows = group_by_user(pairs.users, pairs.reactor,
-                               window.mask(pairs.reaction_time))
-    react_rows.pop(MISSING_ID, None)
+    post_rows = np.flatnonzero(window.mask(posts.created_at))
+    react_rows = np.flatnonzero(window.mask(pairs.reaction_time)
+                                & pairs.known_reactor)
+    active = (set(posts.users[np.unique(posts.author[post_rows])].tolist())
+              | set(pairs.users[np.unique(pairs.reactor[react_rows])].tolist()))
+    names = sorted(set(tz) | active)
+    row_of = {u: i for i, u in enumerate(names)}
+    offset = np.array([tz.get(u, 0) for u in names], dtype=np.int64)
+    n = grid.buckets_per_week
 
-    none = np.empty(0, dtype=np.int64)
-    everyone = set(tz) | set(post_rows) | set(react_rows)
-    created = {}
-    reactions = {}
-    for u in everyone:
-        off = tz.get(u, 0)
-        created[u] = aggregate_profile(posts.created_at[post_rows.get(u, none)],
-                                       off, grid, KIND_CREATED)
-        reactions[u] = aggregate_profile(pairs.reaction_time[react_rows.get(u, none)],
-                                         off, grid, KIND_REACTIONS)
-    unknown = frozenset((set(post_rows) | set(react_rows)) - set(tz))
-    return UserProfiles(created, reactions, unknown)
+    def counts(vocabulary: np.ndarray, codes: np.ndarray, times: np.ndarray):
+        row = lookup(vocabulary, row_of)[codes]
+        out = np.zeros((len(names), n))
+        cell = row * n + grid.bucket_indices(times, offset[row])
+        np.add.at(out.reshape(-1), cell, 1.0)
+        return out
+
+    created = counts(posts.users, posts.author[post_rows],
+                     posts.created_at[post_rows])
+    reactions = counts(pairs.users, pairs.reactor[react_rows],
+                       pairs.reaction_time[react_rows])
+    return UserProfiles(np.array(names, dtype=object), created, reactions,
+                        frozenset(active - set(tz)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """End-to-end schedule derivation over a whole event log.
 
-Glues the modules together: per-user profiles from the derivation window,
-delayed reaction profiles through the network delay kernel, the four
-personalized schedules per user, timezone-cohort baselines, and the
+Glues the modules together: users x buckets profiles from the derivation
+window, delayed reaction profiles through the network delay kernel, the
+four personalized schedules per user, timezone-cohort baselines, and the
 fallback chain for users without enough signal:
 
     S1w -> S1 -> AFD(tz) -> MFU(tz) -> uniform
@@ -13,42 +13,40 @@ record which rule actually produced each recommendation.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .delays import DelayKernel
-from .errors import EmptyHistoryError, NoSignalError
 from .ingest import (
     PairTable,
     PostTable,
     SocialGraph,
     UserMeta,
     build_profiles,
-    group_by_user,
+    lookup,
 )
 from .schedules import (
+    Adjacency,
     RankedTimes,
     VisibilityModel,
-    afd_baseline,
     audience_reaction_profile,
+    cohort_sum,
     compute_weights,
-    first_degree,
-    mfu_baseline,
-    second_degree,
     top_k_times,
     uniform_schedule,
     visible_posts,
-    weighted_first_degree,
-    weighted_second_degree,
 )
-from .temporal import ActionProfile, Schedule, TimeWindow, WeeklyGrid, delayed_profile
+from .temporal import (
+    Schedule,
+    TimeWindow,
+    WeeklyGrid,
+    delayed_profile,
+    normalize_to_schedule,
+)
 
 PERSONALIZED_KINDS = ("S1", "S2", "S1w", "S2w")
-BASELINE_KINDS = ("MFU", "AFD")
 
 
 @dataclass(frozen=True)
@@ -58,23 +56,41 @@ class DerivedSchedules:
     personalized: dict[str, dict[str, Schedule]]  # kind -> user -> schedule
     baselines: dict[int, dict[str, Schedule]]     # tz offset -> kind -> schedule
     recommended: dict[str, Schedule]              # fallback chain result per user
-    audience_profiles: dict[str, ActionProfile]   # raw Q(u) per user (feeds AFD)
+    audience_profiles: dict[str, np.ndarray]      # raw Q(u) per user (feeds AFD)
     tz_of: dict[str, int]
     unknown_tz: frozenset[str]
 
-    def baseline_for(self, user: str, kind: str) -> Schedule | None:
-        per_kind = self.baselines.get(self.tz_of.get(user, 0), {})
-        return per_kind.get(kind)
 
-    def expand_baselines(self, users: Iterable[str]) -> dict[str, dict[str, Schedule]]:
-        """Per-user view of the tz-level baselines, for evaluation."""
-        out: dict[str, dict[str, Schedule]] = {k: {} for k in BASELINE_KINDS}
-        for u in users:
-            for kind in BASELINE_KINDS:
-                s = self.baseline_for(u, kind)
-                if s is not None:
-                    out[kind][u] = s
-        return out
+def expand_baselines(baselines: Mapping[int, Mapping[str, Schedule]],
+                     tz_of: Mapping[str, int], users: Iterable[str]
+                     ) -> dict[str, dict[str, Schedule]]:
+    """Per-user view of timezone baselines, kind -> user -> schedule. A user
+    without metadata takes the UTC cohort's; a kind no user has is left out."""
+    out: dict[str, dict[str, Schedule]] = {}
+    for user in users:
+        for kind, sched in baselines.get(tz_of.get(user, 0), {}).items():
+            out.setdefault(kind, {})[user] = sched
+    return out
+
+
+def _edges(sources: list[str], neighbours: Callable[[str], Iterable[str]],
+           row_of: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges from each source to those of its neighbours that have a
+    row, as the source's position and the neighbour's row."""
+    src: list[int] = []
+    dst: list[int] = []
+    for i, user in enumerate(sources):
+        for other in neighbours(user):
+            if other in row_of:
+                src.append(i)
+                dst.append(row_of[other])
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+def _schedules(sums: np.ndarray, keys: list, kind: str) -> dict:
+    """The rows of ``sums`` that carry mass, normalized and keyed."""
+    return {key: normalize_to_schedule(row, kind)
+            for key, row in zip(keys, sums) if row.any()}
 
 
 def derive_schedules(posts: PostTable, pairs: PairTable,
@@ -82,108 +98,70 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
                      grid: WeeklyGrid, kernel: DelayKernel,
                      window: TimeWindow,
                      model: VisibilityModel = VisibilityModel(),
-                     targets: Iterable[str] | None = None,
-                     workers: int = 1) -> DerivedSchedules:
+                     targets: Iterable[str] | None = None) -> DerivedSchedules:
     """Derive all schedules from one derivation window.
 
     ``targets`` restricts which users get personalized schedules (default:
-    every known user). Audience members' delayed profiles and visibility
-    profiles are computed once and shared across targets; per-target work
-    is read-only and parallelized over ``workers`` threads with the output
-    assembled in sorted order, so results do not depend on worker count.
+    every known user). Profiles are users x buckets matrices. The delay
+    transform runs once, on the rows of the targets' audience members who
+    reacted in the window, and each personalized kind is one sum over the
+    audience edges, so a target's schedules do not depend on the other
+    targets.
     """
     profiles = build_profiles(posts, pairs, users, grid, window)
     tz_of = {u.user: u.tz_offset_min for u in users}
-    n = grid.buckets_per_week
-
-    delayed: dict[str, ActionProfile] = {}
-    for user, prof in profiles.reactions.items():
-        if prof.total > 0:
-            delayed[user] = delayed_profile(prof, kernel)
-
+    names = profiles.users.tolist()
+    row_of = {u: i for i, u in enumerate(names)}
     if targets is None:
-        target_list = sorted(set(tz_of) | graph.users | set(profiles.created))
+        target_list = sorted(set(names) | graph.users)
     else:
         target_list = sorted(set(targets))
 
-    # Visibility profiles for every audience member that has reactions.
-    members_needing_v = sorted(
-        {b for u in target_list for b in graph.audience(u) if b in delayed})
-    visible: dict[str, ActionProfile] = {}
-    for b in members_needing_v:
-        creators = [profiles.created[a] for a in sorted(graph.followed(b))
-                    if a in profiles.created]
-        visible[b] = visible_posts(creators, model, n)
+    # Audience edges to the members who reacted in the window. Senders are
+    # the targets with such members; both are numbered in name order.
+    target_at, member_row = _edges(target_list, graph.audience, row_of)
+    reacted = profiles.reactions.any(axis=1)[member_row]
+    senders, target_at = np.unique(target_at[reacted], return_inverse=True)
+    members, member_at = np.unique(member_row[reacted], return_inverse=True)
+    audience = Adjacency.from_edges(len(senders), target_at, member_at)
+    sender_names = [target_list[t] for t in senders]
+    member_names = [names[m] for m in members]
+    followed = Adjacency.from_edges(
+        len(members), *_edges(member_names, graph.followed, row_of))
 
-    received = group_by_user(pairs.users, pairs.author,
-                             window.mask(pairs.post_time) & pairs.known_reactor)
-    none = np.empty(0, dtype=np.int64)
+    received = window.mask(pairs.post_time) & pairs.known_reactor
+    author = lookup(pairs.users, {u: i for i, u in enumerate(sender_names)})
+    reactor = lookup(pairs.users, {u: i for i, u in enumerate(member_names)})
+    weights = compute_weights(author[pairs.author[received]],
+                              reactor[pairs.reactor[received]], audience)
+    reactions = profiles.reactions[members]
+    created, unknown_tz = profiles.created, profiles.unknown_tz
+    del profiles  # frees the reaction counts of everyone else
+    delayed = delayed_profile(reactions, kernel)
+    del reactions
+    visible = visible_posts(created, followed, model)
 
-    def derive_one(user: str):
-        aud = sorted(graph.audience(user))
-        delayed_map = {b: delayed[b] for b in aud if b in delayed}
-        visible_map = {b: visible[b] for b in delayed_map}
-        try:
-            weights = compute_weights(user, pairs.select(received.get(user, none)),
-                                      window)
-        except EmptyHistoryError:
-            weights = None
-        out: dict[str, Schedule] = {}
-        q_profile = None
-        if delayed_map:
-            q_profile = audience_reaction_profile(delayed_map)
-            for kind, fn in (
-                ("S1", lambda: first_degree(delayed_map)),
-                ("S2", lambda: second_degree(delayed_map, visible_map)),
-            ):
-                try:
-                    out[kind] = fn()
-                except NoSignalError:
-                    pass
-            if weights is not None:
-                for kind, fn in (
-                    ("S1w", lambda: weighted_first_degree(delayed_map, weights)),
-                    ("S2w", lambda: weighted_second_degree(
-                        delayed_map, visible_map, weights)),
-                ):
-                    try:
-                        out[kind] = fn()
-                    except NoSignalError:
-                        pass
-        return user, out, q_profile
+    first_degree = audience_reaction_profile(delayed, audience)
+    first_degree.setflags(write=False)
+    personalized = {"S1": _schedules(first_degree, sender_names, "S1")}
+    for kind, w, v in (("S2", None, visible), ("S1w", weights, None),
+                       ("S2w", weights, visible)):
+        personalized[kind] = _schedules(
+            audience_reaction_profile(delayed, audience, w, v), sender_names, kind)
 
-    personalized: dict[str, dict[str, Schedule]] = {k: {} for k in PERSONALIZED_KINDS}
-    audience_profiles: dict[str, ActionProfile] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(derive_one, target_list))
-    else:
-        results = [derive_one(u) for u in target_list]
-    for user, out, q_profile in results:
-        for kind, sched in out.items():
-            personalized[kind][user] = sched
-        if q_profile is not None and q_profile.total > 0:
-            audience_profiles[user] = q_profile
+    # Timezone-cohort baselines. Users without metadata fall into UTC. Every
+    # sender has a member who reacted, so its S1 sum carries mass.
+    offsets = sorted({tz_of.get(u, 0) for u in set(names) | set(sender_names)})
+    cohort = {off: i for i, off in enumerate(offsets)}
+    baselines: dict[int, dict[str, Schedule]] = {off: {} for off in offsets}
+    for kind, rows, of in (("MFU", created, names),
+                           ("AFD", first_degree, sender_names)):
+        sums = cohort_sum(rows, [cohort[tz_of.get(u, 0)] for u in of],
+                          len(offsets))
+        for off, sched in _schedules(sums, offsets, kind).items():
+            baselines[off][kind] = sched
 
-    # Timezone-cohort baselines. Users without metadata fall into UTC.
-    cohort_users: dict[int, list[str]] = defaultdict(list)
-    for user in sorted(set(tz_of) | set(profiles.created) | set(audience_profiles)):
-        cohort_users[tz_of.get(user, 0)].append(user)
-    baselines: dict[int, dict[str, Schedule]] = {}
-    for off, cohort in cohort_users.items():
-        per_kind: dict[str, Schedule] = {}
-        try:
-            per_kind["MFU"] = mfu_baseline(
-                profiles.created[u] for u in cohort if u in profiles.created)
-        except NoSignalError:
-            pass
-        try:
-            per_kind["AFD"] = afd_baseline(
-                audience_profiles[u] for u in cohort if u in audience_profiles)
-        except NoSignalError:
-            pass
-        baselines[off] = per_kind
-
+    n = grid.buckets_per_week
     recommended: dict[str, Schedule] = {}
     for user in target_list:
         sched = personalized["S1w"].get(user) or personalized["S1"].get(user)
@@ -193,7 +171,8 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
         recommended[user] = sched
 
     return DerivedSchedules(personalized, baselines, recommended,
-                            audience_profiles, tz_of, profiles.unknown_tz)
+                            dict(zip(sender_names, first_degree)), tz_of,
+                            unknown_tz)
 
 
 def write_schedules(path, rows: Iterable[tuple[str, Schedule]]) -> None:

@@ -13,29 +13,22 @@ plus two non-personalized baselines aggregated over a timezone cohort:
 
     MFU  most frequently used posting buckets (aggregate created posts)
     AFD  aggregate of the cohort's first-degree audience-reaction profiles
+
+A population is a users x buckets matrix and a graph an :class:`Adjacency`
+of index arrays, so each of these is one sum of matrix rows over edges.
+Every sum adds its rows in ascending edge order, so a user's result does
+not depend on who else is in the population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyHistoryError, NoSignalError
-from .ingest import PairTable
-from .temporal import (
-    ActionProfile,
-    KIND_AUDIENCE,
-    KIND_VISIBLE,
-    Schedule,
-    TimeWindow,
-    WeeklyGrid,
-    normalize_to_schedule,
-)
-
-PROVENANCES = ("S1", "S2", "S1w", "S2w", "MFU", "AFD", "uniform")
-
+from . import temporal
+from .temporal import Schedule, WeeklyGrid
 
 @dataclass(frozen=True)
 class VisibilityModel:
@@ -78,126 +71,134 @@ class RankedTimes:
         return len(self.entries)
 
 
-def _sum_profiles(profiles: Iterable[np.ndarray]) -> np.ndarray | None:
-    total = None
-    for v in profiles:
-        total = v.copy() if total is None else total + v
-    return total
+@dataclass(frozen=True)
+class Adjacency:
+    """Edges ``row[i] -> col[i]`` out of ``n_rows`` rows, as index arrays
+    sorted by (row, col)."""
+
+    n_rows: int
+    row: np.ndarray
+    col: np.ndarray
+
+    @classmethod
+    def from_edges(cls, n_rows: int, row, col) -> "Adjacency":
+        row = np.asarray(row, dtype=np.int64)
+        col = np.asarray(col, dtype=np.int64)
+        order = np.lexsort((col, row))
+        return cls(n_rows, row[order], col[order])
+
+    def __len__(self) -> int:
+        return int(self.col.size)
 
 
-def audience_reaction_profile(delayed_by_member: Mapping[str, ActionProfile],
-                              weights: Mapping[str, float] | None = None,
-                              ) -> ActionProfile:
-    """Aggregate audience delayed-reaction profiles, optionally weighted.
+def _sum_over_edges(edges: Adjacency, n_buckets: int,
+                    rows_of: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """Row r of the result sums, over the edges out of r in order, one row
+    each; ``rows_of`` returns the rows of a slice of the edges."""
+    out = np.zeros((edges.n_rows, n_buckets))
+    step = temporal.CHUNK_ROWS
+    for lo in range(0, len(edges), step):
+        chunk = slice(lo, lo + step)
+        # np.add.at adds the rows one at a time in edge order, so a sum does
+        # not depend on the chunking; np.add.reduceat does not keep the order.
+        np.add.at(out, edges.row[chunk], rows_of(chunk))
+    return out
 
-    Members missing from ``weights`` contribute nothing (weight 0). Raises
-    :class:`NoSignalError` for an empty audience.
+
+def audience_reaction_profile(delayed: np.ndarray, audience: Adjacency,
+                              weights: np.ndarray | None = None,
+                              visible: np.ndarray | None = None) -> np.ndarray:
+    """Sum the audience's delayed reaction profiles, one row per target.
+
+    Row t of the result sums, over the audience edges (t, b) in ascending b,
+    member b's row of ``delayed``. With ``visible`` (posts visible to each
+    member, rows as in ``delayed``) that row becomes the member's reaction
+    probability, ``min(delayed / visible, 1)``: clamped, since sparse data can
+    push the ratio above a valid probability. With ``weights`` (one per edge)
+    it is scaled by the edge's weight. The personalized schedules normalize
+    these sums:
+
+        S1 = (None, None)    S2 = (None, visible)
+        S1w = (weights, None)    S2w = (weights, visible)
     """
-    if not delayed_by_member:
-        raise NoSignalError("empty audience")
-    if weights is None:
-        vals = _sum_profiles(p.values for p in delayed_by_member.values())
-    else:
-        vals = _sum_profiles(weights.get(b, 0.0) * p.values
-                             for b, p in delayed_by_member.items())
-    return ActionProfile(vals, KIND_AUDIENCE)
+    if visible is not None and np.any(visible <= 0):
+        raise ValueError("visible-posts profile must be strictly positive")
+
+    def rows_of(chunk: slice) -> np.ndarray:
+        members = audience.col[chunk]
+        rows = delayed[members]
+        if visible is not None:
+            rows /= visible[members]
+            np.minimum(rows, 1.0, out=rows)
+        if weights is not None:
+            rows *= weights[chunk, None]
+        return rows
+
+    return _sum_over_edges(audience, delayed.shape[-1], rows_of)
 
 
-def first_degree(delayed_by_member: Mapping[str, ActionProfile]) -> Schedule:
-    """Schedule from the summed delayed reaction profiles of the audience."""
-    return normalize_to_schedule(audience_reaction_profile(delayed_by_member), "S1")
-
-
-def weighted_first_degree(delayed_by_member: Mapping[str, ActionProfile],
-                          weights: Mapping[str, float]) -> Schedule:
-    q = audience_reaction_profile(delayed_by_member, weights)
-    return normalize_to_schedule(q, "S1w")
-
-
-def visible_posts(creation_profiles: Iterable[ActionProfile],
-                  model: VisibilityModel, n_buckets: int) -> ActionProfile:
-    """Posts visible to a member per bucket, from the creation profiles of
+def visible_posts(created: np.ndarray, followed: Adjacency,
+                  model: VisibilityModel) -> np.ndarray:
+    """Posts visible to each member per bucket, from the creation profiles of
     the users they follow.
 
-    Each creation profile is rescaled by its own mean (profiles with zero
-    mean contribute nothing), summed, then mapped through the visibility
-    model. Every element is >= beta > 0.
+    Row r of the result is built from the rows of ``created`` that r's edges
+    in ``followed`` point to: each is rescaled by its own mean (rows with zero
+    mean contribute nothing), they are summed, and the sum is mapped through
+    the visibility model. Every element is >= beta > 0.
     """
-    v = np.full(n_buckets, model.beta, dtype=np.float64)
-    acc = np.zeros(n_buckets)
-    for c in creation_profiles:
-        mean = c.total / len(c)
-        if mean > 0:
-            acc += c.values / mean
-    v += model.alpha * acc
-    return ActionProfile(v, KIND_VISIBLE)
+    n = created.shape[-1]
+    mean = created.sum(axis=-1) / n
+    posting = mean[followed.col] > 0
+    creators = Adjacency(followed.n_rows, followed.row[posting],
+                         followed.col[posting])
+
+    def rows_of(chunk: slice) -> np.ndarray:
+        rows = creators.col[chunk]
+        return created[rows] / mean[rows, None]
+
+    acc = _sum_over_edges(creators, n, rows_of)
+    acc *= model.alpha
+    acc += model.beta
+    return acc
 
 
-def _reaction_rates(delayed: ActionProfile, visible: ActionProfile) -> np.ndarray:
-    """Per-bucket probability that the member reacts: delayed reactions over
-    visible posts, clamped to 1 since sparse data can push the ratio above
-    a valid probability."""
-    if np.any(visible.values <= 0):
-        raise ValueError("visible-posts profile must be strictly positive")
-    return np.minimum(delayed.values / visible.values, 1.0)
+def compute_weights(author: np.ndarray, reactor: np.ndarray,
+                    audience: Adjacency) -> np.ndarray:
+    """Audience weights, one per edge (t, b): b's share of the reactions t
+    has received.
 
-
-def second_degree(delayed_by_member: Mapping[str, ActionProfile],
-                  visible_by_member: Mapping[str, ActionProfile]) -> Schedule:
-    """Schedule from expected reaction counts: the sum over members of their
-    per-bucket reaction probabilities."""
-    if not delayed_by_member:
-        raise NoSignalError("empty audience")
-    q = _sum_profiles(_reaction_rates(p, visible_by_member[b])
-                      for b, p in delayed_by_member.items())
-    return normalize_to_schedule(ActionProfile(q, KIND_AUDIENCE), "S2")
-
-
-def weighted_second_degree(delayed_by_member: Mapping[str, ActionProfile],
-                           visible_by_member: Mapping[str, ActionProfile],
-                           weights: Mapping[str, float]) -> Schedule:
-    if not delayed_by_member:
-        raise NoSignalError("empty audience")
-    q = _sum_profiles(weights.get(b, 0.0) * _reaction_rates(p, visible_by_member[b])
-                      for b, p in delayed_by_member.items())
-    return normalize_to_schedule(ActionProfile(q, KIND_AUDIENCE), "S2w")
-
-
-def compute_weights(user: str, pairs: PairTable,
-                    window: TimeWindow | None = None) -> dict[str, float]:
-    """Audience weights: each member's share of the reactions the user has
-    received.
-
-    Weights are derived from the same window as the profiles to avoid
-    evaluation leakage. Raises :class:`EmptyHistoryError` when the user
-    never received a reaction.
+    Each received reaction is given by its post's author, as a row of
+    ``audience``, and its reactor, as a column; -1 marks a user outside
+    them. A reaction from outside the audience still counts toward its
+    author's total. Weights come from the same window as the profiles to
+    avoid evaluation leakage. A target that received no reaction gets zero
+    weights.
     """
-    received = pairs.users[pairs.author] == user
-    if window is not None:
-        received &= window.mask(pairs.post_time)
-    reactors, counts = np.unique(pairs.reactor[received], return_counts=True)
-    total = int(counts.sum())
-    if total == 0:
-        raise EmptyHistoryError(f"user {user!r} has no received reactions")
-    return {b: int(c) / total
-            for b, c in zip(pairs.users[reactors].tolist(), counts)}
+    if not len(audience):
+        return np.zeros(0)
+    author = np.asarray(author, dtype=np.int64)
+    reactor = np.asarray(reactor, dtype=np.int64)
+    mine = author >= 0
+    total = np.bincount(author[mine], minlength=audience.n_rows)
+    known = mine & (reactor >= 0)
+    width = max(int(audience.col.max()), int(reactor.max(initial=-1))) + 1
+    key = author[known] * width + reactor[known]
+    edge = audience.row * width + audience.col  # ascending, as edges are sorted
+    at = np.searchsorted(edge, key).clip(max=edge.size - 1)
+    count = np.bincount(at[edge[at] == key], minlength=edge.size)
+    received = total[audience.row]
+    return np.divide(count, received, out=np.zeros(edge.size),
+                     where=received > 0)
 
 
-def mfu_baseline(creation_profiles: Iterable[ActionProfile]) -> Schedule:
-    """Most-frequently-used buckets of a timezone cohort, as a schedule."""
-    vals = _sum_profiles(c.values for c in creation_profiles)
-    if vals is None:
-        raise NoSignalError("empty cohort")
-    return normalize_to_schedule(ActionProfile(vals, KIND_AUDIENCE), "MFU")
-
-
-def afd_baseline(audience_profiles: Iterable[ActionProfile]) -> Schedule:
-    """Aggregate first-degree baseline: the cohort's summed audience-reaction
-    profiles, restricted to users that have one."""
-    vals = _sum_profiles(q.values for q in audience_profiles)
-    if vals is None:
-        raise NoSignalError("empty cohort")
-    return normalize_to_schedule(ActionProfile(vals, KIND_AUDIENCE), "AFD")
+def cohort_sum(values: np.ndarray, cohort, n_cohorts: int) -> np.ndarray:
+    """Sum the rows of ``values`` per cohort, in ascending row order; row i
+    belongs to cohort ``cohort[i]``. MFU normalizes the sums of created-post
+    rows, and AFD those of first-degree audience-reaction rows."""
+    members = Adjacency.from_edges(n_cohorts, cohort, np.arange(len(values)))
+    return _sum_over_edges(members, values.shape[-1],
+                           lambda chunk: values[members.col[chunk]])
 
 
 def uniform_schedule(n_buckets: int) -> Schedule:

@@ -30,23 +30,15 @@ UNIT_SUM_TOL = 1e-9
 
 # Action profile kinds.
 KIND_CREATED = "created_posts"
-KIND_VISIBLE = "visible_posts"
 KIND_REACTIONS = "self_reactions"
-KIND_DELAYED = "delayed_self_reactions"
-KIND_AUDIENCE = "audience_reactions"
+
+# Rows that a batched step (the delay transform, a sum over graph edges)
+# takes at once, which bounds its temporaries to CHUNK_ROWS x buckets.
+CHUNK_ROWS = 256
 
 DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 DAY_FILTERS = ("all", "weekday", "weekend")
-
-
-def _check_tz_offset(tz_offset_min: int) -> int:
-    if not -MAX_TZ_OFFSET_MIN <= tz_offset_min <= MAX_TZ_OFFSET_MIN:
-        raise ValueError(
-            f"tz_offset_min {tz_offset_min} outside "
-            f"[-{MAX_TZ_OFFSET_MIN}, {MAX_TZ_OFFSET_MIN}]"
-        )
-    return int(tz_offset_min)
 
 
 @dataclass(frozen=True)
@@ -76,16 +68,17 @@ class WeeklyGrid:
         Local time is UTC shifted by ``tz_offset_min`` minutes; weeks start
         Monday 00:00 local. Total over all valid inputs.
         """
-        _check_tz_offset(tz_offset_min)
-        local = int(timestamp) + tz_offset_min * 60
-        into_week = (local + EPOCH_TO_MONDAY) % WEEK_SECONDS
-        return int(into_week // self.bucket_width_s)
+        return int(self.bucket_indices(timestamp, tz_offset_min))
 
-    def bucket_indices(self, timestamps, tz_offset_min: int = 0) -> np.ndarray:
-        """Vectorized :meth:`bucket_index` over an array of timestamps."""
-        _check_tz_offset(tz_offset_min)
+    def bucket_indices(self, timestamps, tz_offset_min=0) -> np.ndarray:
+        """Vectorized :meth:`bucket_index` over an array of timestamps;
+        ``tz_offset_min`` is one offset or an array of one per timestamp."""
+        offsets = np.asarray(tz_offset_min, dtype=np.int64)
+        if np.any(np.abs(offsets) > MAX_TZ_OFFSET_MIN):
+            raise ValueError(f"tz_offset_min outside [-{MAX_TZ_OFFSET_MIN}, "
+                             f"{MAX_TZ_OFFSET_MIN}]")
         ts = np.asarray(timestamps, dtype=np.int64)
-        local = ts + tz_offset_min * 60
+        local = ts + offsets * 60
         into_week = (local + EPOCH_TO_MONDAY) % WEEK_SECONDS
         return into_week // self.bucket_width_s
 
@@ -120,10 +113,9 @@ class WeeklyGrid:
 
 @dataclass(frozen=True)
 class ActionProfile:
-    """Non-negative event counts per weekly bucket.
-
-    Values are stored as a read-only float64 vector so that weighted
-    aggregation reuses the same type as raw counts.
+    """Non-negative event counts of one user per weekly bucket, stored as a
+    read-only float64 vector. A population's profiles are a users x buckets
+    matrix instead (:func:`~postsched.ingest.build_profiles`).
     """
 
     values: np.ndarray
@@ -146,10 +138,6 @@ class ActionProfile:
     @property
     def total(self) -> float:
         return float(self.values.sum())
-
-    @classmethod
-    def zeros(cls, n_buckets: int, kind: str = KIND_CREATED) -> "ActionProfile":
-        return cls(np.zeros(n_buckets), kind)
 
 
 @dataclass(frozen=True)
@@ -217,24 +205,25 @@ def aggregate_profile(timestamps, tz_offset_min: int, grid: WeeklyGrid,
     n = grid.buckets_per_week
     ts = np.asarray(list(timestamps) if not isinstance(timestamps, np.ndarray)
                     else timestamps, dtype=np.int64)
-    if ts.size == 0:
-        return ActionProfile.zeros(n, kind)
     counts = np.bincount(grid.bucket_indices(ts, tz_offset_min), minlength=n)
     return ActionProfile(counts.astype(np.float64), kind)
 
 
-def delayed_profile(profile: ActionProfile, kernel) -> ActionProfile:
-    """Transform a reaction profile to anticipate where delayed reactions land.
+def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
+    """Transform reaction profiles to anticipate where delayed reactions land.
 
-    Element k of the result estimates the reactions the user would produce
-    within the delay window *after* bucket k:
+    ``values`` holds one profile or a stack of them, with buckets on the last
+    axis. Element k of a result row estimates the reactions the user would
+    produce within the delay window *after* bucket k:
 
-        out[k] = sum_m kernel[m] * profile[(k + m) mod N]
+        out[k] = sum_m kernel[m] * values[(k + m) mod N]
 
     i.e. a forward-looking circular cross-correlation with the delay kernel.
     The week wraps around: profiles are weekly-periodic aggregates, so mass
     spilling past Sunday 23:45 belongs to Monday's buckets. Total mass is
-    conserved because the kernel sums to one.
+    conserved because the kernel sums to one. The non-zero lags are applied
+    in ascending order, the first assigned and the rest added, so every row
+    comes out the same whether it is transformed alone or in a stack.
 
     ``kernel`` may be a :class:`~postsched.delays.DelayKernel` or a bare
     probability vector over lags. A kernel that does not sum to 1 within
@@ -247,21 +236,35 @@ def delayed_profile(profile: ActionProfile, kernel) -> ActionProfile:
         raise ValueError("kernel mass must be finite and >= 0")
     if abs(mass.sum() - 1.0) > UNIT_SUM_TOL:
         raise ValueError(f"kernel must sum to 1 within {UNIT_SUM_TOL}")
-    v = profile.values
-    lags = np.nonzero(mass)[0]
-    out = mass[lags[0]] * np.roll(v, -int(lags[0]))
-    for m in lags[1:]:
-        out += mass[m] * np.roll(v, -int(m))
-    return ActionProfile(out, KIND_DELAYED)
+    v = np.asarray(values, dtype=np.float64)
+    n = v.shape[-1]
+    rows = v.reshape(-1, n)
+    out = np.empty_like(rows)
+    term = np.empty((min(len(rows), CHUNK_ROWS), n))
+    lags = np.flatnonzero(mass)
+    for lo in range(0, len(rows), CHUNK_ROWS):
+        src = rows[lo:lo + CHUNK_ROWS]
+        dst = out[lo:lo + CHUNK_ROWS]
+        part = term[:len(src)]
+        for i, m in enumerate(lags):
+            # Shifting left by s: element k takes element (k + s) mod n.
+            s = int(m) % n
+            acc = dst if i == 0 else part
+            np.multiply(src[:, s:], mass[m], out=acc[:, :n - s])
+            np.multiply(src[:, :s], mass[m], out=acc[:, n - s:])
+            if i:
+                dst += part
+    return out.reshape(v.shape)
 
 
-def normalize_to_schedule(profile: ActionProfile, provenance: str) -> Schedule:
+def normalize_to_schedule(values: np.ndarray, provenance: str) -> Schedule:
     """Normalize a non-negative profile into a schedule: s[i] = q[i] / sum(q).
 
     Raises :class:`NoSignalError` on an all-zero profile so the caller can
     fall back to a baseline schedule.
     """
-    total = profile.values.sum()
+    values = np.asarray(values, dtype=np.float64)
+    total = values.sum()
     if total <= 0:
-        raise NoSignalError(f"cannot normalize all-zero {profile.kind} profile")
-    return Schedule(profile.values / total, provenance)
+        raise NoSignalError(f"cannot normalize an all-zero {provenance} profile")
+    return Schedule(values / total, provenance)

@@ -108,12 +108,42 @@ class TestExitCodes:
         ("delay_window_s", "0"),
         ("buckets_per_week", "168"),    # with the default 900 s lag
         ("buckets_per_week", "1000"),   # does not divide a week
+        ("metric_bin_width", "0"),
+        ("metric_bin_width", "0.07"),   # does not divide [-1, 1]
+        ("metric_bin_width", "-0.05"),
     ])
     def test_config_hole_returns_one_naming_key(self, tmp_path, capsys,
                                                 key, value):
         cfg = write_config(tmp_path / "c", out=tmp_path / "o", **{key: value})
         assert run(["all", "--config", cfg]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["4:x", "5:2", "1:2:3", "3:", "", "-1"])
+    def test_bad_synth_followers_returns_one(self, tmp_path, capsys, value):
+        cfg, out = synth_config(tmp_path, synth_followers=value)
+        assert run(["synth", "--config", cfg]) == 1
+        assert "synth_followers" in capsys.readouterr().err
+        assert not (out / "posts.tsv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "7", "2:5", "3:3"])
+    def test_synth_followers_grammar_accepted(self, tmp_path, value):
+        cfg, _ = synth_config(tmp_path, synth_followers=value)
+        assert parse_config(cfg).synth_followers == value
+
+    def test_non_utf8_input_returns_two_naming_file(self, tmp_path, capsys):
+        cfg, out = synth_config(tmp_path)
+        assert run(["synth", "--config", cfg]) == 0
+        with open(out / "posts.tsv", "ab") as fh:
+            fh.write(b"TW\ta00000\tbad\xff\t1420416000\n")
+        capsys.readouterr()
+        assert run(["ptr", "--config", out / "synth.config"]) == 2
+        assert "posts.tsv" in capsys.readouterr().err
+
+    def test_non_utf8_config_returns_one_naming_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.config"
+        cfg.write_bytes(b"seed=1\nnetwork=T\xffW\n")
+        assert run(["ptr", "--config", cfg]) == 1
+        assert str(cfg) in capsys.readouterr().err
 
     def test_missing_input_file_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c", posts="nope.tsv",

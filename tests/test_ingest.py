@@ -326,6 +326,11 @@ class TestJoin:
         assert res.n_negative_delay == negative
 
 
+def row(prof, user):
+    """Index of ``user``'s row in the profile matrices."""
+    return prof.users.tolist().index(user)
+
+
 class TestBuildProfiles:
     # Monday 2015-01-05 00:00 UTC.
     MONDAY = 1420416000
@@ -338,8 +343,8 @@ class TestBuildProfiles:
         users = [UserMeta("u1", 0, None, "TW")]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
-        assert prof.created["u1"].values[0] == 1.0
-        assert prof.created["u1"].total == 1.0
+        assert prof.created[row(prof, "u1"), 0] == 1.0
+        assert prof.created[row(prof, "u1")].sum() == 1.0
 
     def test_reactions_bucket_one(self):
         res = join(
@@ -349,7 +354,7 @@ class TestBuildProfiles:
         users = [UserMeta("u1", 0, None, "TW"), UserMeta("a", 0, None, "TW")]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles([], res.pairs, users, self.grid(), window)
-        assert prof.reactions["u1"].values[1] == 2.0
+        assert prof.reactions[row(prof, "u1"), 1] == 2.0
 
     def test_window_boundary_exclusion(self):
         window = TimeWindow.from_days(self.MONDAY, 63)
@@ -357,7 +362,7 @@ class TestBuildProfiles:
                  PostRecord("TW", "u1", "p2", window.end + 1)]
         users = [UserMeta("u1", 0, None, "TW")]
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
-        assert prof.created["u1"].total == 1.0
+        assert prof.created[row(prof, "u1")].sum() == 1.0
 
     def test_conservation_over_users(self):
         rng = np.random.default_rng(41)
@@ -367,21 +372,32 @@ class TestBuildProfiles:
                  for i in range(200)]
         users = [UserMeta(f"u{i}", 0, None, "TW") for i in range(5)]
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
-        assert sum(p.total for p in prof.created.values()) == len(posts)
+        assert prof.created.sum() == len(posts)
 
     def test_unknown_tz_flagged_and_defaults_utc(self):
         posts = [PostRecord("TW", "ghost", "p1", self.MONDAY)]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, [], self.grid(), window)
         assert "ghost" in prof.unknown_tz
-        assert prof.created["ghost"].values[0] == 1.0
+        assert prof.created[row(prof, "ghost"), 0] == 1.0
 
     def test_zero_profiles_for_inactive_users(self):
         users = [UserMeta("quiet", 0, None, "TW")]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles([], NO_PAIRS, users, self.grid(), window)
-        assert prof.created["quiet"].total == 0.0
-        assert prof.reactions["quiet"].total == 0.0
+        assert prof.created[row(prof, "quiet")].sum() == 0.0
+        assert prof.reactions[row(prof, "quiet")].sum() == 0.0
+
+    def test_rows_follow_sorted_users_in_local_time(self):
+        posts = [PostRecord("TW", "zed", "p1", self.MONDAY),
+                 PostRecord("TW", "amy", "p2", self.MONDAY)]
+        users = [UserMeta("zed", 0, None, "TW"), UserMeta("amy", 60, None, "TW"),
+                 UserMeta("kim", 0, None, "TW")]
+        window = TimeWindow.from_days(self.MONDAY, 63)
+        prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
+        assert prof.users.tolist() == ["amy", "kim", "zed"]
+        assert prof.created.shape == prof.reactions.shape == (3, 672)
+        assert prof.created[0, 4] == prof.created[2, 0] == 1.0
 
 
 class TestAdapter:

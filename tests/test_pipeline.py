@@ -4,6 +4,7 @@ import numpy as np
 
 from postsched import (
     DelayKernel,
+    temporal,
     SynthConfig,
     TimeWindow,
     WeeklyGrid,
@@ -75,22 +76,6 @@ class TestDeriveSchedules:
             for author in cfg.author_ids():
                 assert author in derived.personalized[kind], (kind, author)
 
-    def test_workers_do_not_change_results(self):
-        cfg, result, posts, join, graph = star_inputs()
-        grid = cfg.grid
-        window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
-        kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
-        one = derive_schedules(posts, join.pairs, graph, result.users,
-                               grid, kernel, window, workers=1)
-        four = derive_schedules(posts, join.pairs, graph, result.users,
-                                grid, kernel, window, workers=4)
-        for kind, per_user in one.personalized.items():
-            assert set(per_user) == set(four.personalized[kind])
-            for user, sched in per_user.items():
-                assert np.array_equal(
-                    sched.probabilities,
-                    four.personalized[kind][user].probabilities)
-
     def test_fallback_chain_for_users_without_signal(self):
         cfg, result, posts, join, graph = star_inputs()
         grid = cfg.grid
@@ -129,9 +114,51 @@ class TestDeriveSchedules:
         afd = derived.baselines[0]["AFD"]
         total = None
         for author in cfg.author_ids():
-            q = derived.audience_profiles[author].values
+            q = derived.audience_profiles[author]
             total = q.copy() if total is None else total + q
         assert np.allclose(afd.probabilities, total / total.sum())
+
+
+    def test_target_subset_gives_identical_schedules(self):
+        cfg, result, posts, join, graph = star_inputs()
+        window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
+        kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
+        full = derive_schedules(posts, join.pairs, graph, result.users,
+                                cfg.grid, kernel, window)
+        subset = ["a00001", "a00003", "f00000_000"]
+        part = derive_schedules(posts, join.pairs, graph, result.users,
+                                cfg.grid, kernel, window, targets=subset)
+        assert set(part.recommended) == set(subset)
+        for kind, per_user in part.personalized.items():
+            assert set(per_user) == {"a00001", "a00003"}
+            for user, sched in per_user.items():
+                assert np.array_equal(sched.probabilities,
+                                      full.personalized[kind][user].probabilities)
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        cfg, result, posts, join, graph = star_inputs()
+        window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
+        kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
+
+        def derive():
+            return derive_schedules(posts, join.pairs, graph, result.users,
+                                    cfg.grid, kernel, window)
+
+        def flat(derived):
+            rows = [(kind, user, s.probabilities)
+                    for kind, per_user in derived.personalized.items()
+                    for user, s in per_user.items()]
+            rows += [(kind, str(off), s.probabilities)
+                     for off, per_kind in derived.baselines.items()
+                     for kind, s in per_kind.items()]
+            rows += [(s.provenance, user, s.probabilities)
+                     for user, s in derived.recommended.items()]
+            rows += [("Q", user, q) for user, q in derived.audience_profiles.items()]
+            return sorted((k, u, p.tobytes()) for k, u, p in rows)
+
+        default = flat(derive())
+        monkeypatch.setattr(temporal, "CHUNK_ROWS", 1)
+        assert flat(derive()) == default
 
 
 class TestPersistence:

@@ -4,39 +4,86 @@ import numpy as np
 import pytest
 
 from postsched import (
-    ActionProfile,
-    EmptyHistoryError,
+    Adjacency,
     NoSignalError,
     PairTable,
     TimeWindow,
     VisibilityModel,
     WeeklyGrid,
-    afd_baseline,
+    audience_reaction_profile,
+    cohort_sum,
     compute_weights,
-    first_degree,
-    mfu_baseline,
-    second_degree,
+    normalize_to_schedule,
     top_k_times,
     uniform_schedule,
     visible_posts,
-    weighted_first_degree,
-    weighted_second_degree,
 )
-from postsched.temporal import KIND_AUDIENCE, KIND_CREATED, KIND_DELAYED, Schedule
+from postsched.temporal import Schedule
 
 
-def prof(values, kind=KIND_DELAYED):
-    return ActionProfile(np.asarray(values, dtype=float), kind)
+def schedule(kind, delayed, visible=None, weights=None, n=2):
+    """One target's ``kind`` schedule over an audience of every member of
+    ``delayed``; ``visible`` and ``weights`` are keyed by member, and a member
+    missing from ``weights`` has weight 0."""
+    names = list(delayed)
+    rows = np.array(list(delayed.values()), dtype=float).reshape(len(names), n)
+    audience = Adjacency.from_edges(1, [0] * len(names), range(len(names)))
+    v = None if visible is None else np.array([visible[b] for b in names], float)
+    w = None if weights is None else np.array([weights.get(b, 0.0) for b in names])
+    return normalize_to_schedule(audience_reaction_profile(rows, audience, w, v)[0],
+                                 kind)
+
+
+def first_degree(delayed):
+    return schedule("S1", delayed)
+
+
+def second_degree(delayed, visible):
+    return schedule("S2", delayed, visible)
+
+
+def weighted_first_degree(delayed, weights):
+    return schedule("S1w", delayed, weights=weights)
+
+
+def weighted_second_degree(delayed, visible, weights):
+    return schedule("S2w", delayed, visible, weights)
+
+
+def visible_of(creations, model):
+    """Visibility row of one member following every row of ``creations``."""
+    created = np.array(creations, dtype=float)
+    followed = Adjacency.from_edges(1, [0] * len(creations), range(len(creations)))
+    return visible_posts(created, followed, model)[0]
+
+
+def weights_of(user, pairs, window=None):
+    """compute_weights for ``user`` with every reactor in ``pairs`` in the
+    audience, counting the pairs inside ``window``, as a reactor -> weight
+    dict."""
+    reactors = sorted(set(pairs.users[pairs.reactor].tolist()))
+    if window is not None:
+        pairs = pairs.select(window.mask(pairs.post_time))
+    audience = Adjacency.from_edges(1, [0] * len(reactors), range(len(reactors)))
+    author = np.where(pairs.users[pairs.author] == user, 0, -1)
+    reactor = np.searchsorted(reactors, pairs.users[pairs.reactor].astype(str))
+    return dict(zip(reactors, compute_weights(author, reactor, audience).tolist()))
+
+
+def baseline(kind, profiles):
+    """The ``kind`` baseline of one cohort holding every profile."""
+    rows = np.array(profiles, dtype=float)
+    return normalize_to_schedule(cohort_sum(rows, [0] * len(rows), 1)[0], kind)
 
 
 class TestFirstDegree:
     def test_single_member(self):
-        s = first_degree({"b0": prof([2, 0])})
+        s = first_degree({"b0": [2, 0]})
         assert np.array_equal(s.probabilities, [1.0, 0.0])
         assert s.provenance == "S1"
 
     def test_two_members_sum_then_normalize(self):
-        s = first_degree({"b0": prof([1, 0]), "b1": prof([0, 3])})
+        s = first_degree({"b0": [1, 0], "b1": [0, 3]})
         assert np.allclose(s.probabilities, [0.25, 0.75])
 
     def test_empty_audience_no_signal(self):
@@ -45,26 +92,33 @@ class TestFirstDegree:
 
     def test_inactive_audience_no_signal(self):
         with pytest.raises(NoSignalError):
-            first_degree({"b0": prof([0, 0])})
+            first_degree({"b0": [0, 0]})
+
+    def test_sums_per_target_in_member_order(self):
+        # Two targets share member 1; each row sums only its own members.
+        delayed = np.array([[1.0, 0.0], [0.0, 2.0], [4.0, 4.0]])
+        audience = Adjacency.from_edges(2, [1, 0, 1, 0], [2, 1, 1, 0])
+        q = audience_reaction_profile(delayed, audience)
+        assert np.array_equal(q, [[1.0, 2.0], [4.0, 6.0]])
 
 
 class TestVisiblePosts:
     def test_follows_nobody_gives_beta(self):
-        v = visible_posts([], VisibilityModel(), 4)
-        assert np.array_equal(v.values, np.ones(4))
+        v = visible_posts(np.zeros((0, 4)), Adjacency.from_edges(1, [], []),
+                          VisibilityModel())
+        assert np.array_equal(v[0], np.ones(4))
 
     def test_hand_rescale(self):
-        v = visible_posts([prof([2, 0], KIND_CREATED)], VisibilityModel(), 2)
-        assert np.array_equal(v.values, [3.0, 1.0])
+        v = visible_of([[2, 0]], VisibilityModel())
+        assert np.array_equal(v, [3.0, 1.0])
 
     def test_alpha_zero_constant_beta(self):
-        v = visible_posts([prof([5, 1], KIND_CREATED)],
-                          VisibilityModel(alpha=0.0, beta=2.5), 2)
-        assert np.array_equal(v.values, [2.5, 2.5])
+        v = visible_of([[5, 1]], VisibilityModel(alpha=0.0, beta=2.5))
+        assert np.array_equal(v, [2.5, 2.5])
 
     def test_zero_mean_profile_contributes_nothing(self):
-        v = visible_posts([prof([0, 0], KIND_CREATED)], VisibilityModel(), 2)
-        assert np.array_equal(v.values, [1.0, 1.0])
+        v = visible_of([[0, 0]], VisibilityModel())
+        assert np.array_equal(v, [1.0, 1.0])
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -73,32 +127,30 @@ class TestVisiblePosts:
 
 class TestSecondDegree:
     def test_hand_division(self):
-        s = second_degree({"b0": prof([1, 1])}, {"b0": prof([2, 1], "visible_posts")})
+        s = second_degree({"b0": [1, 1]}, {"b0": [2, 1]})
         assert np.allclose(s.probabilities, [1 / 3, 2 / 3])
         assert s.provenance == "S2"
 
     def test_member_with_zero_reactions_contributes_zero(self):
-        s = second_degree(
-            {"b0": prof([0, 0]), "b1": prof([1, 0])},
-            {"b0": prof([1, 1], "visible_posts"),
-             "b1": prof([1, 1], "visible_posts")})
+        s = second_degree({"b0": [0, 0], "b1": [1, 0]},
+                          {"b0": [1, 1], "b1": [1, 1]})
         assert np.array_equal(s.probabilities, [1.0, 0.0])
 
     def test_duplicate_members_cancel_in_normalization(self):
-        single = second_degree({"b0": prof([1, 2])},
-                               {"b0": prof([2, 4], "visible_posts")})
-        double = second_degree(
-            {"b0": prof([1, 2]), "b1": prof([1, 2])},
-            {"b0": prof([2, 4], "visible_posts"),
-             "b1": prof([2, 4], "visible_posts")})
+        single = second_degree({"b0": [1, 2]}, {"b0": [2, 4]})
+        double = second_degree({"b0": [1, 2], "b1": [1, 2]},
+                               {"b0": [2, 4], "b1": [2, 4]})
         assert np.allclose(single.probabilities, double.probabilities)
 
     def test_rates_clamped_to_one(self):
         # 5 reactions against visibility 1: an invalid probability without
         # the clamp. Both buckets saturate, so the schedule is uniform.
-        s = second_degree({"b0": prof([5, 2])},
-                          {"b0": prof([1.0, 1.0], "visible_posts")})
+        s = second_degree({"b0": [5, 2]}, {"b0": [1.0, 1.0]})
         assert np.allclose(s.probabilities, [0.5, 0.5])
+
+    def test_rejects_non_positive_visibility(self):
+        with pytest.raises(ValueError):
+            second_degree({"b0": [1, 1]}, {"b0": [1.0, 0.0]})
 
 
 class TestWeights:
@@ -108,55 +160,61 @@ class TestWeights:
     def test_share_of_reactions(self):
         pairs = PairTable.from_columns(["a0"] * 12, ["b1"] * 3 + ["b2"] * 9,
                                        [100] * 12, [200] * 12)
-        w = compute_weights("a0", pairs, self.window())
+        w = weights_of("a0", pairs, self.window())
         assert w["b1"] == pytest.approx(0.25)
         assert w["b2"] == pytest.approx(0.75)
         assert sum(w.values()) == pytest.approx(1.0)
 
     def test_single_source(self):
         pairs = PairTable.from_columns(["a0"], ["b1"], [100], [200])
-        assert compute_weights("a0", pairs) == {"b1": 1.0}
+        assert weights_of("a0", pairs) == {"b1": 1.0}
 
     def test_empty_history(self):
-        with pytest.raises(EmptyHistoryError):
-            compute_weights("a0", PairTable.from_columns(["other"], ["b1"],
-                                                         [100], [200]))
+        # A target that never received a reaction gets zero weights, so its
+        # weighted sums carry no mass.
+        w = weights_of("a0", PairTable.from_columns(["other"], ["b1"], [100], [200]))
+        assert w == {"b1": 0.0}
 
     def test_window_filters_pairs(self):
         outside = PairTable.from_columns(["a0"], ["b1"], [self.window().end + 1],
                                          [self.window().end + 2])
-        with pytest.raises(EmptyHistoryError):
-            compute_weights("a0", outside, self.window())
+        assert weights_of("a0", outside, self.window()) == {"b1": 0.0}
+
+    def test_reactions_from_outside_the_audience_count_in_the_total(self):
+        audience = Adjacency.from_edges(2, [0, 1], [0, 0])
+        # Target 0 received from member 0 once and from an outsider once;
+        # target 1 only from member 0.
+        w = compute_weights([0, 0, 1], [0, -1, 0], audience)
+        assert w.tolist() == [0.5, 1.0]
 
 
 class TestWeightedSchedules:
     def test_uniform_weights_match_unweighted(self):
-        delayed = {"b0": prof([1, 0]), "b1": prof([0, 3])}
+        delayed = {"b0": [1, 0], "b1": [0, 3]}
         s1 = first_degree(delayed)
         s1w = weighted_first_degree(delayed, {"b0": 0.5, "b1": 0.5})
         assert np.all(np.abs(s1.probabilities - s1w.probabilities) <= 1e-9)
 
     def test_hand_weighted_sum(self):
-        delayed = {"b0": prof([1, 0]), "b1": prof([0, 1])}
+        delayed = {"b0": [1, 0], "b1": [0, 1]}
         s = weighted_first_degree(delayed, {"b0": 0.9, "b1": 0.1})
         assert np.allclose(s.probabilities, [0.9, 0.1])
         assert s.provenance == "S1w"
 
     def test_zero_weight_member_ignored(self):
-        delayed = {"b0": prof([1, 0]), "b1": prof([0, 1])}
+        delayed = {"b0": [1, 0], "b1": [0, 1]}
         s = weighted_first_degree(delayed, {"b0": 1.0})
         assert np.array_equal(s.probabilities, [1.0, 0.0])
 
     def test_weighted_second_degree(self):
-        delayed = {"b0": prof([1, 1]), "b1": prof([2, 0])}
-        visible = {"b0": prof([2, 1], "visible_posts"),
-                   "b1": prof([4, 1], "visible_posts")}
+        delayed = {"b0": [1, 1], "b1": [2, 0]}
+        visible = {"b0": [2, 1], "b1": [4, 1]}
         s = weighted_second_degree(delayed, visible, {"b0": 1.0, "b1": 0.0})
         assert np.allclose(s.probabilities, [1 / 3, 2 / 3])
         assert s.provenance == "S2w"
 
     def test_all_zero_weights_no_signal(self):
-        delayed = {"b0": prof([1, 0])}
+        delayed = {"b0": [1, 0]}
         with pytest.raises(NoSignalError):
             weighted_first_degree(delayed, {})
 
@@ -168,58 +226,56 @@ class TestDoublingInvariance:
         for _ in range(200):
             n = int(rng.integers(2, 16))
             m = int(rng.integers(1, 6))
-            delayed = {f"b{j}": prof(rng.random(n)) for j in range(m)}
-            visible = {f"b{j}": prof(rng.random(n) * 3 + 2.5, "visible_posts")
-                       for j in range(m)}
+            delayed = {f"b{j}": rng.random(n) for j in range(m)}
+            visible = {f"b{j}": rng.random(n) * 3 + 2.5 for j in range(m)}
             weights = {f"b{j}": float(w)
                        for j, w in enumerate(rng.dirichlet(np.ones(m)))}
-            doubled = {b: prof(2 * p.values) for b, p in delayed.items()}
-            for fn in (
-                lambda d: first_degree(d),
-                lambda d: second_degree(d, visible),
-                lambda d: weighted_first_degree(d, weights),
-                lambda d: weighted_second_degree(d, visible, weights),
-            ):
+            doubled = {b: 2 * p for b, p in delayed.items()}
+            for kind, v, w in (("S1", None, None), ("S2", visible, None),
+                               ("S1w", None, weights), ("S2w", visible, weights)):
                 try:
-                    base = fn(delayed).probabilities
+                    base = schedule(kind, delayed, v, w, n).probabilities
                 except NoSignalError:
                     continue
-                assert np.all(np.abs(base - fn(doubled).probabilities) <= 1e-9)
+                twice = schedule(kind, doubled, v, w, n).probabilities
+                assert np.all(np.abs(base - twice) <= 1e-9)
 
 
 class TestBaselines:
     def test_mfu_point_mass(self):
         c = np.zeros(8)
         c[5] = 3
-        s = mfu_baseline([prof(c, KIND_CREATED)])
+        s = baseline("MFU", [c])
         assert s.probabilities[5] == 1.0
         assert s.provenance == "MFU"
 
     def test_mfu_two_users_equal_counts(self):
-        s = mfu_baseline([prof([2, 0, 0], KIND_CREATED),
-                          prof([0, 2, 0], KIND_CREATED)])
+        s = baseline("MFU", [[2, 0, 0], [0, 2, 0]])
         assert np.allclose(s.probabilities, [0.5, 0.5, 0.0])
 
     def test_mfu_empty_cohort(self):
         with pytest.raises(NoSignalError):
-            mfu_baseline([])
+            baseline("MFU", np.zeros((0, 2)))
         with pytest.raises(NoSignalError):
-            mfu_baseline([prof([0, 0], KIND_CREATED)])
+            baseline("MFU", [[0, 0]])
 
     def test_afd_single_user_equals_their_s1(self):
-        q = prof([1, 3], KIND_AUDIENCE)
-        s = afd_baseline([q])
+        s = baseline("AFD", [[1, 3]])
         assert np.allclose(s.probabilities, [0.25, 0.75])
         assert s.provenance == "AFD"
 
     def test_afd_hand_sum(self):
-        s = afd_baseline([prof([1, 0], KIND_AUDIENCE),
-                          prof([1, 2], KIND_AUDIENCE)])
+        s = baseline("AFD", [[1, 0], [1, 2]])
         assert np.allclose(s.probabilities, [0.5, 0.5])
 
     def test_afd_empty(self):
         with pytest.raises(NoSignalError):
-            afd_baseline([])
+            baseline("AFD", np.zeros((0, 2)))
+
+    def test_cohorts_sum_their_own_rows(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        sums = cohort_sum(rows, [1, 0, 1], 3)
+        assert np.array_equal(sums, [[0.0, 1.0], [3.0, 2.0], [0.0, 0.0]])
 
 
 class TestTopKTimes:

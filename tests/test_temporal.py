@@ -127,25 +127,25 @@ class TestDelayedProfile:
         rng = np.random.default_rng(11)
         prof = ActionProfile(rng.integers(0, 9, size=672).astype(float),
                              KIND_REACTIONS)
-        out = delayed_profile(prof, DelayKernel.delta(0))
-        assert np.array_equal(out.values, prof.values)
+        out = delayed_profile(prof.values, DelayKernel.delta(0))
+        assert np.array_equal(out, prof.values)
 
     def test_impulse_split_lands_before(self):
         g8 = WeeklyGrid(8)
         imp = ActionProfile(np.eye(8)[5], KIND_REACTIONS)
         kernel = DelayKernel(np.array([0.5, 0.5]), g8.bucket_width_s)
-        out = delayed_profile(imp, kernel)
+        out = delayed_profile(imp.values, kernel)
         expected = np.zeros(8)
         expected[4] = expected[5] = 0.5
-        assert np.allclose(out.values, expected)
+        assert np.allclose(out, expected)
 
     def test_wraps_at_week_boundary(self):
         g8 = WeeklyGrid(8)
         imp = ActionProfile(np.eye(8)[0], KIND_REACTIONS)
         kernel = DelayKernel(np.array([0.0, 1.0]), g8.bucket_width_s)
-        out = delayed_profile(imp, kernel)
-        assert out.values[7] == 1.0
-        assert out.total == 1.0
+        out = delayed_profile(imp.values, kernel)
+        assert out[7] == 1.0
+        assert out.sum() == 1.0
 
     def test_mass_conservation_property(self):
         rng = np.random.default_rng(5)
@@ -154,28 +154,41 @@ class TestDelayedProfile:
             prof = ActionProfile(rng.random(n) * 50, KIND_REACTIONS)
             mass = rng.random(int(rng.integers(1, n + 1)))
             mass /= mass.sum()
-            out = delayed_profile(prof, mass)
-            assert abs(out.total - prof.total) <= 1e-9 * max(1.0, prof.total)
+            out = delayed_profile(prof.values, mass)
+            assert abs(out.sum() - prof.total) <= 1e-9 * max(1.0, prof.total)
 
     def test_rejects_unnormalized_kernel(self):
         prof = ActionProfile(np.ones(8), KIND_REACTIONS)
         with pytest.raises(ValueError):
-            delayed_profile(prof, np.array([0.5, 0.4]))
+            delayed_profile(prof.values, np.array([0.5, 0.4]))
+
+    def test_stacked_rows_match_single_rows(self):
+        # A stack is transformed row by row, bit for bit, whatever the
+        # chunking, including lags of a week or more, which wrap.
+        rng = np.random.default_rng(13)
+        values = rng.random((600, 24)) * 10
+        mass = rng.random(30)
+        mass /= mass.sum()
+        stacked = delayed_profile(values, mass)
+        for row in (0, 255, 256, 599):
+            assert np.array_equal(stacked[row], delayed_profile(values[row], mass))
+        assert np.array_equal(delayed_profile(values.reshape(2, 300, 24), mass),
+                              stacked.reshape(2, 300, 24))
 
 
 class TestNormalizeToSchedule:
     def test_single_mass(self):
         prof = ActionProfile(np.array([2.0, 0.0, 0.0]))
-        s = normalize_to_schedule(prof, "S1")
+        s = normalize_to_schedule(prof.values, "S1")
         assert np.array_equal(s.probabilities, [1.0, 0.0, 0.0])
 
     def test_two_bucket_toy(self):
-        s = normalize_to_schedule(ActionProfile(np.array([1.0, 3.0])), "S1")
+        s = normalize_to_schedule(np.array([1.0, 3.0]), "S1")
         assert np.allclose(s.probabilities, [0.25, 0.75])
 
     def test_all_zero_raises_no_signal(self):
         with pytest.raises(NoSignalError):
-            normalize_to_schedule(ActionProfile(np.zeros(4)), "S1")
+            normalize_to_schedule(np.zeros(4), "S1")
 
     def test_scale_invariance_property(self):
         rng = np.random.default_rng(17)
@@ -183,8 +196,8 @@ class TestNormalizeToSchedule:
             q = rng.random(24) * rng.choice([0.01, 1.0, 1e6])
             q[rng.integers(0, 24)] += 1.0  # ensure signal
             c = float(rng.uniform(0.1, 100))
-            a = normalize_to_schedule(ActionProfile(q), "S1").probabilities
-            b = normalize_to_schedule(ActionProfile(c * q), "S1").probabilities
+            a = normalize_to_schedule(q, "S1").probabilities
+            b = normalize_to_schedule(c * q, "S1").probabilities
             assert np.all(np.abs(a - b) <= 1e-9)
 
     def test_argmax_preserved(self):
@@ -192,7 +205,7 @@ class TestNormalizeToSchedule:
         for _ in range(300):
             q = rng.integers(0, 5, size=30).astype(float)
             q[rng.integers(0, 30)] += 1.0
-            s = normalize_to_schedule(ActionProfile(q), "S1")
+            s = normalize_to_schedule(q, "S1")
             assert int(np.argmax(s.probabilities)) == int(np.argmax(q))
 
 
