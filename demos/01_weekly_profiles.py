@@ -4,12 +4,21 @@
 Every quantity in the pipeline lives on a weekly grid of 672 fifteen-minute
 buckets that starts Monday 00:00 in the user's local time. This script walks
 through bucketizing a handful of timestamps, folding several weeks of events
-into one profile, and turning a profile into a posting schedule.
+into one profile, and turning a profile into a posting schedule. Profiles
+and schedules are users x buckets matrices; here the population is one user.
 """
 
 import numpy as np
 
-from postsched import WeeklyGrid, aggregate_profile, normalize_to_schedule
+from postsched import (
+    PairTable,
+    PostTable,
+    TimeWindow,
+    UserMeta,
+    WeeklyGrid,
+    build_profiles,
+    normalize_rows,
+)
 
 grid = WeeklyGrid()
 print(f"grid: {grid.buckets_per_week} buckets of {grid.bucket_width_s}s")
@@ -28,14 +37,19 @@ sat_8pm = monday + 5 * 86400 + 20 * 3600
 week = 7 * 86400
 events = [tue_9am, tue_9am + week, tue_9am + 2 * week,
           sat_8pm, sat_8pm + 2 * week]
-profile = aggregate_profile(events, tz_offset_min=0, grid=grid)
-print(f"\nprofile total {profile.total:.0f} events in "
-      f"{np.count_nonzero(profile.values)} distinct buckets")
-for bucket in np.nonzero(profile.values)[0]:
-    print(f"  {grid.bucket_label(int(bucket))}: {profile.values[bucket]:.0f}")
+posts = PostTable.from_columns(["TW"], ["demo"] * len(events),
+                               [f"p{i}" for i in range(len(events))], events)
+profiles = build_profiles(posts, PairTable.from_columns([], [], [], []),
+                          [UserMeta("demo", 0, None, "TW")], grid,
+                          TimeWindow(monday, monday + 3 * week - 1))
+profile = profiles.created[0]
+print(f"\nprofile total {profile.sum():.0f} events in "
+      f"{np.count_nonzero(profile)} distinct buckets")
+for bucket in np.nonzero(profile)[0]:
+    print(f"  {grid.bucket_label(int(bucket))}: {profile[bucket]:.0f}")
 
-# A schedule is the same vector normalized into a probability mass function.
-schedule = normalize_to_schedule(profile.values, "S1")
-best = int(np.argmax(schedule.probabilities))
+# A schedule is the same row normalized into a probability mass function.
+schedule = normalize_rows(profiles.created, profiles.users, "S1").probabilities[0]
+best = int(np.argmax(schedule))
 print(f"\nas a schedule, the best bucket is {grid.bucket_label(best)} "
-      f"with probability {schedule.probabilities[best]:.2f}")
+      f"with probability {schedule[best]:.2f}")

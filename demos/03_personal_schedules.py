@@ -17,7 +17,7 @@ from postsched import (
     WeeklyGrid,
     audience_reaction_profile,
     delayed_profile,
-    normalize_to_schedule,
+    normalize_rows,
     top_k_times,
     visible_posts,
 )
@@ -37,10 +37,10 @@ def habit(bucket, weight):
 def show(title, kind, weights=None, visible=None):
     """Sum alice's audience rows one way, normalize, print the top times."""
     q = audience_reaction_profile(delayed, audience, weights, visible)
+    schedule = normalize_rows(q, ["alice"], kind).probabilities[0]
     print(title)
-    for bucket, prob in top_k_times(normalize_to_schedule(q[0], kind), 3,
-                                    grid).entries:
-        print(f"  {grid.bucket_label(bucket)}  p={prob:.3f}")
+    for bucket in top_k_times(schedule, 3, grid):
+        print(f"  {grid.bucket_label(bucket)}  p={schedule[bucket]:.3f}")
 
 
 # Observed reaction profiles for the audience, one row per member and one

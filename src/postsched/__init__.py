@@ -13,18 +13,15 @@ from .errors import (
     ConfigError,
     IngestError,
     InsufficientDataError,
-    NoSignalError,
     PostschedError,
     UndefinedMetricError,
 )
 from .temporal import (
-    ActionProfile,
-    Schedule,
+    ScheduleTable,
     TimeWindow,
     WeeklyGrid,
-    aggregate_profile,
     delayed_profile,
-    normalize_to_schedule,
+    normalize_rows,
 )
 from .delays import (
     DelayKernel,
@@ -49,22 +46,15 @@ from .ingest import (
 )
 from .schedules import (
     Adjacency,
-    RankedTimes,
     VisibilityModel,
     audience_reaction_profile,
+    cohort_label,
     cohort_sum,
     compute_weights,
     top_k_times,
-    uniform_schedule,
     visible_posts,
 )
-from .evaluation import (
-    GainReport,
-    evaluate_schedules,
-    reaction_gain,
-    rpm_at_rank,
-    rpm_overall,
-)
+from .evaluation import GainReport, build_eval_data, evaluate_schedules
 from .analysis import (
     Cohort,
     MetricDistribution,
@@ -74,6 +64,6 @@ from .analysis import (
     pairwise_distribution,
 )
 from .synth import Population, SynthConfig, UserSpec, generate, ground_truth_peak
-from .pipeline import DerivedSchedules, derive_schedules, expand_baselines
+from .pipeline import DerivedSchedules, derive_schedules
 
 __version__ = "0.1.0"

@@ -19,6 +19,10 @@ from .temporal import WeeklyGrid
 
 METRICS = ("correlation", "cosine")
 
+# Most bins a metric histogram may have (bin width >= 0.001), which bounds
+# the memory of its edges and counts.
+MAX_HISTOGRAM_BINS = 2000
+
 
 def correlation(s1, s2) -> float:
     """Pearson correlation between two equal-length series.
@@ -129,11 +133,14 @@ class MetricDistribution:
 
 def histogram_bins(bin_width: float) -> int:
     """Number of bins of width ``bin_width`` over [-1, 1]. Raises ValueError
-    unless the width is positive and divides [-1, 1] evenly."""
+    unless the width divides [-1, 1] evenly into 1 to ``MAX_HISTOGRAM_BINS``
+    bins."""
     ratio = 2.0 / bin_width if bin_width > 0 else 0.0
     n_bins = round(ratio) if math.isfinite(ratio) else 0
-    if n_bins < 1 or abs(n_bins * bin_width - 2.0) > 1e-12:
-        raise ValueError("bin_width must evenly divide [-1, 1]")
+    if (not 1 <= n_bins <= MAX_HISTOGRAM_BINS
+            or abs(n_bins * bin_width - 2.0) > 1e-12):
+        raise ValueError("bin_width must divide [-1, 1] evenly into at most "
+                         f"{MAX_HISTOGRAM_BINS} bins")
     return n_bins
 
 
@@ -150,7 +157,7 @@ def pairwise_distribution(series1: Sequence[np.ndarray],
     """
     if metric not in _METRIC_FNS:
         raise ValueError(f"metric must be one of {METRICS}")
-    if not series1 or not series2:
+    if not len(series1) or not len(series2):
         raise UndefinedMetricError("both cohorts must be non-empty")
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")

@@ -198,8 +198,8 @@ def _validate_static(cfg: RunConfig) -> None:
     try:
         analysis.histogram_bins(cfg.metric_bin_width)
     except ValueError:
-        raise ConfigError("metric_bin_width: must be > 0 and divide [-1, 1] "
-                          "evenly") from None
+        raise ConfigError("metric_bin_width: must divide [-1, 1] evenly into "
+                          f"at most {analysis.MAX_HISTOGRAM_BINS} bins") from None
     _synth_followers(cfg.synth_followers)
     if cfg.derivation_start is not None and cfg.evaluation_start is not None:
         if cfg.derivation_window.overlaps(cfg.evaluation_window):
@@ -462,27 +462,17 @@ def stage_schedule(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     grid = cfg.grid
 
     sched_path = out_dir / "schedules.tsv"
-    rows = []
-    for kind in pipeline.PERSONALIZED_KINDS:
-        for user in sorted(derived.personalized[kind]):
-            rows.append((user, derived.personalized[kind][user]))
-    pipeline.write_schedules(sched_path, rows)
-
-    base_path = out_dir / "baselines.tsv"
-    base_rows = []
-    for off in sorted(derived.baselines):
-        for kind in sorted(derived.baselines[off]):
-            base_rows.append((f"tz:{off}", derived.baselines[off][kind]))
-    pipeline.write_schedules(base_path, base_rows)
-
-    rec_path = out_dir / "recommended.tsv"
     pipeline.write_schedules(
-        rec_path, sorted(derived.recommended.items()))
-
+        sched_path, *(derived.personalized[k] for k in pipeline.PERSONALIZED_KINDS))
+    base_path = out_dir / "baselines.tsv"
+    pipeline.write_schedules(base_path, derived.baselines)
+    rec_path = out_dir / "recommended.tsv"
+    pipeline.write_schedules(rec_path, derived.recommended)
     ranked_path = out_dir / "ranked_times.tsv"
     pipeline.write_ranked_times(
-        ranked_path,
-        pipeline.rank_all(derived.recommended, cfg.ranks, grid, cfg.day_filter),
+        ranked_path, derived.recommended,
+        schedules.top_k_times(derived.recommended.probabilities, cfg.ranks, grid,
+                              cfg.day_filter),
         grid)
     return [sched_path, base_path, rec_path, ranked_path]
 
@@ -499,18 +489,13 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
         raise ConfigError("evaluation_start: evaluation window overlaps the "
                           "derivation window")
 
-    by_kind = pipeline.read_schedules(sched_path)
-    baselines: dict[int, dict] = {}
-    for kind, per_tz in pipeline.read_schedules(base_path).items():
-        for label, sched in per_tz.items():
-            baselines.setdefault(int(label.removeprefix("tz:")), {})[kind] = sched
-    by_kind.update(pipeline.expand_baselines(
-        baselines, {u.user: u.tz_offset_min for u in users},
-        sorted({u for kind in by_kind.values() for u in kind})))
-
+    n = cfg.grid.buckets_per_week
+    tables = pipeline.read_schedules(sched_path, n)
     report = evaluation.evaluate_schedules(
-        by_kind, posts, join.pairs, users, window, cfg.grid,
-        k=cfg.ranks, day_filter=cfg.day_filter)
+        tables, posts, join.pairs, users, window, cfg.grid,
+        k=cfg.ranks, day_filter=cfg.day_filter,
+        baselines=pipeline.read_schedules(base_path, n),
+        baseline_users={u for t in tables.values() for u in t.users.tolist()})
     if all(r.rg_avg is None for r in report.rows):
         raise PostschedError(
             "evaluation produced no defined gains: no scheduled user posted "
@@ -528,28 +513,30 @@ def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     sched_path = _artifact(out_dir, "schedules.tsv", "schedule")
     users, _ = inputs.users
     grid = cfg.grid
-    s1 = pipeline.read_schedules(sched_path).get("S1", {})
-    if not s1:
+    s1 = pipeline.read_schedules(sched_path, grid.buckets_per_week).get("S1")
+    if s1 is None:
         raise PostschedError(
             "no first-degree schedules found; run the `schedule` subcommand first")
     offsets = {u.user: u.tz_offset_min for u in users}
+    row_of = {u: i for i, u in enumerate(s1.users.tolist())}
+
+    def series(members):
+        return s1.probabilities[[row_of[m] for m in members]]
 
     city_members: dict[str, list[str]] = {}
     for u in users:
-        if u.city and u.user in s1:
+        if u.city and u.user in row_of:
             city_members.setdefault(u.city, []).append(u.user)
     cohorts = {}
-    all_members = sorted(s1)
-    cohort_sets = {"ALL": all_members}
+    cohort_sets = {"ALL": sorted(row_of)}
     for city, members in sorted(city_members.items()):
         if len(members) >= cfg.min_cohort:
             cohort_sets[city] = sorted(members)
     for label, members in cohort_sets.items():
         tz_counts = Counter(offsets.get(m, 0) for m in members)
         cohort_tz = tz_counts.most_common(1)[0][0]
-        series = {m: s1[m].probabilities for m in members}
-        cohorts[label] = analysis.cohort_aggregate(series, offsets, cohort_tz,
-                                                   grid, label)
+        cohorts[label] = analysis.cohort_aggregate(
+            dict(zip(members, series(members))), offsets, cohort_tz, grid, label)
 
     series_path = out_dir / "cohort_series.csv"
     with open(series_path, "w", encoding="utf-8") as fh:
@@ -564,8 +551,8 @@ def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
         fh.write("cohort_a,cohort_b,metric,bin_left,bin_right,count\n")
         for i, la in enumerate(labels):
             for lb in labels[i:]:
-                sa = [s1[m].probabilities for m in cohorts[la].members]
-                sb = [s1[m].probabilities for m in cohorts[lb].members]
+                sa = series(cohorts[la].members)
+                sb = series(cohorts[lb].members)
                 for metric in analysis.METRICS:
                     dist = analysis.pairwise_distribution(
                         sa, sb, metric, cfg.sample_budget, cfg.seed,

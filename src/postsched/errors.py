@@ -5,14 +5,6 @@ class PostschedError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NoSignalError(PostschedError):
-    """An aggregate that must carry mass is everywhere zero.
-
-    Raised when normalizing an all-zero profile, such as the audience sum of
-    an empty or inactive audience; callers fall back to a baseline schedule.
-    """
-
-
 class InsufficientDataError(PostschedError):
     """No in-window observations to estimate a delay distribution from."""
 

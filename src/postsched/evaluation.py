@@ -12,13 +12,13 @@ up the gain report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import PairTable, PostTable, UserMeta, group_by_user
-from .schedules import RankedTimes, top_k_times
-from .temporal import Schedule, TimeWindow, WeeklyGrid
+from .ingest import PairTable, PostTable, UserMeta, lookup, weekly_counts
+from .schedules import cohort_label, top_k_times
+from .temporal import ScheduleTable, TimeWindow, WeeklyGrid
 
 ATTRIBUTION_WINDOW_S = 24 * 3600
 
@@ -26,86 +26,42 @@ DEFAULT_RANKS = 32
 
 
 @dataclass(frozen=True)
-class UserEvalData:
-    """A user's evaluation-window events, pre-bucketized in local time.
+class EvalData:
+    """Evaluation-window histograms: users x buckets counts, bucketed in the
+    user's local time, whose rows follow the sorted ``users``.
 
     Only events timestamped inside the evaluation window are admitted, so
     derivation-window history can never leak into the metrics.
     """
 
-    post_buckets: np.ndarray   # bucket of each post the user created
-    pair_buckets: np.ndarray   # bucket of the reacted-to post, one per reaction received
-    pair_delays: np.ndarray    # post-to-reaction delay of each such reaction
-
-    @property
-    def n_posts(self) -> int:
-        return int(self.post_buckets.size)
+    users: np.ndarray      # row -> user id, in ascending order
+    posts: np.ndarray      # posts the user created, per bucket
+    reactions: np.ndarray  # attributed reactions received, per bucket of their post
 
 
 def build_eval_data(posts: PostTable, pairs: PairTable,
                     users: list[UserMeta], window: TimeWindow,
-                    grid: WeeklyGrid) -> dict[str, UserEvalData]:
-    """Index in-window posts and received reactions per author."""
+                    grid: WeeklyGrid,
+                    attribution_s: int = ATTRIBUTION_WINDOW_S) -> EvalData:
+    """Count in-window posts and attributed received reactions per author.
+
+    The rows cover every user who created a post in the window; a user
+    without one has no RPM. A reaction counts when its post and the reaction
+    itself fall in the window and it came less than ``attribution_s`` after
+    the post. Users without metadata are bucketed at UTC.
+    """
     tz = {u.user: u.tz_offset_min for u in users}
-    post_rows = group_by_user(posts.users, posts.author,
-                              window.mask(posts.created_at))
-    pair_rows = group_by_user(
-        pairs.users, pairs.author,
-        window.mask(pairs.post_time) & window.mask(pairs.reaction_time))
-    delay = pairs.delay
-
-    none = np.empty(0, dtype=np.int64)
-    data = {}
-    for user in set(post_rows) | set(pair_rows):
-        off = tz.get(user, 0)
-        rows = pair_rows.get(user, none)
-        pb = grid.bucket_indices(posts.created_at[post_rows.get(user, none)], off)
-        rb = grid.bucket_indices(pairs.post_time[rows], off)
-        data[user] = UserEvalData(pb, rb, delay[rows])
-    return data
-
-
-def _rpm_in_bucket(data: UserEvalData, bucket: int,
-                   attribution_s: int) -> float | None:
-    posts = int((data.post_buckets == bucket).sum())
-    if posts == 0:
-        return None
-    reactions = int(((data.pair_buckets == bucket)
-                     & (data.pair_delays < attribution_s)).sum())
-    return reactions / posts
-
-
-def rpm_at_rank(data: UserEvalData, ranked: RankedTimes, rank: int,
-                attribution_s: int = ATTRIBUTION_WINDOW_S) -> float | None:
-    """Reactions-per-message in the rank-th recommended bucket.
-
-    Returns None (undefined) when the user created no posts in that bucket
-    during the window, or when the ranking has fewer than ``rank`` entries;
-    such users are excluded from that rank's average.
-    """
-    if rank < 1 or rank > len(ranked):
-        return None
-    return _rpm_in_bucket(data, ranked.bucket(rank), attribution_s)
-
-
-def rpm_overall(data: UserEvalData,
-                attribution_s: int = ATTRIBUTION_WINDOW_S) -> float | None:
-    """All attributed reactions over all posts, across every bucket.
-
-    None when the user created no posts in the window (the user is excluded
-    from evaluation entirely).
-    """
-    if data.n_posts == 0:
-        return None
-    reactions = int((data.pair_delays < attribution_s).sum())
-    return reactions / data.n_posts
-
-
-def reaction_gain(rpm_bucket: float, rpm_user: float) -> float:
-    """RPM at a rank over the user's overall RPM; requires overall RPM > 0."""
-    if rpm_user <= 0:
-        raise ValueError("overall RPM must be positive")
-    return rpm_bucket / rpm_user
+    post_rows = np.flatnonzero(window.mask(posts.created_at))
+    pair_rows = np.flatnonzero(window.mask(pairs.post_time)
+                               & window.mask(pairs.reaction_time)
+                               & (pairs.delay < attribution_s))
+    names = np.array(sorted(set(
+        posts.users[np.unique(posts.author[post_rows])].tolist())), dtype=object)
+    return EvalData(names,
+                    weekly_counts(names, tz, posts.users, posts.author[post_rows],
+                                  posts.created_at[post_rows], grid),
+                    weekly_counts(names, tz, pairs.users, pairs.author[pair_rows],
+                                  pairs.post_time[pair_rows], grid))
 
 
 @dataclass(frozen=True)
@@ -131,50 +87,69 @@ class GainReport:
         raise KeyError((schedule, rank))
 
 
-def evaluate_schedules(schedules_by_kind: Mapping[str, Mapping[str, Schedule]],
+def evaluate_schedules(tables: Mapping[str, ScheduleTable],
                        posts: PostTable, pairs: PairTable,
                        users: list[UserMeta], window: TimeWindow,
                        grid: WeeklyGrid, k: int = DEFAULT_RANKS,
                        day_filter: str = "weekday",
-                       attribution_s: int = ATTRIBUTION_WINDOW_S) -> GainReport:
+                       attribution_s: int = ATTRIBUTION_WINDOW_S,
+                       baselines: Mapping[str, ScheduleTable] | None = None,
+                       baseline_users: Iterable[str] = ()) -> GainReport:
     """Average ReactionGain per rank for each schedule kind.
 
-    Users are excluded per rank when they created no posts in that rank's
-    bucket, and excluded from a schedule entirely (and counted) when their
-    overall RPM is zero despite having posts.
+    ``tables`` maps a kind to schedules keyed by user. ``baselines`` maps a
+    kind to timezone baselines keyed by :func:`cohort_label`; each of the
+    ``baseline_users`` is scored on the baseline row of their timezone (UTC
+    without metadata), and a kind that none of them has is left out.
+
+    RPM at rank r is attributed reactions over posts in the rank-r bucket,
+    and the gain is that over the user's overall RPM. Users are excluded per
+    rank when they created no posts in that rank's bucket, and excluded
+    from a kind entirely (and counted) when their overall RPM is zero
+    despite having posts. A user without posts in the window is skipped.
     """
-    eval_data = build_eval_data(posts, pairs, users, window, grid)
+    data = build_eval_data(posts, pairs, users, window, grid, attribution_s)
+    overall = data.reactions.sum(axis=1) / data.posts.sum(axis=1)
+
+    # kind -> (table, scored users in ascending order, their table rows)
+    scored = {kind: (table, table.users, np.arange(len(table)))
+              for kind, table in tables.items()}
+    tz = {u.user: u.tz_offset_min for u in users}
+    owners = np.array(sorted(set(baseline_users)), dtype=object)
+    cohorts = [cohort_label(tz.get(u, 0)) for u in owners.tolist()]
+    for kind, table in (baselines or {}).items():
+        rows = table.rows_of(cohorts)
+        if (rows >= 0).any():
+            scored[kind] = (table, owners[rows >= 0], rows[rows >= 0])
+
+    row_of = {u: i for i, u in enumerate(data.users.tolist())}
     rows: list[GainRow] = []
     excluded: dict[str, int] = {}
-    for kind in sorted(schedules_by_kind):
-        per_user = schedules_by_kind[kind]
-        gains: list[list[float]] = [[] for _ in range(k)]
-        posts_at: list[int] = [0] * k
-        n_zero = 0
-        for user in sorted(per_user):
-            data = eval_data.get(user)
-            if data is None:
-                continue
-            overall = rpm_overall(data, attribution_s)
-            if overall is None:
-                continue
-            if overall == 0:
-                n_zero += 1
-                continue
-            ranked = top_k_times(per_user[user], k, grid, day_filter)
-            for rank in range(1, min(k, len(ranked)) + 1):
-                rpm_k = rpm_at_rank(data, ranked, rank, attribution_s)
-                if rpm_k is None:
-                    continue
-                gains[rank - 1].append(reaction_gain(rpm_k, overall))
-                posts_at[rank - 1] += int(
-                    (data.post_buckets == ranked.bucket(rank)).sum())
+    for kind in sorted(scored):
+        table, owner, at = scored[kind]
+        ranked = top_k_times(table.probabilities, k, grid, day_filter)
+        order = np.argsort(owner, kind="stable")
+        user = lookup(owner[order], row_of)
+        at = at[order][user >= 0]
+        user = user[user >= 0]
+        zero = overall[user] == 0
+        excluded[kind] = int(zero.sum())
+        user, at = user[~zero], at[~zero]
+        buckets = ranked[at]
+        posted = data.posts[user[:, None], buckets]
+        rpm = np.divide(data.reactions[user[:, None], buckets], posted,
+                        out=np.zeros(posted.shape), where=posted > 0)
+        gain = rpm / overall[user, None]
         for rank in range(1, k + 1):
-            vals = gains[rank - 1]
+            if rank > ranked.shape[-1]:
+                rows.append(GainRow(kind, rank, None, 0, 0))
+                continue
+            defined = posted[:, rank - 1] > 0
+            vals = gain[defined, rank - 1]
             rows.append(GainRow(kind, rank,
-                                float(np.mean(vals)) if vals else None,
-                                len(vals), posts_at[rank - 1]))
-        excluded[kind] = n_zero
+                                float(np.mean(vals)) if vals.size else None,
+                                int(vals.size),
+                                int(posted[:, rank - 1].sum())))
     return GainReport(tuple(rows), k, day_filter, excluded)
 
 

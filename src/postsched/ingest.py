@@ -205,17 +205,6 @@ class PairTable:
                    np.asarray(reaction_time, dtype=np.int64))
 
 
-def group_by_user(users: np.ndarray, codes: np.ndarray,
-                  mask: np.ndarray) -> dict[str, np.ndarray]:
-    """Indices of the rows that ``mask`` selects, grouped by the user id their
-    code names; each group keeps row order."""
-    rows = np.flatnonzero(mask)
-    rows = rows[np.argsort(codes[rows], kind="stable")]
-    keys = codes[rows]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return dict(zip(users[keys[starts]].tolist(), np.split(rows, starts[1:])))
-
-
 def lookup(users: np.ndarray, index: Mapping[str, int]) -> np.ndarray:
     """``index[users[code]]`` for every code of a vocabulary, -1 for a user
     that ``index`` lacks."""
@@ -518,24 +507,31 @@ def build_profiles(posts: PostTable, pairs: PairTable, users: list[UserMeta],
                                 & pairs.known_reactor)
     active = (set(posts.users[np.unique(posts.author[post_rows])].tolist())
               | set(pairs.users[np.unique(pairs.reactor[react_rows])].tolist()))
-    names = sorted(set(tz) | active)
-    row_of = {u: i for i, u in enumerate(names)}
-    offset = np.array([tz.get(u, 0) for u in names], dtype=np.int64)
+    names = np.array(sorted(set(tz) | active), dtype=object)
+    created = weekly_counts(names, tz, posts.users, posts.author[post_rows],
+                            posts.created_at[post_rows], grid)
+    reactions = weekly_counts(names, tz, pairs.users, pairs.reactor[react_rows],
+                              pairs.reaction_time[react_rows], grid)
+    return UserProfiles(names, created, reactions, frozenset(active - set(tz)))
+
+
+def weekly_counts(rows: np.ndarray, tz: Mapping[str, int],
+                  vocabulary: np.ndarray, codes: np.ndarray, times: np.ndarray,
+                  grid: WeeklyGrid) -> np.ndarray:
+    """Events per row and local weekly bucket, as a float64 matrix whose rows
+    follow ``rows``, an array of user ids. Event i is by the user
+    ``vocabulary[codes[i]]`` at ``times[i]``, bucketed at the user's ``tz``
+    offset (UTC without one); the events of users without a row are
+    dropped."""
     n = grid.buckets_per_week
-
-    def counts(vocabulary: np.ndarray, codes: np.ndarray, times: np.ndarray):
-        row = lookup(vocabulary, row_of)[codes]
-        out = np.zeros((len(names), n))
-        cell = row * n + grid.bucket_indices(times, offset[row])
-        np.add.at(out.reshape(-1), cell, 1.0)
-        return out
-
-    created = counts(posts.users, posts.author[post_rows],
-                     posts.created_at[post_rows])
-    reactions = counts(pairs.users, pairs.reactor[react_rows],
-                       pairs.reaction_time[react_rows])
-    return UserProfiles(np.array(names, dtype=object), created, reactions,
-                        frozenset(active - set(tz)))
+    names = rows.tolist()
+    row = lookup(vocabulary, {u: i for i, u in enumerate(names)})[codes]
+    row, times = row[row >= 0], times[row >= 0]
+    offset = np.array([tz.get(u, 0) for u in names], dtype=np.int64)
+    out = np.zeros((len(names), n))
+    np.add.at(out.reshape(-1), row * n + grid.bucket_indices(times, offset[row]),
+              1.0)
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,13 @@
 
 Glues the modules together: users x buckets profiles from the derivation
 window, delayed reaction profiles through the network delay kernel, the
-four personalized schedules per user, timezone-cohort baselines, and the
+four personalized schedule tables, timezone-cohort baselines, and the
 fallback chain for users without enough signal:
 
     S1w -> S1 -> AFD(tz) -> MFU(tz) -> uniform
 
-The chosen schedule's provenance travels with it, so downstream artifacts
-record which rule actually produced each recommendation.
+Each row of a schedule table carries its provenance, so downstream
+artifacts record which rule actually produced each recommendation.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .delays import DelayKernel
+from .errors import PostschedError
 from .ingest import (
     PairTable,
     PostTable,
@@ -29,21 +30,21 @@ from .ingest import (
 )
 from .schedules import (
     Adjacency,
-    RankedTimes,
     VisibilityModel,
     audience_reaction_profile,
+    cohort_label,
     cohort_sum,
     compute_weights,
-    top_k_times,
-    uniform_schedule,
     visible_posts,
 )
 from .temporal import (
-    Schedule,
+    UNIT_SUM_TOL,
+    ScheduleTable,
     TimeWindow,
     WeeklyGrid,
     delayed_profile,
-    normalize_to_schedule,
+    invalid_rows,
+    normalize_rows,
 )
 
 PERSONALIZED_KINDS = ("S1", "S2", "S1w", "S2w")
@@ -53,24 +54,11 @@ PERSONALIZED_KINDS = ("S1", "S2", "S1w", "S2w")
 class DerivedSchedules:
     """Everything the derivation stage produces for one network."""
 
-    personalized: dict[str, dict[str, Schedule]]  # kind -> user -> schedule
-    baselines: dict[int, dict[str, Schedule]]     # tz offset -> kind -> schedule
-    recommended: dict[str, Schedule]              # fallback chain result per user
-    audience_profiles: dict[str, np.ndarray]      # raw Q(u) per user (feeds AFD)
-    tz_of: dict[str, int]
+    personalized: dict[str, ScheduleTable]  # kind -> a row per user with signal
+    baselines: ScheduleTable     # AFD/MFU rows per tz cohort, by (offset, kind)
+    recommended: ScheduleTable   # fallback chain result, a row per target
+    audience_profiles: np.ndarray  # raw Q(u), rows as personalized["S1"] (feeds AFD)
     unknown_tz: frozenset[str]
-
-
-def expand_baselines(baselines: Mapping[int, Mapping[str, Schedule]],
-                     tz_of: Mapping[str, int], users: Iterable[str]
-                     ) -> dict[str, dict[str, Schedule]]:
-    """Per-user view of timezone baselines, kind -> user -> schedule. A user
-    without metadata takes the UTC cohort's; a kind no user has is left out."""
-    out: dict[str, dict[str, Schedule]] = {}
-    for user in users:
-        for kind, sched in baselines.get(tz_of.get(user, 0), {}).items():
-            out.setdefault(kind, {})[user] = sched
-    return out
 
 
 def _edges(sources: list[str], neighbours: Callable[[str], Iterable[str]],
@@ -85,12 +73,6 @@ def _edges(sources: list[str], neighbours: Callable[[str], Iterable[str]],
                 src.append(i)
                 dst.append(row_of[other])
     return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-
-
-def _schedules(sums: np.ndarray, keys: list, kind: str) -> dict:
-    """The rows of ``sums`` that carry mass, normalized and keyed."""
-    return {key: normalize_to_schedule(row, kind)
-            for key, row in zip(keys, sums) if row.any()}
 
 
 def derive_schedules(posts: PostTable, pairs: PairTable,
@@ -143,71 +125,116 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
 
     first_degree = audience_reaction_profile(delayed, audience)
     first_degree.setflags(write=False)
-    personalized = {"S1": _schedules(first_degree, sender_names, "S1")}
+    personalized = {"S1": normalize_rows(first_degree, sender_names, "S1")}
     for kind, w, v in (("S2", None, visible), ("S1w", weights, None),
                        ("S2w", weights, visible)):
-        personalized[kind] = _schedules(
+        personalized[kind] = normalize_rows(
             audience_reaction_profile(delayed, audience, w, v), sender_names, kind)
+    del delayed, visible
 
-    # Timezone-cohort baselines. Users without metadata fall into UTC. Every
-    # sender has a member who reacted, so its S1 sum carries mass.
+    # Timezone-cohort baselines, one AFD and one MFU row per cohort. Users
+    # without metadata fall into UTC. Every sender has a member who reacted,
+    # so its S1 sum carries mass.
     offsets = sorted({tz_of.get(u, 0) for u in set(names) | set(sender_names)})
     cohort = {off: i for i, off in enumerate(offsets)}
-    baselines: dict[int, dict[str, Schedule]] = {off: {} for off in offsets}
-    for kind, rows, of in (("MFU", created, names),
-                           ("AFD", first_degree, sender_names)):
-        sums = cohort_sum(rows, [cohort[tz_of.get(u, 0)] for u in of],
-                          len(offsets))
-        for off, sched in _schedules(sums, offsets, kind).items():
-            baselines[off][kind] = sched
-
+    sums = np.stack([cohort_sum(rows, [cohort[tz_of.get(u, 0)] for u in of],
+                                len(offsets))
+                     for rows, of in ((first_degree, sender_names),
+                                      (created, names))], axis=1)
+    del created
     n = grid.buckets_per_week
-    recommended: dict[str, Schedule] = {}
-    for user in target_list:
-        sched = personalized["S1w"].get(user) or personalized["S1"].get(user)
-        if sched is None:
-            per_kind = baselines.get(tz_of.get(user, 0), {})
-            sched = per_kind.get("AFD") or per_kind.get("MFU") or uniform_schedule(n)
-        recommended[user] = sched
+    baselines = normalize_rows(
+        sums.reshape(-1, n), np.repeat([cohort_label(off) for off in offsets], 2),
+        np.tile(["AFD", "MFU"], len(offsets)))
 
-    return DerivedSchedules(personalized, baselines, recommended,
-                            dict(zip(sender_names, first_degree)), tz_of,
+    # The fallback chain. Each target takes its row from the first rule that
+    # has one for it, as an index into the stack of every candidate row; row
+    # 0 is the uniform schedule.
+    cohorts = [cohort_label(tz_of.get(u, 0)) for u in target_list]
+    afd, mfu = (baselines.select(baselines.provenance == kind)
+                for kind in ("AFD", "MFU"))
+    candidates = [ScheduleTable([None], ["uniform"], np.full((1, n), 1.0 / n))]
+    choice = np.zeros(len(target_list), dtype=np.int64)
+    for table, keys in ((personalized["S1w"], target_list),
+                        (personalized["S1"], target_list),
+                        (afd, cohorts), (mfu, cohorts)):
+        rows = table.rows_of(keys)
+        take = (choice == 0) & (rows >= 0)
+        choice[take] = sum(map(len, candidates)) + rows[take]
+        candidates.append(table)
+    recommended = ScheduleTable(
+        target_list, np.concatenate([t.provenance for t in candidates])[choice],
+        np.concatenate([t.probabilities for t in candidates])[choice])
+
+    return DerivedSchedules(personalized, baselines, recommended, first_degree,
                             unknown_tz)
 
 
-def write_schedules(path, rows: Iterable[tuple[str, Schedule]]) -> None:
-    """Persist schedules as: user <tab> provenance <tab> comma-joined probs."""
+def write_schedules(path, *tables: ScheduleTable) -> None:
+    """Persist the rows of ``tables``, in order, as: user <tab> provenance
+    <tab> comma-joined probabilities."""
     with open(path, "w", encoding="utf-8") as fh:
-        for user, sched in rows:
-            probs = ",".join(f"{p:.17g}" for p in sched.probabilities)
-            fh.write(f"{user}\t{sched.provenance}\t{probs}\n")
+        for table in tables:
+            fmt = ",".join(["%.17g"] * table.probabilities.shape[1])
+            # One row at a time: converting the whole matrix to Python
+            # floats at once would hold all of it twice.
+            for user, prov, row in zip(table.users.tolist(),
+                                       table.provenance.tolist(),
+                                       table.probabilities):
+                fh.write(f"{user}\t{prov}\t{fmt % tuple(row.tolist())}\n")
 
 
-def read_schedules(path) -> dict[str, dict[str, Schedule]]:
-    """Inverse of :func:`write_schedules`, keyed kind -> user."""
-    out: dict[str, dict[str, Schedule]] = {}
+def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
+    """Inverse of :func:`write_schedules`, one table per provenance.
+
+    Every row must hold ``n_buckets`` probabilities that are finite, >= 0
+    and sum to 1; a malformed line raises :class:`PostschedError` naming the
+    file and line.
+    """
+    users: list[str] = []
+    provenance: list[str] = []
+    rows: list[np.ndarray] = []
+    lines: list[int] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            user, prov, probs = line.split("\t")
-            sched = Schedule(np.array([float(x) for x in probs.split(",")]), prov)
-            out.setdefault(prov, {})[user] = sched
-    return out
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise PostschedError(f"{path}:{lineno}: expected 3 tab-separated "
+                                     f"fields, got {len(fields)}")
+            values = fields[2].split(",")
+            if len(values) != n_buckets:
+                raise PostschedError(f"{path}:{lineno}: expected {n_buckets} "
+                                     f"probabilities, got {len(values)}")
+            try:
+                rows.append(np.fromiter(map(float, values), np.float64, n_buckets))
+            except ValueError as exc:
+                raise PostschedError(f"{path}:{lineno}: {exc}") from None
+            users.append(fields[0])
+            provenance.append(fields[1])
+            lines.append(lineno)
+    probabilities = np.array(rows).reshape(len(rows), n_buckets)
+    bad = np.flatnonzero(invalid_rows(probabilities))
+    if bad.size:
+        raise PostschedError(f"{path}:{lines[bad[0]]}: probabilities must be "
+                             f"finite, >= 0 and sum to 1 within {UNIT_SUM_TOL}")
+    return ScheduleTable(users, provenance, probabilities).by_provenance()
 
 
-def write_ranked_times(path, rows: Iterable[tuple[str, RankedTimes]],
+def write_ranked_times(path, table: ScheduleTable, buckets: np.ndarray,
                        grid: WeeklyGrid) -> None:
-    """Persist rankings as: user, rank, bucket, local time label, probability."""
+    """Persist rankings as: user, rank, bucket, local time label, probability.
+
+    ``buckets`` holds the ranked buckets of each row of ``table``, best
+    first, as :func:`~postsched.schedules.top_k_times` returns them.
+    """
+    labels = [grid.bucket_label(b) for b in range(grid.buckets_per_week)]
+    probs = np.take_along_axis(table.probabilities, buckets, axis=-1)
     with open(path, "w", encoding="utf-8") as fh:
-        for user, ranked in rows:
-            for rank, (bucket, prob) in enumerate(ranked.entries, start=1):
-                label = grid.bucket_label(bucket)
-                fh.write(f"{user}\t{rank}\t{bucket}\t{label}\t{prob:.17g}\n")
-
-
-def rank_all(schedules: Mapping[str, Schedule], k: int, grid: WeeklyGrid,
-             day_filter: str = "weekday") -> list[tuple[str, RankedTimes]]:
-    return [(user, top_k_times(schedules[user], k, grid, day_filter))
-            for user in sorted(schedules)]
+        for user, ranked, prob in zip(table.users.tolist(), buckets.tolist(),
+                                      probs.tolist()):
+            fh.write("".join(f"{user}\t{rank}\t{b}\t{labels[b]}\t{p:.17g}\n"
+                             for rank, (b, p) in enumerate(zip(ranked, prob),
+                                                           start=1)))

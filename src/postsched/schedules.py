@@ -17,7 +17,8 @@ plus two non-personalized baselines aggregated over a timezone cohort:
 A population is a users x buckets matrix and a graph an :class:`Adjacency`
 of index arrays, so each of these is one sum of matrix rows over edges.
 Every sum adds its rows in ascending edge order, so a user's result does
-not depend on who else is in the population.
+not depend on who else is in the population. Ranking a stack of schedules
+is one sort.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import temporal
-from .temporal import Schedule, WeeklyGrid
+from .temporal import WeeklyGrid
 
 @dataclass(frozen=True)
 class VisibilityModel:
@@ -45,30 +46,6 @@ class VisibilityModel:
     def __post_init__(self) -> None:
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
-
-
-@dataclass(frozen=True)
-class RankedTimes:
-    """Buckets ordered by schedule probability, best first.
-
-    Probabilities are non-increasing; ties are broken by ascending bucket
-    index so rankings are deterministic.
-    """
-
-    entries: tuple[tuple[int, float], ...]
-    day_filter: str = "all"
-
-    def __post_init__(self) -> None:
-        probs = [p for _, p in self.entries]
-        if any(a < b for a, b in zip(probs, probs[1:])):
-            raise ValueError("entries must be sorted by non-increasing probability")
-
-    def bucket(self, rank: int) -> int:
-        """Bucket index at a 1-based rank."""
-        return self.entries[rank - 1][0]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -201,20 +178,24 @@ def cohort_sum(values: np.ndarray, cohort, n_cohorts: int) -> np.ndarray:
                            lambda chunk: values[members.col[chunk]])
 
 
-def uniform_schedule(n_buckets: int) -> Schedule:
-    return Schedule(np.full(n_buckets, 1.0 / n_buckets), "uniform")
+def cohort_label(tz_offset_min: int) -> str:
+    """Row label of a timezone cohort's baseline schedules, e.g. ``tz:-300``."""
+    return f"tz:{tz_offset_min}"
 
 
-def top_k_times(schedule: Schedule, k: int, grid: WeeklyGrid,
-                day_filter: str = "all") -> RankedTimes:
-    """Best posting buckets: highest-probability buckets after the day
-    filter, ties broken by ascending index; at most k entries."""
+def top_k_times(probabilities: np.ndarray, k: int, grid: WeeklyGrid,
+                day_filter: str = "all") -> np.ndarray:
+    """Best posting buckets of one schedule or a stack of them (buckets on
+    the last axis): the indices of the highest-probability buckets after the
+    day filter, best first, ties broken by ascending index. The result has
+    shape (..., min(k, filtered buckets)); the probability at a rank is a
+    gather, ``np.take_along_axis(probabilities, result, axis=-1)``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(schedule) != grid.buckets_per_week:
+    p = np.asarray(probabilities, dtype=np.float64)
+    if p.shape[-1] != grid.buckets_per_week:
         raise ValueError("schedule length does not match grid")
-    idx = np.nonzero(grid.day_mask(day_filter))[0]
-    probs = schedule.probabilities[idx]
-    order = np.lexsort((idx, -probs))[:k]
-    entries = tuple((int(idx[i]), float(probs[i])) for i in order)
-    return RankedTimes(entries, day_filter)
+    idx = np.flatnonzero(grid.day_mask(day_filter))
+    # A stable sort keeps equal probabilities in ascending bucket order.
+    order = np.argsort(-p[..., idx], axis=-1, kind="stable")[..., :k]
+    return idx[order]

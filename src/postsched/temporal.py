@@ -1,10 +1,10 @@
-"""Weekly time grid, action profiles, and posting schedules.
+"""Weekly time grid, delayed profiles, and posting schedules.
 
 Everything in the pipeline is aggregated onto a fixed weekly grid of
 equal-width buckets: by default 672 buckets of 15 minutes, running from
 Monday 00:00 through Sunday 23:45 in the *user's local time*. Action
-profiles are count vectors on that grid; schedules are probability mass
-functions over the same buckets.
+profiles are count rows on that grid; schedules are probability mass
+functions over the same buckets, held as rows of a :class:`ScheduleTable`.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NoSignalError
 
 WEEK_SECONDS = 7 * 24 * 3600
 DAY_SECONDS = 24 * 3600
@@ -27,10 +25,6 @@ MAX_TZ_OFFSET_MIN = 14 * 60
 
 # Tolerance on every unit-sum check (schedules, delay kernels).
 UNIT_SUM_TOL = 1e-9
-
-# Action profile kinds.
-KIND_CREATED = "created_posts"
-KIND_REACTIONS = "self_reactions"
 
 # Rows that a batched step (the delay transform, a sum over graph edges)
 # takes at once, which bounds its temporaries to CHUNK_ROWS x buckets.
@@ -112,58 +106,6 @@ class WeeklyGrid:
 
 
 @dataclass(frozen=True)
-class ActionProfile:
-    """Non-negative event counts of one user per weekly bucket, stored as a
-    read-only float64 vector. A population's profiles are a users x buckets
-    matrix instead (:func:`~postsched.ingest.build_profiles`).
-    """
-
-    values: np.ndarray
-    kind: str = KIND_CREATED
-
-    def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("profile values must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("profile values must be finite")
-        if np.any(v < 0):
-            raise ValueError("profile values must be non-negative")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Probability mass function over weekly buckets; peaks are the
-    recommended posting times."""
-
-    probabilities: np.ndarray
-    provenance: str
-
-    def __post_init__(self) -> None:
-        p = np.array(self.probabilities, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("schedule must be a non-empty 1-D vector")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("schedule probabilities must be finite and >= 0")
-        if abs(p.sum() - 1.0) > UNIT_SUM_TOL:
-            raise ValueError(f"schedule must sum to 1 within {UNIT_SUM_TOL}")
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-
-    def __len__(self) -> int:
-        return int(self.probabilities.size)
-
-
-@dataclass(frozen=True)
 class TimeWindow:
     """Closed interval of epoch seconds: contains t iff start <= t <= end."""
 
@@ -193,20 +135,6 @@ class TimeWindow:
     @property
     def n_days(self) -> float:
         return (self.end - self.start + 1) / DAY_SECONDS
-
-
-def aggregate_profile(timestamps, tz_offset_min: int, grid: WeeklyGrid,
-                      kind: str = KIND_CREATED) -> ActionProfile:
-    """Count events per local weekly bucket, folding all weeks together.
-
-    Empty input yields the zero profile; the profile total always equals the
-    number of input timestamps.
-    """
-    n = grid.buckets_per_week
-    ts = np.asarray(list(timestamps) if not isinstance(timestamps, np.ndarray)
-                    else timestamps, dtype=np.int64)
-    counts = np.bincount(grid.bucket_indices(ts, tz_offset_min), minlength=n)
-    return ActionProfile(counts.astype(np.float64), kind)
 
 
 def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
@@ -257,14 +185,77 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def normalize_to_schedule(values: np.ndarray, provenance: str) -> Schedule:
-    """Normalize a non-negative profile into a schedule: s[i] = q[i] / sum(q).
 
-    Raises :class:`NoSignalError` on an all-zero profile so the caller can
-    fall back to a baseline schedule.
+
+def invalid_rows(probabilities: np.ndarray) -> np.ndarray:
+    """Mask of the rows that are not a probability mass function: a row must
+    be finite, >= 0 and sum to 1 within ``UNIT_SUM_TOL``."""
+    p = np.asarray(probabilities, dtype=np.float64)
+    valid = (np.isfinite(p).all(axis=-1) & (p >= 0).all(axis=-1)
+             & (np.abs(p.sum(axis=-1) - 1.0) <= UNIT_SUM_TOL))
+    return ~valid
+
+
+@dataclass(frozen=True)
+class ScheduleTable:
+    """Posting schedules as rows of one matrix: row i is the probability mass
+    function over weekly buckets of ``users[i]``, produced by the rule
+    ``provenance[i]`` (S1, S1w, AFD, MFU, uniform, ...). Peaks are the
+    recommended posting times. A timezone baseline's row is labelled with its
+    cohort (:func:`~postsched.schedules.cohort_label`) instead of a user.
     """
-    values = np.asarray(values, dtype=np.float64)
-    total = values.sum()
-    if total <= 0:
-        raise NoSignalError(f"cannot normalize an all-zero {provenance} profile")
-    return Schedule(values / total, provenance)
+
+    users: np.ndarray          # row -> user id
+    provenance: np.ndarray     # row -> rule that produced the row
+    probabilities: np.ndarray  # rows x buckets, read-only
+
+    def __post_init__(self) -> None:
+        p = np.asarray(self.probabilities, dtype=np.float64).view()
+        if p.ndim != 2 or p.shape[1] == 0:
+            raise ValueError("schedules must be a rows x buckets matrix")
+        bad = np.flatnonzero(invalid_rows(p))
+        if bad.size:
+            raise ValueError(f"schedule row {bad[0]} must be finite, >= 0 and "
+                             f"sum to 1 within {UNIT_SUM_TOL}")
+        p.setflags(write=False)
+        users = np.asarray(self.users, dtype=object).reshape(-1)
+        provenance = np.asarray(self.provenance, dtype=object).reshape(-1)
+        if users.size != len(p) or provenance.size != len(p):
+            raise ValueError("a schedule table needs one user and one "
+                             "provenance per row")
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "probabilities", p)
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def rows_of(self, keys) -> np.ndarray:
+        """The row of each key in ``users``, -1 for a key without one."""
+        index = {user: i for i, user in enumerate(self.users.tolist())}
+        return np.array([index.get(k, -1) for k in keys], dtype=np.int64)
+
+    def select(self, rows) -> "ScheduleTable":
+        """The rows at ``rows``, an index array or a boolean mask."""
+        return ScheduleTable(self.users[rows], self.provenance[rows],
+                             self.probabilities[rows])
+
+    def by_provenance(self) -> dict[str, "ScheduleTable"]:
+        """The rows of each provenance, in order of first appearance."""
+        return {kind: self.select(self.provenance == kind)
+                for kind in dict.fromkeys(self.provenance.tolist())}
+
+
+def normalize_rows(sums: np.ndarray, users, provenance) -> ScheduleTable:
+    """Normalize non-negative rows into schedules: s[i] = q[i] / sum(q).
+
+    Row i of ``sums`` belongs to ``users[i]``; ``provenance`` is one label
+    for every row or one per row. All-zero rows carry no signal and are
+    dropped, so the caller can fall back to a baseline for their users.
+    """
+    sums = np.asarray(sums, dtype=np.float64)
+    total = sums.sum(axis=-1)
+    keep = total > 0
+    labels = np.broadcast_to(np.asarray(provenance, dtype=object), total.shape)
+    return ScheduleTable(np.asarray(users, dtype=object)[keep], labels[keep],
+                         sums[keep] / total[keep, None])

@@ -34,10 +34,9 @@ from postsched import (
     delayed_profile,
     derive_schedules,
     estimate_delay_kernel,
-    expand_baselines,
     generate,
     ground_truth_peak,
-    normalize_to_schedule,
+    normalize_rows,
     time_to_fraction,
     top_k_times,
     visible_posts,
@@ -51,7 +50,18 @@ from postsched.ingest import (
     load_reactions,
 )
 from postsched.schedules import VisibilityModel
-from postsched.temporal import ActionProfile, KIND_REACTIONS
+
+
+def normalize(q, kind="S1"):
+    """The ``kind`` schedule of one profile row, as a vector."""
+    return normalize_rows(np.asarray(q)[None], ["u"], kind).probabilities[0]
+
+
+def top_bucket(table, user, grid):
+    """``user``'s best bucket in a schedule table."""
+    (row,) = table.rows_of([user])
+    assert row >= 0, f"{user} has no schedule"
+    return int(top_k_times(table.probabilities[row], 1, grid)[0])
 
 
 def report(tag, ok, detail=""):
@@ -155,9 +165,8 @@ def test_criterion_1_oracle_equivalence():
         edges = Adjacency.from_edges(1, [0] * len(audience), range(len(audience)))
         edge_weights = np.array([weights[b] for b in audience])
         pipeline = {
-            kind: normalize_to_schedule(
-                audience_reaction_profile(delayed, edges, w, v)[0], kind
-            ).probabilities
+            kind: normalize(audience_reaction_profile(delayed, edges, w, v)[0],
+                            kind)
             for kind, w, v in (("S1", None, None), ("S2", None, visible),
                                ("S1w", edge_weights, None),
                                ("S2w", edge_weights, visible))
@@ -235,12 +244,10 @@ def test_criterion_2_planted_peak_recovery():
     _, _, derived = derive_for(cfg, result, window)
     grid = cfg.grid
     hits = 0
+    s1 = derived.personalized["S1"]
+    top = dict(zip(s1.users, top_k_times(s1.probabilities, 1, grid)[:, 0]))
     for author in cfg.author_ids():
-        s1 = derived.personalized["S1"].get(author)
-        if s1 is None:
-            continue
-        top = top_k_times(s1, 1, grid).entries[0][0]
-        if top == ground_truth_peak(cfg, author):
+        if author in top and top[author] == ground_truth_peak(cfg, author):
             hits += 1
     elapsed = time.perf_counter() - started
     ok = hits >= 95 and elapsed < 30.0
@@ -287,8 +294,7 @@ def test_criterion_3_delay_shift():
     exact = 0
     for i, beta in enumerate(peaks):
         author = f"a{i:05d}"
-        s1 = derived.personalized["S1"][author]
-        top = top_k_times(s1, 1, grid).entries[0][0]
+        top = top_bucket(derived.personalized["S1"], author, grid)
         observed_peak = int(np.bincount(reaction_buckets[author],
                                         minlength=672).argmax())
         if observed_peak == beta and top == (beta - lag) % 672:
@@ -317,12 +323,11 @@ def test_criterion_4_gain_monotonicity():
     posts, join, derived = derive_for(cfg, result, derivation)
 
     k = 32
-    by_kind = {"S1": derived.personalized["S1"]}
-    baselines = expand_baselines(derived.baselines, derived.tz_of,
-                                 cfg.author_ids())
-    by_kind["MFU"] = baselines["MFU"]
-    gain = evaluate_schedules(by_kind, posts, join.pairs, result.users,
-                              evaluation, cfg.grid, k=k, day_filter="weekday")
+    mfu = derived.baselines.by_provenance()["MFU"]
+    gain = evaluate_schedules({"S1": derived.personalized["S1"]}, posts,
+                              join.pairs, result.users, evaluation, cfg.grid,
+                              k=k, day_filter="weekday", baselines={"MFU": mfu},
+                              baseline_users=cfg.author_ids())
 
     rg_top = gain.row("S1", 1).rg_avg
     rg_last = gain.row("S1", k).rg_avg
@@ -368,8 +373,8 @@ def test_criterion_4_weighted_dominance():
     received = (pairs.users[pairs.author] == "alice") & window.mask(pairs.post_time)
     from_b1 = received & (pairs.users[pairs.reactor] == "b1")
     share_b1 = int(from_b1.sum()) / int(received.sum())
-    s1_top = top_k_times(derived.personalized["S1"]["alice"], 1, grid).entries[0][0]
-    s1w_top = top_k_times(derived.personalized["S1w"]["alice"], 1, grid).entries[0][0]
+    s1_top = top_bucket(derived.personalized["S1"], "alice", grid)
+    s1w_top = top_bucket(derived.personalized["S1w"], "alice", grid)
     ok = share_b1 >= 0.9 and s1w_top == betas[0] and s1_top != betas[0]
     report("4b weighted-dominance", ok,
            f"(b1 share {share_b1:.2f}, S1w top {s1w_top}, S1 top {s1_top})")
@@ -426,9 +431,9 @@ def test_criterion_6_normalization_unit_sum():
         n = int(rng.choice([4, 8, 24, 96, 672]))
         q = random_profile(rng, n)
         q[int(rng.integers(0, n))] += 0.5
-        s = normalize_to_schedule(q, "S1")
-        assert abs(s.probabilities.sum() - 1.0) <= 1e-9
-        assert np.all(s.probabilities >= 0)
+        s = normalize(q)
+        assert abs(s.sum() - 1.0) <= 1e-9
+        assert np.all(s >= 0)
     report("6 normalization-unit-sum", True, f"({CASES} cases)")
 
 
@@ -436,11 +441,12 @@ def test_criterion_6_convolution_mass_conservation():
     rng = np.random.default_rng(62)
     for _ in range(CASES):
         n = int(rng.choice([4, 8, 24, 96, 672]))
-        prof = ActionProfile(random_profile(rng, n), KIND_REACTIONS)
+        prof = random_profile(rng, n)
         mass = rng.random(int(rng.integers(1, min(n, 96) + 1))) + 1e-3
         mass /= mass.sum()
-        out = delayed_profile(prof.values, mass)
-        assert abs(out.sum() - prof.total) <= 1e-9 * max(1.0, prof.total)
+        out = delayed_profile(prof, mass)
+        total = prof.sum()
+        assert abs(out.sum() - total) <= 1e-9 * max(1.0, total)
     report("6 convolution-mass-conservation", True, f"({CASES} cases)")
 
 
@@ -448,9 +454,9 @@ def test_criterion_6_delta_kernel_identity():
     rng = np.random.default_rng(63)
     for _ in range(CASES):
         n = int(rng.choice([4, 8, 24, 96, 672]))
-        prof = ActionProfile(random_profile(rng, n), KIND_REACTIONS)
-        out = delayed_profile(prof.values, DelayKernel.delta(0, n_lags=1))
-        assert np.array_equal(out, prof.values)
+        prof = random_profile(rng, n)
+        out = delayed_profile(prof, DelayKernel.delta(0, n_lags=1))
+        assert np.array_equal(out, prof)
     report("6 delta-kernel-identity", True, f"({CASES} cases)")
 
 
@@ -461,8 +467,8 @@ def test_criterion_6_normalization_scale_invariance():
         q = random_profile(rng, n)
         q[int(rng.integers(0, n))] += 1.0
         c = float(rng.uniform(1e-3, 1e3))
-        a = normalize_to_schedule(q, "S1").probabilities
-        b = normalize_to_schedule(c * q, "S1").probabilities
+        a = normalize(q)
+        b = normalize(c * q)
         assert np.all(np.abs(a - b) <= 1e-9)
     report("6 normalization-scale-invariance", True, f"({CASES} cases)")
 
@@ -473,8 +479,8 @@ def test_criterion_6_argmax_invariance():
         n = int(rng.choice([4, 8, 24, 96]))
         q = rng.integers(0, 4, size=n).astype(float)  # ties are common
         q[int(rng.integers(0, n))] += 1.0
-        s = normalize_to_schedule(q, "S1")
-        assert int(np.argmax(s.probabilities)) == int(np.argmax(q))
+        s = normalize(q)
+        assert int(np.argmax(s)) == int(np.argmax(q))
     report("6 argmax-invariance", True, f"({CASES} cases)")
 
 

@@ -111,6 +111,7 @@ class TestExitCodes:
         ("metric_bin_width", "0"),
         ("metric_bin_width", "0.07"),   # does not divide [-1, 1]
         ("metric_bin_width", "-0.05"),
+        ("metric_bin_width", "1e-9"),   # 2e9 bins
     ])
     def test_config_hole_returns_one_naming_key(self, tmp_path, capsys,
                                                 key, value):
@@ -156,6 +157,44 @@ class TestExitCodes:
         assert run(["synth", "--config", cfg]) == 0
         assert run(["evaluate", "--config", out / "synth.config"]) == 2
         assert "schedule" in capsys.readouterr().err
+
+    @staticmethod
+    def _negate_one(probs):
+        # Moves mass so the row still sums to 1 but one entry is negative.
+        values = [float(x) for x in probs]
+        i = next(i for i, v in enumerate(values) if v > 0)
+        values[i], values[i - 1] = -values[i], values[i - 1] + 2 * values[i]
+        return [repr(v) for v in values]
+
+    @pytest.mark.parametrize("case", [
+        "cut_off", "not_a_number", "short_row", "fields", "negative", "sum"])
+    def test_malformed_schedules_return_two_naming_line(self, tmp_path, capsys,
+                                                        case):
+        cfg, out = synth_config(tmp_path)
+        assert run(["synth", "--config", cfg]) == 0
+        assert run(["schedule", "--config", out / "synth.config"]) == 0
+        path = out / "schedules.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        user, prov, probs = lines[1].split("\t")
+        probs = probs.split(",")
+        if case == "cut_off":  # the file ends inside the second row
+            lines = lines[:1] + [lines[1][:lines[1].rindex(",") + 1]]
+        elif case == "not_a_number":
+            lines[1] = "\t".join([user, prov, ",".join(["x"] + probs[1:])])
+        elif case == "short_row":
+            lines[1] = "\t".join([user, prov, ",".join(probs[:-1])])
+        elif case == "fields":
+            lines[1] = user + "\t" + prov
+        elif case == "negative":
+            lines[1] = "\t".join([user, prov, ",".join(self._negate_one(probs))])
+        else:
+            doubled = [repr(2 * float(x)) for x in probs]
+            lines[1] = "\t".join([user, prov, ",".join(doubled)])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        for sub in ("evaluate", "analyze"):
+            assert run([sub, "--config", out / "synth.config"]) == 2
+            assert "schedules.tsv:2:" in capsys.readouterr().err
 
     def test_empty_evaluation_window_diagnostic(self, tmp_path, capsys):
         cfg, out = synth_config(tmp_path)

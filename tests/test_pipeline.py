@@ -21,7 +21,6 @@ from postsched.ingest import (
     join_reactions,
 )
 from postsched.pipeline import (
-    rank_all,
     read_schedules,
     write_ranked_times,
     write_schedules,
@@ -52,6 +51,13 @@ def star_inputs(span_days=21, **overrides):
     return cfg, result, posts, join, graph
 
 
+def row(table, user):
+    """The row index of ``user`` in ``table``; fails if it has none."""
+    (at,) = table.rows_of([user])
+    assert at >= 0, user
+    return at
+
+
 class TestDeriveSchedules:
     def test_s1_recovers_planted_peaks(self):
         cfg, result, posts, join, graph = star_inputs()
@@ -60,10 +66,10 @@ class TestDeriveSchedules:
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
         derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
+        s1 = derived.personalized["S1"]
+        top = top_k_times(s1.probabilities, 1, grid)[:, 0]
         for author in cfg.author_ids():
-            s1 = derived.personalized["S1"][author]
-            top = top_k_times(s1, 1, grid).entries[0][0]
-            assert top == ground_truth_peak(cfg, author)
+            assert top[row(s1, author)] == ground_truth_peak(cfg, author)
 
     def test_all_four_kinds_present_for_active_authors(self):
         cfg, result, posts, join, graph = star_inputs()
@@ -74,7 +80,7 @@ class TestDeriveSchedules:
                                    result.users, grid, kernel, window)
         for kind in ("S1", "S2", "S1w", "S2w"):
             for author in cfg.author_ids():
-                assert author in derived.personalized[kind], (kind, author)
+                assert author in derived.personalized[kind].users, (kind, author)
 
     def test_fallback_chain_for_users_without_signal(self):
         cfg, result, posts, join, graph = star_inputs()
@@ -86,11 +92,19 @@ class TestDeriveSchedules:
         # Followers have no audience: their recommendation falls back to a
         # timezone baseline (AFD first).
         follower = "f00000_000"
-        assert follower not in derived.personalized["S1"]
-        assert derived.recommended[follower].provenance == "AFD"
+        rec = derived.recommended
+        assert follower not in derived.personalized["S1"].users
+        assert rec.provenance[row(rec, follower)] == "AFD"
+        afd = derived.baselines.by_provenance()["AFD"]
+        assert np.array_equal(rec.probabilities[row(rec, follower)],
+                              afd.probabilities[row(afd, "tz:0")])
         # Authors with signal keep their weighted first-degree schedule.
         author = cfg.author_ids()[0]
-        assert derived.recommended[author].provenance == "S1w"
+        assert rec.provenance[row(rec, author)] == "S1w"
+        s1w = derived.personalized["S1w"]
+        assert np.array_equal(rec.probabilities[row(rec, author)],
+                              s1w.probabilities[row(s1w, author)])
+        assert rec.users.tolist() == sorted(rec.users.tolist())
 
     def test_uniform_fallback_when_nothing_derivable(self):
         grid = WeeklyGrid(672)
@@ -100,8 +114,9 @@ class TestDeriveSchedules:
         derived = derive_schedules(PostTable.from_records([]),
                                    PairTable.from_columns([], [], [], []),
                                    SocialGraph(()), users, grid, kernel, window)
-        assert derived.recommended["lonely"].provenance == "uniform"
-        assert np.allclose(derived.recommended["lonely"].probabilities, 1 / 672)
+        rec = derived.recommended
+        assert rec.provenance[row(rec, "lonely")] == "uniform"
+        assert np.allclose(rec.probabilities[row(rec, "lonely")], 1 / 672)
 
     def test_afd_cohort_restricted_to_users_with_audience_profile(self):
         cfg, result, posts, join, graph = star_inputs()
@@ -110,13 +125,12 @@ class TestDeriveSchedules:
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
         derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
-        assert set(derived.audience_profiles) == set(cfg.author_ids())
-        afd = derived.baselines[0]["AFD"]
+        assert set(derived.personalized["S1"].users) == set(cfg.author_ids())
+        afd = derived.baselines.by_provenance()["AFD"]
         total = None
-        for author in cfg.author_ids():
-            q = derived.audience_profiles[author]
+        for q in derived.audience_profiles:
             total = q.copy() if total is None else total + q
-        assert np.allclose(afd.probabilities, total / total.sum())
+        assert np.allclose(afd.probabilities[row(afd, "tz:0")], total / total.sum())
 
 
     def test_target_subset_gives_identical_schedules(self):
@@ -128,12 +142,12 @@ class TestDeriveSchedules:
         subset = ["a00001", "a00003", "f00000_000"]
         part = derive_schedules(posts, join.pairs, graph, result.users,
                                 cfg.grid, kernel, window, targets=subset)
-        assert set(part.recommended) == set(subset)
-        for kind, per_user in part.personalized.items():
-            assert set(per_user) == {"a00001", "a00003"}
-            for user, sched in per_user.items():
-                assert np.array_equal(sched.probabilities,
-                                      full.personalized[kind][user].probabilities)
+        assert set(part.recommended.users) == set(subset)
+        for kind, table in part.personalized.items():
+            assert set(table.users) == {"a00001", "a00003"}
+            whole = full.personalized[kind]
+            for user, probs in zip(table.users, table.probabilities):
+                assert np.array_equal(probs, whole.probabilities[row(whole, user)])
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
         cfg, result, posts, join, graph = star_inputs()
@@ -145,15 +159,12 @@ class TestDeriveSchedules:
                                     cfg.grid, kernel, window)
 
         def flat(derived):
-            rows = [(kind, user, s.probabilities)
-                    for kind, per_user in derived.personalized.items()
-                    for user, s in per_user.items()]
-            rows += [(kind, str(off), s.probabilities)
-                     for off, per_kind in derived.baselines.items()
-                     for kind, s in per_kind.items()]
-            rows += [(s.provenance, user, s.probabilities)
-                     for user, s in derived.recommended.items()]
-            rows += [("Q", user, q) for user, q in derived.audience_profiles.items()]
+            tables = [*derived.personalized.values(), derived.baselines,
+                      derived.recommended]
+            rows = [(k, u, p) for t in tables
+                    for k, u, p in zip(t.provenance, t.users, t.probabilities)]
+            rows += [("Q", user, q) for user, q in
+                     zip(derived.personalized["S1"].users, derived.audience_profiles)]
             return sorted((k, u, p.tobytes()) for k, u, p in rows)
 
         default = flat(derive())
@@ -170,12 +181,31 @@ class TestPersistence:
         derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         path = tmp_path / "schedules.tsv"
-        rows = [(u, s) for u, s in sorted(derived.personalized["S1"].items())]
-        write_schedules(path, rows)
-        back = read_schedules(path)
-        assert set(back["S1"]) == {u for u, _ in rows}
-        for u, s in rows:
-            assert np.array_equal(back["S1"][u].probabilities, s.probabilities)
+        s1 = derived.personalized["S1"]
+        write_schedules(path, s1)
+        back = read_schedules(path, 672)
+        assert back["S1"].users.tolist() == s1.users.tolist()
+        assert np.array_equal(back["S1"].probabilities, s1.probabilities)
+
+    def test_mixed_provenance_tables_roundtrip_bit_for_bit(self, tmp_path):
+        # The recommended table mixes S1w rows (authors) with AFD rows
+        # (followers); the baselines mix AFD and MFU rows per timezone.
+        cfg, result, posts, join, graph = star_inputs()
+        window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
+        kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
+        derived = derive_schedules(posts, join.pairs, graph,
+                                   result.users, cfg.grid, kernel, window)
+        for table, kinds in ((derived.recommended, {"S1w", "AFD"}),
+                             (derived.baselines, {"AFD", "MFU"})):
+            path = tmp_path / "mixed.tsv"
+            write_schedules(path, table)
+            back = read_schedules(path, 672)
+            assert set(back) == set(table.provenance) == kinds
+            for kind, got in back.items():
+                want = table.select(table.provenance == kind)
+                assert got.users.tolist() == want.users.tolist()
+                assert got.provenance.tolist() == want.provenance.tolist()
+                assert got.probabilities.tobytes() == want.probabilities.tobytes()
 
     def test_schedule_file_format(self, tmp_path):
         cfg, result, posts, join, graph = star_inputs()
@@ -185,7 +215,7 @@ class TestPersistence:
         derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         path = tmp_path / "schedules.tsv"
-        write_schedules(path, sorted(derived.personalized["S1"].items()))
+        write_schedules(path, derived.personalized["S1"])
         line = path.read_text().split("\n")[0]
         user, prov, probs = line.split("\t")
         assert prov == "S1"
@@ -201,8 +231,11 @@ class TestPersistence:
         derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         path = tmp_path / "ranked.tsv"
-        write_ranked_times(path, rank_all(derived.recommended, 5, grid), grid)
-        first = path.read_text().split("\n")[0].split("\t")
+        rec = derived.recommended
+        ranked = top_k_times(rec.probabilities, 5, grid, "weekday")
+        write_ranked_times(path, rec, ranked, grid)
+        lines = path.read_text().split("\n")
+        first = lines[0].split("\t")
         assert len(first) == 5
         user, rank, bucket, label, prob = first
         assert rank == "1"
@@ -210,3 +243,7 @@ class TestPersistence:
         assert label.split(" ")[0] in ("Mon", "Tue", "Wed", "Thu", "Fri",
                                        "Sat", "Sun")
         assert 0.0 <= float(prob) <= 1.0
+        assert len(lines) == 5 * len(rec) + 1
+        assert user == rec.users[0]
+        assert label == grid.bucket_label(int(bucket))
+        assert float(prob) == rec.probabilities[0, int(bucket)]

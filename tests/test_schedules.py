@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from collections import namedtuple
+
 from postsched import (
     Adjacency,
-    NoSignalError,
     PairTable,
     TimeWindow,
     VisibilityModel,
@@ -13,12 +14,19 @@ from postsched import (
     audience_reaction_profile,
     cohort_sum,
     compute_weights,
-    normalize_to_schedule,
+    normalize_rows,
     top_k_times,
-    uniform_schedule,
     visible_posts,
 )
-from postsched.temporal import Schedule
+
+Row = namedtuple("Row", "probabilities provenance")
+
+
+def normalized(sums, kind):
+    """The ``kind`` schedule of one row of sums, or None when the row has no
+    signal and ``normalize_rows`` drops it."""
+    table = normalize_rows(np.asarray(sums)[None], ["t"], kind)
+    return Row(table.probabilities[0], table.provenance[0]) if len(table) else None
 
 
 def schedule(kind, delayed, visible=None, weights=None, n=2):
@@ -30,8 +38,7 @@ def schedule(kind, delayed, visible=None, weights=None, n=2):
     audience = Adjacency.from_edges(1, [0] * len(names), range(len(names)))
     v = None if visible is None else np.array([visible[b] for b in names], float)
     w = None if weights is None else np.array([weights.get(b, 0.0) for b in names])
-    return normalize_to_schedule(audience_reaction_profile(rows, audience, w, v)[0],
-                                 kind)
+    return normalized(audience_reaction_profile(rows, audience, w, v)[0], kind)
 
 
 def first_degree(delayed):
@@ -73,7 +80,7 @@ def weights_of(user, pairs, window=None):
 def baseline(kind, profiles):
     """The ``kind`` baseline of one cohort holding every profile."""
     rows = np.array(profiles, dtype=float)
-    return normalize_to_schedule(cohort_sum(rows, [0] * len(rows), 1)[0], kind)
+    return normalized(cohort_sum(rows, [0] * len(rows), 1)[0], kind)
 
 
 class TestFirstDegree:
@@ -87,12 +94,10 @@ class TestFirstDegree:
         assert np.allclose(s.probabilities, [0.25, 0.75])
 
     def test_empty_audience_no_signal(self):
-        with pytest.raises(NoSignalError):
-            first_degree({})
+        assert first_degree({}) is None
 
     def test_inactive_audience_no_signal(self):
-        with pytest.raises(NoSignalError):
-            first_degree({"b0": [0, 0]})
+        assert first_degree({"b0": [0, 0]}) is None
 
     def test_sums_per_target_in_member_order(self):
         # Two targets share member 1; each row sums only its own members.
@@ -215,8 +220,7 @@ class TestWeightedSchedules:
 
     def test_all_zero_weights_no_signal(self):
         delayed = {"b0": [1, 0]}
-        with pytest.raises(NoSignalError):
-            weighted_first_degree(delayed, {})
+        assert weighted_first_degree(delayed, {}) is None
 
 
 class TestDoublingInvariance:
@@ -233,12 +237,12 @@ class TestDoublingInvariance:
             doubled = {b: 2 * p for b, p in delayed.items()}
             for kind, v, w in (("S1", None, None), ("S2", visible, None),
                                ("S1w", None, weights), ("S2w", visible, weights)):
-                try:
-                    base = schedule(kind, delayed, v, w, n).probabilities
-                except NoSignalError:
+                base = schedule(kind, delayed, v, w, n)
+                if base is None:
+                    assert schedule(kind, doubled, v, w, n) is None
                     continue
                 twice = schedule(kind, doubled, v, w, n).probabilities
-                assert np.all(np.abs(base - twice) <= 1e-9)
+                assert np.all(np.abs(base.probabilities - twice) <= 1e-9)
 
 
 class TestBaselines:
@@ -254,10 +258,8 @@ class TestBaselines:
         assert np.allclose(s.probabilities, [0.5, 0.5, 0.0])
 
     def test_mfu_empty_cohort(self):
-        with pytest.raises(NoSignalError):
-            baseline("MFU", np.zeros((0, 2)))
-        with pytest.raises(NoSignalError):
-            baseline("MFU", [[0, 0]])
+        assert baseline("MFU", np.zeros((0, 2))) is None
+        assert baseline("MFU", [[0, 0]]) is None
 
     def test_afd_single_user_equals_their_s1(self):
         s = baseline("AFD", [[1, 3]])
@@ -269,8 +271,7 @@ class TestBaselines:
         assert np.allclose(s.probabilities, [0.5, 0.5])
 
     def test_afd_empty(self):
-        with pytest.raises(NoSignalError):
-            baseline("AFD", np.zeros((0, 2)))
+        assert baseline("AFD", np.zeros((0, 2))) is None
 
     def test_cohorts_sum_their_own_rows(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
@@ -281,42 +282,63 @@ class TestBaselines:
 class TestTopKTimes:
     def test_uniform_ties_break_by_index(self):
         g = WeeklyGrid()
-        ranked = top_k_times(uniform_schedule(672), 3, g)
-        assert [b for b, _ in ranked.entries] == [0, 1, 2]
+        ranked = top_k_times(np.full(672, 1 / 672), 3, g)
+        assert ranked.tolist() == [0, 1, 2]
 
     def test_ranked_by_probability(self):
         g = WeeklyGrid(4)
-        s = Schedule(np.array([0.1, 0.7, 0.2, 0.0]), "S1")
-        ranked = top_k_times(s, 2, g)
-        assert [b for b, _ in ranked.entries] == [1, 2]
+        ranked = top_k_times(np.array([0.1, 0.7, 0.2, 0.0]), 2, g)
+        assert ranked.tolist() == [1, 2]
 
     def test_weekday_filter_excludes_weekend_buckets(self):
         g = WeeklyGrid()
         p = np.zeros(672)
         p[500] = 0.9  # Saturday bucket
         p[10] = 0.1
-        s = Schedule(p, "S1")
-        ranked = top_k_times(s, 672, g, day_filter="weekday")
-        buckets = {b for b, _ in ranked.entries}
+        ranked = top_k_times(p, 672, g, day_filter="weekday")
+        buckets = set(ranked.tolist())
         assert 500 not in buckets
         assert all(b < 480 for b in buckets)
-        assert ranked.entries[0][0] == 10
+        assert ranked[0] == 10
 
     def test_k_larger_than_buckets(self):
         g = WeeklyGrid(4)
-        ranked = top_k_times(uniform_schedule(4), 10, g)
+        ranked = top_k_times(np.full(4, 0.25), 10, g)
         assert len(ranked) == 4
+        assert top_k_times(np.full((3, 672), 1 / 672), 600, WeeklyGrid(),
+                           "weekday").shape == (3, 480)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            top_k_times(uniform_schedule(4), 0, WeeklyGrid(4))
+            top_k_times(np.full(4, 0.25), 0, WeeklyGrid(4))
+
+    def test_length_must_match_grid(self):
+        with pytest.raises(ValueError):
+            top_k_times(np.full((2, 5), 0.2), 1, WeeklyGrid(4))
 
     def test_probabilities_non_increasing(self):
         rng = np.random.default_rng(61)
         g = WeeklyGrid()
         for _ in range(20):
             q = rng.random(672)
-            s = Schedule(q / q.sum(), "S1")
-            ranked = top_k_times(s, 32, g, "weekday")
-            probs = [p for _, p in ranked.entries]
+            p = q / q.sum()
+            ranked = top_k_times(p, 32, g, "weekday")
+            probs = p[ranked].tolist()
             assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+    def test_stack_matches_lexsort_per_row(self):
+        # A stack ranks each row as a lexsort on (-probability, bucket)
+        # would, ties included, whatever the stack's shape.
+        rng = np.random.default_rng(67)
+        g = WeeklyGrid(48)
+        q = rng.integers(0, 4, size=(500, 48)).astype(float)  # many ties
+        q[:, 0] += 1.0
+        p = q / q.sum(axis=1, keepdims=True)
+        for day_filter in ("all", "weekday", "weekend"):
+            idx = np.flatnonzero(g.day_mask(day_filter))
+            ranked = top_k_times(p, 7, g, day_filter)
+            for row, got in zip(p, ranked):
+                want = idx[np.lexsort((idx, -row[idx]))][:7]
+                assert got.tolist() == want.tolist()
+            stacked = top_k_times(p.reshape(5, 100, 48), 7, g, day_filter)
+            assert np.array_equal(stacked.reshape(500, -1), ranked)

@@ -4,17 +4,36 @@ import numpy as np
 import pytest
 
 from postsched import (
-    ActionProfile,
     DelayKernel,
-    NoSignalError,
-    Schedule,
+    PairTable,
+    PostTable,
+    ScheduleTable,
     TimeWindow,
     WeeklyGrid,
-    aggregate_profile,
+    build_profiles,
     delayed_profile,
-    normalize_to_schedule,
+    normalize_rows,
 )
-from postsched.temporal import KIND_REACTIONS, WEEK_SECONDS
+from postsched.ingest import UserMeta
+from postsched.temporal import WEEK_SECONDS
+
+
+def created_profile(timestamps, tz_offset_min, grid):
+    """The created-post row that build_profiles counts for one user who
+    posted at ``timestamps``."""
+    ts = list(timestamps)
+    posts = PostTable.from_columns(["TW"], ["u"] * len(ts),
+                                   [f"p{i}" for i in range(len(ts))], ts)
+    window = TimeWindow(min(ts, default=0), max(ts, default=0))
+    profiles = build_profiles(posts, PairTable.from_columns([], [], [], []),
+                              [UserMeta("u", tz_offset_min, None, "TW")],
+                              grid, window)
+    return profiles.created[0]
+
+
+def normalize(q):
+    """The S1 schedule of one profile row."""
+    return normalize_rows(np.asarray(q, dtype=float)[None], ["u"], "S1")
 
 
 class TestWeeklyGrid:
@@ -89,61 +108,49 @@ class TestWeeklyGrid:
 
 class TestAggregateProfile:
     def test_empty_input_is_zero_profile(self):
-        prof = aggregate_profile([], 0, WeeklyGrid())
-        assert prof.total == 0.0
-        assert len(prof) == 672
+        prof = created_profile([], 0, WeeklyGrid())
+        assert prof.sum() == 0.0
+        assert prof.size == 672
 
     def test_counts_per_bucket(self):
         g = WeeklyGrid()
-        prof = aggregate_profile([0, 10, 901], 0, g)
-        assert prof.values[288] == 2.0
-        assert prof.values[289] == 1.0
-        assert prof.total == 3.0
+        prof = created_profile([0, 10, 901], 0, g)
+        assert prof[288] == 2.0
+        assert prof[289] == 1.0
+        assert prof.sum() == 3.0
 
     def test_weekly_periodicity_of_offset(self):
         # An offset shifted by exactly 7 days of minutes changes nothing...
         # except it exceeds the legal range, so shift the timestamps instead.
         g = WeeklyGrid()
         ts = [0, 4000, 86400 * 2 + 77]
-        base = aggregate_profile(ts, 120, g)
-        shifted = aggregate_profile([t + WEEK_SECONDS for t in ts], 120, g)
-        assert np.array_equal(base.values, shifted.values)
-
-
-class TestActionProfile:
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            ActionProfile(np.array([1.0, -0.5]))
-
-    def test_values_are_read_only(self):
-        prof = ActionProfile(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            prof.values[0] = 5.0
+        base = created_profile(ts, 120, g)
+        shifted = created_profile([t + WEEK_SECONDS for t in ts], 120, g)
+        assert np.array_equal(base, shifted)
 
 
 class TestDelayedProfile:
     def test_delta_kernel_is_identity(self):
         g = WeeklyGrid()
         rng = np.random.default_rng(11)
-        prof = ActionProfile(rng.integers(0, 9, size=672).astype(float),
-                             KIND_REACTIONS)
-        out = delayed_profile(prof.values, DelayKernel.delta(0))
-        assert np.array_equal(out, prof.values)
+        prof = rng.integers(0, 9, size=672).astype(float)
+        out = delayed_profile(prof, DelayKernel.delta(0))
+        assert np.array_equal(out, prof)
 
     def test_impulse_split_lands_before(self):
         g8 = WeeklyGrid(8)
-        imp = ActionProfile(np.eye(8)[5], KIND_REACTIONS)
+        imp = np.eye(8)[5]
         kernel = DelayKernel(np.array([0.5, 0.5]), g8.bucket_width_s)
-        out = delayed_profile(imp.values, kernel)
+        out = delayed_profile(imp, kernel)
         expected = np.zeros(8)
         expected[4] = expected[5] = 0.5
         assert np.allclose(out, expected)
 
     def test_wraps_at_week_boundary(self):
         g8 = WeeklyGrid(8)
-        imp = ActionProfile(np.eye(8)[0], KIND_REACTIONS)
+        imp = np.eye(8)[0]
         kernel = DelayKernel(np.array([0.0, 1.0]), g8.bucket_width_s)
-        out = delayed_profile(imp.values, kernel)
+        out = delayed_profile(imp, kernel)
         assert out[7] == 1.0
         assert out.sum() == 1.0
 
@@ -151,16 +158,16 @@ class TestDelayedProfile:
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(2, 64))
-            prof = ActionProfile(rng.random(n) * 50, KIND_REACTIONS)
+            prof = rng.random(n) * 50
             mass = rng.random(int(rng.integers(1, n + 1)))
             mass /= mass.sum()
-            out = delayed_profile(prof.values, mass)
-            assert abs(out.sum() - prof.total) <= 1e-9 * max(1.0, prof.total)
+            out = delayed_profile(prof, mass)
+            total = prof.sum()
+            assert abs(out.sum() - total) <= 1e-9 * max(1.0, total)
 
     def test_rejects_unnormalized_kernel(self):
-        prof = ActionProfile(np.ones(8), KIND_REACTIONS)
         with pytest.raises(ValueError):
-            delayed_profile(prof.values, np.array([0.5, 0.4]))
+            delayed_profile(np.ones(8), np.array([0.5, 0.4]))
 
     def test_stacked_rows_match_single_rows(self):
         # A stack is transformed row by row, bit for bit, whatever the
@@ -178,17 +185,23 @@ class TestDelayedProfile:
 
 class TestNormalizeToSchedule:
     def test_single_mass(self):
-        prof = ActionProfile(np.array([2.0, 0.0, 0.0]))
-        s = normalize_to_schedule(prof.values, "S1")
-        assert np.array_equal(s.probabilities, [1.0, 0.0, 0.0])
+        s = normalize([2.0, 0.0, 0.0])
+        assert np.array_equal(s.probabilities, [[1.0, 0.0, 0.0]])
+        assert s.provenance.tolist() == ["S1"]
 
     def test_two_bucket_toy(self):
-        s = normalize_to_schedule(np.array([1.0, 3.0]), "S1")
-        assert np.allclose(s.probabilities, [0.25, 0.75])
+        s = normalize([1.0, 3.0])
+        assert np.allclose(s.probabilities, [[0.25, 0.75]])
 
-    def test_all_zero_raises_no_signal(self):
-        with pytest.raises(NoSignalError):
-            normalize_to_schedule(np.zeros(4), "S1")
+    def test_all_zero_row_dropped(self):
+        # An all-zero row has no signal: it gets no schedule, so its user
+        # falls back to a baseline.
+        assert len(normalize(np.zeros(4))) == 0
+        s = normalize_rows(np.array([[0.0, 0.0], [1.0, 3.0], [0.0, 0.0]]),
+                           ["a", "b", "c"], ["S1", "S1w", "S1"])
+        assert s.users.tolist() == ["b"]
+        assert s.provenance.tolist() == ["S1w"]
+        assert np.allclose(s.probabilities, [[0.25, 0.75]])
 
     def test_scale_invariance_property(self):
         rng = np.random.default_rng(17)
@@ -196,8 +209,8 @@ class TestNormalizeToSchedule:
             q = rng.random(24) * rng.choice([0.01, 1.0, 1e6])
             q[rng.integers(0, 24)] += 1.0  # ensure signal
             c = float(rng.uniform(0.1, 100))
-            a = normalize_to_schedule(q, "S1").probabilities
-            b = normalize_to_schedule(c * q, "S1").probabilities
+            a = normalize(q).probabilities
+            b = normalize(c * q).probabilities
             assert np.all(np.abs(a - b) <= 1e-9)
 
     def test_argmax_preserved(self):
@@ -205,18 +218,35 @@ class TestNormalizeToSchedule:
         for _ in range(300):
             q = rng.integers(0, 5, size=30).astype(float)
             q[rng.integers(0, 30)] += 1.0
-            s = normalize_to_schedule(q, "S1")
-            assert int(np.argmax(s.probabilities)) == int(np.argmax(q))
+            s = normalize(q)
+            assert int(np.argmax(s.probabilities[0])) == int(np.argmax(q))
 
 
 class TestSchedule:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            Schedule(np.array([0.5, 0.4]), "S1")
+            ScheduleTable(["u"], ["S1"], np.array([[0.5, 0.4]]))
+        # Every row is checked, not only the first.
+        with pytest.raises(ValueError):
+            ScheduleTable(["u", "v"], ["S1", "S1"], np.array([[0.5, 0.5],
+                                                              [0.5, 0.4]]))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            Schedule(np.array([1.5, -0.5]), "S1")
+            ScheduleTable(["u"], ["S1"], np.array([[1.5, -0.5]]))
+
+    def test_rejects_non_finite_and_shape(self):
+        with pytest.raises(ValueError):
+            ScheduleTable(["u"], ["S1"], np.array([[np.nan, 1.0]]))
+        with pytest.raises(ValueError):
+            ScheduleTable(["u"], ["S1"], np.array([0.5, 0.5]))  # not 2-D
+        with pytest.raises(ValueError):
+            ScheduleTable(["u", "v"], ["S1"], np.full((2, 2), 0.5))
+
+    def test_probabilities_are_read_only(self):
+        s = ScheduleTable(["u"], ["S1"], np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError):
+            s.probabilities[0, 0] = 1.0
 
 
 class TestTimeWindow:
