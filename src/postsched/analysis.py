@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import temporal
 from .errors import UndefinedMetricError
 from .temporal import WeeklyGrid
 
@@ -56,9 +57,6 @@ def cosine_similarity(s1, s2) -> float:
     if na == 0.0 or nb == 0.0:
         raise UndefinedMetricError("cosine similarity undefined for zero vector")
     return float((a @ b) / (na * nb))
-
-
-_METRIC_FNS = {"correlation": correlation, "cosine": cosine_similarity}
 
 
 def shift_to_offset(values, from_offset_min: int, to_offset_min: int,
@@ -144,6 +142,24 @@ def histogram_bins(bin_width: float) -> int:
     return n_bins
 
 
+def _row_terms(rows: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """What a metric takes from each row on its own, row by row as
+    :func:`correlation` and :func:`cosine_similarity` compute it: the centre
+    subtracted from the row (its mean, or 0 for cosine), and the row's
+    factor of the denominator (the centred row's squared norm, or the norm
+    for cosine). The metric is undefined where the factor is 0."""
+    centre = np.zeros(len(rows))
+    factor = np.empty(len(rows))
+    for r, row in enumerate(rows):
+        if metric == "correlation":
+            centre[r] = row.mean()
+            d = row - centre[r]
+            factor[r] = d @ d
+        else:
+            factor[r] = np.linalg.norm(row)
+    return centre, factor
+
+
 def pairwise_distribution(series1: Sequence[np.ndarray],
                           series2: Sequence[np.ndarray], metric: str,
                           sample_budget: int, seed: int,
@@ -152,29 +168,51 @@ def pairwise_distribution(series1: Sequence[np.ndarray],
 
     Pairs are drawn with replacement (one member from each cohort) so large
     cohorts can be summarized with a fixed budget; a fixed seed gives
-    bit-identical histograms across runs. Undefined when either cohort is
-    empty or no sampled pair yields a defined metric.
+    bit-identical histograms across runs. Each distinct drawn pair is scored
+    once, to the bit as :func:`correlation` or :func:`cosine_similarity`
+    scores it. Undefined when either cohort is empty or no sampled pair
+    yields a defined metric.
     """
-    if metric not in _METRIC_FNS:
+    if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     if not len(series1) or not len(series2):
         raise UndefinedMetricError("both cohorts must be non-empty")
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
     n_bins = histogram_bins(bin_width)
-    fn = _METRIC_FNS[metric]
+    s1 = np.asarray(series1, dtype=np.float64)
+    s2 = np.asarray(series2, dtype=np.float64)
+    if s1.ndim != 2 or s2.ndim != 2 or s1.shape[1] != s2.shape[1]:
+        raise ValueError("series must be 1-D and equal length")
     rng = np.random.default_rng(seed)
-    left = rng.integers(0, len(series1), size=sample_budget)
-    right = rng.integers(0, len(series2), size=sample_budget)
-    values = []
-    undefined = 0
-    for i, j in zip(left, right):
-        try:
-            values.append(fn(series1[i], series2[j]))
-        except UndefinedMetricError:
-            undefined += 1
-    if not values:
+    left = rng.integers(0, len(s1), size=sample_budget)
+    right = rng.integers(0, len(s2), size=sample_budget)
+
+    centre1, factor1 = _row_terms(s1, metric)
+    centre2, factor2 = _row_terms(s2, metric)
+    pairs, pair_of_draw = np.unique(left * len(s2) + right, return_inverse=True)
+    i, j = np.divmod(pairs, len(s2))
+    defined = (factor1[i] != 0.0) & (factor2[j] != 0.0)
+    i, j = i[defined], j[defined]
+    dots = np.empty(len(i))
+    step = temporal.CHUNK_ROWS
+    for lo in range(0, len(i), step):
+        a = s1[i[lo:lo + step]] - centre1[i[lo:lo + step], None]
+        b = s2[j[lo:lo + step]] - centre2[j[lo:lo + step], None]
+        # One dot product per pair; np.einsum differs from @ in the last bit.
+        dots[lo:lo + step] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    if metric == "correlation":
+        scores = dots / np.sqrt(factor1[i] * factor2[j])
+    else:
+        scores = dots / (factor1[i] * factor2[j])
+
+    pair_scores = np.zeros(len(pairs))
+    pair_scores[defined] = scores
+    valid = defined[pair_of_draw]
+    values = pair_scores[pair_of_draw[valid]]
+    if not len(values):
         raise UndefinedMetricError("no sampled pair had a defined metric")
     edges = np.linspace(-1.0, 1.0, n_bins + 1)
     counts, _ = np.histogram(np.clip(values, -1.0, 1.0), bins=edges)
-    return MetricDistribution(metric, edges, counts, sample_budget, undefined)
+    return MetricDistribution(metric, edges, counts, sample_budget,
+                              sample_budget - len(values))

@@ -535,6 +535,13 @@ def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     for label, members in cohort_sets.items():
         tz_counts = Counter(offsets.get(m, 0) for m in members)
         cohort_tz = tz_counts.most_common(1)[0][0]
+        for m in members:
+            off = offsets.get(m, 0)
+            if (off - cohort_tz) * 60 % grid.bucket_width_s:
+                raise PostschedError(
+                    f"{cfg.users}: user {m!r} has tz offset {off} min, which is "
+                    f"not a whole number of {grid.bucket_width_s // 60}-minute "
+                    f"buckets from cohort {label!r} at {cohort_tz} min")
         cohorts[label] = analysis.cohort_aggregate(
             dict(zip(members, series(members))), offsets, cohort_tz, grid, label)
 

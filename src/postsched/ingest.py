@@ -9,10 +9,11 @@ Canonical inputs are headerless UTF-8 TSV files with LF line endings;
     users.tsv      user <tab> tz_offset_minutes <tab> city <tab> network
 
 Timestamps are ASCII decimal integers, ``-?[0-9]+``, within the signed
-64-bit range. The reactor column may hold "-" when the source data does not
-identify who reacted; such rows support delay estimation and analysis but
-not schedule derivation. Malformed lines are counted, never silently
-dropped.
+64-bit range. Timezone offsets follow the same grammar and lie within
+UTC-12:00 .. UTC+14:00 (-720 .. 840 minutes). The reactor column may hold
+"-" when the source data does not identify who reacted; such rows support
+delay estimation and analysis but not schedule derivation. Malformed lines
+are counted, never silently dropped.
 
 Posts and reactions load into column tables (:class:`PostTable`,
 :class:`ReactionTable`) whose user ids are interned as integer codes into a
@@ -47,6 +48,9 @@ DEFAULT_MAX_MALFORMED_FRAC = 0.01
 _TIMESTAMP = re.compile(r"-?[0-9]+")
 _TIMESTAMP_COLUMN = re.compile(r"-?[0-9]+(?:\t-?[0-9]+)*")
 _INT64 = np.iinfo(np.int64)
+
+# Timezone offsets in minutes, UTC-12:00 .. UTC+14:00.
+_TZ_OFFSETS = range(-12 * 60, 14 * 60 + 1)
 
 # Posts and reactions are parsed in blocks of whole lines of about this many
 # characters, which bounds the memory taken by per-field strings.
@@ -332,6 +336,13 @@ def _timestamp(text: str) -> int:
     return value
 
 
+def _tz_offset(text: str) -> int:
+    if not _TIMESTAMP.fullmatch(text) or int(text) not in _TZ_OFFSETS:
+        raise ValueError(f"tz offset {text!r} is not a whole number of minutes "
+                         f"in [{_TZ_OFFSETS[0]}, {_TZ_OFFSETS[-1]}]")
+    return int(text)
+
+
 def _event_row(f: list[str]) -> tuple[str, str, str, int]:
     return f[0], f[1], f[2], _timestamp(f[3])
 
@@ -410,7 +421,7 @@ def load_users(path, network: str | None = None,
                max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC):
     def row(f):
         city = f[2] if f[2] and f[2] != MISSING_ID else None
-        return UserMeta(f[0], int(f[1]), city, f[3])
+        return UserMeta(f[0], _tz_offset(f[1]), city, f[3])
     return _load_tsv(path, 4, row, network, 3, max_malformed_frac)
 
 

@@ -13,8 +13,9 @@ artifacts record which rule actually produced each recommendation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -170,18 +171,46 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
                             unknown_tz)
 
 
+def _once_per_distinct_row(render: Callable[[int], object],
+                           *arrays: np.ndarray) -> Iterator:
+    """``render(i)`` for each row i of ``arrays``, computed once for all the
+    rows that are equal in every array.
+
+    Rows are grouped by their bytes, not by value: 0.0 == -0.0, but the two
+    print apart. A result is kept only until the last row that repeats it,
+    and that of a row which occurs once is not kept at all. The counts are
+    keyed by the hash of a row's bytes so that they hold no copy of a row;
+    two distinct rows with one hash only keep a result for longer.
+    """
+    def key(i: int) -> bytes:
+        return b"".join(a[i].tobytes() for a in arrays)
+
+    n_rows = len(arrays[0])
+    left = Counter(hash(key(i)) for i in range(n_rows))
+    kept: dict[bytes, object] = {}
+    for i in range(n_rows):
+        k = key(i)
+        result = kept.pop(k) if k in kept else render(i)
+        left[hash(k)] -= 1
+        if left[hash(k)]:
+            kept[k] = result
+        yield result
+
+
 def write_schedules(path, *tables: ScheduleTable) -> None:
     """Persist the rows of ``tables``, in order, as: user <tab> provenance
     <tab> comma-joined probabilities."""
     with open(path, "w", encoding="utf-8") as fh:
         for table in tables:
-            fmt = ",".join(["%.17g"] * table.probabilities.shape[1])
+            probs = table.probabilities
+            fmt = ",".join(["%.17g"] * probs.shape[1])
             # One row at a time: converting the whole matrix to Python
             # floats at once would hold all of it twice.
-            for user, prov, row in zip(table.users.tolist(),
-                                       table.provenance.tolist(),
-                                       table.probabilities):
-                fh.write(f"{user}\t{prov}\t{fmt % tuple(row.tolist())}\n")
+            texts = _once_per_distinct_row(
+                lambda i: fmt % tuple(probs[i].tolist()), probs)
+            for user, prov, text in zip(table.users.tolist(),
+                                        table.provenance.tolist(), texts):
+                fh.write(f"{user}\t{prov}\t{text}\n")
 
 
 def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
@@ -232,9 +261,14 @@ def write_ranked_times(path, table: ScheduleTable, buckets: np.ndarray,
     """
     labels = [grid.bucket_label(b) for b in range(grid.buckets_per_week)]
     probs = np.take_along_axis(table.probabilities, buckets, axis=-1)
+
+    def lines(i: int) -> list[str]:
+        """A row's lines, each without the user in front."""
+        return [f"\t{rank}\t{b}\t{labels[b]}\t{p:.17g}\n"
+                for rank, (b, p) in enumerate(
+                    zip(buckets[i].tolist(), probs[i].tolist()), start=1)]
+
     with open(path, "w", encoding="utf-8") as fh:
-        for user, ranked, prob in zip(table.users.tolist(), buckets.tolist(),
-                                      probs.tolist()):
-            fh.write("".join(f"{user}\t{rank}\t{b}\t{labels[b]}\t{p:.17g}\n"
-                             for rank, (b, p) in enumerate(zip(ranked, prob),
-                                                           start=1)))
+        for user, text in zip(table.users.tolist(),
+                              _once_per_distinct_row(lines, buckets, probs)):
+            fh.write("".join([f"{user}{line}" for line in text]))

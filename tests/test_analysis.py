@@ -10,6 +10,7 @@ from postsched import (
     correlation,
     cosine_similarity,
     pairwise_distribution,
+    temporal,
 )
 from postsched.analysis import shift_to_offset
 
@@ -177,3 +178,74 @@ class TestPairwiseDistribution:
         dist = pairwise_distribution(c1, c2, "cosine", 1000, seed=6)
         assert dist.n_valid == 1000
         assert dist.counts.sum() == dist.n_valid
+
+
+def loop_distribution(series1, series2, metric, sample_budget, seed):
+    """The sampled metric values, clipped, and the undefined count, one
+    scalar metric call per draw."""
+    fn = {"correlation": correlation, "cosine": cosine_similarity}[metric]
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, len(series1), size=sample_budget)
+    right = rng.integers(0, len(series2), size=sample_budget)
+    values, undefined = [], 0
+    for i, j in zip(left, right):
+        try:
+            values.append(fn(series1[i], series2[j]))
+        except UndefinedMetricError:
+            undefined += 1
+    return np.clip(np.array(values, dtype=np.float64), -1.0, 1.0), undefined
+
+
+class TestPairwiseAgainstLoop:
+    """Scoring each distinct pair once gives the values, counts and
+    undefined count of one scalar call per draw, to the bit."""
+
+    @staticmethod
+    def cohort(rng, n_rows, n):
+        rows = rng.random((n_rows, n)) ** 3
+        rows /= rows.sum(axis=1, keepdims=True)
+        kind = rng.random(n_rows)
+        rows[kind < 0.15] = 1.0 / n   # flat: correlation undefined
+        rows[(kind >= 0.15) & (kind < 0.25)] = 0.0  # zero: both undefined
+        return rows
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    @pytest.mark.parametrize("metric", ["correlation", "cosine"])
+    def test_matches_loop_bit_for_bit(self, monkeypatch, metric, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(temporal, "CHUNK_ROWS", chunk)
+        seen = []
+        real_histogram = np.histogram
+
+        def spy(values, *args, **kwargs):
+            seen.append(np.array(values))
+            return real_histogram(values, *args, **kwargs)
+        monkeypatch.setattr(np, "histogram", spy)
+
+        rng = np.random.default_rng(211)
+        for case in range(40):
+            n = int(rng.choice([3, 24, 168]))
+            n1, n2 = (1, int(rng.integers(1, 9))) if case % 4 == 0 else \
+                rng.integers(1, 12, size=2)
+            c1, c2 = self.cohort(rng, n1, n), self.cohort(rng, n2, n)
+            # Budgets below and above the number of distinct pairs.
+            budget = int(rng.choice([1, max(1, n1 * n2 // 2), 5 * n1 * n2 + 3]))
+            seed = int(rng.integers(1000))
+            want, undefined = loop_distribution(c1, c2, metric, budget, seed)
+            seen.clear()
+            if not len(want):
+                with pytest.raises(UndefinedMetricError):
+                    pairwise_distribution(c1, c2, metric, budget, seed)
+                continue
+            dist = pairwise_distribution(c1, c2, metric, budget, seed)
+            (got,) = seen
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(dist.counts,
+                                  real_histogram(want, bins=dist.bin_edges)[0])
+            assert dist.n_undefined == undefined
+            assert dist.n_sampled == budget
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            pairwise_distribution([np.ones(3)], [np.arange(4.0)], "cosine", 5,
+                                  seed=1)

@@ -196,6 +196,27 @@ class TestExitCodes:
             assert run([sub, "--config", out / "synth.config"]) == 2
             assert "schedules.tsv:2:" in capsys.readouterr().err
 
+    def test_offset_off_the_bucket_grid_returns_two_naming_user(self, tmp_path,
+                                                                capsys):
+        # 330 minutes (India) is not a whole number of 60-minute buckets
+        # from the UTC cohort of the other users with a schedule.
+        cfg, out = synth_config(tmp_path, buckets_per_week=168,
+                                delay_lag_s=3600)
+        assert run(["synth", "--config", cfg]) == 0
+        assert run(["schedule", "--config", out / "synth.config"]) == 0
+        s1 = [line.split("\t")[0] for line in
+              (out / "schedules.tsv").read_text(encoding="utf-8").splitlines()
+              if line.split("\t")[1] == "S1"]
+        assert len(s1) >= 2
+        users = out / "users.tsv"
+        users.write_text(users.read_text(encoding="utf-8").replace(
+            f"{s1[-1]}\t0\t", f"{s1[-1]}\t330\t"), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["all", "--config", out / "synth.config"]) == 2
+        err = capsys.readouterr().err
+        assert s1[-1] in err and "330" in err
+        assert not (out / "cohort_series.csv").exists()
+
     def test_empty_evaluation_window_diagnostic(self, tmp_path, capsys):
         cfg, out = synth_config(tmp_path)
         assert run(["synth", "--config", cfg]) == 0

@@ -145,6 +145,26 @@ class TestLoaders:
         with pytest.raises(IngestError):
             load_users(p)
 
+    @pytest.mark.parametrize("offset", [
+        "1_0", " 7", "7 ", "+5", "\u0663", "99999999999999999999", "-721",
+        "841",
+    ], ids=["underscore", "leading-space", "trailing-space", "plus-sign",
+            "arabic-indic-digit", "beyond-int64", "below-utc-12",
+            "above-utc+14"])
+    def test_tz_offset_grammar_and_range_are_strict(self, tmp_path, offset):
+        p = write(tmp_path / "users.tsv",
+                  "u1\t0\t-\tTW\n" * 99 + f"u2\t{offset}\t-\tTW\n")
+        users, report = load_users(p)
+        assert report.malformed == 1
+        assert [u.user for u in users] == ["u1"] * 99
+
+    @pytest.mark.parametrize("offset", [-720, 840])
+    def test_tz_offset_range_ends_accepted(self, tmp_path, offset):
+        p = write(tmp_path / "users.tsv", f"u1\t{offset}\t-\tTW\n")
+        users, report = load_users(p)
+        assert report.malformed == 0
+        assert users == [UserMeta("u1", offset, None, "TW")]
+
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
             load_posts(tmp_path / "absent.tsv")

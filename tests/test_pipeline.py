@@ -1,9 +1,11 @@
 """End-to-end derivation over synthetic logs, fallbacks, persistence."""
 
 import numpy as np
+import pytest
 
 from postsched import (
     DelayKernel,
+    pipeline,
     temporal,
     SynthConfig,
     TimeWindow,
@@ -26,6 +28,7 @@ from postsched.pipeline import (
     write_schedules,
 )
 from postsched.schedules import top_k_times
+from postsched.temporal import ScheduleTable
 from postsched.synth import DEFAULT_START_EPOCH
 
 
@@ -247,3 +250,75 @@ class TestPersistence:
         assert user == rec.users[0]
         assert label == grid.bucket_label(int(bucket))
         assert float(prob) == rec.probabilities[0, int(bucket)]
+
+
+class TestWritersAgainstPerRowReference:
+    """The writers format each distinct row once; their bytes must equal a
+    writer that formats every value of every row."""
+
+    GRID = WeeklyGrid(168)
+
+    @staticmethod
+    def reference_schedules(table):
+        return "".join(
+            f"{user}\t{prov}\t" + ",".join("%.17g" % v for v in row.tolist()) + "\n"
+            for user, prov, row in zip(table.users, table.provenance,
+                                       table.probabilities))
+
+    @classmethod
+    def reference_ranked(cls, table, buckets):
+        return "".join(
+            f"{user}\t{rank}\t{b}\t{cls.GRID.bucket_label(b)}\t"
+            f"{float(table.probabilities[r, b]):.17g}\n"
+            for r, user in enumerate(table.users)
+            for rank, b in enumerate(buckets[r].tolist(), start=1))
+
+    @classmethod
+    def tables(cls):
+        rng = np.random.default_rng(41)
+        n = cls.GRID.buckets_per_week
+
+        def rows(k):
+            p = rng.random((k, n)) ** 4
+            return p / p.sum(axis=1, keepdims=True)
+
+        distinct = rows(30)
+        repeated = rows(3)[rng.integers(0, 3, size=40)]
+        # Two buckets carry all the mass; the other ranks are zeros, 0.0 in
+        # one row and -0.0 in the next, which print as 0 and -0.
+        signed = np.zeros((4, n))
+        signed[:, [5, 9]] = [0.25, 0.75]
+        signed[1::2, 10:] = -0.0
+        return {"distinct": distinct, "repeated": repeated, "signed": signed,
+                "empty": np.empty((0, n))}
+
+    @pytest.mark.parametrize("name", ["distinct", "repeated", "signed", "empty"])
+    def test_bytes_equal_reference(self, tmp_path, name):
+        probs = self.tables()[name]
+        users = [f"u{i % 7}" for i in range(len(probs))]
+        provenance = [("S1", "AFD")[i % 2] for i in range(len(probs))]
+        table = ScheduleTable(users, provenance, probs)
+        write_schedules(tmp_path / "s.tsv", table, table)
+        assert ((tmp_path / "s.tsv").read_text(encoding="utf-8")
+                == 2 * self.reference_schedules(table))
+        buckets = top_k_times(table.probabilities, 32, self.GRID, "all")
+        write_ranked_times(tmp_path / "r.tsv", table, buckets, self.GRID)
+        assert ((tmp_path / "r.tsv").read_text(encoding="utf-8")
+                == self.reference_ranked(table, buckets))
+        if name == "signed":
+            assert "\t-0\n" in self.reference_ranked(table, buckets)
+            assert ",-0," in self.reference_schedules(table)
+
+    def test_each_distinct_row_is_formatted_once(self):
+        rows = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0], [1.0, -0.0],
+                         [0.5, 0.5], [1.0, 0.0]])
+        calls = []
+
+        def render(i):
+            calls.append(i)
+            return f"text of row {i}"
+
+        texts = list(pipeline._once_per_distinct_row(render, rows))
+        assert calls == [0, 1, 3]
+        assert texts == ["text of row 0", "text of row 1", "text of row 0",
+                         "text of row 3", "text of row 1", "text of row 0"]
