@@ -228,26 +228,30 @@ def _require_inputs(cfg: RunConfig, keys: tuple[str, ...]) -> None:
 
 def _parse_synth_kernel(spec: str, n_lags: int) -> tuple[float, ...]:
     kind, _, arg = spec.partition(":")
+    if kind not in ("delta", "geometric", "uniform"):
+        raise ConfigError(f"synth_kernel: unknown kernel spec {spec!r}")
+    try:
+        number = (float if kind == "geometric" else int)(arg) if arg else None
+    except ValueError:
+        raise ConfigError(f"synth_kernel: bad number {arg!r} in {spec!r}") from None
     if kind == "delta":
-        lag = int(arg or 0)
+        lag = number or 0
         if not 0 <= lag < n_lags:
             raise ConfigError(f"synth_kernel: delta lag {lag} out of range")
         mass = np.zeros(n_lags)
         mass[lag] = 1.0
     elif kind == "geometric":
-        q = float(arg or 0.5)
+        q = 0.5 if number is None else number
         if not 0.0 < q < 1.0:
             raise ConfigError("synth_kernel: geometric ratio must be in (0, 1)")
         mass = q ** np.arange(n_lags)
         mass /= mass.sum()
-    elif kind == "uniform":
-        width = int(arg or n_lags)
+    else:
+        width = n_lags if number is None else number
         if not 1 <= width <= n_lags:
             raise ConfigError(f"synth_kernel: uniform width {width} out of range")
         mass = np.zeros(n_lags)
         mass[:width] = 1.0 / width
-    else:
-        raise ConfigError(f"synth_kernel: unknown kernel spec {spec!r}")
     return tuple(float(x) for x in mass)
 
 
@@ -321,30 +325,44 @@ def _artifact(out_dir: Path, name: str, producer: str) -> Path:
     return path
 
 
+# The SynthConfig field behind each synth_* config key.
+_SYNTH_KEYS = {
+    "n_authors": "synth_authors",
+    "span_days": "synth_span_days",
+    "start_epoch": "synth_start",
+    "author_base_rate": "synth_author_base_rate",
+    "author_peak_rate": "synth_author_peak_rate",
+    "follower_base_rate": "synth_follower_base_rate",
+    "follower_peak_rate": "synth_follower_peak_rate",
+    "peaks_per_star": "synth_peaks_per_star",
+    "reaction_probability": "synth_reaction_probability",
+}
+
+
 def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     n_lags = cfg.delay_window_s // cfg.delay_lag_s
     grid = cfg.grid
     pool = None
     if cfg.synth_weekday_peaks:
         pool = tuple(int(b) for b in np.nonzero(grid.day_mask("weekday"))[0])
-    config = synth.SynthConfig(
-        seed=cfg.seed,
-        n_authors=cfg.synth_authors,
-        followers_per_author=_synth_followers(cfg.synth_followers),
-        span_days=cfg.synth_span_days,
-        kernel=_parse_synth_kernel(cfg.synth_kernel, n_lags),
-        lag_width_s=cfg.delay_lag_s,
-        buckets_per_week=cfg.buckets_per_week,
-        start_epoch=cfg.synth_start,
-        author_base_rate=cfg.synth_author_base_rate,
-        author_peak_rate=cfg.synth_author_peak_rate,
-        follower_base_rate=cfg.synth_follower_base_rate,
-        follower_peak_rate=cfg.synth_follower_peak_rate,
-        peaks_per_star=cfg.synth_peaks_per_star,
-        peak_pool=pool,
-        reaction_probability=cfg.synth_reaction_probability,
-        network=cfg.network,
-    )
+    followers = _synth_followers(cfg.synth_followers)
+    kernel = _parse_synth_kernel(cfg.synth_kernel, n_lags)
+    settings = {field: getattr(cfg, key) for field, key in _SYNTH_KEYS.items()}
+    try:
+        config = synth.SynthConfig(
+            seed=cfg.seed,
+            followers_per_author=followers,
+            kernel=kernel,
+            lag_width_s=cfg.delay_lag_s,
+            buckets_per_week=cfg.buckets_per_week,
+            peak_pool=pool,
+            network=cfg.network,
+            **settings,
+        )
+    except ValueError as exc:
+        # SynthConfig starts each message with the field it is about.
+        field, _, problem = str(exc).partition(": ")
+        raise ConfigError(f"{_SYNTH_KEYS.get(field, field)}: {problem}") from None
     result = synth.generate(config, out_dir)
     derivation_days = min(cfg.derivation_days, cfg.synth_span_days)
     eval_days = max(cfg.synth_span_days - derivation_days, 1)

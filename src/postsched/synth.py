@@ -122,29 +122,38 @@ class SynthConfig:
     network: str = "TW"
 
     def __post_init__(self) -> None:
+        # Each message starts with the field it is about.
         if self.n_authors < 1:
-            raise ValueError("n_authors must be >= 1")
+            raise ValueError("n_authors: must be >= 1")
         if self.span_days < 7:
-            raise ValueError("span must cover at least one week")
+            raise ValueError("span_days: must cover at least one week")
         kern = np.asarray(self.kernel, dtype=np.float64)
         if kern.size == 0 or np.any(kern < 0) or abs(kern.sum() - 1.0) > UNIT_SUM_TOL:
-            raise ValueError("kernel must be non-negative and sum to 1")
+            raise ValueError("kernel: must be non-negative and sum to 1")
         if not 0.0 <= self.reaction_probability <= 1.0:
-            raise ValueError("reaction_probability must be in [0, 1]")
+            raise ValueError("reaction_probability: must be in [0, 1]")
         for _, _, p in self.reaction_prob_overrides:
             if not 0.0 <= p <= 1.0:
-                raise ValueError("override probabilities must be in [0, 1]")
+                raise ValueError("reaction_prob_overrides: probabilities must "
+                                 "be in [0, 1]")
         grid = WeeklyGrid(self.buckets_per_week)
         if self.lag_width_s != grid.bucket_width_s:
-            raise ValueError("lag width must equal the grid bucket width")
+            raise ValueError("lag_width_s: must equal the grid bucket width")
+        pool = grid.buckets_per_week if self.peak_pool is None else len(self.peak_pool)
+        if self.planted_peaks is None and not 0 <= self.peaks_per_star <= pool:
+            raise ValueError(f"peaks_per_star: must be in [0, {pool}], the size "
+                             "of the peak pool")
         if (self.start_epoch + EPOCH_TO_MONDAY) % WEEK_SECONDS != 0:
-            raise ValueError("start_epoch must fall on Monday 00:00 UTC")
+            raise ValueError("start_epoch: must fall on Monday 00:00 UTC")
+        if not -2**63 <= self.start_epoch <= 2**63 - 1 - self.span_s:
+            raise ValueError("start_epoch: the span must fit in signed 64-bit "
+                             "epoch seconds")
         if self.network not in NETWORKS:
-            raise ValueError(f"unknown network {self.network!r}")
-        for r in (self.author_base_rate, self.author_peak_rate,
-                  self.follower_base_rate, self.follower_peak_rate):
-            if r < 0:
-                raise ValueError("rates must be >= 0")
+            raise ValueError(f"network: unknown network {self.network!r}")
+        for name in ("author_base_rate", "author_peak_rate",
+                     "follower_base_rate", "follower_peak_rate"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
 
     @property
     def grid(self) -> WeeklyGrid:
@@ -186,7 +195,7 @@ def resolve_population(config: SynthConfig) -> Population:
             peaks = tuple(int(p) % n for p in config.planted_peaks[i])
         else:
             peaks = tuple(int(p) for p in rng.choice(
-                pool, size=min(config.peaks_per_star, pool.size), replace=False))
+                pool, size=config.peaks_per_star, replace=False))
         users.append(UserSpec(author, config.author_base_rate,
                               config.author_peak_rate, peaks,
                               config.tz_offset_min))

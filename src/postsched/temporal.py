@@ -149,9 +149,18 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
     i.e. a forward-looking circular cross-correlation with the delay kernel.
     The week wraps around: profiles are weekly-periodic aggregates, so mass
     spilling past Sunday 23:45 belongs to Monday's buckets. Total mass is
-    conserved because the kernel sums to one. The non-zero lags are applied
-    in ascending order, the first assigned and the rest added, so every row
-    comes out the same whether it is transformed alone or in a stack.
+    conserved because the kernel sums to one.
+
+    Every element sums its terms with a non-zero value, ``kernel[m] *
+    values[...]``, in ascending lag order, so a row comes out bit for bit the
+    same whether it is transformed alone or in a stack. A chunk of
+    ``CHUNK_ROWS`` rows takes one of two paths, whichever costs less: a dense
+    shifted multiply-add per non-zero lag, or, for sparse reactions, a scatter
+    of each non-zero value to the bucket it feeds, one lag at a time. They
+    agree bit for bit, because the dense path's extra terms are ``+0.0``,
+    which leaves a finite sum with the sign bit clear unchanged. So
+    ``values`` must be finite with the sign bit clear: a negative, ``-0.0``,
+    NaN or infinite value is rejected.
 
     ``kernel`` may be a :class:`~postsched.delays.DelayKernel` or a bare
     probability vector over lags. A kernel that does not sum to 1 within
@@ -167,12 +176,27 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     n = v.shape[-1]
     rows = v.reshape(-1, n)
-    out = np.empty_like(rows)
+    out = np.empty(rows.shape)  # C order, so a chunk's flat view writes through
     term = np.empty((min(len(rows), CHUNK_ROWS), n))
     lags = np.flatnonzero(mass)
     for lo in range(0, len(rows), CHUNK_ROWS):
         src = rows[lo:lo + CHUNK_ROWS]
         dst = out[lo:lo + CHUNK_ROWS]
+        if np.signbit(src).any() or not np.isfinite(src).all():
+            raise ValueError("values must be finite with the sign bit clear "
+                             "(no negative, -0.0, NaN or infinite value)")
+        if _scatter_is_cheaper(src, len(lags)):
+            # Value x at (r, j) feeds bucket (j - m) mod n of row r at lag m.
+            # Within one lag no target repeats, so a plain += is exact.
+            at = np.flatnonzero(src != 0)
+            x = src.reshape(-1)[at]
+            j = at % n
+            row_start = at - j
+            flat = dst.reshape(-1)
+            flat.fill(0.0)
+            for m in lags:
+                flat[row_start + (j - m) % n] += mass[m] * x
+            continue
         part = term[:len(src)]
         for i, m in enumerate(lags):
             # Shifting left by s: element k takes element (k + s) mod n.
@@ -185,6 +209,14 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
     return out.reshape(v.shape)
 
 
+def _scatter_is_cheaper(src: np.ndarray, lags: int) -> bool:
+    """Whether scattering the non-zeros of a chunk costs less than the dense
+    multiply-add over it. In units of one dense element at one lag, finding
+    the non-zeros costs about two per element and scattering one non-zero at
+    one lag about six. So a kernel of one or two lags stays dense without a
+    count, and a longer one goes sparse below about 16% non-zeros."""
+    size = src.size
+    return lags > 2 and 2 * size + 6 * lags * np.count_nonzero(src != 0) < size * lags
 
 
 def invalid_rows(probabilities: np.ndarray) -> np.ndarray:

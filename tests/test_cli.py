@@ -126,6 +126,32 @@ class TestExitCodes:
         assert "synth_followers" in capsys.readouterr().err
         assert not (out / "posts.tsv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("synth_authors", "0"),
+        ("synth_span_days", "0"),
+        ("synth_reaction_probability", "5"),
+        ("synth_follower_base_rate", "-1"),
+        ("synth_author_peak_rate", "-1"),
+        ("synth_start", "-99999999999999999999"),
+        ("synth_start", "9223372036852992000"),   # a Monday; the span overflows
+        ("synth_peaks_per_star", "481"),   # the pool has 480 weekday buckets
+        ("synth_kernel", "delta:x"),
+        ("synth_kernel", "geometric:abc"),
+        ("synth_kernel", "uniform:1.5"),
+    ])
+    def test_bad_synth_value_returns_one_naming_key(self, tmp_path, capsys,
+                                                    key, value):
+        cfg, out = synth_config(tmp_path, **{key: value})
+        assert run(["synth", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert "Traceback" not in err
+        assert not (out / "posts.tsv").exists()
+
+    def test_synth_peaks_per_star_up_to_pool_size(self, tmp_path):
+        cfg, _ = synth_config(tmp_path, synth_peaks_per_star=480)
+        assert run(["synth", "--config", cfg]) == 0
+
     @pytest.mark.parametrize("value", ["0", "7", "2:5", "3:3"])
     def test_synth_followers_grammar_accepted(self, tmp_path, value):
         cfg, _ = synth_config(tmp_path, synth_followers=value)

@@ -153,11 +153,23 @@ class TestDeriveSchedules:
                 assert np.array_equal(probs, whole.probabilities[row(whole, user)])
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
+        # The delta kernel keeps the delay transform on its dense path; the
+        # 96-lag geometric one sends these sparse reactions down the scatter.
         cfg, result, posts, join, graph = star_inputs()
         window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
-        kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
+        geometric = 0.97 ** np.arange(96)
+        kernels = [DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s),
+                   DelayKernel(geometric / geometric.sum(), cfg.lag_width_s)]
+        scattered = []
+        cheaper = temporal._scatter_is_cheaper
 
-        def derive():
+        def spy(src, lags):
+            scattered.append(cheaper(src, lags))
+            return scattered[-1]
+
+        monkeypatch.setattr(temporal, "_scatter_is_cheaper", spy)
+
+        def derive(kernel):
             return derive_schedules(posts, join.pairs, graph, result.users,
                                     cfg.grid, kernel, window)
 
@@ -170,9 +182,11 @@ class TestDeriveSchedules:
                      zip(derived.personalized["S1"].users, derived.audience_profiles)]
             return sorted((k, u, p.tobytes()) for k, u, p in rows)
 
-        default = flat(derive())
+        default = [flat(derive(kernel)) for kernel in kernels]
+        assert scattered == [False, True]
         monkeypatch.setattr(temporal, "CHUNK_ROWS", 1)
-        assert flat(derive()) == default
+        assert [flat(derive(kernel)) for kernel in kernels] == default
+        assert any(scattered[2:])
 
 
 class TestPersistence:

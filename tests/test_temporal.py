@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from postsched import (
     DelayKernel,
@@ -14,6 +16,7 @@ from postsched import (
     delayed_profile,
     normalize_rows,
 )
+from postsched import temporal
 from postsched.ingest import UserMeta
 from postsched.temporal import WEEK_SECONDS
 
@@ -181,6 +184,87 @@ class TestDelayedProfile:
             assert np.array_equal(stacked[row], delayed_profile(values[row], mass))
         assert np.array_equal(delayed_profile(values.reshape(2, 300, 24), mass),
                               stacked.reshape(2, 300, 24))
+
+    @pytest.mark.parametrize("bad", [-1.0, -0.0, np.nan, np.inf, -np.inf],
+                             ids=["negative", "negative-zero", "nan", "inf",
+                                  "minus-inf"])
+    def test_rejects_value_not_finite_with_sign_bit_clear(self, bad):
+        values = np.ones((3, 8))
+        values[1, 5] = bad
+        with pytest.raises(ValueError, match="sign bit clear"):
+            delayed_profile(values, np.array([0.5, 0.5]))
+
+
+@st.composite
+def delay_cases(draw):
+    """A stack of profiles, a kernel and a chunk size. The stack is 0% to
+    100% non-zero, on 4 to 672 buckets, with 1, 2 or 3 axes and possibly no
+    rows. The kernel is a delta or a random vector with random zeros, and
+    either may reach past the week. The work per case is capped so that a
+    case runs in well under a second on either path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 672))
+    if draw(st.booleans()):
+        lag = draw(st.integers(0, 2 * n))
+        mass = np.zeros(lag + 1)
+        mass[lag] = 1.0
+    else:
+        mass = rng.random(draw(st.integers(1, n + 8)))
+        mass[rng.random(mass.size) < draw(st.floats(0, 1))] = 0.0
+        mass[rng.integers(mass.size)] += 1.0
+        mass /= mass.sum()
+    chunk = draw(st.sampled_from([1, 256]))
+    budget = 1_000_000 // (n * np.count_nonzero(mass))
+    rows = draw(st.integers(0, max(1, min(12 if chunk == 1 else 300, budget))))
+    shape = draw(st.sampled_from([(n,), (rows, n), (2, rows // 2, n)]))
+    values = np.where(rng.random(shape) < draw(st.floats(0, 1)),
+                      rng.random(shape) * draw(st.sampled_from([1.0, 1e-300, 1e300])),
+                      0.0)
+    if len(shape) == 2 and draw(st.booleans()):
+        values = np.asfortranarray(values)
+    return values, mass, chunk
+
+
+class TestSparsePathMatchesDense:
+    """The scatter over non-zeros and the dense multiply-add give the same
+    bits, so the path a chunk takes cannot change a schedule."""
+
+    @staticmethod
+    def both_paths(values, mass, chunk=temporal.CHUNK_ROWS):
+        outs = []
+        for scatter in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(temporal, "CHUNK_ROWS", chunk)
+                mp.setattr(temporal, "_scatter_is_cheaper",
+                           lambda src, lags, scatter=scatter: scatter)
+                outs.append(delayed_profile(values, mass))
+        return outs
+
+    @given(delay_cases())
+    @example((np.eye(8)[0], np.array([0.0, 1.0]), 256))           # wraps
+    @example((np.arange(8.0), np.array([1.0]), 1))                 # delta at 0
+    @example((np.arange(24.0).reshape(3, 8), np.eye(11)[10], 1))   # delta past the week
+    @example((np.zeros((0, 8)), np.array([0.25, 0.75]), 256))      # no rows
+    @example((np.ones((1, 4)), np.full(9, 1 / 9), 256))            # one row
+    @example((np.ones((2, 3, 4)), np.array([0.5, 0.0, 0.5]), 1))   # 3-D
+    @example((np.array([[5e-324, 0.0, 1.0, 0.0]]),                 # a term
+              np.array([0.25, 0.5, 0.25]), 256))                  # rounds to 0
+    def test_bit_identical(self, case):
+        values, mass, chunk = case
+        dense, sparse = self.both_paths(values, mass, chunk)
+        assert dense.shape == sparse.shape == values.shape
+        assert np.array_equal(dense, sparse)
+        assert np.array_equal(np.signbit(dense), np.signbit(sparse))
+
+    def test_cost_rule(self):
+        sparse = np.zeros((256, 672))
+        sparse[::2, ::100] = 1.0                     # 0.5% non-zero
+        dense = np.ones((256, 672))
+        scatter = temporal._scatter_is_cheaper
+        # A one- or two-lag kernel, as on a fast network, stays dense.
+        assert not scatter(sparse, 1) and not scatter(sparse, 2)
+        # A slow network's 96 lags go sparse on sparse reactions only.
+        assert scatter(sparse, 96) and not scatter(dense, 96)
 
 
 class TestNormalizeToSchedule:
