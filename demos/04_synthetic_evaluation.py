@@ -14,7 +14,7 @@ import numpy as np
 from postsched import SynthConfig, TimeWindow, generate, ground_truth_peak
 from postsched.delays import estimate_delay_kernel
 from postsched.evaluation import evaluate_schedules
-from postsched.ingest import PostTable, ReactionTable, SocialGraph, join_reactions
+from postsched.ingest import SocialGraph, join_reactions
 from postsched.pipeline import derive_schedules
 from postsched.schedules import top_k_times
 
@@ -38,9 +38,9 @@ print(f"generated {len(result.posts)} posts, {len(result.reactions)} reactions,"
 
 derivation = TimeWindow.from_days(cfg.start_epoch, 63)
 evaluation = TimeWindow.from_days(derivation.end + 1, 56)
-# The generator returns rows; the pipeline reads column tables.
-posts = PostTable.from_records(result.posts)
-join = join_reactions(posts, ReactionTable.from_records(result.reactions))
+# The generator returns the column tables that the pipeline reads.
+posts = result.posts
+join = join_reactions(posts, result.reactions)
 pairs = join.pairs
 kernel = estimate_delay_kernel(pairs.delay[derivation.mask(pairs.post_time)])
 derived = derive_schedules(posts, pairs, SocialGraph(result.edges),

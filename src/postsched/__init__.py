@@ -31,9 +31,7 @@ from .delays import (
 )
 from .ingest import (
     PairTable,
-    PostRecord,
     PostTable,
-    ReactionRecord,
     ReactionTable,
     SocialGraph,
     UserMeta,

@@ -58,26 +58,6 @@ _BLOCK_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
-class PostRecord:
-    """One post as a row; the synthetic generator's output unit."""
-
-    network: str
-    author: str
-    post_id: str
-    created_at: int
-
-
-@dataclass(frozen=True)
-class ReactionRecord:
-    """One reaction as a row; the synthetic generator's output unit."""
-
-    network: str
-    post_id: str
-    reactor: str
-    reacted_at: int
-
-
-@dataclass(frozen=True)
 class UserMeta:
     user: str
     tz_offset_min: int
@@ -127,13 +107,6 @@ class PostTable:
         return cls(frozenset(networks), users, author, list(post_ids),
                    np.asarray(created_at, dtype=np.int64))
 
-    @classmethod
-    def from_records(cls, records: Iterable[PostRecord]) -> "PostTable":
-        rows = list(records)
-        return cls.from_columns([r.network for r in rows], [r.author for r in rows],
-                                [r.post_id for r in rows],
-                                [r.created_at for r in rows])
-
 
 @dataclass(frozen=True)
 class ReactionTable:
@@ -155,13 +128,6 @@ class ReactionTable:
         users, reactor = _intern(reactors)
         return cls(frozenset(networks), users, list(post_ids), reactor,
                    np.asarray(reacted_at, dtype=np.int64))
-
-    @classmethod
-    def from_records(cls, records: Iterable[ReactionRecord]) -> "ReactionTable":
-        rows = list(records)
-        return cls.from_columns([r.network for r in rows], [r.post_id for r in rows],
-                                [r.reactor for r in rows],
-                                [r.reacted_at for r in rows])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ planted weekly activity peak, then simulates the full event process:
     log truncation.
 
 Everything is driven by per-user seeded substreams, so output is
-deterministic for a given config regardless of worker count. The planted
+deterministic for a given config. Posts and reactions are built and written
+as column tables, never as one object per row. The planted
 best-time-to-post per author (followers' intensity pushed through the delay
 kernel, maximized by direct enumeration) is emitted as a ground-truth
 sidecar for acceptance testing.
@@ -26,16 +27,24 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-
 
 import numpy as np
 
-from .ingest import NETWORKS, PostRecord, ReactionRecord, UserMeta
+from .ingest import NETWORKS, PostTable, ReactionTable, UserMeta
 from .temporal import EPOCH_TO_MONDAY, WEEK_SECONDS, UNIT_SUM_TOL, WeeklyGrid
 
 # Monday 2015-01-05 00:00 UTC; any Monday-aligned start works.
 DEFAULT_START_EPOCH = 1_420_416_000
+
+# An author's reaction randoms are drawn for a block of members at a time,
+# about this many doubles per block, which bounds the temporaries.
+_BLOCK_DRAWS = 1 << 18
+
+# The synth files are written in blocks of this many lines.
+_WRITE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,22 +83,30 @@ class Population:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        ids = [u.user_id for u in self.users]
-        if len(set(ids)) != len(ids):
+        if len(self.index) != len(self.users):
             raise ValueError("duplicate user ids")
-        known = set(ids)
         for src, dst in self.edges:
-            if src not in known or dst not in known:
+            if src not in self.index or dst not in self.index:
                 raise ValueError(f"edge ({src}, {dst}) references unknown user")
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Position of each user id in ``users``."""
+        return {u.user_id: i for i, u in enumerate(self.users)}
+
+    @cached_property
+    def audiences(self) -> dict[str, tuple[str, ...]]:
+        """Sorted audience of every user with at least one edge."""
+        out: dict[str, list[str]] = defaultdict(list)
+        for src, dst in self.edges:
+            out[src].append(dst)
+        return {src: tuple(sorted(members)) for src, members in out.items()}
+
     def audience(self, user_id: str) -> list[str]:
-        return sorted(dst for src, dst in self.edges if src == user_id)
+        return list(self.audiences.get(user_id, ()))
 
     def spec(self, user_id: str) -> UserSpec:
-        for u in self.users:
-            if u.user_id == user_id:
-                return u
-        raise KeyError(user_id)
+        return self.users[self.index[user_id]]
 
 
 @dataclass(frozen=True)
@@ -154,6 +171,17 @@ class SynthConfig:
                      "follower_base_rate", "follower_peak_rate"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
+        # A bucket's intensity is its expected posts per week; at most one
+        # post per second of the bucket keeps every Poisson draw in range.
+        limit = grid.bucket_width_s
+        for who in ("author", "follower"):
+            base = getattr(self, f"{who}_base_rate")
+            if not base <= limit:
+                raise ValueError(f"{who}_base_rate: must be at most {limit} "
+                                 "posts per bucket, one per second")
+            if not base + getattr(self, f"{who}_peak_rate") <= limit:
+                raise ValueError(f"{who}_peak_rate: base plus peak rate must be "
+                                 f"at most {limit} posts per bucket, one per second")
 
     @property
     def grid(self) -> WeeklyGrid:
@@ -218,20 +246,66 @@ def _user_posts(config: SynthConfig, spec: UserSpec, user_index: int,
     end = config.start_epoch + config.span_s
     n_weeks = math.ceil(config.span_s / WEEK_SECONDS)
     lam = spec.intensity(n)
-    counts = rng.poisson(lam=np.broadcast_to(lam, (n_weeks, n)))
-    w_idx, k_idx = np.nonzero(counts)
-    reps = counts[w_idx, k_idx]
-    weeks = np.repeat(w_idx, reps).astype(np.int64)
-    buckets = np.repeat(k_idx, reps).astype(np.int64)
+    counts = rng.poisson(lam=np.broadcast_to(lam, (n_weeks, n))).reshape(-1)
+    slots = np.flatnonzero(counts)
+    weeks, buckets = np.divmod(np.repeat(slots, counts[slots]), n)
     offsets = rng.integers(0, width, size=weeks.size)
     times = config.start_epoch + weeks * WEEK_SECONDS + buckets * width + offsets
     return np.sort(times[times < end])
 
 
+def _reactions(config: SynthConfig, pop: Population, times: list[np.ndarray],
+               first_post: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reactor (index into ``pop.users``), post row and time of every kept
+    reaction. ``times[ui]`` holds user ui's sorted post times, which are the
+    post rows from ``first_post[ui]`` on.
+
+    For each author, member m of the sorted audience takes one ``random(T)``
+    for the lag of each of the T posts, then one for the keep draw. A block
+    of members takes all of theirs in one ``random((members, 2, T))`` call,
+    which yields the same doubles in the same order.
+    """
+    grid = config.grid
+    n = grid.buckets_per_week
+    end = config.start_epoch + config.span_s
+    kern = np.asarray(config.kernel, dtype=np.float64)
+    cum = np.cumsum(kern)
+    overrides = {(a, b): p for a, b, p in config.reaction_prob_overrides}
+    tz = np.array([u.tz_offset_min for u in pop.users], dtype=np.int64)
+    reactor, post_row, reacted_at = ([np.empty(0, dtype=np.int64)] for _ in range(3))
+    for ui, spec in enumerate(pop.users):
+        author = spec.user_id
+        members = pop.audiences.get(author)
+        t = times[ui]
+        if not members or t.size == 0:
+            continue
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(2, ui)))
+        member_row = np.array([pop.index[m] for m in members], dtype=np.int64)
+        p_edge = np.array([overrides.get((author, m), config.reaction_probability)
+                           for m in members], dtype=np.float64)
+        step = max(1, _BLOCK_DRAWS // (2 * t.size))
+        for lo in range(0, len(members), step):
+            rows = member_row[lo:lo + step]
+            draws = rng.random((rows.size, 2, t.size))
+            lag = np.searchsorted(cum, draws[:, 0], side="right")
+            np.clip(lag, 0, kern.size - 1, out=lag)
+            t_r = t + lag * config.lag_width_s
+            avail = np.stack([pop.users[r].availability(n) for r in rows])
+            a = np.take_along_axis(
+                avail, grid.bucket_indices(t_r, tz[rows, None]), axis=1)
+            keep = (t_r < end) & (draws[:, 1] < p_edge[lo:lo + step, None] * a)
+            m, k = np.nonzero(keep)
+            reactor.append(rows[m])
+            post_row.append(first_post[ui] + k)
+            reacted_at.append(t_r[m, k])
+    return np.concatenate(reactor), np.concatenate(post_row), np.concatenate(reacted_at)
+
+
 @dataclass(frozen=True)
 class SynthResult:
-    posts: list[PostRecord]
-    reactions: list[ReactionRecord]
+    posts: PostTable
+    reactions: ReactionTable
     edges: list[tuple[str, str]]
     users: list[UserMeta]
     truth: dict[str, int]
@@ -248,57 +322,27 @@ def generate(config: SynthConfig, out_dir=None,
     """
     pop = population if population is not None else resolve_population(config)
     grid = config.grid
-    n = grid.buckets_per_week
-    end = config.start_epoch + config.span_s
-    kern = np.asarray(config.kernel, dtype=np.float64)
-    cum = np.cumsum(kern)
-    overrides = {(a, b): p for a, b, p in config.reaction_prob_overrides}
+    ids = np.array([u.user_id for u in pop.users], dtype=object)
+    times = [_user_posts(config, spec, ui, grid) for ui, spec in enumerate(pop.users)]
+    counts = np.array([t.size for t in times], dtype=np.int64)
+    first_post = np.concatenate([[0], np.cumsum(counts)])
+    suffixes = [f":p{i}" for i in range(counts.max(initial=0))]
+    post_ids: list[str] = []
+    for uid, count in zip(ids.tolist(), counts.tolist()):
+        post_ids += map(uid.__add__, suffixes[:count])
+    networks = frozenset({config.network})
+    posts = PostTable(networks if post_ids else frozenset(), ids,
+                      np.repeat(np.arange(ids.size), counts), post_ids,
+                      np.concatenate([np.empty(0, dtype=np.int64), *times]))
 
-    audience_of: dict[str, list[str]] = defaultdict(list)
-    for src, dst in pop.edges:
-        audience_of[src].append(dst)
-    for members in audience_of.values():
-        members.sort()
-
-    avail = {u.user_id: u.availability(n) for u in pop.users}
-    specs = {u.user_id: u for u in pop.users}
-
-    posts: list[PostRecord] = []
-    post_times: dict[str, np.ndarray] = {}
-    post_ids: dict[str, list[str]] = {}
-    for ui, spec in enumerate(pop.users):
-        times = _user_posts(config, spec, ui, grid)
-        post_times[spec.user_id] = times
-        ids = [f"{spec.user_id}:p{i}" for i in range(times.size)]
-        post_ids[spec.user_id] = ids
-        posts.extend(PostRecord(config.network, spec.user_id, pid, int(t))
-                     for pid, t in zip(ids, times))
-
-    reactions: list[ReactionRecord] = []
-    for ui, spec in enumerate(pop.users):
-        author = spec.user_id
-        members = audience_of.get(author)
-        times = post_times[author]
-        if not members or times.size == 0:
-            continue
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(2, ui)))
-        ids = post_ids[author]
-        for member in members:
-            lag = np.searchsorted(cum, rng.random(times.size), side="right")
-            np.clip(lag, 0, kern.size - 1, out=lag)
-            t_r = times + lag * config.lag_width_s
-            tz = specs[member].tz_offset_min
-            a = avail[member][grid.bucket_indices(t_r, tz)]
-            p_edge = overrides.get((author, member), config.reaction_probability)
-            keep = (t_r < end) & (rng.random(times.size) < p_edge * a)
-            for idx in np.nonzero(keep)[0]:
-                reactions.append(ReactionRecord(config.network, ids[idx],
-                                                member, int(t_r[idx])))
+    reactor, post_row, reacted_at = _reactions(config, pop, times, first_post)
+    reactions = ReactionTable(networks if reactor.size else frozenset(), ids,
+                              np.array(post_ids, dtype=object)[post_row].tolist(),
+                              reactor, reacted_at)
 
     users = [UserMeta(u.user_id, u.tz_offset_min, None, config.network)
              for u in sorted(pop.users, key=lambda u: u.user_id)]
-    truth = {a: ground_truth_peak(config, a, pop) for a in sorted(audience_of)}
+    truth = {a: ground_truth_peak(config, a, pop) for a in sorted(pop.audiences)}
 
     result = SynthResult(posts, reactions, list(pop.edges), users, truth, pop)
     if out_dir is not None:
@@ -331,15 +375,54 @@ def ground_truth_peak(config: SynthConfig, user_id: str,
     return int(np.argmax(score))
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _order(keys: list[np.ndarray], tiebreak) -> np.ndarray:
+    """Row order of a stable sort by the integer ``keys``, most significant
+    first, then by ``tiebreak(row)``. Only the runs of rows equal on every
+    key are sorted by ``tiebreak``."""
+    order = np.lexsort(keys[::-1])
+    tied = np.ones(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        tied &= ordered[1:] == ordered[:-1]
+    bounds = np.flatnonzero(np.diff(tied, prepend=False, append=False))
+    for start, stop in zip(bounds[::2].tolist(), bounds[1::2].tolist()):
+        order[start:stop + 1] = sorted(order[start:stop + 1].tolist(), key=tiebreak)
+    return order
+
+
+def _string_rank(names: np.ndarray) -> np.ndarray:
+    """Rank of each of the distinct ``names`` in string order."""
+    rank = np.empty(names.size, dtype=np.int64)
+    rank[sorted(range(names.size), key=names.__getitem__)] = np.arange(names.size)
+    return rank
+
+
+def _cells(column, lo: int, hi: int):
+    """Rows lo..hi of a column as strings; a str column repeats in every row."""
+    if isinstance(column, str):
+        return repeat(column)
+    part = column[lo:hi]
+    return map(str, part.tolist() if isinstance(part, np.ndarray) else part)
+
+
+def _write_rows(path: Path, columns: list) -> None:
+    """Write one tab-separated line per row of ``columns``, which are arrays
+    or sequences of one length, or a str for a field the same in every row.
+    Each block of rows is joined into one string before it is written."""
+    n = max((len(c) for c in columns if not isinstance(c, str)), default=0)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for lo in range(0, n, _WRITE_ROWS):
+            cells = [_cells(c, lo, lo + _WRITE_ROWS) for c in columns]
+            fh.write("\n".join(map("\t".join, zip(*cells))) + "\n")
 
 
 def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, str]:
     """Write canonical TSVs plus the ground-truth sidecar; output is byte
-    stable for a given result."""
+    stable for a given result.
+
+    Posts are sorted by (author, created_at, post_id) and reactions by
+    (reacted_at, post_id, reactor), with ids compared as strings.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -349,23 +432,21 @@ def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, s
         "users": out / "users.tsv",
         "truth": out / "truth.tsv",
     }
-    _write_lines(paths["posts"], [
-        f"{p.network}\t{p.author}\t{p.post_id}\t{p.created_at}"
-        for p in sorted(result.posts, key=lambda p: (p.author, p.created_at, p.post_id))
-    ])
-    _write_lines(paths["reactions"], [
-        f"{r.network}\t{r.post_id}\t{r.reactor}\t{r.reacted_at}"
-        for r in sorted(result.reactions,
-                        key=lambda r: (r.reacted_at, r.post_id, r.reactor))
-    ])
-    _write_lines(paths["edges"], [
-        f"{network}\t{src}\t{dst}" for src, dst in sorted(result.edges)
-    ])
-    _write_lines(paths["users"], [
-        f"{u.user}\t{u.tz_offset_min}\t{u.city or '-'}\t{u.network}"
-        for u in sorted(result.users, key=lambda u: u.user)
-    ])
-    _write_lines(paths["truth"], [
-        f"{user}\t{bucket}" for user, bucket in sorted(result.truth.items())
-    ])
+    posts, reactions = result.posts, result.reactions
+    order = _order([_string_rank(posts.users)[posts.author], posts.created_at],
+                   posts.post_id.__getitem__)
+    _write_rows(paths["posts"], [
+        network, posts.users[posts.author[order]],
+        np.array(posts.post_id, dtype=object)[order], posts.created_at[order]])
+    reactor = _string_rank(reactions.users)[reactions.reactor]
+    order = _order([reactions.reacted_at],
+                   lambda row: (reactions.post_id[row], reactor[row]))
+    _write_rows(paths["reactions"], [
+        network, np.array(reactions.post_id, dtype=object)[order],
+        reactions.users[reactions.reactor[order]], reactions.reacted_at[order]])
+    _write_rows(paths["edges"], [network, *zip(*sorted(result.edges))])
+    _write_rows(paths["users"], [*zip(*(
+        (u.user, u.tz_offset_min, u.city or "-", u.network)
+        for u in sorted(result.users, key=lambda u: u.user)))])
+    _write_rows(paths["truth"], [*zip(*sorted(result.truth.items()))])
     return {k: str(v) for k, v in paths.items()}

@@ -43,8 +43,6 @@ from postsched import (
 )
 from postsched.evaluation import evaluate_schedules
 from postsched.ingest import (
-    PostTable,
-    ReactionTable,
     join_reactions,
     load_posts,
     load_reactions,
@@ -221,8 +219,7 @@ def planted_config(span_days, seed=424242):
 
 
 def synth_tables(result):
-    posts = PostTable.from_records(result.posts)
-    return posts, join_reactions(posts, ReactionTable.from_records(result.reactions))
+    return result.posts, join_reactions(result.posts, result.reactions)
 
 
 def derive_for(cfg, result, window):
@@ -286,10 +283,11 @@ def test_criterion_3_delay_shift():
     grid = cfg.grid
 
     reaction_buckets = {}
-    author_of_post = {p.post_id: p.author for p in result.posts}
-    for r in result.reactions:
-        a = author_of_post[r.post_id]
-        reaction_buckets.setdefault(a, []).append(grid.bucket_index(r.reacted_at))
+    posts, reactions = result.posts, result.reactions
+    author_of_post = dict(zip(posts.post_id, posts.users[posts.author].tolist()))
+    for post_id, reacted_at in zip(reactions.post_id, reactions.reacted_at.tolist()):
+        a = author_of_post[post_id]
+        reaction_buckets.setdefault(a, []).append(grid.bucket_index(reacted_at))
 
     exact = 0
     for i, beta in enumerate(peaks):

@@ -132,6 +132,10 @@ class TestExitCodes:
         ("synth_reaction_probability", "5"),
         ("synth_follower_base_rate", "-1"),
         ("synth_author_peak_rate", "-1"),
+        ("synth_author_base_rate", "1e20"),   # rates above one post per second
+        ("synth_author_peak_rate", "1e20"),
+        ("synth_follower_base_rate", "1e20"),
+        ("synth_follower_peak_rate", "1e19"),
         ("synth_start", "-99999999999999999999"),
         ("synth_start", "9223372036852992000"),   # a Monday; the span overflows
         ("synth_peaks_per_star", "481"),   # the pool has 480 weekday buckets

@@ -11,7 +11,7 @@ from postsched.evaluation import (
     write_gain_csv,
     write_gain_tsv,
 )
-from postsched.ingest import PostRecord, PostTable, UserMeta
+from postsched.ingest import PostTable, UserMeta
 from postsched.temporal import EPOCH_TO_MONDAY, WEEK_SECONDS, ScheduleTable
 
 MONDAY = 1420416000
@@ -19,10 +19,11 @@ FILL = 100  # a bucket that no one-user schedule below ranks first
 
 
 def tables(posts, pairs):
-    """Column tables of PostRecords and (author, reactor, post_time,
-    reaction_time) rows."""
-    columns = list(zip(*pairs)) if pairs else [[], [], [], []]
-    return PostTable.from_records(posts), PairTable.from_columns(*columns)
+    """Column tables of (network, author, post_id, created_at) rows and of
+    (author, reactor, post_time, reaction_time) rows."""
+    def columns(rows):
+        return list(zip(*rows)) if rows else [[], [], [], []]
+    return PostTable.from_columns(*columns(posts)), PairTable.from_columns(*columns(pairs))
 
 
 def table(schedules, kind="S1"):
@@ -38,7 +39,7 @@ def one_user(post_buckets, reactions=(), ranking=(7,), k=1, grid=WeeklyGrid()):
     buckets of ``ranking`` first, in that order."""
     window = TimeWindow.from_days(MONDAY, 56)
     width = grid.bucket_width_s
-    posts = [PostRecord("TW", "u1", f"p{i}", MONDAY + b * width)
+    posts = [("TW", "u1", f"p{i}", MONDAY + b * width)
              for i, b in enumerate(post_buckets)]
     pairs = [("u1", "b", MONDAY + b * width, MONDAY + b * width + delay)
              for b, delay in reactions]
@@ -120,8 +121,8 @@ class TestBuildEvalData:
         window = TimeWindow.from_days(MONDAY, 56)
         grid = WeeklyGrid()
         posts = [
-            PostRecord("TW", "u1", "p1", MONDAY + 100),
-            PostRecord("TW", "u1", "p2", MONDAY - 100),  # before window
+            ("TW", "u1", "p1", MONDAY + 100),
+            ("TW", "u1", "p2", MONDAY - 100),  # before window
         ]
         pairs = [
             ("u1", "b", MONDAY + 100, MONDAY + 200),
@@ -137,14 +138,14 @@ class TestBuildEvalData:
     def test_buckets_use_author_timezone(self):
         window = TimeWindow.from_days(MONDAY, 56)
         grid = WeeklyGrid()
-        posts = [PostRecord("TW", "u1", "p1", MONDAY)]
+        posts = [("TW", "u1", "p1", MONDAY)]
         users = [UserMeta("u1", 60, None, "TW")]
         d = build_eval_data(*tables(posts, []), users, window, grid)
         assert d.posts[0, 4] == 1
 
     def test_attribution_limit_is_exclusive(self):
         window = TimeWindow.from_days(MONDAY, 56)
-        posts = [PostRecord("TW", "u1", "p1", MONDAY)]
+        posts = [("TW", "u1", "p1", MONDAY)]
         pairs = [("u1", "b", MONDAY, MONDAY + 24 * 3600 - 1),
                  ("u1", "b", MONDAY, MONDAY + 24 * 3600),
                  ("u2", "b", MONDAY, MONDAY + 10)]  # u2 posted nothing
@@ -162,7 +163,7 @@ class TestEvaluateSchedules:
         i = 0
         while t <= window.end:
             bucket = grid.bucket_index(t)
-            posts.append(PostRecord("TW", "u1", f"p{i}", t))
+            posts.append(("TW", "u1", f"p{i}", t))
             for _ in range(rpm_by_bucket.get(bucket, 0)):
                 pairs.append(("u1", "b", t, t + 60))
             t += grid.bucket_width_s
@@ -201,7 +202,7 @@ class TestEvaluateSchedules:
     def test_zero_rpm_users_excluded_and_counted(self):
         grid = WeeklyGrid(672)
         window = TimeWindow.from_days(MONDAY, 7)
-        posts = [PostRecord("TW", "u1", "p1", MONDAY + 900 * 5)]
+        posts = [("TW", "u1", "p1", MONDAY + 900 * 5)]
         users = [UserMeta("u1", 0, None, "TW")]
         sched = np.full(672, 1 / 672)
         report = evaluate_schedules({"S1": table({"u1": sched})}, *tables(posts, []),
@@ -215,9 +216,9 @@ class TestEvaluateSchedules:
         window = TimeWindow.from_days(MONDAY, 7)
         # u1 gains 2x in bucket 0; u2 posts only in bucket 1 so it cannot
         # contribute at rank 1 of a bucket-0-first schedule.
-        posts = [PostRecord("TW", "u1", "p1", MONDAY),
-                 PostRecord("TW", "u1", "p2", MONDAY + 900),
-                 PostRecord("TW", "u2", "p3", MONDAY + 900)]
+        posts = [("TW", "u1", "p1", MONDAY),
+                 ("TW", "u1", "p2", MONDAY + 900),
+                 ("TW", "u2", "p3", MONDAY + 900)]
         pairs = [("u1", "b", MONDAY, MONDAY + 10),
                  ("u1", "b", MONDAY, MONDAY + 20),
                  ("u2", "b", MONDAY + 900, MONDAY + 910)]
@@ -237,7 +238,7 @@ class TestEvaluateSchedules:
     def test_report_writers(self, tmp_path):
         grid = WeeklyGrid(672)
         window = TimeWindow.from_days(MONDAY, 7)
-        posts = [PostRecord("TW", "u1", "p1", MONDAY)]
+        posts = [("TW", "u1", "p1", MONDAY)]
         pairs = [("u1", "b", MONDAY, MONDAY + 10)]
         users = [UserMeta("u1", 0, None, "TW")]
         sched = np.full(672, 1 / 672)
@@ -258,8 +259,8 @@ class TestBaselines:
         grid = WeeklyGrid(672)
         window = TimeWindow.from_days(MONDAY, 7)
         # u1 (UTC+1) posts at local bucket 4, u2 (no metadata: UTC) at 0.
-        posts = [PostRecord("TW", "u1", "p1", MONDAY),
-                 PostRecord("TW", "u2", "p2", MONDAY)]
+        posts = [("TW", "u1", "p1", MONDAY),
+                 ("TW", "u2", "p2", MONDAY)]
         pairs = [("u1", "b", MONDAY, MONDAY + 10),
                  ("u2", "b", MONDAY, MONDAY + 10)]
         users = [UserMeta("u1", 60, None, "TW")]

@@ -25,9 +25,7 @@ from postsched import ingest
 from postsched.ingest import (
     AdapterReport,
     ColumnMap,
-    PostRecord,
     PostTable,
-    ReactionRecord,
     ReactionTable,
     adapt_open_dataset,
 )
@@ -38,9 +36,18 @@ def write(path, text):
     return path
 
 
+def post_table(posts):
+    """PostTable of (network, author, post_id, created_at) rows."""
+    return PostTable.from_columns(*(zip(*posts) if posts else ([],) * 4))
+
+
+def reaction_table(reactions):
+    """ReactionTable of (network, post_id, reactor, reacted_at) rows."""
+    return ReactionTable.from_columns(*(zip(*reactions) if reactions else ([],) * 4))
+
+
 def join(posts, reactions):
-    return join_reactions(PostTable.from_records(posts),
-                          ReactionTable.from_records(reactions))
+    return join_reactions(post_table(posts), reaction_table(reactions))
 
 
 def post_rows(table):
@@ -50,7 +57,7 @@ def post_rows(table):
 
 
 def profiles(posts, pairs, users, grid, window):
-    return build_profiles(PostTable.from_records(posts), pairs, users, grid, window)
+    return build_profiles(post_table(posts), pairs, users, grid, window)
 
 
 NO_PAIRS = PairTable.from_columns([], [], [], [])
@@ -276,8 +283,8 @@ class TestSocialGraph:
 
 class TestJoin:
     def test_basic_join_delay(self):
-        posts = [PostRecord("TW", "u1", "p1", 100)]
-        reactions = [ReactionRecord("TW", "p1", "u2", 400)]
+        posts = [("TW", "u1", "p1", 100)]
+        reactions = [("TW", "p1", "u2", 400)]
         res = join(posts, reactions)
         assert res.n_joined == 1
         assert res.pairs.delay[0] == 300
@@ -285,11 +292,11 @@ class TestJoin:
         assert res.pairs.users[res.pairs.reactor[0]] == "u2"
 
     def test_dangling_and_negative_counted(self):
-        posts = [PostRecord("TW", "u1", "p1", 100)]
+        posts = [("TW", "u1", "p1", 100)]
         reactions = [
-            ReactionRecord("TW", "p1", "u2", 400),
-            ReactionRecord("TW", "missing", "u2", 500),
-            ReactionRecord("TW", "p1", "u3", 50),
+            ("TW", "p1", "u2", 400),
+            ("TW", "missing", "u2", 500),
+            ("TW", "p1", "u3", 50),
         ]
         res = join(posts, reactions)
         assert res.n_joined == 1
@@ -298,14 +305,14 @@ class TestJoin:
         assert res.n_joined + res.n_dangling + res.n_negative_delay == len(reactions)
 
     def test_mixed_networks_rejected(self):
-        posts = [PostRecord("TW", "u1", "p1", 100)]
-        reactions = [ReactionRecord("FB", "p1", "u2", 400)]
+        posts = [("TW", "u1", "p1", 100)]
+        reactions = [("FB", "p1", "u2", 400)]
         with pytest.raises(IngestError):
             join(posts, reactions)
 
     def test_duplicate_post_id_rejected(self):
-        posts = [PostRecord("TW", "u1", "p1", 100),
-                 PostRecord("TW", "u2", "p1", 200)]
+        posts = [("TW", "u1", "p1", 100),
+                 ("TW", "u2", "p1", 200)]
         with pytest.raises(IngestError):
             join(posts, [])
 
@@ -318,24 +325,22 @@ class TestJoin:
     )
     def test_matches_dict_loop_join(self, posts, reactions):
         # Reactions to p12..p15 (and to any pN beyond the posts) dangle.
-        post_records = [PostRecord("TW", a, f"p{i}", t)
-                        for i, (a, t) in enumerate(posts)]
-        reaction_records = [ReactionRecord("TW", f"p{j}", r, t)
-                            for j, r, t in reactions]
-        index = {p.post_id: p for p in post_records}
+        post_tuples = [("TW", a, f"p{i}", t) for i, (a, t) in enumerate(posts)]
+        reaction_tuples = [("TW", f"p{j}", r, t) for j, r, t in reactions]
+        index = {post_id: (author, created_at)
+                 for _, author, post_id, created_at in post_tuples}
         expected = []
         dangling = negative = 0
-        for r in reaction_records:
-            post = index.get(r.post_id)
+        for _, post_id, reactor, reacted_at in reaction_tuples:
+            post = index.get(post_id)
             if post is None:
                 dangling += 1
-            elif r.reacted_at < post.created_at:
+            elif reacted_at < post[1]:
                 negative += 1
             else:
-                expected.append((post.author, r.reactor, post.created_at,
-                                 r.reacted_at))
+                expected.append((post[0], reactor, post[1], reacted_at))
 
-        res = join(post_records, reaction_records)
+        res = join(post_tuples, reaction_tuples)
         pairs = res.pairs
         got = zip(pairs.users[pairs.author].tolist(),
                   pairs.users[pairs.reactor].tolist(),
@@ -359,7 +364,7 @@ class TestBuildProfiles:
         return WeeklyGrid()
 
     def test_post_bucket_zero(self):
-        posts = [PostRecord("TW", "u1", "p1", self.MONDAY + 5 * 60)]
+        posts = [("TW", "u1", "p1", self.MONDAY + 5 * 60)]
         users = [UserMeta("u1", 0, None, "TW")]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
@@ -368,9 +373,9 @@ class TestBuildProfiles:
 
     def test_reactions_bucket_one(self):
         res = join(
-            [PostRecord("TW", "a", "p1", self.MONDAY)],
-            [ReactionRecord("TW", "p1", "u1", self.MONDAY + 20 * 60),
-             ReactionRecord("TW", "p1", "u1", self.MONDAY + 22 * 60)])
+            [("TW", "a", "p1", self.MONDAY)],
+            [("TW", "p1", "u1", self.MONDAY + 20 * 60),
+             ("TW", "p1", "u1", self.MONDAY + 22 * 60)])
         users = [UserMeta("u1", 0, None, "TW"), UserMeta("a", 0, None, "TW")]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles([], res.pairs, users, self.grid(), window)
@@ -378,8 +383,8 @@ class TestBuildProfiles:
 
     def test_window_boundary_exclusion(self):
         window = TimeWindow.from_days(self.MONDAY, 63)
-        posts = [PostRecord("TW", "u1", "p1", window.end),
-                 PostRecord("TW", "u1", "p2", window.end + 1)]
+        posts = [("TW", "u1", "p1", window.end),
+                 ("TW", "u1", "p2", window.end + 1)]
         users = [UserMeta("u1", 0, None, "TW")]
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
         assert prof.created[row(prof, "u1")].sum() == 1.0
@@ -387,7 +392,7 @@ class TestBuildProfiles:
     def test_conservation_over_users(self):
         rng = np.random.default_rng(41)
         window = TimeWindow.from_days(self.MONDAY, 63)
-        posts = [PostRecord("TW", f"u{int(rng.integers(0, 5))}", f"p{i}",
+        posts = [("TW", f"u{int(rng.integers(0, 5))}", f"p{i}",
                             int(self.MONDAY + rng.integers(0, 63 * 86400)))
                  for i in range(200)]
         users = [UserMeta(f"u{i}", 0, None, "TW") for i in range(5)]
@@ -395,7 +400,7 @@ class TestBuildProfiles:
         assert prof.created.sum() == len(posts)
 
     def test_unknown_tz_flagged_and_defaults_utc(self):
-        posts = [PostRecord("TW", "ghost", "p1", self.MONDAY)]
+        posts = [("TW", "ghost", "p1", self.MONDAY)]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, [], self.grid(), window)
         assert "ghost" in prof.unknown_tz
@@ -409,8 +414,8 @@ class TestBuildProfiles:
         assert prof.reactions[row(prof, "quiet")].sum() == 0.0
 
     def test_rows_follow_sorted_users_in_local_time(self):
-        posts = [PostRecord("TW", "zed", "p1", self.MONDAY),
-                 PostRecord("TW", "amy", "p2", self.MONDAY)]
+        posts = [("TW", "zed", "p1", self.MONDAY),
+                 ("TW", "amy", "p2", self.MONDAY)]
         users = [UserMeta("zed", 0, None, "TW"), UserMeta("amy", 60, None, "TW"),
                  UserMeta("kim", 0, None, "TW")]
         window = TimeWindow.from_days(self.MONDAY, 63)

@@ -17,7 +17,6 @@ from postsched import (
 from postsched.ingest import (
     PairTable,
     PostTable,
-    ReactionTable,
     SocialGraph,
     UserMeta,
     join_reactions,
@@ -48,8 +47,8 @@ def star_inputs(span_days=21, **overrides):
     base.update(overrides)
     cfg = SynthConfig(**base)
     result = generate(cfg)
-    posts = PostTable.from_records(result.posts)
-    join = join_reactions(posts, ReactionTable.from_records(result.reactions))
+    posts = result.posts
+    join = join_reactions(posts, result.reactions)
     graph = SocialGraph(result.edges)
     return cfg, result, posts, join, graph
 
@@ -114,7 +113,7 @@ class TestDeriveSchedules:
         window = TimeWindow.from_days(DEFAULT_START_EPOCH, 7)
         kernel = DelayKernel.delta(0)
         users = [UserMeta("lonely", 0, None, "TW")]
-        derived = derive_schedules(PostTable.from_records([]),
+        derived = derive_schedules(PostTable.from_columns([], [], [], []),
                                    PairTable.from_columns([], [], [], []),
                                    SocialGraph(()), users, grid, kernel, window)
         rec = derived.recommended

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postsched import Population, SynthConfig, UserSpec, generate, ground_truth_peak
+from postsched import (Population, SynthConfig, UserSpec, generate,
+                        ground_truth_peak, synth)
 from postsched.delays import estimate_delay_kernel
-from postsched.ingest import PostTable, ReactionTable, join_reactions
+from postsched.ingest import join_reactions
 from postsched.synth import DEFAULT_START_EPOCH, resolve_population
 from postsched.temporal import WeeklyGrid
 
@@ -39,6 +40,176 @@ def file_digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def post_rows(posts):
+    """(author, post_id, created_at) per row of a PostTable."""
+    return list(zip(posts.users[posts.author].tolist(), posts.post_id,
+                    posts.created_at.tolist()))
+
+
+def reaction_rows(reactions):
+    """(post_id, reactor, reacted_at) per row of a ReactionTable."""
+    return list(zip(reactions.post_id, reactions.users[reactions.reactor].tolist(),
+                    reactions.reacted_at.tolist()))
+
+
+MULTI_LAG = (0.4, 0.3, 0.2, 0.1) + (0.0,) * 92
+
+
+def mixed_population():
+    """Ids out of sorted order, one a prefix of another, one holding a colon,
+    with mixed timezone offsets."""
+    users = (
+        UserSpec("zed", base_rate=3.0, tz_offset_min=-300),
+        UserSpec("a0", base_rate=2.0, peak_rate=1.0, peaks=(4, 30),
+                 tz_offset_min=60),
+        UserSpec("a", base_rate=2.0, tz_offset_min=330),
+        UserSpec("Ann", base_rate=0.0, peak_rate=1.0, peaks=(5,),
+                 tz_offset_min=-720),
+        UserSpec("a:b", base_rate=0.2, peak_rate=2.0, peaks=(40,),
+                 tz_offset_min=840),
+    )
+    edges = (("zed", "a"), ("zed", "Ann"), ("zed", "a:b"), ("a0", "zed"),
+             ("a0", "a"), ("a", "a0"), ("a", "zed"), ("a", "Ann"))
+    return Population(users, edges)
+
+
+# Case -> (config overrides, population factory or None).
+GOLDEN_CASES = {
+    # About 20 posts per 900 s bucket: many same-second posts per author.
+    "same_second_posts": (dict(n_authors=1, followers_per_author=1,
+                               author_base_rate=20.0, span_days=7,
+                               follower_peak_rate=0.0,
+                               reaction_probability=0.2), None),
+    # Delta kernel at lag 0, probability 1: every follower reacts at the
+    # post's own second.
+    "tied_reactions": (dict(followers_per_author=4, follower_peak_rate=0.0,
+                            author_base_rate=1.0, span_days=7), None),
+    "custom_population": (dict(n_authors=1, kernel=MULTI_LAG,
+                               reaction_probability=0.7,
+                               reaction_prob_overrides=(("zed", "a", 0.0),
+                                                        ("a", "Ann", 1.0))),
+                          mixed_population),
+    "overrides": (dict(follower_peak_rate=0.0, reaction_probability=0.5,
+                       reaction_prob_overrides=(("a00000", "f00000_000", 0.0),
+                                                ("a00001", "f00001_002", 1.0))),
+                  None),
+    "zero_followers": (dict(followers_per_author=0), None),
+    "planted_multi_lag": (dict(planted_peaks=((7, 100), (8,), (600,)),
+                               kernel=MULTI_LAG, follower_base_rate=0.01,
+                               followers_per_author=(2, 6),
+                               reaction_probability=0.8, tz_offset_min=120),
+                          None),
+}
+
+# SHA-256 of the five synth files per case, as written by the record-based
+# generator that the column one replaced; every byte must stay the same.
+GOLDEN_DIGESTS = {
+    "same_second_posts": {
+        "posts": "625a76e3557ce82b1a46fb7d358ebde1c21227829f41e11fa9de8d318266bd55",
+        "reactions": "58a14b1edfb2ce529e51ae92fcf585740cbf4e7378468729cf8b264cee82621b",
+        "edges": "20da8ece0c7e2b00ef464f578e2f6e63b42ae3d35c7a1f457f789008bcb9e6f8",
+        "users": "42b43517de67d68de09bb02f47266269b2971072cce0f64a1825115412addf23",
+        "truth": "ab8b0b850d7a7dd21a399a1526677d8f7223be2d2d8219425c87f991efb43965",
+    },
+    "tied_reactions": {
+        "posts": "3137b6f6548c66e18d14efb7fdd82ac61d6d28a67618c7f44751de4e0c53053c",
+        "reactions": "04de775f99cb23bddf3ed7a70fea782be471c74fea2e2aa8b4df470f52da2e52",
+        "edges": "512a8472edf46bdb6ebc13ab48796239a82db3b9328ebcd22f9a5ec79b8d2408",
+        "users": "8eab7c0638208bafc1a6a7d79a1c845334345b764d52ee594e107865c658cae2",
+        "truth": "3974d416cfc1d8854ce1dd4c2de617530c680ea689a26cde315f07e08b3e8718",
+    },
+    "custom_population": {
+        "posts": "e69f29e342022be9c8f63fd41d15d8831d08c9d407d4e7671d09cde998e09b33",
+        "reactions": "78ac2393659945f0b0cad795fd676e963940750c4d64ec5b29fec7edbd3f50bf",
+        "edges": "82a36c990653b0619bd1ba312ed62c81588c6ecf062af252f8e1f3ca7921768d",
+        "users": "95acaa849a122d92983acdeef0b43d6760b0d51d81812dbcf4a17f60fe86f962",
+        "truth": "f8bf08cc7110228622583a6138688a12137e456d74c3a0bd79bb84db7458f42b",
+    },
+    "overrides": {
+        "posts": "c425212f563cb37c8ee2f19fcc0f2cbca10b484bc45b11a7bad5337d46fc4e77",
+        "reactions": "53f5737c18751f88844cf8c8d039812525d0c5b1ec0ff374607b770a221a068e",
+        "edges": "512a8472edf46bdb6ebc13ab48796239a82db3b9328ebcd22f9a5ec79b8d2408",
+        "users": "8eab7c0638208bafc1a6a7d79a1c845334345b764d52ee594e107865c658cae2",
+        "truth": "3974d416cfc1d8854ce1dd4c2de617530c680ea689a26cde315f07e08b3e8718",
+    },
+    "zero_followers": {
+        "posts": "68b14c8e90509c42956e8f020456297e3fee50eeea5924ab76cbd9760b1215ae",
+        "reactions": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "edges": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "users": "0577e67502422b386e808434019f38f5131eb48eb4ec252edf15cecd4c3244e7",
+        "truth": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "planted_multi_lag": {
+        "posts": "c0a1811fb6614525d85ac74a9763555dcd76fb24d0f10f198212ea6312772d96",
+        "reactions": "5f0e24822a72a923d51d4b8ea239a4081a1bb4f1b0eff0e4fb1c04d799bb0882",
+        "edges": "1eba38846e323dafa7a773cc5c5f68e4cce783282479d31e7ae7f4b44bd62023",
+        "users": "9a0930ee8b7cdec2d28e4fffd38f4818d9996cbbdc4985633aafca1f56983e36",
+        "truth": "1e979539006ee9748d31d3e69867d9b07df497970fc3bc78d4cae4339965edd1",
+    },
+}
+
+
+def tied_rows(path, key_fields):
+    """Number of lines of a TSV file whose ``key_fields`` repeat an earlier
+    line's."""
+    lines = Path(path).read_text().splitlines()
+    keys = [tuple(line.split("\t")[i] for i in key_fields) for line in lines]
+    return len(keys) - len(set(keys))
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_files_match_recorded_digests(self, tmp_path, case):
+        overrides, population = GOLDEN_CASES[case]
+        result = generate(small_config(**overrides), tmp_path,
+                          population=population() if population else None)
+        got = {name: file_digest(path) for name, path in result.paths.items()}
+        assert got == GOLDEN_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", ["custom_population", "tied_reactions"])
+    def test_block_sizes_change_no_byte(self, tmp_path, monkeypatch, case):
+        # One member per block of reaction draws, three lines per write.
+        monkeypatch.setattr(synth, "_BLOCK_DRAWS", 1)
+        monkeypatch.setattr(synth, "_WRITE_ROWS", 3)
+        overrides, population = GOLDEN_CASES[case]
+        result = generate(small_config(**overrides), tmp_path,
+                          population=population() if population else None)
+        got = {name: file_digest(path) for name, path in result.paths.items()}
+        assert got == GOLDEN_DIGESTS[case]
+
+    def test_cases_hold_the_ties_they_are_for(self, tmp_path):
+        for case, (posts_key, reactions_key) in {
+                "same_second_posts": ((1, 3), None),
+                "tied_reactions": (None, (3,)),
+                "custom_population": ((1, 3), (3,))}.items():
+            overrides, population = GOLDEN_CASES[case]
+            result = generate(small_config(**overrides), tmp_path / case,
+                              population=population() if population else None)
+            if posts_key:
+                assert tied_rows(result.paths["posts"], posts_key) > 0, case
+            if reactions_key:
+                assert tied_rows(result.paths["reactions"], reactions_key) > 0, case
+
+
+def test_pcg64_block_draws_equal_per_member_draws():
+    # The generator draws an author's reaction randoms for a block of
+    # members at once. PCG64 must give the same doubles, and end in the same
+    # state, as one random(T) for the lag then one for the keep per member.
+    members, t = 5, 7
+    seed = np.random.SeedSequence(entropy=11, spawn_key=(2, 3))
+    per_member = np.random.default_rng(seed)
+    whole = np.random.default_rng(seed)
+    split = np.random.default_rng(seed)
+    expected = np.stack([np.stack([per_member.random(t), per_member.random(t)])
+                         for _ in range(members)])
+    assert np.array_equal(whole.random((members, 2, t)), expected)
+    assert np.array_equal(np.concatenate([split.random((2, 2, t)),
+                                          split.random((3, 2, t))]), expected)
+    state = per_member.bit_generator.state
+    assert whole.bit_generator.state == state
+    assert split.bit_generator.state == state
+
+
 class TestConfigValidation:
     def test_kernel_must_normalize(self):
         with pytest.raises(ValueError):
@@ -55,6 +226,14 @@ class TestConfigValidation:
     def test_lag_width_must_match_grid(self):
         with pytest.raises(ValueError):
             small_config(lag_width_s=600)
+
+    def test_rates_bounded_by_one_post_per_second(self):
+        small_config(author_base_rate=900.0)
+        small_config(follower_base_rate=400.0, follower_peak_rate=500.0)
+        with pytest.raises(ValueError, match="^author_base_rate: "):
+            small_config(author_base_rate=900.5)
+        with pytest.raises(ValueError, match="^follower_peak_rate: "):
+            small_config(follower_base_rate=400.0, follower_peak_rate=500.5)
 
 
 class TestDeterminism:
@@ -74,7 +253,7 @@ class TestDeterminism:
 class TestEventProcess:
     def test_zero_followers_zero_reactions(self):
         result = generate(small_config(followers_per_author=0))
-        assert result.reactions == []
+        assert len(result.reactions) == 0
 
     def test_probability_one_delta_kernel_uniform_availability(self):
         # Flat follower intensity means availability 1 everywhere, so with
@@ -86,21 +265,21 @@ class TestEventProcess:
         for src, dst in result.edges:
             followers_of.setdefault(src, set()).add(dst)
         reactions_by_post = {}
-        for r in result.reactions:
-            reactions_by_post.setdefault(r.post_id, []).append(r)
-        for p in result.posts:
-            expected = followers_of.get(p.author, set())
-            got = reactions_by_post.get(p.post_id, [])
+        for post_id, reactor, reacted_at in reaction_rows(result.reactions):
+            reactions_by_post.setdefault(post_id, []).append((reactor, reacted_at))
+        for author, post_id, created_at in post_rows(result.posts):
+            expected = followers_of.get(author, set())
+            got = reactions_by_post.get(post_id, [])
             assert len(got) == len(expected)
-            assert {r.reactor for r in got} == expected
-            assert all(r.reacted_at == p.created_at for r in got)
+            assert {reactor for reactor, _ in got} == expected
+            assert all(reacted_at == created_at for _, reacted_at in got)
 
     def test_reactions_clipped_to_span(self):
         cfg = small_config(kernel=delta_kernel(95), follower_peak_rate=0.0)
         result = generate(cfg)
         end = cfg.start_epoch + cfg.span_s
-        assert all(r.reacted_at < end for r in result.reactions)
-        assert all(p.created_at < end for p in result.posts)
+        assert all(t < end for t in result.reactions.reacted_at.tolist())
+        assert all(t < end for t in result.posts.created_at.tolist())
 
     def test_expected_reactions_per_post(self):
         # Uniform availability: mean reactions per post is followers * p,
@@ -110,7 +289,8 @@ class TestEventProcess:
                            follower_peak_rate=0.0, reaction_probability=p,
                            span_days=21, author_base_rate=0.2)
         result = generate(cfg)
-        author_posts = [x for x in result.posts if x.author.startswith("a")]
+        author_posts = [row for row in post_rows(result.posts)
+                        if row[0].startswith("a")]
         n_posts = len(author_posts)
         assert n_posts > 100
         mean = len(result.reactions) / n_posts
@@ -125,11 +305,12 @@ class TestEventProcess:
         result = generate(cfg)
         grid = WeeklyGrid(cfg.buckets_per_week)
         peaks = {f"a{i:05d}": (7 + i) for i in range(3)}
-        author_of_post = {p.post_id: p.author for p in result.posts}
+        author_of_post = {post_id: author
+                          for author, post_id, _ in post_rows(result.posts)}
         assert result.reactions, "construction should produce reactions"
-        for r in result.reactions:
-            author = author_of_post[r.post_id]
-            assert grid.bucket_index(r.reacted_at) == peaks[author]
+        for post_id, _, reacted_at in reaction_rows(result.reactions):
+            author = author_of_post[post_id]
+            assert grid.bucket_index(reacted_at) == peaks[author]
 
     def test_edge_probability_overrides(self):
         cfg = small_config(
@@ -137,8 +318,9 @@ class TestEventProcess:
             reaction_prob_overrides=(("a00000", "f00000_000", 0.0),),
         )
         result = generate(cfg)
-        reactors_to_a0 = {r.reactor for r in result.reactions
-                          if r.post_id.startswith("a00000:")}
+        reactors_to_a0 = {reactor for post_id, reactor, _
+                          in reaction_rows(result.reactions)
+                          if post_id.startswith("a00000:")}
         assert "f00000_000" not in reactors_to_a0
         assert reactors_to_a0  # other followers still react
 
@@ -150,8 +332,7 @@ class TestEventProcess:
                            span_days=28, author_base_rate=0.5,
                            reaction_probability=0.9)
         result = generate(cfg)
-        join = join_reactions(PostTable.from_records(result.posts),
-                              ReactionTable.from_records(result.reactions))
+        join = join_reactions(result.posts, result.reactions)
         assert join.n_joined > 10_000
         est = estimate_delay_kernel(join.pairs.delay)
         tv = 0.5 * float(np.abs(est.mass - mass).sum())
@@ -204,7 +385,7 @@ class TestPopulation:
         pop = Population(users, (("alice", "bob"),))
         cfg = small_config(n_authors=1, followers_per_author=1)
         result = generate(cfg, population=pop)
-        assert {r.reactor for r in result.reactions} <= {"bob"}
+        assert {reactor for _, reactor, _ in reaction_rows(result.reactions)} <= {"bob"}
         assert ground_truth_peak(cfg, "alice", pop) == 5
 
     def test_rejects_unknown_edge_user(self):
