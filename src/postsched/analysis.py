@@ -24,6 +24,10 @@ METRICS = ("correlation", "cosine")
 # the memory of its edges and counts.
 MAX_HISTOGRAM_BINS = 2000
 
+# Most pairs one metric histogram may draw, which bounds the memory of the
+# draws and their scores (about 64 MB at this budget).
+MAX_SAMPLE_BUDGET = 10**6
+
 
 def correlation(s1, s2) -> float:
     """Pearson correlation between two equal-length series.
@@ -177,8 +181,8 @@ def pairwise_distribution(series1: Sequence[np.ndarray],
         raise ValueError(f"metric must be one of {METRICS}")
     if not len(series1) or not len(series2):
         raise UndefinedMetricError("both cohorts must be non-empty")
-    if sample_budget < 1:
-        raise ValueError("sample_budget must be >= 1")
+    if not 1 <= sample_budget <= MAX_SAMPLE_BUDGET:
+        raise ValueError(f"sample_budget must be in [1, {MAX_SAMPLE_BUDGET}]")
     n_bins = histogram_bins(bin_width)
     s1 = np.asarray(series1, dtype=np.float64)
     s2 = np.asarray(series2, dtype=np.float64)

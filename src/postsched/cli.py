@@ -25,7 +25,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -47,43 +47,136 @@ from .temporal import DAY_FILTERS, WEEK_SECONDS, TimeWindow, WeeklyGrid
 DAY_SECONDS = 86400
 
 
+def _bool(value: str) -> bool:
+    if value.lower() in ("true", "1", "yes"):
+        return True
+    if value.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(value)
+
+
+def _timestamp(value: str) -> int:
+    """Epoch seconds, or a YYYY-MM-DD date at 00:00 UTC."""
+    try:
+        return int(value)
+    except ValueError:
+        day = datetime.strptime(value, "%Y-%m-%d")
+    return int(day.replace(tzinfo=timezone.utc).timestamp())
+
+
+def _synth_followers(spec: str) -> int | tuple[int, int]:
+    """Followers per synthetic author: ``N``, or ``LO:HI`` drawn uniformly.
+    Raises ValueError for any other text."""
+    match = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", spec)
+    if match is None or (match[2] and int(match[1]) > int(match[2])):
+        raise ValueError(spec)
+    return int(match[1]) if match[2] is None else (int(match[1]), int(match[2]))
+
+
+def _key(default, parse=str, rule=None, feeds=None):
+    """One config key: its default, the parser of its text in a config file,
+    its rule as a (check, message) pair, and the SynthConfig field it feeds.
+    A value breaks the rule when the check returns false or raises
+    ValueError."""
+    return field(default=default,
+                 metadata={"parse": parse, "rule": rule, "feeds": feeds})
+
+
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    posts: str | None = None
-    reactions: str | None = None
-    edges: str | None = None
-    users: str | None = None
-    network: str = "TW"
-    bidirectional: bool = False
-    buckets_per_week: int = 672
-    delay_window_s: int = 86400
-    delay_lag_s: int = 900
-    derivation_start: int | None = None
-    derivation_days: int = 63
-    evaluation_start: int | None = None
-    evaluation_days: int = 56
-    alpha: float = 1.0
-    beta: float = 1.0
-    ranks: int = 32
-    day_filter: str = "weekday"
-    sample_budget: int = 20000
-    metric_bin_width: float = 0.05
-    min_cohort: int = 2
-    seed: int = 0
-    out: str = "out"
-    max_malformed_frac: float = 0.01
-    synth_authors: int = 20
-    synth_followers: str = "10"
-    synth_span_days: int = 119
-    synth_author_base_rate: float = 0.5
-    synth_author_peak_rate: float = 0.0
-    synth_follower_base_rate: float = 0.01
-    synth_follower_peak_rate: float = 1.0
-    synth_peaks_per_star: int = 1
-    synth_weekday_peaks: bool = True
-    synth_reaction_probability: float = 0.8
-    synth_kernel: str = "delta:0"
-    synth_start: int = synth.DEFAULT_START_EPOCH
+    """The settings of one run, one field per config key.
+
+    Building a RunConfig checks every key's rule and then the rules that
+    span keys, and raises ConfigError naming the key at fault. The synth_*
+    range checks belong to `synth.SynthConfig`, which `stage_synth` runs.
+    """
+
+    posts: str | None = _key(None)
+    reactions: str | None = _key(None)
+    edges: str | None = _key(None)
+    users: str | None = _key(None)
+    network: str = _key("TW", rule=(lambda v: v in NETWORKS,
+                                    f"must be one of {'/'.join(NETWORKS)}"))
+    bidirectional: bool = _key(False, _bool)
+    buckets_per_week: int = _key(672, int, (
+        lambda v: v >= 1 and WEEK_SECONDS % v == 0,
+        f"must divide a week of {WEEK_SECONDS} s exactly"))
+    # The delay transform wraps lags modulo the week, so a longer window
+    # would only add cost.
+    delay_window_s: int = _key(86400, int, (
+        lambda v: 1 <= v <= WEEK_SECONDS,
+        f"must be between 1 and {WEEK_SECONDS} s, one week"))
+    delay_lag_s: int = _key(900, int)
+    derivation_start: int | None = _key(None, _timestamp)
+    derivation_days: int = _key(63, int, _AT_LEAST_ONE)
+    evaluation_start: int | None = _key(None, _timestamp)
+    evaluation_days: int = _key(56, int, _AT_LEAST_ONE)
+    alpha: float = _key(1.0, float, (lambda v: 0 <= v < math.inf,
+                                     "must be a finite number >= 0"))
+    beta: float = _key(1.0, float, (lambda v: 0 < v < math.inf,
+                                    "must be a finite number > 0"))
+    ranks: int = _key(32, int)
+    day_filter: str = _key("weekday", rule=(lambda v: v in DAY_FILTERS,
+                                            f"must be one of {'/'.join(DAY_FILTERS)}"))
+    sample_budget: int = _key(20000, int, (
+        lambda v: 1 <= v <= analysis.MAX_SAMPLE_BUDGET,
+        f"must be between 1 and {analysis.MAX_SAMPLE_BUDGET}"))
+    metric_bin_width: float = _key(0.05, float, (
+        analysis.histogram_bins,
+        f"must divide [-1, 1] evenly into at most {analysis.MAX_HISTOGRAM_BINS} bins"))
+    min_cohort: int = _key(2, int, _AT_LEAST_ONE)
+    seed: int = _key(0, int, (lambda v: v >= 0, "must be >= 0"))
+    out: str = _key("out", rule=(lambda v: "\0" not in v,
+                                 "must not contain a NUL character"))
+    max_malformed_frac: float = _key(0.01, float, (lambda v: 0 <= v <= 1,
+                                                   "must be in [0, 1]"))
+    synth_authors: int = _key(20, int, feeds="n_authors")
+    synth_followers: str = _key(
+        "10", rule=(lambda v: _synth_followers(v) is not None,
+                    "expected N or LO:HI with integers 0 <= LO <= HI"),
+        feeds="followers_per_author")
+    synth_span_days: int = _key(119, int, feeds="span_days")
+    synth_author_base_rate: float = _key(0.5, float, feeds="author_base_rate")
+    synth_author_peak_rate: float = _key(0.0, float, feeds="author_peak_rate")
+    synth_follower_base_rate: float = _key(0.01, float, feeds="follower_base_rate")
+    synth_follower_peak_rate: float = _key(1.0, float, feeds="follower_peak_rate")
+    synth_peaks_per_star: int = _key(1, int, feeds="peaks_per_star")
+    synth_weekday_peaks: bool = _key(True, _bool, feeds="peak_pool")
+    synth_reaction_probability: float = _key(0.8, float, feeds="reaction_probability")
+    synth_kernel: str = _key("delta:0", feeds="kernel")
+    synth_start: int = _key(synth.DEFAULT_START_EPOCH, _timestamp, feeds="start_epoch")
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.metadata["rule"] is None:
+                continue
+            check, message = f.metadata["rule"]
+            try:
+                holds = check(getattr(self, f.name))
+            except ValueError:
+                holds = False
+            if not holds:
+                raise ConfigError(f"{f.name}: {message}")
+        # The rules that span keys; each key's own rule has held.
+        width = WEEK_SECONDS // self.buckets_per_week
+        if self.delay_lag_s != width:
+            raise ConfigError(
+                "buckets_per_week/delay_lag_s: delay_lag_s must equal the "
+                f"bucket width, {WEEK_SECONDS} / buckets_per_week = {width} s")
+        if self.delay_window_s % self.delay_lag_s:
+            raise ConfigError("delay_window_s: must be a multiple of delay_lag_s")
+        if not 1 <= self.ranks <= self.buckets_per_week:
+            raise ConfigError("ranks: must be between 1 and buckets_per_week = "
+                              f"{self.buckets_per_week}")
+        if (self.derivation_start is not None and self.evaluation_start is not None
+                and self.derivation_window.overlaps(self.evaluation_window)):
+            raise ConfigError(
+                "derivation_start/evaluation_start: derivation and evaluation "
+                "windows overlap; they must be disjoint")
+        _synth_kernel(self)
 
     @property
     def grid(self) -> WeeklyGrid:
@@ -103,51 +196,9 @@ class RunConfig:
         return TimeWindow.from_days(start, self.evaluation_days)
 
 
-def _parse_timestamp(value: str, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        dt = datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-        return int(dt.timestamp())
-    except ValueError:
-        raise ConfigError(f"{key}: expected epoch seconds or YYYY-MM-DD, "
-                          f"got {value!r}") from None
-
-
-def _coerce(key: str, value: str, target_type) -> object:
-    if key in ("derivation_start", "evaluation_start", "synth_start"):
-        return _parse_timestamp(value, key)
-    try:
-        if target_type is bool:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if target_type is int:
-            return int(value)
-        if target_type is float:
-            return float(value)
-        return value
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {value!r} as "
-                          f"{target_type.__name__}") from None
-
-
-def _field_types() -> dict[str, type]:
-    types: dict[str, type] = {}
-    for f in fields(RunConfig):
-        t = f.type if isinstance(f.type, str) else f.type.__name__
-        base = t.split(" | ")[0]
-        types[f.name] = {"str": str, "int": int, "float": float, "bool": bool}[base]
-    return types
-
-
 def parse_config(path) -> RunConfig:
     """Parse a key=value config file into a validated RunConfig."""
-    types = _field_types()
+    keys = {f.name: f for f in fields(RunConfig)}
     values: dict[str, object] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
@@ -162,59 +213,15 @@ def parse_config(path) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in types:
+        if key not in keys:
             raise ConfigError(f"{key}: unknown configuration key")
-        values[key] = _coerce(key, value, types[key])
-    cfg = RunConfig(**values)
-    _validate_static(cfg)
-    return cfg
-
-
-def _validate_static(cfg: RunConfig) -> None:
-    if cfg.network not in NETWORKS:
-        raise ConfigError(f"network: must be one of {'/'.join(NETWORKS)}")
-    if cfg.day_filter not in DAY_FILTERS:
-        raise ConfigError(f"day_filter: must be one of {'/'.join(DAY_FILTERS)}")
-    for key in ("derivation_days", "evaluation_days", "ranks", "sample_budget",
-                "buckets_per_week", "min_cohort", "delay_window_s", "delay_lag_s"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key}: must be >= 1")
-    for key, t in _field_types().items():
-        if t is float and not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"{key}: must be a finite number")
-    if cfg.alpha < 0:
-        raise ConfigError("alpha: must be >= 0")
-    if not cfg.beta > 0:
-        raise ConfigError("beta: must be > 0")
-    if WEEK_SECONDS % cfg.buckets_per_week != 0:
-        raise ConfigError(f"buckets_per_week: must divide a week of "
-                          f"{WEEK_SECONDS} s exactly")
-    if cfg.delay_lag_s != WEEK_SECONDS // cfg.buckets_per_week:
-        raise ConfigError(
-            f"delay_lag_s: must equal the bucket width, {WEEK_SECONDS} / "
-            f"buckets_per_week = {WEEK_SECONDS // cfg.buckets_per_week} s")
-    if cfg.delay_window_s % cfg.delay_lag_s != 0:
-        raise ConfigError("delay_window_s: must be a multiple of delay_lag_s")
-    try:
-        analysis.histogram_bins(cfg.metric_bin_width)
-    except ValueError:
-        raise ConfigError("metric_bin_width: must divide [-1, 1] evenly into "
-                          f"at most {analysis.MAX_HISTOGRAM_BINS} bins") from None
-    _synth_followers(cfg.synth_followers)
-    if cfg.derivation_start is not None and cfg.evaluation_start is not None:
-        if cfg.derivation_window.overlaps(cfg.evaluation_window):
-            raise ConfigError(
-                "derivation_start/evaluation_start: derivation and evaluation "
-                "windows overlap; they must be disjoint")
-
-
-def _synth_followers(spec: str) -> int | tuple[int, int]:
-    """Followers per synthetic author: ``N``, or ``LO:HI`` drawn uniformly."""
-    match = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", spec)
-    if match is None or (match[2] and int(match[1]) > int(match[2])):
-        raise ConfigError("synth_followers: expected N or LO:HI with integers "
-                          f"0 <= LO <= HI, got {spec!r}")
-    return int(match[1]) if match[2] is None else (int(match[1]), int(match[2]))
+        parse = keys[key].metadata["parse"]
+        try:
+            values[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {value!r} as "
+                              f"{parse.__name__.lstrip('_')}") from None
+    return RunConfig(**values)
 
 
 def _require_inputs(cfg: RunConfig, keys: tuple[str, ...]) -> None:
@@ -226,7 +233,10 @@ def _require_inputs(cfg: RunConfig, keys: tuple[str, ...]) -> None:
             raise ConfigError(f"{key}: file not found: {value}")
 
 
-def _parse_synth_kernel(spec: str, n_lags: int) -> tuple[float, ...]:
+def _synth_kernel(cfg: RunConfig) -> tuple[float, ...]:
+    """The delay kernel that synth_kernel names, over the delay window's lags."""
+    spec = cfg.synth_kernel
+    n_lags = cfg.delay_window_s // cfg.delay_lag_s
     kind, _, arg = spec.partition(":")
     if kind not in ("delta", "geometric", "uniform"):
         raise ConfigError(f"synth_kernel: unknown kernel spec {spec!r}")
@@ -325,44 +335,27 @@ def _artifact(out_dir: Path, name: str, producer: str) -> Path:
     return path
 
 
-# The SynthConfig field behind each synth_* config key.
-_SYNTH_KEYS = {
-    "n_authors": "synth_authors",
-    "span_days": "synth_span_days",
-    "start_epoch": "synth_start",
-    "author_base_rate": "synth_author_base_rate",
-    "author_peak_rate": "synth_author_peak_rate",
-    "follower_base_rate": "synth_follower_base_rate",
-    "follower_peak_rate": "synth_follower_peak_rate",
-    "peaks_per_star": "synth_peaks_per_star",
-    "reaction_probability": "synth_reaction_probability",
-}
-
-
 def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
-    n_lags = cfg.delay_window_s // cfg.delay_lag_s
-    grid = cfg.grid
-    pool = None
-    if cfg.synth_weekday_peaks:
-        pool = tuple(int(b) for b in np.nonzero(grid.day_mask("weekday"))[0])
-    followers = _synth_followers(cfg.synth_followers)
-    kernel = _parse_synth_kernel(cfg.synth_kernel, n_lags)
-    settings = {field: getattr(cfg, key) for field, key in _SYNTH_KEYS.items()}
+    key_of = {f.metadata["feeds"]: f.name for f in fields(cfg) if f.metadata["feeds"]}
+    # Every synth_* value passes through as it is, except these three.
+    settings = {target: getattr(cfg, key) for target, key in key_of.items()}
+    weekdays = np.nonzero(cfg.grid.day_mask("weekday"))[0]
+    settings.update(followers_per_author=_synth_followers(cfg.synth_followers),
+                    kernel=_synth_kernel(cfg),
+                    peak_pool=(tuple(int(b) for b in weekdays)
+                               if cfg.synth_weekday_peaks else None))
     try:
         config = synth.SynthConfig(
             seed=cfg.seed,
-            followers_per_author=followers,
-            kernel=kernel,
             lag_width_s=cfg.delay_lag_s,
             buckets_per_week=cfg.buckets_per_week,
-            peak_pool=pool,
             network=cfg.network,
             **settings,
         )
     except ValueError as exc:
         # SynthConfig starts each message with the field it is about.
-        field, _, problem = str(exc).partition(": ")
-        raise ConfigError(f"{_SYNTH_KEYS.get(field, field)}: {problem}") from None
+        target, _, problem = str(exc).partition(": ")
+        raise ConfigError(f"{key_of.get(target, target)}: {problem}") from None
     result = synth.generate(config, out_dir)
     derivation_days = min(cfg.derivation_days, cfg.synth_span_days)
     eval_days = max(cfg.synth_span_days - derivation_days, 1)
@@ -503,9 +496,6 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     users, _ = inputs.users
     join = inputs.join
     window = cfg.evaluation_window
-    if cfg.derivation_start is not None and window.overlaps(cfg.derivation_window):
-        raise ConfigError("evaluation_start: evaluation window overlaps the "
-                          "derivation window")
 
     n = cfg.grid.buckets_per_week
     tables = pipeline.read_schedules(sched_path, n)
@@ -653,7 +643,6 @@ def main(argv=None) -> int:
             value = getattr(args, key)
             if value is not None:
                 cfg = replace(cfg, **{key: value})
-        _validate_static(cfg)
         outputs = _run(args.subcommand, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,12 +3,15 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postsched import cli
-from postsched.cli import main, parse_config
+from postsched.cli import RunConfig, main, parse_config
 from postsched.errors import ConfigError
 
 MONDAY = 1420416000
@@ -91,6 +94,31 @@ class TestConfigParsing:
         assert cfg.evaluation_window.start == MONDAY + 63 * 86400
         assert not cfg.evaluation_window.overlaps(cfg.derivation_window)
 
+    @pytest.mark.parametrize("build", [
+        lambda: RunConfig(seed=-1),
+        lambda: replace(RunConfig(), ranks=0),
+    ])
+    def test_building_a_config_checks_its_rules(self, build):
+        with pytest.raises(ConfigError, match=r"^(seed|ranks): "):
+            build()
+
+    @settings(max_examples=1000)
+    @given(key=st.sampled_from([f.name for f in fields(RunConfig)]),
+           text=st.one_of(
+               # Single-line: read_text turns a carriage return into a newline.
+               st.text(st.characters(exclude_categories=("Cs",),
+                                     exclude_characters="\r\n")),
+               st.integers().map(str), st.floats().map(str)))
+    def test_any_value_parses_or_names_its_key(self, tmp_path_factory, key,
+                                               text):
+        path = tmp_path_factory.getbasetemp() / "one_key.config"
+        path.write_text(f"{key}={text}\n", encoding="utf-8")
+        try:
+            parse_config(path)
+        except ConfigError as exc:
+            # A rule that spans keys names each of them: "a/b: ...".
+            assert key in str(exc).partition(": ")[0].split("/"), str(exc)
+
 
 class TestExitCodes:
     def test_bad_config_returns_one(self, tmp_path, capsys):
@@ -112,6 +140,15 @@ class TestExitCodes:
         ("metric_bin_width", "0.07"),   # does not divide [-1, 1]
         ("metric_bin_width", "-0.05"),
         ("metric_bin_width", "1e-9"),   # 2e9 bins
+        ("seed", "-1"),
+        ("ranks", "673"),               # more ranks than buckets
+        ("ranks", "100000000000000000000"),
+        ("sample_budget", "1000001"),
+        ("max_malformed_frac", "-0.5"),
+        ("max_malformed_frac", "7"),
+        ("delay_window_s", "605700"),   # a multiple of the lag, past a week
+        ("delay_window_s", "900000000000000000000"),
+        ("synth_kernel", "bogus"),
     ])
     def test_config_hole_returns_one_naming_key(self, tmp_path, capsys,
                                                 key, value):
@@ -259,6 +296,17 @@ class TestExitCodes:
         assert run(["evaluate", "--config", far]) == 2
         assert "evaluation" in capsys.readouterr().err
         assert not (out / "gain_by_rank.csv").exists()
+
+    def test_negative_seed_flag_returns_one(self, tmp_path, capsys):
+        cfg, out = synth_config(tmp_path)
+        assert run(["synth", "--config", cfg, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: seed: ")
+        assert not (out / "posts.tsv").exists()
+
+    def test_nul_in_out_returns_one(self, tmp_path, capsys):
+        cfg, _ = synth_config(tmp_path, out="run\0dir")
+        assert run(["synth", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error: out: ")
 
 
 class TestSynthStage:
