@@ -359,28 +359,16 @@ def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     result = synth.generate(config, out_dir)
     derivation_days = min(cfg.derivation_days, cfg.synth_span_days)
     eval_days = max(cfg.synth_span_days - derivation_days, 1)
-    # Ready-to-run config pointing at the generated files.
-    lines = [
-        f"posts={result.paths['posts']}",
-        f"reactions={result.paths['reactions']}",
-        f"edges={result.paths['edges']}",
-        f"users={result.paths['users']}",
-        f"network={cfg.network}",
-        f"buckets_per_week={cfg.buckets_per_week}",
-        f"delay_window_s={cfg.delay_window_s}",
-        f"delay_lag_s={cfg.delay_lag_s}",
-        f"derivation_start={cfg.synth_start}",
-        f"derivation_days={derivation_days}",
-        f"evaluation_start={cfg.synth_start + derivation_days * DAY_SECONDS}",
-        f"evaluation_days={min(cfg.evaluation_days, eval_days)}",
-        f"alpha={cfg.alpha}",
-        f"beta={cfg.beta}",
-        f"ranks={cfg.ranks}",
-        f"day_filter={cfg.day_filter}",
-        f"sample_budget={cfg.sample_budget}",
-        f"seed={cfg.seed}",
-        f"out={out_dir}",
-    ]
+    # Ready-to-run config pointing at the generated files, with every key
+    # that does not feed synth.
+    run = replace(cfg, **{key: str(result.paths[key]) for key in INPUT_KEYS},
+                  derivation_start=cfg.synth_start,
+                  derivation_days=derivation_days,
+                  evaluation_start=cfg.synth_start + derivation_days * DAY_SECONDS,
+                  evaluation_days=min(cfg.evaluation_days, eval_days),
+                  out=str(out_dir))
+    lines = [f"{f.name}={getattr(run, f.name)}" for f in fields(run)
+             if not f.metadata["feeds"]]
     run_cfg = out_dir / "synth.config"
     run_cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [Path(p) for p in result.paths.values()] + [run_cfg]

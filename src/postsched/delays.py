@@ -49,10 +49,6 @@ class DelayKernel:
     def n_lags(self) -> int:
         return int(self.mass.size)
 
-    @property
-    def window_s(self) -> int:
-        return self.n_lags * self.lag_width_s
-
     def lag_starts(self) -> np.ndarray:
         return np.arange(self.n_lags, dtype=np.int64) * self.lag_width_s
 

@@ -13,18 +13,21 @@ Timestamps are ASCII decimal integers, ``-?[0-9]+``, within the signed
 UTC-12:00 .. UTC+14:00 (-720 .. 840 minutes). The reactor column may hold
 "-" when the source data does not identify who reacted; such rows support
 delay estimation and analysis but not schedule derivation. Malformed lines
-are counted, never silently dropped.
+are counted, never silently dropped. A user is listed at most once per
+network in users.tsv.
 
 Posts and reactions load into column tables (:class:`PostTable`,
 :class:`ReactionTable`) whose user ids are interned as integer codes into a
 ``users`` vocabulary and whose times are int64 arrays. :func:`join_reactions`
 turns the two into one :class:`PairTable`, which every later stage reads.
+The follower graph loads the same way, as a :class:`SocialGraph` of edge
+code columns.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -35,9 +38,6 @@ from .errors import IngestError
 from .temporal import MAX_TZ_OFFSET_MIN, TimeWindow, WeeklyGrid
 
 NETWORKS = ("TW", "FB", "FP", "GP")
-
-#: Networks whose relationship is mutual, so the edge file must be symmetric.
-BIDIRECTIONAL_NETWORKS = ("FB",)
 
 MISSING_ID = "-"
 
@@ -182,57 +182,31 @@ def lookup(users: np.ndarray, index: Mapping[str, int]) -> np.ndarray:
 
 
 class SocialGraph:
-    """Audience and followed-set adjacency.
-
-    ``audience(u)`` is the set of users who can react to u's posts;
-    ``followed(u)`` the set whose posts u can react to. The two mappings are
-    transposes of each other by construction.
+    """The follower graph as edge columns: edge i puts user
+    ``users[dst[i]]`` in the audience of ``users[src[i]]``, so dst can react
+    to src's posts. ``users`` holds every user on an edge in ascending order,
+    and ``src`` and ``dst`` are int64 codes into it; each distinct edge is
+    held once, in ascending (src, dst) order. The columns depend only on the
+    set of edges, not on their order or repeats.
     """
 
-    __slots__ = ("_out", "_in", "_n_edges")
+    __slots__ = ("users", "src", "dst")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
-        out: dict[str, set[str]] = defaultdict(set)
-        inn: dict[str, set[str]] = defaultdict(set)
-        n = 0
-        for src, dst in edges:
-            if dst not in out[src]:
-                out[src].add(dst)
-                inn[dst].add(src)
-                n += 1
-        self._out = {u: frozenset(v) for u, v in out.items()}
-        self._in = {u: frozenset(v) for u, v in inn.items()}
-        self._n_edges = n
-
-    def audience(self, user: str) -> frozenset[str]:
-        return self._out.get(user, frozenset())
-
-    def followed(self, user: str) -> frozenset[str]:
-        return self._in.get(user, frozenset())
-
-    @property
-    def out_edges(self) -> Mapping[str, frozenset[str]]:
-        return self._out
-
-    @property
-    def in_edges(self) -> Mapping[str, frozenset[str]]:
-        return self._in
-
-    @property
-    def users(self) -> frozenset[str]:
-        return frozenset(self._out) | frozenset(self._in)
+        names = np.array(list(chain.from_iterable(edges)), dtype=object)
+        self.users, codes = np.unique(names, return_inverse=True)
+        n = len(self.users)
+        keys = np.unique(codes[0::2].astype(np.int64) * n + codes[1::2])
+        self.src, self.dst = np.divmod(keys, n)
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
-
-    def transposed(self) -> "SocialGraph":
-        g = SocialGraph(())
-        g._out, g._in, g._n_edges = self._in, self._out, self._n_edges
-        return g
+        return int(self.src.size)
 
     def is_symmetric(self) -> bool:
-        return self._out == self._in
+        n = len(self.users)
+        return np.array_equal(np.sort(self.dst * n + self.src),
+                              self.src * n + self.dst)
 
 
 def _blocks(path) -> Iterator[list[str]]:
@@ -388,7 +362,14 @@ def load_users(path, network: str | None = None,
     def row(f):
         city = f[2] if f[2] and f[2] != MISSING_ID else None
         return UserMeta(f[0], _tz_offset(f[1]), city, f[3])
-    return _load_tsv(path, 4, row, network, 3, max_malformed_frac)
+    users, report = _load_tsv(path, 4, row, network, 3, max_malformed_frac)
+    # One id may name an account on each of several networks, but a second
+    # line for the same account would silently override the first.
+    for (user, net), n in Counter((u.user, u.network) for u in users).items():
+        if n > 1:
+            raise IngestError(f"{path}: user {user!r} is listed more than once "
+                              f"for network {net}")
+    return users, report
 
 
 def load_graph(path, network: str | None = None, bidirectional: bool = False,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -62,20 +62,6 @@ class DerivedSchedules:
     unknown_tz: frozenset[str]
 
 
-def _edges(sources: list[str], neighbours: Callable[[str], Iterable[str]],
-           row_of: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The edges from each source to those of its neighbours that have a
-    row, as the source's position and the neighbour's row."""
-    src: list[int] = []
-    dst: list[int] = []
-    for i, user in enumerate(sources):
-        for other in neighbours(user):
-            if other in row_of:
-                src.append(i)
-                dst.append(row_of[other])
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-
-
 def derive_schedules(posts: PostTable, pairs: PairTable,
                      graph: SocialGraph, users: list[UserMeta],
                      grid: WeeklyGrid, kernel: DelayKernel,
@@ -96,21 +82,29 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     names = profiles.users.tolist()
     row_of = {u: i for i, u in enumerate(names)}
     if targets is None:
-        target_list = sorted(set(names) | graph.users)
+        target_list = sorted(set(names).union(graph.users.tolist()))
     else:
         target_list = sorted(set(targets))
+    row = lookup(graph.users, row_of)
 
     # Audience edges to the members who reacted in the window. Senders are
     # the targets with such members; both are numbered in name order.
-    target_at, member_row = _edges(target_list, graph.audience, row_of)
+    target_of = lookup(graph.users, {u: i for i, u in enumerate(target_list)})
+    target_at, member_row = target_of[graph.src], row[graph.dst]
+    edge = (target_at >= 0) & (member_row >= 0)
+    target_at, member_row = target_at[edge], member_row[edge]
     reacted = profiles.reactions.any(axis=1)[member_row]
     senders, target_at = np.unique(target_at[reacted], return_inverse=True)
     members, member_at = np.unique(member_row[reacted], return_inverse=True)
     audience = Adjacency.from_edges(len(senders), target_at, member_at)
     sender_names = [target_list[t] for t in senders]
     member_names = [names[m] for m in members]
-    followed = Adjacency.from_edges(
-        len(members), *_edges(member_names, graph.followed, row_of))
+    # The edges into each member from the authors with a profile row.
+    member_of = lookup(graph.users, {u: i for i, u in enumerate(member_names)})
+    follower_at, author_row = member_of[graph.dst], row[graph.src]
+    edge = (follower_at >= 0) & (author_row >= 0)
+    followed = Adjacency.from_edges(len(members), follower_at[edge],
+                                    author_row[edge])
 
     received = window.mask(pairs.post_time) & pairs.known_reactor
     author = lookup(pairs.users, {u: i for i, u in enumerate(sender_names)})

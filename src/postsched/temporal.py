@@ -76,10 +76,6 @@ class WeeklyGrid:
         into_week = (local + EPOCH_TO_MONDAY) % WEEK_SECONDS
         return into_week // self.bucket_width_s
 
-    def bucket_day(self, bucket: int) -> int:
-        """Day-of-week index (0 = Monday) of the bucket's start."""
-        return (bucket * self.bucket_width_s) // DAY_SECONDS
-
     def day_mask(self, day_filter: str = "all") -> np.ndarray:
         """Boolean mask over buckets for a weekday/weekend/all filter.
 

@@ -43,6 +43,9 @@ from postsched import (
 )
 from postsched.evaluation import evaluate_schedules
 from postsched.ingest import (
+    PairTable,
+    PostTable,
+    UserMeta,
     join_reactions,
     load_posts,
     load_reactions,
@@ -133,9 +136,9 @@ def test_criterion_1_oracle_equivalence():
         edges = [(names[i], names[j])
                  for i in range(n_users) for j in range(n_users)
                  if i != j and rng.random() < 0.5]
-        graph = SocialGraph(edges)
         target = names[0]
-        audience = sorted(graph.audience(target)) or [names[1]]
+        audience = sorted({b for a, b in edges if a == target}) or [names[1]]
+        followed_by = {b: sorted({a for a, c in edges if c == b}) for b in audience}
 
         reactions = {u: rng.integers(0, 6, size=4).astype(float) for u in names}
         if all(reactions[b].sum() == 0 for b in audience):
@@ -156,8 +159,8 @@ def test_criterion_1_oracle_equivalence():
                                   kernel)
         followed = Adjacency.from_edges(
             len(audience),
-            [i for i, b in enumerate(audience) for _ in graph.followed(b)],
-            [names.index(a) for b in audience for a in graph.followed(b)])
+            [i for i, b in enumerate(audience) for _ in followed_by[b]],
+            [names.index(a) for b in audience for a in followed_by[b]])
         visible = visible_posts(np.array([creations[u] for u in names]),
                                 followed, model)
         edges = Adjacency.from_edges(1, [0] * len(audience), range(len(audience)))
@@ -173,7 +176,7 @@ def test_criterion_1_oracle_equivalence():
         brute_rd = {b: brute_delayed(list(reactions[b]), list(mass))
                     for b in audience}
         brute_v = {b: brute_visible([list(creations[a])
-                                     for a in sorted(graph.followed(b))],
+                                     for a in followed_by[b]],
                                     model.alpha, model.beta, 4)
                    for b in audience}
         oracle = {
@@ -191,6 +194,66 @@ def test_criterion_1_oracle_equivalence():
            f"(max deviation {worst:.2e}, {elapsed:.2f}s)")
     assert worst <= 1e-12
     assert elapsed < 1.0
+
+
+def test_criterion_1_derivation_over_graph():
+    # derive_schedules on whole toy graphs, with self-loops: S1 and S2 of
+    # every target against the oracle, whose audience and followed sets come
+    # straight from the edge list.
+    rng = np.random.default_rng(2025)
+    grid = WeeklyGrid(4)
+    width = grid.bucket_width_s
+    monday = 1_420_416_000
+    window = TimeWindow.from_days(monday, 7)
+    worst = 0.0
+    for _ in range(20):
+        names = [f"u{i}" for i in range(int(rng.integers(2, 7)))]
+        edges = [(a, b) for a in names for b in names if rng.random() < 0.4]
+        reactions = {u: rng.integers(0, 3, size=4) for u in names}
+        creations = {u: rng.integers(0, 3, size=4) for u in names}
+        mass = rng.random(int(rng.integers(1, 5))) + 0.05
+        mass /= mass.sum()
+        model = VisibilityModel(float(rng.uniform(0.5, 2.0)),
+                                float(rng.uniform(0.5, 2.0)))
+
+        def events(counts):
+            return [(u, monday + k * width + 60) for u in names
+                    for k in range(4) for _ in range(int(counts[u][k]))]
+
+        posts = events(creations)
+        reacts = events(reactions)
+        derived = derive_schedules(
+            PostTable.from_columns(["TW"], [u for u, _ in posts],
+                                   [f"p{i}" for i in range(len(posts))],
+                                   [t for _, t in posts]),
+            PairTable.from_columns([names[0]] * len(reacts), [u for u, _ in reacts],
+                                   [t for _, t in reacts], [t for _, t in reacts]),
+            SocialGraph(edges), [UserMeta(u, 0, None, "TW") for u in names],
+            grid, DelayKernel(mass, width), window, model)
+
+        for target in names:
+            audience = sorted({b for a, b in edges
+                               if a == target and reactions[b].any()})
+            tables = {kind: derived.personalized[kind] for kind in ("S1", "S2")}
+            if not audience:
+                assert target not in tables["S1"].users
+                continue
+            brute_rd = {b: brute_delayed(list(reactions[b]), list(mass))
+                        for b in audience}
+            brute_v = {b: brute_visible([list(creations[a]) for a, c in edges
+                                         if c == b],
+                                        model.alpha, model.beta, 4)
+                       for b in audience}
+            oracle = {"S1": brute_first(brute_rd),
+                      "S2": brute_second(brute_rd, brute_v)}
+            for kind, table in tables.items():
+                (at,) = table.rows_of([target])
+                assert at >= 0, (kind, target)
+                diff = np.max(np.abs(table.probabilities[at] - oracle[kind]))
+                worst = max(worst, float(diff))
+    report("1 derivation-over-graph", worst <= 1e-12,
+           f"(max deviation {worst:.2e})")
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +545,15 @@ def test_criterion_6_argmax_invariance():
     report("6 argmax-invariance", True, f"({CASES} cases)")
 
 
+def graph_pairs(g):
+    """The (src, dst) user pairs a graph holds, in its order."""
+    return list(zip(g.users[g.src].tolist(), g.users[g.dst].tolist()))
+
+
+def reversed_pairs(g):
+    return [(b, a) for a, b in graph_pairs(g)]
+
+
 def test_criterion_6_graph_transpose():
     rng = np.random.default_rng(66)
     for _ in range(CASES):
@@ -490,10 +562,12 @@ def test_criterion_6_graph_transpose():
                  for a, b in rng.integers(0, n, size=(int(rng.integers(0, 25)), 2))
                  if a != b]
         g = SocialGraph(edges)
-        t = g.transposed()
-        assert t.out_edges == g.in_edges
-        assert t.in_edges == g.out_edges
-        assert t.transposed().out_edges == g.out_edges
+        t = SocialGraph(reversed_pairs(g))
+        assert set(graph_pairs(g)) == set(edges)
+        assert set(graph_pairs(t)) == {(b, a) for a, b in edges}
+        tt = SocialGraph(reversed_pairs(t))
+        for column in ("users", "src", "dst"):
+            assert np.array_equal(getattr(tt, column), getattr(g, column))
     report("6 graph-transpose", True, f"({CASES} cases)")
 
 

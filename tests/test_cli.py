@@ -284,6 +284,22 @@ class TestExitCodes:
         assert s1[-1] in err and "330" in err
         assert not (out / "cohort_series.csv").exists()
 
+    def test_repeated_user_returns_two_naming_user(self, tmp_path, capsys):
+        # A one-member "Solo" city, listed twice, must not pass as a cohort
+        # of two whose sampled pairs compare the user with itself.
+        cfg, out = synth_config(tmp_path)
+        assert run(["synth", "--config", cfg]) == 0
+        users = out / "users.tsv"
+        first, rest = users.read_text(encoding="utf-8").split("\n", 1)
+        user, tz, _, network = first.split("\t")
+        solo = "\t".join([user, tz, "Solo", network])
+        users.write_text(f"{solo}\n{solo}\n{rest}", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["all", "--config", out / "synth.config"]) == 2
+        err = capsys.readouterr().err
+        assert "users.tsv" in err and repr(user) in err
+        assert not (out / "cohort_series.csv").exists()
+
     def test_empty_evaluation_window_diagnostic(self, tmp_path, capsys):
         cfg, out = synth_config(tmp_path)
         assert run(["synth", "--config", cfg]) == 0
@@ -325,6 +341,68 @@ class TestSynthStage:
         rows = [l.split("\t") for l in lines if not l.startswith("#")]
         assert float(rows[0][1]) == 1.0
         assert all(float(r[1]) == 0.0 for r in rows[1:])
+
+
+    def test_config_carries_every_non_synth_key(self, tmp_path):
+        cfg, out = synth_config(tmp_path, min_cohort=5, metric_bin_width=0.5,
+                                max_malformed_frac=0.2, bidirectional="true",
+                                alpha=0.5, day_filter="all")
+        assert run(["synth", "--config", cfg]) == 0
+        given = parse_config(cfg)
+        start = given.synth_start
+        want = replace(given, **{k: str(out / f"{k}.tsv") for k in cli.INPUT_KEYS},
+                       derivation_start=start, derivation_days=14,
+                       evaluation_start=start + 14 * 86400, evaluation_days=7,
+                       out=str(out))
+        written = parse_config(out / "synth.config")
+        for f in fields(RunConfig):
+            if not f.metadata["feeds"]:
+                assert getattr(written, f.name) == getattr(want, f.name), f.name
+
+
+class TestAnalyzeStage:
+    N = 168  # hourly buckets
+
+    def analyze(self, tmp_path, users, s1, **extra):
+        """Cohort series of `analyze` over ``users`` lines and one-hot S1
+        rows, ``{user: bucket}``, as {cohort: {bucket: value}}."""
+        out = tmp_path / "run"
+        out.mkdir()
+        (tmp_path / "users.tsv").write_text("".join(f"{u}\n" for u in users),
+                                            encoding="utf-8")
+        rows = []
+        for user, bucket in s1.items():
+            probs = ["0"] * self.N
+            probs[bucket] = "1"
+            rows.append(f"{user}\tS1\t{','.join(probs)}\n")
+        (out / "schedules.tsv").write_text("".join(rows), encoding="utf-8")
+        cfg = write_config(tmp_path / "c", users=tmp_path / "users.tsv", out=out,
+                           buckets_per_week=self.N, delay_lag_s=3600,
+                           sample_budget=50, **extra)
+        assert run(["analyze", "--config", cfg]) == 0
+        series: dict[str, dict[int, float]] = {}
+        for line in (out / "cohort_series.csv").read_text().splitlines()[1:]:
+            label, bucket, value = line.split(",")
+            if float(value):
+                series.setdefault(label, {})[int(bucket)] = float(value)
+        return series
+
+    def test_cohort_tz_tie_goes_to_first_member_by_id(self, tmp_path):
+        # One member at UTC+1 and one at UTC, listed in the other order: the
+        # cohort sits at the offset of "a", the lower id, so b's local
+        # 10:00 UTC lands an hour later there.
+        users = ["b\t0\tOslo\tTW", "a\t60\tOslo\tTW"]
+        series = self.analyze(tmp_path, users, {"a": 10, "b": 10})
+        assert series["Oslo"] == series["ALL"] == {10: 0.5, 11: 0.5}
+
+    def test_city_below_min_cohort_gets_no_cohort(self, tmp_path):
+        # "Tiny" has two members but only one with an S1 row.
+        users = ["a\t0\tTiny\tTW", "b\t0\tTiny\tTW", "c\t0\tPair\tTW",
+                 "d\t0\tPair\tTW"]
+        series = self.analyze(tmp_path, users, {"a": 1, "c": 2, "d": 3},
+                              min_cohort=2)
+        assert set(series) == {"ALL", "Pair"}
+        assert series["Pair"] == {2: 0.5, 3: 0.5}
 
 
 class TestFullChain:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postsched import (
@@ -160,10 +160,11 @@ class TestLoaders:
             "above-utc+14"])
     def test_tz_offset_grammar_and_range_are_strict(self, tmp_path, offset):
         p = write(tmp_path / "users.tsv",
-                  "u1\t0\t-\tTW\n" * 99 + f"u2\t{offset}\t-\tTW\n")
+                  "".join(f"u{i}\t0\t-\tTW\n" for i in range(99))
+                  + f"x\t{offset}\t-\tTW\n")
         users, report = load_users(p)
         assert report.malformed == 1
-        assert [u.user for u in users] == ["u1"] * 99
+        assert [u.user for u in users] == [f"u{i}" for i in range(99)]
 
     @pytest.mark.parametrize("offset", [-720, 840])
     def test_tz_offset_range_ends_accepted(self, tmp_path, offset):
@@ -171,6 +172,20 @@ class TestLoaders:
         users, report = load_users(p)
         assert report.malformed == 0
         assert users == [UserMeta("u1", offset, None, "TW")]
+
+    @pytest.mark.parametrize("second", ["u1\t0\tNYC\tTW", "u1\t60\tLA\tTW"],
+                             ids=["same-line", "other-tz"])
+    def test_repeated_user_is_fatal(self, tmp_path, second):
+        p = write(tmp_path / "users.tsv", f"u1\t0\tNYC\tTW\nu2\t0\t-\tTW\n{second}\n")
+        with pytest.raises(IngestError, match=r"users\.tsv: user 'u1' is listed "
+                                              r"more than once for network TW"):
+            load_users(p, "TW")
+
+    def test_same_user_on_two_networks(self, tmp_path):
+        p = write(tmp_path / "users.tsv", "u1\t0\tNYC\tTW\nu1\t60\tLA\tFB\n")
+        for network, want in (("TW", ["TW"]), ("FB", ["FB"]), (None, ["TW", "FB"])):
+            users, _ = load_users(p, network)
+            assert [u.network for u in users] == want
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -254,7 +269,30 @@ class TestLoadReportAccounting:
         assert len(posts) == 98
 
 
+def graph_pairs(g):
+    """The (src, dst) user pairs a graph holds, in its order."""
+    return list(zip(g.users[g.src].tolist(), g.users[g.dst].tolist()))
+
+
+def reversed_pairs(g):
+    return [(b, a) for a, b in graph_pairs(g)]
+
+
 class TestSocialGraph:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "d", "é", "a0"])] * 2),
+                    max_size=30))
+    def test_columns_match_set_computation(self, edges):
+        g = SocialGraph(edges)
+        pairs = set(edges)
+        assert set(graph_pairs(g)) == pairs
+        assert g.n_edges == len(pairs)
+        assert g.users.tolist() == sorted({u for e in edges for u in e})
+        assert g.is_symmetric() == (pairs == {(b, a) for a, b in pairs})
+        keys = g.src * len(g.users) + g.dst
+        assert np.all(np.diff(keys) > 0)
+        assert g.src.dtype == g.dst.dtype == np.int64
+
     def test_transpose_invariant(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -262,11 +300,12 @@ class TestSocialGraph:
             edges = [(f"u{a}", f"u{b}")
                      for a, b in rng.integers(0, n, size=(30, 2)) if a != b]
             g = SocialGraph(edges)
-            assert g.transposed().out_edges == g.in_edges
-            assert g.transposed().in_edges == g.out_edges
-            for src, dst in edges:
-                assert dst in g.audience(src)
-                assert src in g.followed(dst)
+            t = SocialGraph(reversed_pairs(g))
+            assert set(graph_pairs(g)) == set(edges)
+            assert set(graph_pairs(t)) == {(b, a) for a, b in edges}
+            tt = SocialGraph(reversed_pairs(t))
+            for column in ("users", "src", "dst"):
+                assert np.array_equal(getattr(tt, column), getattr(g, column))
 
     def test_duplicate_edges_collapse(self):
         g = SocialGraph([("a", "b"), ("a", "b")])

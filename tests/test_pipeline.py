@@ -188,6 +188,29 @@ class TestDeriveSchedules:
         assert any(scattered[2:])
 
 
+    def test_edge_order_and_repeats_change_no_bit(self):
+        cfg, result, posts, join, _ = star_inputs()
+        window = TimeWindow.from_days(cfg.start_epoch, cfg.span_days)
+        kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
+        rng = np.random.default_rng(8)
+        # Cross edges give members several followed accounts, so S2 reads
+        # more than the star.
+        names = [u.user for u in result.users]
+        edges = list(result.edges) + [
+            (names[a], names[b]) for a, b in rng.integers(0, len(names), (60, 2))]
+
+        def tables(edge_list):
+            derived = derive_schedules(posts, join.pairs, SocialGraph(edge_list),
+                                       result.users, cfg.grid, kernel, window)
+            return [(t.users.tolist(), t.provenance.tolist(), t.probabilities.tobytes())
+                    for t in (*derived.personalized.values(), derived.baselines,
+                              derived.recommended)] + [
+                derived.audience_profiles.tobytes(), derived.unknown_tz]
+
+        shuffled = [edges[i] for i in rng.permutation(len(edges))] + edges[::3]
+        assert tables(shuffled) == tables(edges)
+
+
 class TestPersistence:
     def test_schedule_roundtrip(self, tmp_path):
         cfg, result, posts, join, graph = star_inputs()
