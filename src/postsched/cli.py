@@ -353,19 +353,26 @@ def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
             **settings,
         )
     except ValueError as exc:
-        # SynthConfig starts each message with the field it is about.
+        # SynthConfig starts each message with the fields it is about.
         target, _, problem = str(exc).partition(": ")
-        raise ConfigError(f"{key_of.get(target, target)}: {problem}") from None
+        keys = "/".join(key_of.get(t, t) for t in target.split("/"))
+        raise ConfigError(f"{keys}: {problem}") from None
+    # The written synth.config evaluates on the days after the derivation
+    # window, so the span must hold that window and at least one day more.
+    if cfg.synth_span_days <= cfg.derivation_days:
+        raise ConfigError(
+            f"synth_span_days/derivation_days: synth_span_days = "
+            f"{cfg.synth_span_days} must exceed derivation_days = "
+            f"{cfg.derivation_days}, to leave at least one evaluation day")
     result = synth.generate(config, out_dir)
-    derivation_days = min(cfg.derivation_days, cfg.synth_span_days)
-    eval_days = max(cfg.synth_span_days - derivation_days, 1)
     # Ready-to-run config pointing at the generated files, with every key
     # that does not feed synth.
     run = replace(cfg, **{key: str(result.paths[key]) for key in INPUT_KEYS},
                   derivation_start=cfg.synth_start,
-                  derivation_days=derivation_days,
-                  evaluation_start=cfg.synth_start + derivation_days * DAY_SECONDS,
-                  evaluation_days=min(cfg.evaluation_days, eval_days),
+                  evaluation_start=(cfg.synth_start
+                                    + cfg.derivation_days * DAY_SECONDS),
+                  evaluation_days=min(cfg.evaluation_days,
+                                      cfg.synth_span_days - cfg.derivation_days),
                   out=str(out_dir))
     lines = [f"{f.name}={getattr(run, f.name)}" for f in fields(run)
              if not f.metadata["feeds"]]

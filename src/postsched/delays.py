@@ -121,26 +121,3 @@ def write_kernel_table(kernel: DelayKernel, path) -> None:
         lines.append(f"{int(start)}\t{prob:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_kernel_table(path) -> DelayKernel:
-    starts: list[int] = []
-    probs: list[float] = []
-    lag_width = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "lag_width_s=" in line:
-                    lag_width = int(line.split("lag_width_s=")[1])
-                continue
-            a, b = line.split("\t")
-            starts.append(int(a))
-            probs.append(float(b))
-    if not probs:
-        raise InsufficientDataError(f"{path}: empty kernel table")
-    if lag_width is None:
-        lag_width = starts[1] - starts[0] if len(starts) > 1 else DEFAULT_LAG_WIDTH_S
-    return DelayKernel(np.array(probs), lag_width)

@@ -1,7 +1,8 @@
 """Event-log ingestion: TSV parsing, reaction joining, per-user profiles.
 
-Canonical inputs are headerless UTF-8 TSV files with LF line endings;
-'#'-prefixed lines are comments and blank lines are skipped:
+Canonical inputs are headerless UTF-8 TSV files with LF line endings (CRLF
+and lone CR are read as LF); '#'-prefixed lines are comments and blank lines
+are skipped:
 
     posts.tsv      network <tab> author <tab> post_id <tab> epoch_seconds
     reactions.tsv  network <tab> post_id <tab> reactor <tab> epoch_seconds
@@ -12,14 +13,17 @@ Timestamps are ASCII decimal integers, ``-?[0-9]+``, within the signed
 64-bit range. Timezone offsets follow the same grammar and lie within
 UTC-12:00 .. UTC+14:00 (-720 .. 840 minutes). The reactor column may hold
 "-" when the source data does not identify who reacted; such rows support
-delay estimation and analysis but not schedule derivation. Malformed lines
-are counted, never silently dropped. A user is listed at most once per
-network in users.tsv.
+delay estimation and analysis but not schedule derivation. A line holding
+a NUL byte is malformed. Malformed lines are counted, never silently dropped.
+A user is listed at most once per network in users.tsv.
 
 Posts and reactions load into column tables (:class:`PostTable`,
 :class:`ReactionTable`) whose user ids are interned as integer codes into a
-``users`` vocabulary and whose times are int64 arrays. :func:`join_reactions`
-turns the two into one :class:`PairTable`, which every later stage reads.
+sorted ``users`` vocabulary, whose post ids are a fixed-width bytes (``S``)
+column and whose times are int64 arrays. A block of lines is split into
+these columns with numpy, never one Python object per row.
+:func:`join_reactions` joins the two on sorted post-id keys into one
+:class:`PairTable`, which every later stage reads.
 The follower graph loads the same way, as a :class:`SocialGraph` of edge
 code columns.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -46,15 +50,25 @@ DEFAULT_MAX_MALFORMED_FRAC = 0.01
 # ``int()`` alone would also take "1_000", "+5", padded whitespace and
 # non-ASCII digits.
 _TIMESTAMP = re.compile(r"-?[0-9]+")
-_TIMESTAMP_COLUMN = re.compile(r"-?[0-9]+(?:\t-?[0-9]+)*")
 _INT64 = np.iinfo(np.int64)
+
+# A timestamp of at most this many digits fits in int64, so a block whose
+# timestamps are all this short is parsed from its digit bytes.
+_MAX_BLOCK_DIGITS = 18
+
+# An id column is as wide as its longest id, so one long id would widen
+# every row; a posts or reactions line with a longer id is malformed.
+MAX_ID_BYTES = 255
+
+# The network names as a sorted bytes column, for a vectorized lookup.
+_NETWORK_KEYS = np.array(sorted(n.encode() for n in NETWORKS))
 
 # Timezone offsets in minutes, UTC-12:00 .. UTC+14:00.
 _TZ_OFFSETS = range(-12 * 60, 14 * 60 + 1)
 
-# Posts and reactions are parsed in blocks of whole lines of about this many
-# characters, which bounds the memory taken by per-field strings.
-_BLOCK_CHARS = 1 << 20
+# Input files are read in blocks of whole lines of about this many bytes,
+# which bounds the memory taken by the per-block temporaries.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,12 +91,31 @@ class LoadReport:
     skipped_network: int = 0
 
 
-def _intern(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Vocabulary of distinct names, in first-seen order, and the int64 code
-    of each input name into it."""
-    index = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    codes = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
-    return np.array(list(index), dtype=object), codes
+def encode_ids(ids) -> np.ndarray:
+    """Ids as a fixed-width column of their UTF-8 bytes. An ``S`` array drops
+    trailing NUL bytes, so an id holding a NUL character is refused."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "S":
+        return ids
+    column = [i.encode() for i in ids]
+    if any(b"\0" in i for i in column):
+        raise ValueError("an id holds a NUL character")
+    return np.array(column, dtype=np.bytes_)
+
+
+def _intern(names) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted vocabulary of the distinct names, as str, and the int64 code
+    of each name into it. ``names`` is a bytes column or a sequence of str;
+    UTF-8 byte order is code-point order, so both sort alike."""
+    if not (isinstance(names, np.ndarray) and names.dtype.kind == "S"):
+        vocab, codes = np.unique(np.array(list(names), dtype=object),
+                                 return_inverse=True)
+        return vocab, codes.astype(np.int64)
+    # The rows of one user often come together, as in a file sorted by
+    # author, so only the first row of each run of equal ids is sorted.
+    head = np.flatnonzero(np.append(names.size > 0, names[1:] != names[:-1]))
+    vocab, codes = np.unique(names[head], return_inverse=True)
+    codes = np.repeat(codes.astype(np.int64), np.diff(np.append(head, names.size)))
+    return np.array([name.decode() for name in vocab.tolist()], dtype=object), codes
 
 
 @dataclass(frozen=True)
@@ -92,19 +125,20 @@ class PostTable:
     networks: frozenset[str]
     users: np.ndarray        # code -> user id
     author: np.ndarray       # int64 user codes
-    post_id: Sequence[str]
+    post_id: np.ndarray      # UTF-8 bytes, fixed width (S)
     created_at: np.ndarray   # int64 epoch seconds
 
     def __len__(self) -> int:
         return int(self.created_at.size)
 
     @classmethod
-    def from_columns(cls, networks: Iterable[str], authors: Sequence[str],
-                     post_ids: Iterable[str], created_at) -> "PostTable":
+    def from_columns(cls, networks: Iterable[str], authors, post_ids,
+                     created_at) -> "PostTable":
         """Table from plain columns; ``networks`` holds the network names
-        present, one per row or each once, and author ids are interned."""
+        present, one per row or each once, author ids are interned, and each
+        id column is a bytes column or a sequence of str."""
         users, author = _intern(authors)
-        return cls(frozenset(networks), users, author, list(post_ids),
+        return cls(frozenset(networks), users, author, encode_ids(post_ids),
                    np.asarray(created_at, dtype=np.int64))
 
 
@@ -114,7 +148,7 @@ class ReactionTable:
 
     networks: frozenset[str]
     users: np.ndarray        # code -> user id
-    post_id: Sequence[str]
+    post_id: np.ndarray      # UTF-8 bytes, fixed width (S)
     reactor: np.ndarray      # int64 user codes
     reacted_at: np.ndarray   # int64 epoch seconds
 
@@ -122,11 +156,11 @@ class ReactionTable:
         return int(self.reacted_at.size)
 
     @classmethod
-    def from_columns(cls, networks: Iterable[str], post_ids: Iterable[str],
-                     reactors: Sequence[str], reacted_at) -> "ReactionTable":
+    def from_columns(cls, networks: Iterable[str], post_ids, reactors,
+                     reacted_at) -> "ReactionTable":
         """Table from plain columns, as :meth:`PostTable.from_columns`."""
         users, reactor = _intern(reactors)
-        return cls(frozenset(networks), users, list(post_ids), reactor,
+        return cls(frozenset(networks), users, encode_ids(post_ids), reactor,
                    np.asarray(reacted_at, dtype=np.int64))
 
 
@@ -209,17 +243,34 @@ class SocialGraph:
                               self.src * n + self.dst)
 
 
-def _blocks(path) -> Iterator[list[str]]:
-    """The data lines of a TSV file, without comments and blank lines, read
-    in blocks of about ``_BLOCK_CHARS`` characters so that the per-line
-    strings of a large file never exist all at once."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            while text := fh.read(_BLOCK_CHARS):
-                text += fh.readline()
-                yield [line for line in text.split("\n") if line and line[0] != "#"]
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+def _blocks(path) -> Iterator[bytes]:
+    """A file as blocks of whole lines of about ``_BLOCK_BYTES`` bytes, so
+    that a large file is never held at once. A line ends at LF or CR."""
+    with open(path, "rb") as fh:
+        head: list[bytes] = []  # the start of a line that no chunk has ended
+        while chunk := fh.read(_BLOCK_BYTES):
+            end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+            if end:
+                yield b"".join([*head, chunk[:end]])
+                head = []
+            head.append(chunk[end:])
+        if any(head):
+            yield b"".join(head)
+
+
+def _text(block: bytes, path) -> str:
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _lines(block: bytes, path) -> list[str]:
+    """The data lines of a block, without comments and blank lines. CRLF and
+    a lone CR end a line like LF; as blank lines are skipped, turning every
+    CR into LF gives the same lines."""
+    text = _text(block, path).replace("\r", "\n")
+    return [line for line in text.split("\n") if line and line[0] != "#"]
 
 
 def _check_lines(lines: Iterable[str], n_fields: int, parse_row,
@@ -231,7 +282,7 @@ def _check_lines(lines: Iterable[str], n_fields: int, parse_row,
     skipped = 0
     for line in lines:
         fields = line.split("\t")
-        if len(fields) != n_fields:
+        if len(fields) != n_fields or "\0" in line:
             malformed += 1
             continue
         if fields[network_field] not in NETWORKS:
@@ -260,9 +311,9 @@ def _report(path, parsed: int, malformed: int, skipped: int,
 
 def _load_tsv(path, n_fields: int, parse_row, network: str | None,
               network_field: int, max_malformed_frac: float):
-    records, malformed, skipped = _check_lines(
-        chain.from_iterable(_blocks(path)), n_fields, parse_row, network,
-        network_field)
+    lines = chain.from_iterable(_lines(block, path) for block in _blocks(path))
+    records, malformed, skipped = _check_lines(lines, n_fields, parse_row,
+                                               network, network_field)
     return records, _report(path, len(records), malformed, skipped,
                             max_malformed_frac)
 
@@ -284,61 +335,116 @@ def _tz_offset(text: str) -> int:
 
 
 def _event_row(f: list[str]) -> tuple[str, str, str, int]:
+    for text in f[1:3]:
+        if len(text.encode()) > MAX_ID_BYTES:
+            raise ValueError(f"id longer than {MAX_ID_BYTES} bytes")
     return f[0], f[1], f[2], _timestamp(f[3])
 
 
-def _split_clean(lines: list[str], network: str | None):
-    """Columns of event lines that all pass every check, split at once; None
-    when some line fails one. Lines of a network other than ``network`` are
-    dropped."""
-    if not lines:
-        return [], [], [], np.empty(0, dtype=np.int64)
-    if set(map(str.count, lines, repeat("\t"))) != {3}:
+def _field(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The byte fields ``buf[start[i]:stop[i]]`` as a fixed-width S column:
+    the rows of a uint8 matrix, left-aligned and padded with zeros."""
+    length = stop - start
+    width = max(int(length.max(initial=0)), 1)
+    padded = np.concatenate([buf, np.zeros(width, dtype=np.uint8)])
+    out = np.lib.stride_tricks.sliding_window_view(padded, width)[start]
+    out *= np.arange(width) < length[:, None]
+    return out.view(f"S{width}").reshape(-1)
+
+
+def _stamps(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """int64 values of the fields ``buf[start[i]:stop[i]]``, or None unless
+    each is ``-?[0-9]+`` with at most ``_MAX_BLOCK_DIGITS`` digits."""
+    if start.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if np.any(stop <= start):
         return None
-    tokens = "\t".join(lines).split("\t")
-    nets, first, second, stamps = (tokens[i::4] for i in range(4))
-    present = set(nets)
-    if not present.issubset(NETWORKS):
+    negative = buf[start] == ord("-")
+    n_digits = stop - start - negative
+    if n_digits.min() < 1 or n_digits.max() > _MAX_BLOCK_DIGITS:
         return None
-    if not _TIMESTAMP_COLUMN.fullmatch("\t".join(stamps)):
+    # The digits right-aligned in ``width`` columns, led by "0" bytes.
+    width = int(n_digits.max())
+    padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])
+    digits = np.lib.stride_tricks.sliding_window_view(padded, width)[stop]
+    digits[np.arange(width) < (width - n_digits)[:, None]] = ord("0")
+    digits -= ord("0")   # a byte below "0" wraps past 9
+    if np.any(digits > 9):
         return None
-    try:
-        times = np.array(stamps, dtype=np.int64)
-    except OverflowError:
+    value = digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.where(negative, -value, value)
+
+
+def _split_block(block: bytes, network: str | None):
+    """Networks present, the two id columns and the int64 times of the data
+    lines of a block, and the count of lines of a network other than
+    ``network``, split at once with numpy; None unless every line passes
+    every check of the per-line path. The block holds no CR and no NUL
+    byte, and is valid UTF-8."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    newline = np.flatnonzero(buf == ord("\n"))
+    start = np.concatenate([[0], newline + 1])
+    stop = np.append(newline, buf.size)
+    data = stop > start
+    data[data] = buf[start[data]] != ord("#")
+    tab = np.flatnonzero(buf == ord("\t"))
+    line_of_tab = np.searchsorted(newline, tab)
+    if np.any(np.bincount(line_of_tab, minlength=start.size)[data] != 3):
         return None
-    if network is not None and present != {network}:
-        keep = [n == network for n in nets]
-        nets, first, second = (list(compress(c, keep)) for c in (nets, first, second))
-        times = times[np.array(keep, dtype=bool)]
-    return nets, first, second, times
+    tab = tab[data[line_of_tab]].reshape(-1, 3)
+    start, stop = start[data], stop[data]
+    # Check the widths first, so that no long field widens a column.
+    if (start.size and (np.max(tab[:, 0] - start) > _NETWORK_KEYS.itemsize
+                        or np.max(np.diff(tab, axis=1)) > MAX_ID_BYTES + 1)):
+        return None
+    nets = _field(buf, start, tab[:, 0])
+    which = np.searchsorted(_NETWORK_KEYS, nets).clip(0, _NETWORK_KEYS.size - 1)
+    if not np.array_equal(_NETWORK_KEYS[which], nets):
+        return None
+    times = _stamps(buf, tab[:, 2] + 1, stop)
+    if times is None:
+        return None
+    if network is not None:
+        mine = nets == network.encode()
+        tab, times, which = tab[mine], times[mine], which[mine]
+    present = {_NETWORK_KEYS[i].decode() for i in np.unique(which).tolist()}
+    return (present, _field(buf, tab[:, 0] + 1, tab[:, 1]),
+            _field(buf, tab[:, 1] + 1, tab[:, 2]), times, start.size - times.size)
 
 
 def _load_events(path, network: str | None, max_malformed_frac: float):
-    """Networks present, two id columns and int64 times of a posts or
-    reactions file, with its report. A block of lines that all pass the
-    checks is split by columns; any other block is checked line by line,
-    so the counts are exact either way."""
+    """Networks present, two id columns (bytes) and int64 times of a posts
+    or reactions file, with its report. A block whose lines all pass the
+    checks is split at once; any other block, and one holding a CR or a NUL
+    byte, is checked line by line, so the counts are exact either way."""
     networks: set[str] = set()
-    first: list[str] = []
-    second: list[str] = []
+    first = [np.empty(0, dtype=np.bytes_)]
+    second = [np.empty(0, dtype=np.bytes_)]
     times = [np.empty(0, dtype=np.int64)]
     malformed = 0
     skipped = 0
-    for lines in _blocks(path):
-        columns = _split_clean(lines, network)
-        if columns is None:
-            rows, bad, other = _check_lines(lines, 4, _event_row, network, 0)
+    for block in _blocks(path):
+        if not block.isascii():
+            _text(block, path)
+        split = None
+        if b"\r" not in block and b"\0" not in block:
+            split = _split_block(block, network)
+        if split is None:
+            rows, bad, other = _check_lines(_lines(block, path), 4, _event_row,
+                                            network, 0)
             malformed += bad
-            skipped += other
-            columns = tuple(zip(*rows)) if rows else ((), (), (), ())
-        else:
-            skipped += len(lines) - len(columns[3])
-        networks.update(columns[0])
-        first += columns[1]
-        second += columns[2]
-        times.append(np.asarray(columns[3], dtype=np.int64))
-    report = _report(path, len(first), malformed, skipped, max_malformed_frac)
-    return (networks, first, second, np.concatenate(times)), report
+            nets, a, b, t = zip(*rows) if rows else ((), (), (), ())
+            split = (set(nets), encode_ids(a), encode_ids(b),
+                     np.array(t, dtype=np.int64), other)
+        present, a, b, t, other = split
+        networks |= present
+        first.append(a)
+        second.append(b)
+        times.append(t)
+        skipped += other
+    times = np.concatenate(times)
+    report = _report(path, times.size, malformed, skipped, max_malformed_frac)
+    return (networks, np.concatenate(first), np.concatenate(second), times), report
 
 
 def load_posts(path, network: str | None = None,
@@ -410,27 +516,25 @@ def join_reactions(posts: PostTable, reactions: ReactionTable) -> JoinResult:
     networks = posts.networks | reactions.networks
     if len(networks) > 1:
         raise IngestError(f"join requires a single network, got {sorted(networks)}")
-    index = dict(zip(posts.post_id, range(len(posts))))
-    if len(index) < len(posts):
-        seen: set[str] = set()
-        for pid in posts.post_id:
-            if pid in seen:
-                raise IngestError(f"duplicate post_id {pid!r}")
-            seen.add(pid)
-    post_row = np.fromiter(map(index.get, reactions.post_id, repeat(-1)),
-                           np.int64, len(reactions))
-    resolved = np.flatnonzero(post_row >= 0)
-    post_row = post_row[resolved]
+    # In a stable sort, equal keys keep their file order, so the first
+    # duplicate in the file is the earliest row that follows an equal key.
+    order = np.argsort(posts.post_id, kind="stable")
+    keys = posts.post_id[order]
+    repeated = order[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        pid = posts.post_id[repeated.min()].decode()
+        raise IngestError(f"duplicate post_id {pid!r}")
+    slot = np.searchsorted(keys, reactions.post_id).clip(0, max(keys.size - 1, 0))
+    resolved = (np.flatnonzero(keys[slot] == reactions.post_id) if keys.size
+                else np.empty(0, dtype=np.int64))
+    post_row = order[slot[resolved]]
     in_order = reactions.reacted_at[resolved] >= posts.created_at[post_row]
     joined, post_row = resolved[in_order], post_row[in_order]
 
-    codes = {name: i for i, name in enumerate(posts.users)}
-    reactor_code = np.fromiter(
-        (codes.setdefault(name, len(codes)) for name in reactions.users),
-        np.int64, len(reactions.users))
-    pairs = PairTable(np.array(list(codes), dtype=object),
-                      posts.author[post_row],
-                      reactor_code[reactions.reactor[joined]],
+    users = np.union1d(posts.users, reactions.users)
+    pairs = PairTable(users,
+                      np.searchsorted(users, posts.users)[posts.author[post_row]],
+                      np.searchsorted(users, reactions.users)[reactions.reactor[joined]],
                       posts.created_at[post_row],
                       reactions.reacted_at[joined])
     return JoinResult(pairs, len(reactions) - resolved.size,

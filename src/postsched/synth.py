@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import NETWORKS, PostTable, ReactionTable, UserMeta
+from .ingest import NETWORKS, PostTable, ReactionTable, UserMeta, encode_ids
 from .temporal import EPOCH_TO_MONDAY, WEEK_SECONDS, UNIT_SUM_TOL, WeeklyGrid
 
 # Monday 2015-01-05 00:00 UTC; any Monday-aligned start works.
@@ -45,6 +45,11 @@ _BLOCK_DRAWS = 1 << 18
 
 # The synth files are written in blocks of this many lines.
 _WRITE_ROWS = 1 << 16
+
+# The most Poisson cells (users x weeks x buckets) that one config may draw.
+# Each user's draw is held whole, as int64, so this also bounds that array
+# to 2 GiB. The 16,400-user, 17-week bench point draws 187M cells.
+MAX_POISSON_CELLS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,11 @@ class UserSpec:
     tz_offset_min: int = 0
 
     def __post_init__(self) -> None:
-        if self.base_rate < 0 or self.peak_rate < 0:
+        if not (self.base_rate >= 0 and self.peak_rate >= 0):
             raise ValueError("rates must be >= 0")
+        # A repeated peak would add peak_rate to its bucket twice.
+        if len(set(self.peaks)) < len(self.peaks):
+            raise ValueError(f"peaks: a bucket is listed twice in {self.peaks}")
 
     def intensity(self, n_buckets: int) -> np.ndarray:
         """Expected posts per bucket per week."""
@@ -160,6 +168,19 @@ class SynthConfig:
         if self.planted_peaks is None and not 0 <= self.peaks_per_star <= pool:
             raise ValueError(f"peaks_per_star: must be in [0, {pool}], the size "
                              "of the peak pool")
+        n = grid.buckets_per_week
+        for name, peaks in [("peak_pool", self.peak_pool or ()),
+                            *(("planted_peaks", p) for p in self.planted_peaks or ())]:
+            if len({p % n for p in peaks}) < len(peaks):
+                raise ValueError(f"{name}: a bucket is listed twice in {peaks}")
+        followers = self.followers_per_author
+        most = followers[1] if isinstance(followers, tuple) else followers
+        cells = self.n_authors * (1 + most) * -(-self.span_s // WEEK_SECONDS) * n
+        if cells > MAX_POISSON_CELLS:
+            raise ValueError(
+                f"n_authors/followers_per_author/span_days: users x weeks x "
+                f"buckets is {cells} Poisson cells, above the cap of "
+                f"{MAX_POISSON_CELLS}")
         if (self.start_epoch + EPOCH_TO_MONDAY) % WEEK_SECONDS != 0:
             raise ValueError("start_epoch: must fall on Monday 00:00 UTC")
         if not -2**63 <= self.start_epoch <= 2**63 - 1 - self.span_s:
@@ -322,23 +343,28 @@ def generate(config: SynthConfig, out_dir=None,
     """
     pop = population if population is not None else resolve_population(config)
     grid = config.grid
+    limit = grid.bucket_width_s
+    for spec in pop.users:
+        if not spec.base_rate + spec.peak_rate <= limit:
+            raise ValueError(f"population: user {spec.user_id!r} has base plus "
+                             f"peak rate above {limit} posts per bucket, one "
+                             "per second")
     ids = np.array([u.user_id for u in pop.users], dtype=object)
     times = [_user_posts(config, spec, ui, grid) for ui, spec in enumerate(pop.users)]
     counts = np.array([t.size for t in times], dtype=np.int64)
     first_post = np.concatenate([[0], np.cumsum(counts)])
-    suffixes = [f":p{i}" for i in range(counts.max(initial=0))]
-    post_ids: list[str] = []
-    for uid, count in zip(ids.tolist(), counts.tolist()):
-        post_ids += map(uid.__add__, suffixes[:count])
+    # Post k of a user is "<user id>:p<k>".
+    author = np.repeat(np.arange(ids.size), counts)
+    suffixes = encode_ids([f":p{k}" for k in range(counts.max(initial=0))])
+    post_ids = np.char.add(encode_ids(ids)[author],
+                           suffixes[np.arange(author.size) - first_post[author]])
     networks = frozenset({config.network})
-    posts = PostTable(networks if post_ids else frozenset(), ids,
-                      np.repeat(np.arange(ids.size), counts), post_ids,
-                      np.concatenate([np.empty(0, dtype=np.int64), *times]))
+    posts = PostTable(networks if author.size else frozenset(), ids, author,
+                      post_ids, np.concatenate([np.empty(0, dtype=np.int64), *times]))
 
     reactor, post_row, reacted_at = _reactions(config, pop, times, first_post)
     reactions = ReactionTable(networks if reactor.size else frozenset(), ids,
-                              np.array(post_ids, dtype=object)[post_row].tolist(),
-                              reactor, reacted_at)
+                              post_ids[post_row], reactor, reacted_at)
 
     users = [UserMeta(u.user_id, u.tz_offset_min, None, config.network)
              for u in sorted(pop.users, key=lambda u: u.user_id)]
@@ -398,10 +424,13 @@ def _string_rank(names: np.ndarray) -> np.ndarray:
 
 
 def _cells(column, lo: int, hi: int):
-    """Rows lo..hi of a column as strings; a str column repeats in every row."""
+    """Rows lo..hi of a column as strings; a str column repeats in every row,
+    and a bytes column is UTF-8."""
     if isinstance(column, str):
         return repeat(column)
     part = column[lo:hi]
+    if isinstance(part, np.ndarray) and part.dtype.kind == "S":
+        return map(bytes.decode, part.tolist())
     return map(str, part.tolist() if isinstance(part, np.ndarray) else part)
 
 
@@ -437,12 +466,12 @@ def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, s
                    posts.post_id.__getitem__)
     _write_rows(paths["posts"], [
         network, posts.users[posts.author[order]],
-        np.array(posts.post_id, dtype=object)[order], posts.created_at[order]])
+        posts.post_id[order], posts.created_at[order]])
     reactor = _string_rank(reactions.users)[reactions.reactor]
     order = _order([reactions.reacted_at],
                    lambda row: (reactions.post_id[row], reactor[row]))
     _write_rows(paths["reactions"], [
-        network, np.array(reactions.post_id, dtype=object)[order],
+        network, reactions.post_id[order],
         reactions.users[reactions.reactor[order]], reactions.reacted_at[order]])
     _write_rows(paths["edges"], [network, *zip(*sorted(result.edges))])
     _write_rows(paths["users"], [*zip(*(

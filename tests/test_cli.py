@@ -189,6 +189,41 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "posts.tsv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("synth_span_days", "100000000"),
+        ("synth_authors", "100000000000"),
+        ("synth_followers", "100000000000000000000"),
+    ])
+    def test_synth_volume_cap_returns_one_naming_keys(self, tmp_path, capsys,
+                                                      key, value):
+        cfg, out = synth_config(tmp_path, **{key: value})
+        assert run(["synth", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synth_authors/synth_followers/"
+                              "synth_span_days: ")
+        assert "Traceback" not in err
+        assert not (out / "posts.tsv").exists()
+
+    @pytest.mark.parametrize("span, derivation", [(63, 63), (20, 63), (14, 14)])
+    def test_synth_span_without_evaluation_day_returns_one(self, tmp_path, capsys,
+                                                           span, derivation):
+        # A span that the derivation window fills leaves no evaluation day;
+        # the written synth.config would make `all` exit 2.
+        cfg = write_config(tmp_path / "c", synth_authors=3, synth_followers=4,
+                           synth_span_days=span, derivation_days=derivation,
+                           out=tmp_path / "run")
+        assert run(["synth", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synth_span_days/derivation_days: ")
+        assert not (tmp_path / "run" / "posts.tsv").exists()
+
+    def test_synth_span_with_one_evaluation_day_is_written(self, tmp_path):
+        cfg, out = synth_config(tmp_path, synth_span_days=15, derivation_days=14)
+        assert run(["synth", "--config", cfg]) == 0
+        written = parse_config(out / "synth.config")
+        assert (written.derivation_days, written.evaluation_days) == (14, 1)
+        assert written.evaluation_start == written.derivation_start + 14 * 86400
+
     def test_synth_peaks_per_star_up_to_pool_size(self, tmp_path):
         cfg, _ = synth_config(tmp_path, synth_peaks_per_star=480)
         assert run(["synth", "--config", cfg]) == 0
@@ -487,3 +522,73 @@ class TestFullChain:
         posts_a = (out / "posts.tsv").read_bytes()
         assert run(["synth", "--config", cfg, "--seed", "99"]) == 0
         assert (out / "posts.tsv").read_bytes() != posts_a
+
+
+# Single-line perturbations of an input line, as functions of its fields and
+# of the index of its network field. The id field is the first non-network
+# field, and the last field is the timestamp (the network in users.tsv).
+def _set(where, value):
+    """Replace the field at ``where`` ("net", "id" or "last") by
+    ``value(field)``."""
+    def apply(fields, net):
+        i = {"net": net, "id": 1 if net == 0 else 0, "last": len(fields) - 1}[where]
+        return [value(f) if j == i else f for j, f in enumerate(fields)]
+    return apply
+
+
+PERTURBATIONS = {
+    "drop-field": lambda f, net: f[:-1],
+    "add-field": lambda f, net: [*f, b"x"],
+    "unknown-network": _set("net", lambda v: b"XX"),
+    "other-network": _set("net", lambda v: b"FB"),
+    "bad-byte": _set("id", lambda v: v + b"\xff"),
+    "overflow": _set("last", lambda v: b"99999999999999999999"),
+    "negative": _set("last", lambda v: b"-" + v),
+    "empty-last": _set("last", lambda v: b""),
+    "dash-id": _set("id", lambda v: b"-"),
+    "empty-id": _set("id", lambda v: b""),
+    "crlf": lambda f, net: [*f[:-1], f[-1] + b"\r"],
+    "lone-cr": _set("id", lambda v: v + b"\r"),
+    "comment": lambda f, net: [b"#" + f[0], *f[1:]],
+    "non-ascii": _set("id", lambda v: v + "é".encode()),
+    "nul": _set("id", lambda v: v + b"\0"),
+}
+
+NETWORK_FIELD = {"posts": 0, "reactions": 0, "edges": 0, "users": 3}
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """The input files and run config of a tiny synth output."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    cfg, out = synth_config(tmp)
+    assert run(["synth", "--config", cfg]) == 0
+    kv = dict(line.split("=", 1)
+              for line in (out / "synth.config").read_text().splitlines())
+    return {name: (out / f"{name}.tsv").read_bytes() for name in NETWORK_FIELD}, kv
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(NETWORK_FIELD)),
+       kind=st.sampled_from(sorted(PERTURBATIONS)),
+       pick=st.integers(0, 10**6),
+       max_malformed_frac=st.sampled_from(["0.01", "1"]))
+def test_one_perturbed_line_never_escapes_main(tiny_inputs, tmp_path_factory,
+                                               name, kind, pick,
+                                               max_malformed_frac):
+    # With max_malformed_frac=1 a bad line passes ingest, and the run goes
+    # on to every later stage.
+    files, kv = tiny_inputs
+    run_dir = tmp_path_factory.mktemp("perturbed")
+    for other, data in files.items():
+        if other == name:
+            lines = data.split(b"\n")
+            i = pick % (len(lines) - 1)   # the text ends with a newline
+            fields = PERTURBATIONS[kind](lines[i].split(b"\t"), NETWORK_FIELD[name])
+            lines[i] = b"\t".join(fields)
+            data = b"\n".join(lines)
+        (run_dir / f"{other}.tsv").write_bytes(data)
+    cfg = write_config(run_dir / "run.config", **{
+        **kv, **{key: run_dir / f"{key}.tsv" for key in NETWORK_FIELD},
+        "out": run_dir / "out", "max_malformed_frac": max_malformed_frac})
+    assert run(["all", "--config", cfg]) in (0, 1, 2)

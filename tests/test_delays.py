@@ -11,7 +11,6 @@ from postsched import (
     estimate_delay_kernel,
     time_to_fraction,
 )
-from postsched.delays import read_kernel_table, write_kernel_table
 
 
 def pairs_from_delays(delays):
@@ -130,16 +129,6 @@ class TestCumulativeCurve:
 
 
 class TestKernelTable:
-    def test_roundtrip(self, tmp_path):
-        mass = np.zeros(96)
-        mass[[0, 3, 40]] = [0.25, 0.5, 0.25]
-        kernel = DelayKernel(mass)
-        path = tmp_path / "kernel.tsv"
-        write_kernel_table(kernel, path)
-        back = read_kernel_table(path)
-        assert back.lag_width_s == kernel.lag_width_s
-        assert np.array_equal(back.mass, kernel.mass)
-
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             DelayKernel(np.array([0.5, 0.4]))

@@ -1,6 +1,9 @@
 """Canonical TSV parsing, joining, graph loading, and profile building."""
 
+import tempfile
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,7 +55,8 @@ def join(posts, reactions):
 
 def post_rows(table):
     """(author, post_id, created_at) per row of a PostTable."""
-    return list(zip(table.users[table.author].tolist(), table.post_id,
+    return list(zip(table.users[table.author].tolist(),
+                    [p.decode() for p in table.post_id.tolist()],
                     table.created_at.tolist()))
 
 
@@ -228,7 +232,7 @@ class TestLoadReportAccounting:
     def test_fast_path_and_fallback_agree(self, tmp_path, monkeypatch, network):
         p = write(tmp_path / "posts.tsv", self.CLEAN)
         fast_posts, fast_report = load_posts(p, network)
-        monkeypatch.setattr(ingest, "_split_clean", lambda lines, network: None)
+        monkeypatch.setattr(ingest, "_split_block", lambda block, network: None)
         slow_posts, slow_report = load_posts(p, network)
         assert fast_report == slow_report
         assert post_rows(fast_posts) == post_rows(slow_posts)
@@ -253,7 +257,7 @@ class TestLoadReportAccounting:
         # (checked line by line) within one file.
         p = write(tmp_path / "posts.tsv", self.DIRTY + self.CLEAN * 3)
         whole = load_posts(p, "TW", max_malformed_frac=1.0)
-        monkeypatch.setattr(ingest, "_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_chars)
         posts, report = load_posts(p, "TW", max_malformed_frac=1.0)
         assert report == whole[1]
         assert post_rows(posts) == post_rows(whole[0])
@@ -267,6 +271,163 @@ class TestLoadReportAccounting:
         posts, report = load_posts(p, max_malformed_frac=0.05)
         assert (report.parsed, report.malformed) == (98, 2)
         assert len(posts) == 98
+
+
+def load_either(path, network):
+    """Columns and report of a posts file, or the message it raises."""
+    try:
+        posts, report = load_posts(path, network, max_malformed_frac=1.0)
+    except IngestError as exc:
+        return str(exc)
+    return (post_rows(posts), posts.users.tolist(), posts.author.tolist(),
+            posts.post_id.tolist(), posts.networks, report)
+
+
+# One line of each kind that a single-line perturbation of an input makes.
+BAD_LINES = [
+    b"TW\tu1\t100",                               # a field dropped
+    b"TW\tu1\tp1\t100\tx",                        # a field added
+    b"XX\tu1\tp1\t100",                           # unknown network
+    b"tw\tu1\tp1\t100",                           # network in the wrong case
+    b"TW\tu\xff1\tp1\t100",                       # a byte that is not UTF-8
+    b"TW\tu1\tp1\t99999999999999999999",          # beyond int64
+    b"TW\tu1\tp1\t9223372036854775807",           # 19 digits, within int64
+    b"TW\tu1\tp1\t9999999999999999999",           # 19 digits, beyond int64
+    b"TW\tu1\tp1\t-",                             # a sign without digits
+    b"TW\tu1\tp1\t",                              # empty timestamp
+    b"TW\tu1\tp1\t+5",                            # a plus sign
+    b"TW\tu1\tp1\t1_0",                           # an underscore
+    b"TW\t-\tp1\t100",                            # "-" id
+    b"TW\t\t\t100",                               # empty ids
+    b"TW\tu1\tp1\t100\r",                         # CR before LF
+    b"TW\tu1\rp1\t100",                           # a lone CR inside the line
+    b"#TW\tu1\tp1\t100",                          # comment
+    b"TW\tu\xc3\xa9\tp\xc3\xa9\t100",             # non-ASCII ids
+    b"TW\tu1\tp1\t\xef\xbc\x91",                  # a fullwidth digit
+    b"TW\tu1\x00\tp1\t100",                       # NUL
+    b"TW\tu1\t" + b"p" * 256 + b"\t100",          # an id beyond MAX_ID_BYTES
+    b"TW\t" + "é".encode() * 128 + b"\tp1\t100",  # 128 characters, 256 bytes
+    b"TW\tu1\t" + b"p" * 255 + b"\t100",          # the longest id
+    b"",                                          # blank
+]
+
+clean_lines = st.builds(
+    lambda net, author, post, stamp: b"\t".join(
+        [net.encode(), author.encode(), post.encode(), str(stamp).encode()]),
+    st.sampled_from(ingest.NETWORKS),
+    st.sampled_from(["u1", "u10", "u", "é", "-", ""]),
+    st.sampled_from(["p1", "p10", "p", "pé", ""]),
+    st.one_of(st.integers(-10**18 + 1, 10**18 - 1), st.sampled_from([0, -1, 7])))
+
+
+class TestByteColumns:
+    """Blocks whose lines all pass every check are split into byte columns
+    at once; the tables and reports equal those of the per-line path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.one_of(clean_lines, st.sampled_from(BAD_LINES)),
+                          max_size=40),
+           network=st.sampled_from([None, "TW", "FB"]),
+           block_bytes=st.sampled_from([16, 64, 1 << 20]),
+           last_newline=st.booleans())
+    def test_byte_and_line_paths_agree(self, lines, network, block_bytes,
+                                       last_newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "posts.tsv"
+            path.write_bytes(b"\n".join(lines) + b"\n" * last_newline)
+            with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+                fast = load_either(path, network)
+                with mock.patch.object(ingest, "_split_block",
+                                       lambda block, network: None):
+                    slow = load_either(path, network)
+        assert fast == slow
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 1 << 20])
+    def test_crlf_and_cr_read_as_lf(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        lines = ["TW\tu1\tp1\t100", "# note", "", "TW\tu2\tp2\t200",
+                 "TW\tu1\tp3\t300"]
+        loaded = []
+        for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.tsv"
+            path.write_bytes(ending.join(lines).encode() + b"\n")
+            loaded.append(load_either(path, None)[:-1]
+                          + (vars(load_posts(path)[1]) | {"path": None},))
+        mixed = tmp_path / "mixed.tsv"
+        mixed.write_bytes(b"TW\tu1\tp1\t100\r\nTW\tu2\tp2\t200\r"
+                          b"TW\tu1\tp3\t300\n")
+        loaded.append(load_either(mixed, None)[:-1]
+                      + (vars(load_posts(mixed)[1]) | {"path": None},))
+        assert all(got == loaded[0] for got in loaded)
+        assert loaded[0][0] == [("u1", "p1", 100), ("u2", "p2", 200),
+                                ("u1", "p3", 300)]
+
+    def test_nul_line_is_malformed(self, tmp_path):
+        # An S column drops trailing NUL bytes, so "u1\0" would merge with
+        # "u1"; the line is malformed instead.
+        posts, report = load_posts(
+            write(tmp_path / "posts.tsv",
+                  "TW\tu1\tp1\t100\nTW\tu1\0\tp2\t200\nTW\tu1\tp3\0\t300\n"),
+            max_malformed_frac=1.0)
+        assert (report.parsed, report.malformed) == (1, 2)
+        assert post_rows(posts) == [("u1", "p1", 100)]
+        reactions, report = load_reactions(
+            write(tmp_path / "reactions.tsv", "TW\tp1\tu1\t100\nTW\tp1\tu1\0\t200\n"),
+            max_malformed_frac=1.0)
+        assert (report.parsed, report.malformed) == (1, 1)
+        assert reactions.users.tolist() == ["u1"]
+        users, report = load_users(
+            write(tmp_path / "users.tsv", "u1\t0\t-\tTW\nu1\0\t0\t-\tTW\n"),
+            max_malformed_frac=1.0)
+        assert (report.parsed, report.malformed) == (1, 1)
+        with pytest.raises(ValueError, match="NUL"):
+            post_table([("TW", "u1", "p1", 1), ("TW", "u1", "p1\0", 2)])
+
+    def test_long_field_is_malformed_and_widens_no_column(self, tmp_path):
+        longest = "p" * ingest.MAX_ID_BYTES
+        lines = (f"TW\tu1\t{longest}\t1\n"
+                 + "TW\tu1\tp2\t2\n" * 97
+                 + f"TW\tu1\t{longest}q\t3\n"          # one byte too long
+                 + "X" * 100_000 + "\tu1\tp4\t4\n")    # a long network field
+        posts, report = load_posts(write(tmp_path / "posts.tsv", lines),
+                                   max_malformed_frac=0.05)
+        assert (report.parsed, report.malformed) == (98, 2)
+        assert posts.post_id.dtype.itemsize == ingest.MAX_ID_BYTES
+        reactions, report = load_reactions(
+            write(tmp_path / "reactions.tsv",
+                  f"TW\tp1\t{'é' * 128}\t1\nTW\tp1\t{'é' * 127}\t1\n"),
+            max_malformed_frac=1.0)
+        assert (report.parsed, report.malformed) == (1, 1)
+        assert reactions.users.tolist() == ["é" * 127]
+
+    def test_prefix_and_non_ascii_ids_round_trip(self, tmp_path):
+        rows = [("u10", "p1", 1), ("u1", "p10", 2), ("é", "pé", 3),
+                ("u1é", "p", 4), ("u1", "p1é", 5)]
+        p = write(tmp_path / "posts.tsv",
+                  "".join(f"TW\t{a}\t{pid}\t{t}\n" for a, pid, t in rows))
+        posts, report = load_posts(p)
+        assert report.malformed == 0
+        assert post_rows(posts) == rows
+        assert posts.users.tolist() == sorted({a for a, _, _ in rows})
+        r = write(tmp_path / "reactions.tsv",
+                  "".join(f"TW\t{pid}\tu{t}\t{t + 10}\n" for _, pid, t in rows)
+                  + "TW\tp1é\u0301\tu9\t99\nTW\tp0\tu9\t99\n")
+        reactions, _ = load_reactions(r)
+        res = join_reactions(posts, reactions)
+        assert (res.n_joined, res.n_dangling) == (5, 2)
+        pairs = res.pairs
+        assert list(zip(pairs.users[pairs.author].tolist(),
+                        pairs.users[pairs.reactor].tolist())) == [
+            (a, f"u{t}") for a, _, t in rows]
+
+    def test_duplicate_post_id_names_first_duplicate_in_file_order(self):
+        # "a" sorts first, but the second "b" comes before the second "a".
+        posts = [("TW", "u1", pid, t) for t, pid in enumerate(["a", "b", "b", "a"])]
+        with pytest.raises(IngestError, match=r"^duplicate post_id 'b'$"):
+            join(posts, [])
+        posts = [("TW", "u1", pid, t) for t, pid in enumerate(["é", "x", "é"])]
+        with pytest.raises(IngestError, match=r"^duplicate post_id 'é'$"):
+            join(posts, [])
 
 
 def graph_pairs(g):

@@ -40,15 +40,20 @@ def file_digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def ids(column):
+    """The ids of a bytes column, as str."""
+    return [i.decode() for i in column.tolist()]
+
+
 def post_rows(posts):
     """(author, post_id, created_at) per row of a PostTable."""
-    return list(zip(posts.users[posts.author].tolist(), posts.post_id,
+    return list(zip(posts.users[posts.author].tolist(), ids(posts.post_id),
                     posts.created_at.tolist()))
 
 
 def reaction_rows(reactions):
     """(post_id, reactor, reacted_at) per row of a ReactionTable."""
-    return list(zip(reactions.post_id, reactions.users[reactions.reactor].tolist(),
+    return list(zip(ids(reactions.post_id), reactions.users[reactions.reactor].tolist(),
                     reactions.reacted_at.tolist()))
 
 
@@ -235,6 +240,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^follower_peak_rate: "):
             small_config(follower_base_rate=400.0, follower_peak_rate=500.5)
 
+    # Each case is checked at construction; none is generated.
+    @pytest.mark.parametrize("overrides", [
+        dict(span_days=100_000_000),
+        dict(n_authors=100_000_000_000),
+        dict(followers_per_author=10**20),
+        dict(followers_per_author=(0, 10**20)),
+        dict(n_authors=6, followers_per_author=40000, span_days=119),
+    ], ids=["span", "authors", "followers", "follower-range", "just-over"])
+    def test_generated_volume_is_capped(self, overrides):
+        with pytest.raises(ValueError, match="^n_authors/followers_per_author/"
+                                             "span_days: .* Poisson cells"):
+            small_config(**overrides)
+
+    def test_volume_cap_admits_the_largest_bench_point(self):
+        # 400 stars of 41 users over 17 weeks: 187M cells.
+        cfg = small_config(n_authors=400, followers_per_author=40, span_days=119)
+        assert cfg.n_authors * 41 * 17 * 672 <= synth.MAX_POISSON_CELLS
+
+    @pytest.mark.parametrize("overrides", [
+        dict(planted_peaks=((7, 100, 7), (8,), (600,))),
+        dict(planted_peaks=((7,), (8, 8 + 672), (600,))),   # equal modulo a week
+        dict(peak_pool=(3, 4, 3)),
+    ], ids=["planted", "planted-modulo", "pool"])
+    def test_repeated_peak_bucket_rejected(self, overrides):
+        field = next(iter(overrides))
+        with pytest.raises(ValueError, match=f"^{field}: a bucket is listed twice"):
+            small_config(**overrides)
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_files(self, tmp_path):
@@ -391,3 +424,22 @@ class TestPopulation:
     def test_rejects_unknown_edge_user(self):
         with pytest.raises(ValueError):
             Population((UserSpec("a", 1.0),), (("a", "ghost"),))
+
+    @pytest.mark.parametrize("spec", [
+        dict(base_rate=float("nan")),
+        dict(base_rate=1.0, peak_rate=-1.0),
+        dict(base_rate=1.0, peak_rate=1.0, peaks=(5, 9, 5)),
+    ], ids=["nan-rate", "negative-peak-rate", "repeated-peak"])
+    def test_user_spec_rejects_bad_values(self, spec):
+        with pytest.raises(ValueError):
+            UserSpec("u", **spec)
+
+    @pytest.mark.parametrize("rates", [(1e20, 0.0), (600.0, 300.5)])
+    def test_population_rates_bounded_by_one_post_per_second(self, rates):
+        base, peak = rates
+        pop = Population((UserSpec("a", 1.0), UserSpec("b", base, peak, (5,))),
+                         (("a", "b"),))
+        cfg = small_config(n_authors=1, followers_per_author=1)
+        with pytest.raises(ValueError, match="^population: user 'b' has base plus "
+                                             "peak rate above 900 posts"):
+            generate(cfg, population=pop)
