@@ -61,7 +61,17 @@ from .analysis import (
     cosine_similarity,
     pairwise_distribution,
 )
-from .synth import Population, SynthConfig, UserSpec, generate, ground_truth_peak
 from .pipeline import DerivedSchedules, derive_schedules
 
 __version__ = "0.1.0"
+
+# The synthetic generator loads on first use of one of these names, so that
+# a pipeline run does not load it.
+_SYNTH = ("Population", "SynthConfig", "UserSpec", "generate", "ground_truth_peak")
+
+
+def __getattr__(name: str):
+    if name in _SYNTH:
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, delays, evaluation, pipeline, schedules, synth
+from . import analysis, delays, evaluation, pipeline, schedules
 from .errors import ConfigError, InsufficientDataError, PostschedError
 from .ingest import (
     NETWORKS,
@@ -42,7 +42,14 @@ from .ingest import (
     load_reactions,
     load_users,
 )
-from .temporal import DAY_FILTERS, WEEK_SECONDS, TimeWindow, WeeklyGrid
+from .temporal import (
+    DAY_FILTERS,
+    DEFAULT_START_EPOCH,
+    WEEK_SECONDS,
+    ScheduleTable,
+    TimeWindow,
+    WeeklyGrid,
+)
 
 DAY_SECONDS = 86400
 
@@ -147,7 +154,7 @@ class RunConfig:
     synth_weekday_peaks: bool = _key(True, _bool, feeds="peak_pool")
     synth_reaction_probability: float = _key(0.8, float, feeds="reaction_probability")
     synth_kernel: str = _key("delta:0", feeds="kernel")
-    synth_start: int = _key(synth.DEFAULT_START_EPOCH, _timestamp, feeds="start_epoch")
+    synth_start: int = _key(DEFAULT_START_EPOCH, _timestamp, feeds="start_epoch")
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -293,14 +300,27 @@ def _input_paths(cfg: RunConfig, keys: tuple[str, ...]) -> list[Path]:
 
 
 class Inputs:
-    """The parsed input files of one invocation.
+    """The parsed input files of one invocation, and the schedules it
+    derived.
 
     Each file is parsed on first use and kept, so `all` parses and joins
     its inputs once and a single subcommand parses only the files it reads.
+    The `schedule` stage leaves the tables of schedules.tsv and
+    baselines.tsv in ``handed``, so that `evaluate` and `analyze` in the
+    same run take them instead of re-reading the files.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self.handed: dict[Path, dict[str, ScheduleTable]] = {}
+
+    def tables(self, path: Path) -> dict[str, ScheduleTable]:
+        """The schedules of a `schedule` artifact, one table per provenance:
+        those handed over for it, else read from the file. ``%.17g``
+        round-trips a float64, so both hold the same values."""
+        if path in self.handed:
+            return self.handed[path]
+        return pipeline.read_schedules(path, self.cfg.grid.buckets_per_week)
 
     @cached_property
     def posts(self):
@@ -336,6 +356,10 @@ def _artifact(out_dir: Path, name: str, producer: str) -> Path:
 
 
 def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
+    # Imported here: no other stage needs the generator, so a run of them
+    # does not load it.
+    from . import synth
+
     key_of = {f.metadata["feeds"]: f.name for f in fields(cfg) if f.metadata["feeds"]}
     # Every synth_* value passes through as it is, except these three.
     settings = {target: getattr(cfg, key) for target, key in key_of.items()}
@@ -467,19 +491,25 @@ def stage_schedule(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     derived = _derive(cfg, inputs)
     grid = cfg.grid
 
+    kinds = pipeline.PERSONALIZED_KINDS
     sched_path = out_dir / "schedules.tsv"
-    pipeline.write_schedules(
-        sched_path, *(derived.personalized[k] for k in pipeline.PERSONALIZED_KINDS))
+    pipeline.write_schedules(sched_path, *(derived.personalized[k] for k in kinds))
     base_path = out_dir / "baselines.tsv"
     pipeline.write_schedules(base_path, derived.baselines)
+    chosen = derived.chosen
     rec_path = out_dir / "recommended.tsv"
-    pipeline.write_schedules(rec_path, derived.recommended)
+    pipeline.write_schedules(rec_path, chosen)
     ranked_path = out_dir / "ranked_times.tsv"
     pipeline.write_ranked_times(
-        ranked_path, derived.recommended,
-        schedules.top_k_times(derived.recommended.probabilities, cfg.ranks, grid,
+        ranked_path, chosen,
+        schedules.top_k_times(chosen.candidates.probabilities, cfg.ranks, grid,
                               cfg.day_filter),
         grid)
+    # What reading the files back would give: a table per provenance that
+    # has rows, in file order.
+    inputs.handed[sched_path] = {k: derived.personalized[k] for k in kinds
+                                 if len(derived.personalized[k])}
+    inputs.handed[base_path] = derived.baselines.by_provenance()
     return [sched_path, base_path, rec_path, ranked_path]
 
 
@@ -492,12 +522,11 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     join = inputs.join
     window = cfg.evaluation_window
 
-    n = cfg.grid.buckets_per_week
-    tables = pipeline.read_schedules(sched_path, n)
+    tables = inputs.tables(sched_path)
     report = evaluation.evaluate_schedules(
         tables, posts, join.pairs, users, window, cfg.grid,
         k=cfg.ranks, day_filter=cfg.day_filter,
-        baselines=pipeline.read_schedules(base_path, n),
+        baselines=inputs.tables(base_path),
         baseline_users={u for t in tables.values() for u in t.users.tolist()})
     if all(r.rg_avg is None for r in report.rows):
         raise PostschedError(
@@ -516,7 +545,7 @@ def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     sched_path = _artifact(out_dir, "schedules.tsv", "schedule")
     users, _ = inputs.users
     grid = cfg.grid
-    s1 = pipeline.read_schedules(sched_path, grid.buckets_per_week).get("S1")
+    s1 = inputs.tables(sched_path).get("S1")
     if s1 is None:
         raise PostschedError(
             "no first-degree schedules found; run the `schedule` subcommand first")

@@ -16,7 +16,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import PairTable, PostTable, UserMeta, lookup, weekly_counts
+from .ingest import (
+    PairTable,
+    PostTable,
+    UserMeta,
+    lookup,
+    present_codes,
+    weekly_counts,
+)
 from .schedules import cohort_label, top_k_times
 from .temporal import ScheduleTable, TimeWindow, WeeklyGrid
 
@@ -55,8 +62,8 @@ def build_eval_data(posts: PostTable, pairs: PairTable,
     pair_rows = np.flatnonzero(window.mask(pairs.post_time)
                                & window.mask(pairs.reaction_time)
                                & (pairs.delay < attribution_s))
-    names = np.array(sorted(set(
-        posts.users[np.unique(posts.author[post_rows])].tolist())), dtype=object)
+    names = np.sort(posts.users[present_codes(posts.author[post_rows],
+                                              len(posts.users))])
     return EvalData(names,
                     weekly_counts(names, tz, posts.users, posts.author[post_rows],
                                   posts.created_at[post_rows], grid),

@@ -33,7 +33,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -100,6 +101,20 @@ def encode_ids(ids) -> np.ndarray:
     if any(b"\0" in i for i in column):
         raise ValueError("an id holds a NUL character")
     return np.array(column, dtype=np.bytes_)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in ascending order, as
+    ``np.unique`` returns them; that one imports numpy.ma on first use."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def present_codes(codes: np.ndarray, n: int) -> np.ndarray:
+    """The distinct codes below ``n`` in ``codes``, in ascending order."""
+    return np.flatnonzero(np.bincount(codes, minlength=n))
 
 
 def _intern(names) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +245,7 @@ class SocialGraph:
         names = np.array(list(chain.from_iterable(edges)), dtype=object)
         self.users, codes = np.unique(names, return_inverse=True)
         n = len(self.users)
-        keys = np.unique(codes[0::2].astype(np.int64) * n + codes[1::2])
+        keys = _distinct(codes[0::2].astype(np.int64) * n + codes[1::2])
         self.src, self.dst = np.divmod(keys, n)
 
     @property
@@ -353,34 +368,36 @@ def _field(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
 
 
 def _stamps(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """int64 values of the fields ``buf[start[i]:stop[i]]``, or None unless
-    each is ``-?[0-9]+`` with at most ``_MAX_BLOCK_DIGITS`` digits."""
-    if start.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if np.any(stop <= start):
-        return None
-    negative = buf[start] == ord("-")
+    """int64 values of the fields ``buf[start[i]:stop[i]]``, and the mask of
+    those that are ``-?[0-9]+`` with at most ``_MAX_BLOCK_DIGITS`` digits;
+    a field outside the mask has the value 0."""
+    value = np.zeros(start.size, dtype=np.int64)
+    negative = (stop > start) & (buf[np.minimum(start, buf.size - 1)] == ord("-"))
     n_digits = stop - start - negative
-    if n_digits.min() < 1 or n_digits.max() > _MAX_BLOCK_DIGITS:
-        return None
-    # The digits right-aligned in ``width`` columns, led by "0" bytes.
-    width = int(n_digits.max())
-    padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])
-    digits = np.lib.stride_tricks.sliding_window_view(padded, width)[stop]
-    digits[np.arange(width) < (width - n_digits)[:, None]] = ord("0")
-    digits -= ord("0")   # a byte below "0" wraps past 9
-    if np.any(digits > 9):
-        return None
-    value = digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return np.where(negative, -value, value)
+    valid = (n_digits >= 1) & (n_digits <= _MAX_BLOCK_DIGITS)
+    at = np.flatnonzero(valid)
+    if at.size:
+        # The digits right-aligned in ``width`` columns, led by "0" bytes.
+        width = int(n_digits[at].max())
+        padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])
+        digits = np.lib.stride_tricks.sliding_window_view(padded, width)[stop[at]]
+        digits[np.arange(width) < (width - n_digits[at])[:, None]] = ord("0")
+        digits -= ord("0")   # a byte below "0" wraps past 9
+        valid[at] = (digits <= 9).all(axis=1)
+        v = digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        value[at] = np.where(negative[at], -v, v)
+    return value, valid
 
 
 def _split_block(block: bytes, network: str | None):
-    """Networks present, the two id columns and the int64 times of the data
-    lines of a block, and the count of lines of a network other than
-    ``network``, split at once with numpy; None unless every line passes
-    every check of the per-line path. The block holds no CR and no NUL
-    byte, and is valid UTF-8."""
+    """The data lines of a block, split at once with numpy.
+
+    Returns the networks present, the two id columns and the int64 times of
+    the lines that pass every check of the per-line path and are of
+    ``network``, with the count of passing lines of another network; and,
+    in file order, each line that fails a check, as its text and the number
+    of rows before it. The block holds no CR and is valid UTF-8.
+    """
     buf = np.frombuffer(block, dtype=np.uint8)
     newline = np.flatnonzero(buf == ord("\n"))
     start = np.concatenate([[0], newline + 1])
@@ -389,34 +406,39 @@ def _split_block(block: bytes, network: str | None):
     data[data] = buf[start[data]] != ord("#")
     tab = np.flatnonzero(buf == ord("\t"))
     line_of_tab = np.searchsorted(newline, tab)
-    if np.any(np.bincount(line_of_tab, minlength=start.size)[data] != 3):
-        return None
-    tab = tab[data[line_of_tab]].reshape(-1, 3)
-    start, stop = start[data], stop[data]
+    passed = data & (np.bincount(line_of_tab, minlength=start.size) == 3)
+    passed[np.searchsorted(newline, np.flatnonzero(buf == 0))] = False
+    line = np.flatnonzero(passed)
+    tab = tab[passed[line_of_tab]].reshape(-1, 3)
+    del newline, line_of_tab  # before the larger temporaries below
     # Check the widths first, so that no long field widens a column.
-    if (start.size and (np.max(tab[:, 0] - start) > _NETWORK_KEYS.itemsize
-                        or np.max(np.diff(tab, axis=1)) > MAX_ID_BYTES + 1)):
-        return None
-    nets = _field(buf, start, tab[:, 0])
+    fits = ((tab[:, 0] - start[line] <= _NETWORK_KEYS.itemsize)
+            & (np.diff(tab, axis=1).max(axis=1) <= MAX_ID_BYTES + 1))
+    line, tab = line[fits], tab[fits]
+    nets = _field(buf, start[line], tab[:, 0])
     which = np.searchsorted(_NETWORK_KEYS, nets).clip(0, _NETWORK_KEYS.size - 1)
-    if not np.array_equal(_NETWORK_KEYS[which], nets):
-        return None
-    times = _stamps(buf, tab[:, 2] + 1, stop)
-    if times is None:
-        return None
-    if network is not None:
-        mine = nets == network.encode()
-        tab, times, which = tab[mine], times[mine], which[mine]
-    present = {_NETWORK_KEYS[i].decode() for i in np.unique(which).tolist()}
-    return (present, _field(buf, tab[:, 0] + 1, tab[:, 1]),
-            _field(buf, tab[:, 1] + 1, tab[:, 2]), times, start.size - times.size)
+    times, stamped = _stamps(buf, tab[:, 2] + 1, stop[line])
+    ok = (_NETWORK_KEYS[which] == nets) & stamped
+    mine = ok if network is None else ok & (nets == network.encode())
+    passed[:] = False
+    passed[line[ok]] = True
+    failed = np.flatnonzero(data & ~passed)
+    line, tab, which = line[mine], tab[mine], which[mine]
+    present = {_NETWORK_KEYS[i].decode()
+               for i in present_codes(which, _NETWORK_KEYS.size).tolist()}
+    return ((present, _field(buf, tab[:, 0] + 1, tab[:, 1]),
+             _field(buf, tab[:, 1] + 1, tab[:, 2]), times[mine],
+             int(ok.sum() - mine.sum())),
+            [(block[i:j].decode(), at) for i, j, at in zip(
+                start[failed].tolist(), stop[failed].tolist(),
+                np.searchsorted(line, failed).tolist())])
 
 
 def _load_events(path, network: str | None, max_malformed_frac: float):
     """Networks present, two id columns (bytes) and int64 times of a posts
-    or reactions file, with its report. A block whose lines all pass the
-    checks is split at once; any other block, and one holding a CR or a NUL
-    byte, is checked line by line, so the counts are exact either way."""
+    or reactions file, with its report. The lines that pass the checks are
+    split many at once, and only the others are checked one at a time, so
+    the counts are exact either way."""
     networks: set[str] = set()
     first = [np.empty(0, dtype=np.bytes_)]
     second = [np.empty(0, dtype=np.bytes_)]
@@ -426,22 +448,31 @@ def _load_events(path, network: str | None, max_malformed_frac: float):
     for block in _blocks(path):
         if not block.isascii():
             _text(block, path)
-        split = None
-        if b"\r" not in block and b"\0" not in block:
-            split = _split_block(block, network)
-        if split is None:
-            rows, bad, other = _check_lines(_lines(block, path), 4, _event_row,
-                                            network, 0)
-            malformed += bad
-            nets, a, b, t = zip(*rows) if rows else ((), (), (), ())
-            split = (set(nets), encode_ids(a), encode_ids(b),
-                     np.array(t, dtype=np.int64), other)
-        present, a, b, t, other = split
+        # A CR ends a line like an LF does, as blank lines are skipped.
+        block = block.replace(b"\r", b"\n")
+        split = _split_block(block, network)
+        if split is None:   # every line one at a time, as tests compare
+            split = ((set(), first[0], second[0], times[0], 0),
+                     [(line, 0) for line in _lines(block, path)])
+        (present, a, b, t, other), failed = split
         networks |= present
-        first.append(a)
-        second.append(b)
-        times.append(t)
         skipped += other
+        # Each run of failed lines goes before the row that follows it.
+        done = 0
+        for at, run in groupby(failed, key=itemgetter(1)):
+            rows, bad, other = _check_lines([line for line, _ in run], 4,
+                                            _event_row, network, 0)
+            malformed += bad
+            skipped += other
+            nets, ra, rb, rt = zip(*rows) if rows else ((), (), (), ())
+            networks |= set(nets)
+            first += [a[done:at], encode_ids(ra)]
+            second += [b[done:at], encode_ids(rb)]
+            times += [t[done:at], np.array(rt, dtype=np.int64)]
+            done = at
+        first.append(a[done:])
+        second.append(b[done:])
+        times.append(t[done:])
     times = np.concatenate(times)
     report = _report(path, times.size, malformed, skipped, max_malformed_frac)
     return (networks, np.concatenate(first), np.concatenate(second), times), report
@@ -531,7 +562,7 @@ def join_reactions(posts: PostTable, reactions: ReactionTable) -> JoinResult:
     in_order = reactions.reacted_at[resolved] >= posts.created_at[post_row]
     joined, post_row = resolved[in_order], post_row[in_order]
 
-    users = np.union1d(posts.users, reactions.users)
+    users = _distinct(np.concatenate([posts.users, reactions.users]))
     pairs = PairTable(users,
                       np.searchsorted(users, posts.users)[posts.author[post_row]],
                       np.searchsorted(users, reactions.users)[reactions.reactor[joined]],
@@ -567,8 +598,10 @@ def build_profiles(posts: PostTable, pairs: PairTable, users: list[UserMeta],
     post_rows = np.flatnonzero(window.mask(posts.created_at))
     react_rows = np.flatnonzero(window.mask(pairs.reaction_time)
                                 & pairs.known_reactor)
-    active = (set(posts.users[np.unique(posts.author[post_rows])].tolist())
-              | set(pairs.users[np.unique(pairs.reactor[react_rows])].tolist()))
+    active = (set(posts.users[present_codes(posts.author[post_rows],
+                                            len(posts.users))].tolist())
+              | set(pairs.users[present_codes(pairs.reactor[react_rows],
+                                              len(pairs.users))].tolist()))
     names = np.array(sorted(set(tz) | active), dtype=object)
     created = weekly_counts(names, tz, posts.users, posts.author[post_rows],
                             posts.created_at[post_rows], grid)

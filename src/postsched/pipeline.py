@@ -13,9 +13,8 @@ artifacts record which rule actually produced each recommendation.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .schedules import (
     visible_posts,
 )
 from .temporal import (
+    CHUNK_ROWS,
     UNIT_SUM_TOL,
     ScheduleTable,
     TimeWindow,
@@ -52,14 +52,42 @@ PERSONALIZED_KINDS = ("S1", "S2", "S1w", "S2w")
 
 
 @dataclass(frozen=True)
+class Chosen:
+    """Rows picked from a table of candidates: row i is the schedule of
+    ``users[i]``, row ``choice[i]`` of ``candidates``. A candidate that many
+    users take is held, formatted and ranked once."""
+
+    users: np.ndarray        # row -> user id
+    candidates: ScheduleTable
+    choice: np.ndarray       # row -> row of candidates
+
+    @classmethod
+    def of(cls, table: ScheduleTable | Chosen) -> Chosen:
+        """``table`` itself, or a table as the Chosen of each of its rows."""
+        if isinstance(table, Chosen):
+            return table
+        return cls(table.users, table, np.arange(len(table)))
+
+    def table(self) -> ScheduleTable:
+        """The rows as a table of their own."""
+        return ScheduleTable(self.users, self.candidates.provenance[self.choice],
+                             self.candidates.probabilities[self.choice])
+
+
+@dataclass(frozen=True)
 class DerivedSchedules:
     """Everything the derivation stage produces for one network."""
 
     personalized: dict[str, ScheduleTable]  # kind -> a row per user with signal
     baselines: ScheduleTable     # AFD/MFU rows per tz cohort, by (offset, kind)
-    recommended: ScheduleTable   # fallback chain result, a row per target
+    chosen: Chosen               # fallback chain result, a row per target
     audience_profiles: np.ndarray  # raw Q(u), rows as personalized["S1"] (feeds AFD)
     unknown_tz: frozenset[str]
+
+    @property
+    def recommended(self) -> ScheduleTable:
+        """The fallback chain result as a table, a row per target."""
+        return self.chosen.table()
 
 
 def derive_schedules(posts: PostTable, pairs: PairTable,
@@ -144,67 +172,53 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
 
     # The fallback chain. Each target takes its row from the first rule that
     # has one for it, as an index into the stack of every candidate row; row
-    # 0 is the uniform schedule.
+    # 0 is the uniform schedule. Only the rows that some target takes are
+    # kept as candidates.
     cohorts = [cohort_label(tz_of.get(u, 0)) for u in target_list]
     afd, mfu = (baselines.select(baselines.provenance == kind)
                 for kind in ("AFD", "MFU"))
-    candidates = [ScheduleTable([None], ["uniform"], np.full((1, n), 1.0 / n))]
+    stack = [ScheduleTable([None], ["uniform"], np.full((1, n), 1.0 / n))]
     choice = np.zeros(len(target_list), dtype=np.int64)
     for table, keys in ((personalized["S1w"], target_list),
                         (personalized["S1"], target_list),
                         (afd, cohorts), (mfu, cohorts)):
         rows = table.rows_of(keys)
         take = (choice == 0) & (rows >= 0)
-        choice[take] = sum(map(len, candidates)) + rows[take]
-        candidates.append(table)
-    recommended = ScheduleTable(
-        target_list, np.concatenate([t.provenance for t in candidates])[choice],
-        np.concatenate([t.probabilities for t in candidates])[choice])
+        choice[take] = sum(map(len, stack)) + rows[take]
+        stack.append(table)
+    used, choice = np.unique(choice, return_inverse=True)
+    candidates = ScheduleTable(
+        *(np.concatenate([getattr(t, column) for t in stack])[used]
+          for column in ("users", "provenance", "probabilities")))
+    chosen = Chosen(np.array(target_list, dtype=object), candidates, choice)
 
-    return DerivedSchedules(personalized, baselines, recommended, first_degree,
+    return DerivedSchedules(personalized, baselines, chosen, first_degree,
                             unknown_tz)
 
 
-def _once_per_distinct_row(render: Callable[[int], object],
-                           *arrays: np.ndarray) -> Iterator:
-    """``render(i)`` for each row i of ``arrays``, computed once for all the
-    rows that are equal in every array.
-
-    Rows are grouped by their bytes, not by value: 0.0 == -0.0, but the two
-    print apart. A result is kept only until the last row that repeats it,
-    and that of a row which occurs once is not kept at all. The counts are
-    keyed by the hash of a row's bytes so that they hold no copy of a row;
-    two distinct rows with one hash only keep a result for longer.
-    """
-    def key(i: int) -> bytes:
-        return b"".join(a[i].tobytes() for a in arrays)
-
-    n_rows = len(arrays[0])
-    left = Counter(hash(key(i)) for i in range(n_rows))
-    kept: dict[bytes, object] = {}
-    for i in range(n_rows):
-        k = key(i)
-        result = kept.pop(k) if k in kept else render(i)
-        left[hash(k)] -= 1
-        if left[hash(k)]:
-            kept[k] = result
-        yield result
+def _row_texts(probabilities: np.ndarray) -> Iterator[str]:
+    """Each row as its comma-joined ``%.17g`` values, formatting each
+    distinct value of a chunk of rows once. Values are told apart by their
+    bits, not by ``==``: 0.0 == -0.0, but the two print apart."""
+    for lo in range(0, len(probabilities), CHUNK_ROWS):
+        rows = probabilities[lo:lo + CHUNK_ROWS]
+        bits, at = np.unique(rows.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        words = np.array((",".join(["%.17g"] * len(values)) % tuple(values))
+                         .split(","), dtype=object)
+        yield from map(",".join, words[at.reshape(rows.shape)].tolist())
 
 
-def write_schedules(path, *tables: ScheduleTable) -> None:
+def write_schedules(path, *tables: ScheduleTable | Chosen) -> None:
     """Persist the rows of ``tables``, in order, as: user <tab> provenance
-    <tab> comma-joined probabilities."""
+    <tab> comma-joined probabilities. The rows of a :class:`Chosen` are
+    written from the text of its candidates, each formatted once."""
     with open(path, "w", encoding="utf-8") as fh:
-        for table in tables:
-            probs = table.probabilities
-            fmt = ",".join(["%.17g"] * probs.shape[1])
-            # One row at a time: converting the whole matrix to Python
-            # floats at once would hold all of it twice.
-            texts = _once_per_distinct_row(
-                lambda i: fmt % tuple(probs[i].tolist()), probs)
-            for user, prov, text in zip(table.users.tolist(),
-                                        table.provenance.tolist(), texts):
-                fh.write(f"{user}\t{prov}\t{text}\n")
+        for table in map(Chosen.of, tables):
+            prov = table.candidates.provenance.tolist()
+            texts = list(_row_texts(table.candidates.probabilities))
+            fh.writelines(f"{user}\t{prov[c]}\t{texts[c]}\n" for user, c in
+                          zip(table.users.tolist(), table.choice.tolist()))
 
 
 def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
@@ -246,23 +260,24 @@ def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
     return ScheduleTable(users, provenance, probabilities).by_provenance()
 
 
-def write_ranked_times(path, table: ScheduleTable, buckets: np.ndarray,
-                       grid: WeeklyGrid) -> None:
+def write_ranked_times(path, table: ScheduleTable | Chosen,
+                       buckets: np.ndarray, grid: WeeklyGrid) -> None:
     """Persist rankings as: user, rank, bucket, local time label, probability.
 
-    ``buckets`` holds the ranked buckets of each row of ``table``, best
-    first, as :func:`~postsched.schedules.top_k_times` returns them.
+    ``buckets`` holds the ranked buckets of each row of ``table``, or of
+    each candidate of a :class:`Chosen`, best first, as
+    :func:`~postsched.schedules.top_k_times` returns them.
     """
+    chosen = Chosen.of(table)
     labels = [grid.bucket_label(b) for b in range(grid.buckets_per_week)]
-    probs = np.take_along_axis(table.probabilities, buckets, axis=-1)
-
-    def lines(i: int) -> list[str]:
-        """A row's lines, each without the user in front."""
-        return [f"\t{rank}\t{b}\t{labels[b]}\t{p:.17g}\n"
-                for rank, (b, p) in enumerate(
-                    zip(buckets[i].tolist(), probs[i].tolist()), start=1)]
-
+    probs = np.take_along_axis(chosen.candidates.probabilities, buckets, axis=-1)
+    # The lines of each candidate, each without the user in front, so that
+    # a user's text is ``user + user.join(lines)``.
+    lines = [[f"\t{rank}\t{b}\t{labels[b]}\t{p:.17g}\n"
+              for rank, (b, p) in enumerate(zip(bs, ps), start=1)]
+             for bs, ps in zip(buckets.tolist(), probs.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
-        for user, text in zip(table.users.tolist(),
-                              _once_per_distinct_row(lines, buckets, probs)):
-            fh.write("".join([f"{user}{line}" for line in text]))
+        if buckets.shape[-1]:
+            fh.writelines(user + user.join(lines[c]) for user, c in
+                          zip(map(str, chosen.users.tolist()),
+                              chosen.choice.tolist()))

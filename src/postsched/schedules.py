@@ -76,9 +76,12 @@ def _sum_over_edges(edges: Adjacency, n_buckets: int,
     step = temporal.CHUNK_ROWS
     for lo in range(0, len(edges), step):
         chunk = slice(lo, lo + step)
-        # np.add.at adds the rows one at a time in edge order, so a sum does
-        # not depend on the chunking; np.add.reduceat does not keep the order.
-        np.add.at(out, edges.row[chunk], rows_of(chunk))
+        # One row at a time in edge order, so a sum does not depend on the
+        # chunking; np.add.reduceat does not keep the order, and np.add.at
+        # keeps it at about three times the cost.
+        for r, x in zip(edges.row[chunk].tolist(), rows_of(chunk)):
+            out[r] += x
+        del x  # a view that would keep this chunk's rows beside the next's
     return out
 
 

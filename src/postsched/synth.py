@@ -34,10 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import NETWORKS, PostTable, ReactionTable, UserMeta, encode_ids
-from .temporal import EPOCH_TO_MONDAY, WEEK_SECONDS, UNIT_SUM_TOL, WeeklyGrid
-
-# Monday 2015-01-05 00:00 UTC; any Monday-aligned start works.
-DEFAULT_START_EPOCH = 1_420_416_000
+from .temporal import (
+    DEFAULT_START_EPOCH,
+    EPOCH_TO_MONDAY,
+    UNIT_SUM_TOL,
+    WEEK_SECONDS,
+    WeeklyGrid,
+)
 
 # An author's reaction randoms are drawn for a block of members at a time,
 # about this many doubles per block, which bounds the temporaries.

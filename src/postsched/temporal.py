@@ -20,6 +20,10 @@ DAY_SECONDS = 24 * 3600
 # preceding Monday 00:00 (1969-12-29). Used to anchor week arithmetic.
 EPOCH_TO_MONDAY = 3 * DAY_SECONDS
 
+# Where synthetic logs start by default: Monday 2015-01-05 00:00 UTC; any
+# Monday-aligned start works.
+DEFAULT_START_EPOCH = 1_420_416_000
+
 # Timezone offsets are bounded by the real-world UTC-14..UTC+14 range.
 MAX_TZ_OFFSET_MIN = 14 * 60
 

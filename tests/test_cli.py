@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -509,6 +512,22 @@ class TestFullChain:
         assert calls == {"load_posts": 1, "load_reactions": 1,
                          "join_reactions": 1}
 
+    def test_all_loads_neither_the_generator_nor_numpy_ma(self, tmp_path):
+        cfg, out = synth_config(tmp_path)
+        assert run(["synth", "--config", cfg]) == 0
+        code = ("import json, sys\n"
+                "from postsched.cli import main\n"
+                f"code = main(['all', '--config', {str(out / 'synth.config')!r}])\n"
+                "print(json.dumps([code, sorted(sys.modules)]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert "postsched.cli" in modules
+        assert "postsched.synth" not in modules
+        assert "numpy.ma" not in modules
+
     def test_cumulative_curve_ends_at_one(self, tmp_path):
         cfg, out = synth_config(tmp_path)
         assert run(["synth", "--config", cfg]) == 0
@@ -522,6 +541,97 @@ class TestFullChain:
         posts_a = (out / "posts.tsv").read_bytes()
         assert run(["synth", "--config", cfg, "--seed", "99"]) == 0
         assert (out / "posts.tsv").read_bytes() != posts_a
+
+
+ARTIFACTS = ("ingest_report.json", "delay_kernel.tsv", "cumulative_curve.csv",
+             "delay_quantiles.tsv", "schedules.tsv", "baselines.tsv",
+             "recommended.tsv", "ranked_times.tsv", "gain_report.tsv",
+             "gain_by_rank.csv", "cohort_series.csv", "metric_distributions.csv")
+
+
+def hand_config(tmp_path, b_reacts):
+    """A run over four users, where b is in a's audience, c has no audience
+    and d is in none. d reacts to c's post in the derivation window and to
+    a's in the evaluation window. If ``b_reacts``, b reacts to c's post too,
+    which gives user a first-degree schedules but no weighted ones, as a has
+    received no reaction from b; else no target has a personalized row."""
+    day, hour = 86400, 3600
+    posts = [("a", "p1", MONDAY + day + 10 * hour),
+             ("c", "p2", MONDAY + 2 * day + 10 * hour),
+             ("a", "p3", MONDAY + 15 * day + 10 * hour)]
+    reactions = [("p2", "d", posts[1][2] + 600), ("p3", "d", posts[2][2] + 600)]
+    if b_reacts:
+        reactions.append(("p2", "b", posts[1][2] + 600))
+    files = {
+        "posts": "".join(f"TW\t{u}\t{p}\t{t}\n" for u, p, t in posts),
+        "reactions": "".join(f"TW\t{p}\t{u}\t{t}\n" for p, u, t in reactions),
+        "edges": "TW\ta\tb\n",
+        "users": "".join(f"{u}\t0\t-\tTW\n" for u in "abcd"),
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+    return write_config(tmp_path / "hand.config", derivation_start=MONDAY,
+                        derivation_days=14, evaluation_days=7, ranks=4,
+                        day_filter="all", sample_budget=20,
+                        **{k: tmp_path / f"{k}.tsv" for k in files})
+
+
+class TestHandoff:
+    """In `all`, `evaluate` and `analyze` take the tables that `schedule`
+    derived instead of re-reading its files; lone stages read the files,
+    and both give the same bytes."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        real = cli.pipeline.read_schedules
+
+        def spy(path, n_buckets):
+            calls.append(Path(path).name)
+            return real(path, n_buckets)
+        monkeypatch.setattr(cli.pipeline, "read_schedules", spy)
+        return calls
+
+    def lone_and_all(self, cfg, tmp_path):
+        lone, chain = tmp_path / "lone", tmp_path / "all"
+        for stage in cli.ALL_CHAIN:
+            assert run([stage, "--config", cfg, "--out", lone]) == 0, stage
+        assert run(["all", "--config", cfg, "--out", chain]) == 0
+        return ({a: (lone / a).read_bytes() for a in ARTIFACTS},
+                {a: (chain / a).read_bytes() for a in ARTIFACTS})
+
+    def test_lone_stages_give_the_bytes_of_all(self, tmp_path, reads):
+        cfg, out = synth_config(tmp_path)
+        assert run(["synth", "--config", cfg]) == 0
+        lone, chain = self.lone_and_all(out / "synth.config", tmp_path)
+        assert lone == chain
+        # The lone stages read the files; `all` reads none.
+        assert reads == ["schedules.tsv", "baselines.tsv", "schedules.tsv"]
+
+    def test_kind_without_rows_is_left_out_as_after_a_reread(self, tmp_path,
+                                                            reads):
+        cfg = hand_config(tmp_path, b_reacts=True)
+        lone, chain = self.lone_and_all(cfg, tmp_path)
+        assert lone == chain
+        kinds = {line.split("\t")[0] for line in
+                 chain["gain_report.tsv"].decode().splitlines()}
+        assert kinds == {"S1", "S2", "AFD", "MFU"}
+        assert reads == ["schedules.tsv", "baselines.tsv", "schedules.tsv"]
+
+    def test_empty_first_degree_table_fails_analyze_either_way(
+            self, tmp_path, monkeypatch, capsys, reads):
+        cfg = hand_config(tmp_path, b_reacts=False)
+        assert run(["schedule", "--config", cfg, "--out", tmp_path / "lone"]) == 0
+        assert (tmp_path / "lone" / "schedules.tsv").read_bytes() == b""
+        capsys.readouterr()
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "lone"]) == 2
+        lone_err = capsys.readouterr().err
+        assert "no first-degree schedules found" in lone_err
+        assert reads == ["schedules.tsv"]
+        monkeypatch.setattr(cli, "ALL_CHAIN", ("schedule", "analyze"))
+        assert run(["all", "--config", cfg, "--out", tmp_path / "all"]) == 2
+        assert capsys.readouterr().err == lone_err
+        assert reads == ["schedules.tsv"]
 
 
 # Single-line perturbations of an input line, as functions of its fields and

@@ -250,6 +250,23 @@ class TestLoadReportAccounting:
         with pytest.raises(IngestError, match="3 of 5 lines malformed"):
             load_posts(p, "TW", max_malformed_frac=0.5)
 
+    def test_scattered_bad_lines_keep_the_rest_on_the_fast_path(
+            self, tmp_path, monkeypatch, fallback_calls):
+        # Only the bad lines go line by line, and the report stays exact.
+        lines = [f"TW\tu{i % 97}\tp{i}\t{1000 + i}" for i in range(20000)]
+        bad = list(range(1111, 20000, 2111))
+        for i in bad:
+            lines[i] = "TW\tbroken"
+        lines[5000] = "TW\tu1\tp5000\t\r"   # a CR ends a line like an LF
+        p = write(tmp_path / "posts.tsv", "\n".join(lines) + "\n")
+        posts, report = load_posts(p, "TW")
+        assert (report.parsed, report.malformed) == (20000 - 10, 10)
+        assert sum(len(c) for c in fallback_calls) == 10
+        monkeypatch.setattr(ingest, "_split_block", lambda block, network: None)
+        slow_posts, slow_report = load_posts(p, "TW")
+        assert report == slow_report
+        assert post_rows(posts) == post_rows(slow_posts)
+
     @pytest.mark.parametrize("block_chars", [1, 20, 64])
     def test_block_size_does_not_change_result(self, tmp_path, monkeypatch,
                                                block_chars):

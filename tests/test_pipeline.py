@@ -1,7 +1,14 @@
 """End-to-end derivation over synthetic logs, fallbacks, persistence."""
 
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postsched import (
     DelayKernel,
@@ -289,8 +296,8 @@ class TestPersistence:
 
 
 class TestWritersAgainstPerRowReference:
-    """The writers format each distinct row once; their bytes must equal a
-    writer that formats every value of every row."""
+    """The writers format each distinct value, or each candidate row, once;
+    their bytes must equal a writer that formats every value of every row."""
 
     GRID = WeeklyGrid(168)
 
@@ -345,16 +352,67 @@ class TestWritersAgainstPerRowReference:
             assert "\t-0\n" in self.reference_ranked(table, buckets)
             assert ",-0," in self.reference_schedules(table)
 
-    def test_each_distinct_row_is_formatted_once(self):
-        rows = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0], [1.0, -0.0],
-                         [0.5, 0.5], [1.0, 0.0]])
-        calls = []
+    @settings(max_examples=150)
+    @given(data=st.data(), chunk=st.sampled_from([1, 3, 256]))
+    def test_every_cell_is_written_as_17g(self, data, chunk):
+        # Each distinct value is formatted once; 0.0 and -0.0 are equal but
+        # print apart, and subnormals print with their full precision.
+        probs = data.draw(pmf_rows(7))
+        table = ScheduleTable([f"u{i}" for i in range(len(probs))],
+                              ["S1"] * len(probs), probs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.tsv"
+            with mock.patch.object(pipeline, "CHUNK_ROWS", chunk):
+                write_schedules(path, table)
+            assert (path.read_text(encoding="utf-8")
+                    == self.reference_schedules(table))
 
-        def render(i):
-            calls.append(i)
-            return f"text of row {i}"
+    @settings(max_examples=60)
+    @given(data=st.data(), day_filter=st.sampled_from(["all", "weekend"]))
+    def test_chosen_rows_equal_their_table(self, data, day_filter):
+        # Written from candidates, each formatted and ranked once, the
+        # recommended and ranked files equal those of the gathered table.
+        grid = WeeklyGrid(7)
+        probs = data.draw(pmf_rows(grid.buckets_per_week))
+        candidates = ScheduleTable([None] * len(probs),
+                                   [f"k{i % 3}" for i in range(len(probs))], probs)
+        choice = np.array(data.draw(st.lists(
+            st.integers(0, len(probs) - 1), max_size=12) if len(probs)
+            else st.just([])), dtype=np.int64)
+        chosen = pipeline.Chosen(
+            np.array([f"u{i}" for i in range(choice.size)], dtype=object),
+            candidates, choice)
+        table = chosen.table()
+        files = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, rows, ranked in (
+                    ("chosen", chosen, candidates.probabilities),
+                    ("table", table, table.probabilities)):
+                write_schedules(Path(tmp) / f"{name}.tsv", rows)
+                write_ranked_times(Path(tmp) / f"{name}.ranked", rows,
+                                   top_k_times(ranked, 3, grid, day_filter), grid)
+                files[name] = [(Path(tmp) / f"{name}{ext}").read_bytes()
+                               for ext in (".tsv", ".ranked")]
+        assert files["chosen"] == files["table"]
+        assert files["table"][0].decode() == self.reference_schedules(table)
 
-        texts = list(pipeline._once_per_distinct_row(render, rows))
-        assert calls == [0, 1, 3]
-        assert texts == ["text of row 0", "text of row 1", "text of row 0",
-                         "text of row 3", "text of row 1", "text of row 0"]
+
+# Values whose text is easy to get wrong: signed zeros, subnormals, and
+# fractions that need all 17 digits.
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 2.5e-320, 2.2250738585072014e-308,
+                  1e-300, 0.1, 1 / 30]
+
+
+@st.composite
+def pmf_rows(draw, width):
+    """Probability rows of ``width`` buckets drawn from a few values, so that
+    values and whole rows repeat; the last bucket holds the rest of the
+    mass."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES),
+                                   st.floats(0, 0.1)), min_size=1, max_size=4))
+    distinct = draw(st.lists(st.lists(st.sampled_from(pool), min_size=width - 1,
+                                      max_size=width - 1),
+                             min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(distinct), max_size=12))
+    return np.array([row + [1.0 - math.fsum(row)] for row in rows]
+                    ).reshape(len(rows), width)

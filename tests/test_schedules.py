@@ -1,9 +1,12 @@
 """Personalized schedule derivation, baselines, weights, and ranking."""
 
+from collections import namedtuple
+from unittest import mock
+
 import numpy as np
 import pytest
-
-from collections import namedtuple
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postsched import (
     Adjacency,
@@ -15,6 +18,7 @@ from postsched import (
     cohort_sum,
     compute_weights,
     normalize_rows,
+    temporal,
     top_k_times,
     visible_posts,
 )
@@ -342,3 +346,106 @@ class TestTopKTimes:
                 assert got.tolist() == want.tolist()
             stacked = top_k_times(p.reshape(5, 100, 48), 7, g, day_filter)
             assert np.array_equal(stacked.reshape(500, -1), ranked)
+
+
+@st.composite
+def edge_sums(draw):
+    """A random graph of ``rows`` targets over ``cols`` members, with
+    repeated edges, self-loops and targets without edges, and member rows of
+    values whose sums round differently in another order."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                    st.integers(0, cols - 1)), max_size=30))
+    pairs += [(i, i) for i in range(min(rows, cols))
+              if draw(st.booleans())]
+    value = st.one_of(st.sampled_from([0.0, 1.0, 1e-17, 3.0, 1e16, 0.1]),
+                      st.floats(0, 1e6))
+    n = draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(value, min_size=cols * n,
+                                    max_size=cols * n))).reshape(cols, n)
+    edges = Adjacency.from_edges(rows, [r for r, _ in pairs],
+                                 [c for _, c in pairs])
+    return edges, values
+
+
+def sequential_sum(n_rows, edges, row_of_edge):
+    """Row r sums ``row_of_edge(e)`` over the edges e out of r, one Python
+    float at a time in ascending edge order."""
+    out = [[0.0] * n_rows[1] for _ in range(n_rows[0])]
+    for e in range(len(edges)):
+        r = int(edges.row[e])
+        for j, x in enumerate(row_of_edge(e)):
+            out[r][j] += x
+    return np.array(out).reshape(n_rows)
+
+
+class TestEdgeSumsAreSequential:
+    """Every sum over edges equals one that adds each edge's row in edge
+    order, bit for bit, whatever the chunk size."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @settings(max_examples=60)
+    @given(case=edge_sums(), weighted=st.booleans(), divided=st.booleans(),
+           data=st.data())
+    def test_audience_reaction_profile(self, chunk, case, weighted, divided,
+                                       data):
+        audience, delayed = case
+        cols, n = delayed.shape
+        visible = (np.array(data.draw(st.lists(
+            st.floats(0.25, 1e3), min_size=cols * n, max_size=cols * n)))
+            .reshape(cols, n) if divided else None)
+        weights = (np.array(data.draw(st.lists(
+            st.floats(0, 1), min_size=len(audience), max_size=len(audience))))
+            if weighted else None)
+
+        def row_of_edge(e):
+            b = int(audience.col[e])
+            x = delayed[b].tolist()
+            if divided:
+                x = [min(d / v, 1.0) for d, v in zip(x, visible[b].tolist())]
+            if weighted:
+                x = [d * float(weights[e]) for d in x]
+            return x
+
+        want = sequential_sum((audience.n_rows, n), audience, row_of_edge)
+        with mock.patch.object(temporal, "CHUNK_ROWS", chunk):
+            got = audience_reaction_profile(delayed, audience, weights, visible)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @settings(max_examples=60)
+    @given(case=edge_sums())
+    def test_visible_posts(self, chunk, case):
+        followed, created = case
+        n = created.shape[1]
+        mean = created.sum(axis=-1) / n
+        model = VisibilityModel(alpha=0.75, beta=0.5)
+
+        def row_of_edge(e):
+            c = int(followed.col[e])
+            if not mean[c] > 0:
+                return [0.0] * n  # adds +0.0, which changes no sum
+            return [x / float(mean[c]) for x in created[c].tolist()]
+
+        want = sequential_sum((followed.n_rows, n), followed, row_of_edge)
+        want = want * model.alpha + model.beta
+        with mock.patch.object(temporal, "CHUNK_ROWS", chunk):
+            got = visible_posts(created, followed, model)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @settings(max_examples=60)
+    @given(case=edge_sums(), data=st.data())
+    def test_cohort_sum(self, chunk, case, data):
+        _, values = case
+        n_cohorts = data.draw(st.integers(1, 4))
+        cohort = data.draw(st.lists(st.integers(0, n_cohorts - 1),
+                                    min_size=len(values), max_size=len(values)))
+        want = [[0.0] * values.shape[1] for _ in range(n_cohorts)]
+        for i, c in enumerate(cohort):
+            for j, x in enumerate(values[i].tolist()):
+                want[c][j] += x
+        with mock.patch.object(temporal, "CHUNK_ROWS", chunk):
+            got = cohort_sum(values, cohort, n_cohorts)
+        assert got.tobytes() == np.array(want).tobytes()
