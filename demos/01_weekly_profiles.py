@@ -14,7 +14,7 @@ from postsched import (
     PairTable,
     PostTable,
     TimeWindow,
-    UserMeta,
+    UserTable,
     WeeklyGrid,
     build_profiles,
     normalize_rows,
@@ -39,9 +39,11 @@ events = [tue_9am, tue_9am + week, tue_9am + 2 * week,
           sat_8pm, sat_8pm + 2 * week]
 posts = PostTable.from_columns(["TW"], ["demo"] * len(events),
                                [f"p{i}" for i in range(len(events))], events)
-profiles = build_profiles(posts, PairTable.from_columns([], [], [], []),
-                          [UserMeta("demo", 0, None, "TW")], grid,
-                          TimeWindow(monday, monday + 3 * week - 1))
+# users.tsv as columns: one user at UTC, with no city. A user who is not
+# listed would be bucketed at UTC too.
+users = UserTable.from_columns(["TW"], ["demo"], [0], [None])
+profiles = build_profiles(posts, PairTable.from_columns([], [], [], []), users,
+                          grid, TimeWindow(monday, monday + 3 * week - 1))
 profile = profiles.created[0]
 print(f"\nprofile total {profile.sum():.0f} events in "
       f"{np.count_nonzero(profile)} distinct buckets")

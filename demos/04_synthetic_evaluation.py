@@ -38,7 +38,8 @@ print(f"generated {len(result.posts)} posts, {len(result.reactions)} reactions,"
 
 derivation = TimeWindow.from_days(cfg.start_epoch, 63)
 evaluation = TimeWindow.from_days(derivation.end + 1, 56)
-# The generator returns the column tables that the pipeline reads.
+# The generator returns the column tables that the pipeline reads: posts,
+# reactions, and users as a UserTable of timezone offsets.
 posts = result.posts
 join = join_reactions(posts, result.reactions)
 pairs = join.pairs

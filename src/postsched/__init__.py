@@ -34,7 +34,7 @@ from .ingest import (
     PostTable,
     ReactionTable,
     SocialGraph,
-    UserMeta,
+    UserTable,
     build_profiles,
     join_reactions,
     load_graph,

@@ -97,16 +97,17 @@ def cohort_aggregate(series_by_user: Mapping[str, np.ndarray],
                      grid: WeeklyGrid, label: str = "") -> Cohort:
     """Sum member series in the cohort's local time and renormalize.
 
-    Each member's series is shifted from their own timezone to the cohort's
-    before summing (an hour of offset difference is 4 buckets on the default
-    grid). Undefined for an empty cohort or an all-zero aggregate.
+    ``offsets`` holds the tz offset of every member. Each member's series is
+    shifted from their own timezone to the cohort's before summing (an hour
+    of offset difference is 4 buckets on the default grid). Undefined for an
+    empty cohort or an all-zero aggregate.
     """
     if not series_by_user:
         raise UndefinedMetricError("empty cohort")
     acc = np.zeros(grid.buckets_per_week)
     for user in sorted(series_by_user):
         acc += shift_to_offset(series_by_user[user],
-                               offsets.get(user, 0), cohort_offset_min, grid)
+                               offsets[user], cohort_offset_min, grid)
     total = acc.sum()
     if total <= 0:
         raise UndefinedMetricError(f"cohort {label!r} aggregate has no mass")

@@ -35,6 +35,7 @@ import numpy as np
 from . import analysis, delays, evaluation, pipeline, schedules
 from .errors import ConfigError, InsufficientDataError, PostschedError
 from .ingest import (
+    DEFAULT_MAX_MALFORMED_FRAC,
     NETWORKS,
     join_reactions,
     load_graph,
@@ -44,14 +45,13 @@ from .ingest import (
 )
 from .temporal import (
     DAY_FILTERS,
+    DAY_SECONDS,
     DEFAULT_START_EPOCH,
     WEEK_SECONDS,
     ScheduleTable,
     TimeWindow,
     WeeklyGrid,
 )
-
-DAY_SECONDS = 86400
 
 
 def _bool(value: str) -> bool:
@@ -113,10 +113,10 @@ class RunConfig:
         f"must divide a week of {WEEK_SECONDS} s exactly"))
     # The delay transform wraps lags modulo the week, so a longer window
     # would only add cost.
-    delay_window_s: int = _key(86400, int, (
+    delay_window_s: int = _key(delays.DEFAULT_WINDOW_S, int, (
         lambda v: 1 <= v <= WEEK_SECONDS,
         f"must be between 1 and {WEEK_SECONDS} s, one week"))
-    delay_lag_s: int = _key(900, int)
+    delay_lag_s: int = _key(delays.DEFAULT_LAG_WIDTH_S, int)
     derivation_start: int | None = _key(None, _timestamp)
     derivation_days: int = _key(63, int, _AT_LEAST_ONE)
     evaluation_start: int | None = _key(None, _timestamp)
@@ -125,7 +125,7 @@ class RunConfig:
                                      "must be a finite number >= 0"))
     beta: float = _key(1.0, float, (lambda v: 0 < v < math.inf,
                                     "must be a finite number > 0"))
-    ranks: int = _key(32, int)
+    ranks: int = _key(evaluation.DEFAULT_RANKS, int)
     day_filter: str = _key("weekday", rule=(lambda v: v in DAY_FILTERS,
                                             f"must be one of {'/'.join(DAY_FILTERS)}"))
     sample_budget: int = _key(20000, int, (
@@ -138,8 +138,8 @@ class RunConfig:
     seed: int = _key(0, int, (lambda v: v >= 0, "must be >= 0"))
     out: str = _key("out", rule=(lambda v: "\0" not in v,
                                  "must not contain a NUL character"))
-    max_malformed_frac: float = _key(0.01, float, (lambda v: 0 <= v <= 1,
-                                                   "must be in [0, 1]"))
+    max_malformed_frac: float = _key(DEFAULT_MAX_MALFORMED_FRAC, float, (
+        lambda v: 0 <= v <= 1, "must be in [0, 1]"))
     synth_authors: int = _key(20, int, feeds="n_authors")
     synth_followers: str = _key(
         "10", rule=(lambda v: _synth_followers(v) is not None,
@@ -549,26 +549,25 @@ def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     if s1 is None:
         raise PostschedError(
             "no first-degree schedules found; run the `schedule` subcommand first")
-    offsets = {u.user: u.tz_offset_min for u in users}
     row_of = {u: i for i, u in enumerate(s1.users.tolist())}
 
     def series(members):
         return s1.probabilities[[row_of[m] for m in members]]
 
     city_members: dict[str, list[str]] = {}
-    for u in users:
-        if u.city and u.user in row_of:
-            city_members.setdefault(u.city, []).append(u.user)
+    for user, city in zip(users.users.tolist(), users.city.tolist()):
+        if city and user in row_of:
+            city_members.setdefault(city, []).append(user)
     cohorts = {}
     cohort_sets = {"ALL": sorted(row_of)}
     for city, members in sorted(city_members.items()):
         if len(members) >= cfg.min_cohort:
             cohort_sets[city] = sorted(members)
     for label, members in cohort_sets.items():
-        tz_counts = Counter(offsets.get(m, 0) for m in members)
-        cohort_tz = tz_counts.most_common(1)[0][0]
-        for m in members:
-            off = offsets.get(m, 0)
+        offsets = dict(zip(members, users.offsets(members).tolist()))
+        # The most common offset; a tie goes to the one met first in id order.
+        cohort_tz = Counter(offsets.values()).most_common(1)[0][0]
+        for m, off in offsets.items():
             if (off - cohort_tz) * 60 % grid.bucket_width_s:
                 raise PostschedError(
                     f"{cfg.users}: user {m!r} has tz offset {off} min, which is "

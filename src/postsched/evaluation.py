@@ -19,8 +19,8 @@ import numpy as np
 from .ingest import (
     PairTable,
     PostTable,
-    UserMeta,
-    lookup,
+    UserTable,
+    index_of,
     present_codes,
     weekly_counts,
 )
@@ -47,7 +47,7 @@ class EvalData:
 
 
 def build_eval_data(posts: PostTable, pairs: PairTable,
-                    users: list[UserMeta], window: TimeWindow,
+                    users: UserTable, window: TimeWindow,
                     grid: WeeklyGrid,
                     attribution_s: int = ATTRIBUTION_WINDOW_S) -> EvalData:
     """Count in-window posts and attributed received reactions per author.
@@ -57,7 +57,6 @@ def build_eval_data(posts: PostTable, pairs: PairTable,
     itself fall in the window and it came less than ``attribution_s`` after
     the post. Users without metadata are bucketed at UTC.
     """
-    tz = {u.user: u.tz_offset_min for u in users}
     post_rows = np.flatnonzero(window.mask(posts.created_at))
     pair_rows = np.flatnonzero(window.mask(pairs.post_time)
                                & window.mask(pairs.reaction_time)
@@ -65,9 +64,9 @@ def build_eval_data(posts: PostTable, pairs: PairTable,
     names = np.sort(posts.users[present_codes(posts.author[post_rows],
                                               len(posts.users))])
     return EvalData(names,
-                    weekly_counts(names, tz, posts.users, posts.author[post_rows],
+                    weekly_counts(names, users, posts.users, posts.author[post_rows],
                                   posts.created_at[post_rows], grid),
-                    weekly_counts(names, tz, pairs.users, pairs.author[pair_rows],
+                    weekly_counts(names, users, pairs.users, pairs.author[pair_rows],
                                   pairs.post_time[pair_rows], grid))
 
 
@@ -96,7 +95,7 @@ class GainReport:
 
 def evaluate_schedules(tables: Mapping[str, ScheduleTable],
                        posts: PostTable, pairs: PairTable,
-                       users: list[UserMeta], window: TimeWindow,
+                       users: UserTable, window: TimeWindow,
                        grid: WeeklyGrid, k: int = DEFAULT_RANKS,
                        day_filter: str = "weekday",
                        attribution_s: int = ATTRIBUTION_WINDOW_S,
@@ -121,22 +120,20 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
     # kind -> (table, scored users in ascending order, their table rows)
     scored = {kind: (table, table.users, np.arange(len(table)))
               for kind, table in tables.items()}
-    tz = {u.user: u.tz_offset_min for u in users}
     owners = np.array(sorted(set(baseline_users)), dtype=object)
-    cohorts = [cohort_label(tz.get(u, 0)) for u in owners.tolist()]
+    cohorts = [cohort_label(off) for off in users.offsets(owners).tolist()]
     for kind, table in (baselines or {}).items():
         rows = table.rows_of(cohorts)
         if (rows >= 0).any():
             scored[kind] = (table, owners[rows >= 0], rows[rows >= 0])
 
-    row_of = {u: i for i, u in enumerate(data.users.tolist())}
     rows: list[GainRow] = []
     excluded: dict[str, int] = {}
     for kind in sorted(scored):
         table, owner, at = scored[kind]
         ranked = top_k_times(table.probabilities, k, grid, day_filter)
         order = np.argsort(owner, kind="stable")
-        user = lookup(owner[order], row_of)
+        user = index_of(data.users, owner[order])
         at = at[order][user >= 0]
         user = user[user >= 0]
         zero = overall[user] == 0

@@ -15,32 +15,29 @@ UTC-12:00 .. UTC+14:00 (-720 .. 840 minutes). The reactor column may hold
 "-" when the source data does not identify who reacted; such rows support
 delay estimation and analysis but not schedule derivation. A line holding
 a NUL byte is malformed. Malformed lines are counted, never silently dropped.
-A user is listed at most once per network in users.tsv.
+A user is listed at most once in users.tsv.
 
-Posts and reactions load into column tables (:class:`PostTable`,
-:class:`ReactionTable`) whose user ids are interned as integer codes into a
-sorted ``users`` vocabulary, whose post ids are a fixed-width bytes (``S``)
-column and whose times are int64 arrays. A block of lines is split into
-these columns with numpy, never one Python object per row.
-:func:`join_reactions` joins the two on sorted post-id keys into one
-:class:`PairTable`, which every later stage reads.
-The follower graph loads the same way, as a :class:`SocialGraph` of edge
-code columns.
+Every input loads into columns. Posts and reactions load into tables whose
+user ids are int64 codes into a sorted ``users`` vocabulary, whose post ids
+are a fixed-width bytes (``S``) column and whose times are int64 arrays; a
+block of lines is checked and split into them with numpy, never one Python
+object per row. :func:`join_reactions` joins them on sorted post-id keys
+into the :class:`PairTable` that later stages read. The follower graph
+loads as a :class:`SocialGraph` of edge code columns, and users.tsv as a
+:class:`UserTable`. :func:`index_of` finds ids in these sorted vocabularies.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import IngestError
-from .temporal import MAX_TZ_OFFSET_MIN, TimeWindow, WeeklyGrid
+from .temporal import TimeWindow, WeeklyGrid
 
 NETWORKS = ("TW", "FB", "FP", "GP")
 
@@ -53,9 +50,8 @@ DEFAULT_MAX_MALFORMED_FRAC = 0.01
 _TIMESTAMP = re.compile(r"-?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 
-# A timestamp of at most this many digits fits in int64, so a block whose
-# timestamps are all this short is parsed from its digit bytes.
-_MAX_BLOCK_DIGITS = 18
+# Significant digits of -2**63, the longest int64: no valid timestamp has more.
+_INT64_DIGITS = len(str(-_INT64.min))
 
 # An id column is as wide as its longest id, so one long id would widen
 # every row; a posts or reactions line with a longer id is malformed.
@@ -70,18 +66,6 @@ _TZ_OFFSETS = range(-12 * 60, 14 * 60 + 1)
 # Input files are read in blocks of whole lines of about this many bytes,
 # which bounds the memory taken by the per-block temporaries.
 _BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class UserMeta:
-    user: str
-    tz_offset_min: int
-    city: str | None
-    network: str
-
-    def __post_init__(self) -> None:
-        if not -MAX_TZ_OFFSET_MIN <= self.tz_offset_min <= MAX_TZ_OFFSET_MIN:
-            raise ValueError(f"tz offset {self.tz_offset_min} out of range")
 
 
 @dataclass(frozen=True)
@@ -224,10 +208,45 @@ class PairTable:
                    np.asarray(reaction_time, dtype=np.int64))
 
 
-def lookup(users: np.ndarray, index: Mapping[str, int]) -> np.ndarray:
-    """``index[users[code]]`` for every code of a vocabulary, -1 for a user
-    that ``index`` lacks."""
-    return np.array([index.get(u, -1) for u in users.tolist()], dtype=np.int64)
+def index_of(vocabulary: np.ndarray, keys) -> np.ndarray:
+    """The int64 position of each of ``keys`` in ``vocabulary``, an array of
+    distinct ids such as a table's sorted ``users``; -1 for a key it lacks.
+    A dict finds them: ``searchsorted`` on object arrays took 3x as long."""
+    index = {key: i for i, key in enumerate(vocabulary.tolist())}
+    return np.array([index.get(key, -1) for key in list(keys)], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class UserTable:
+    """users.tsv as columns, a row per user in ascending ``users`` order. A
+    user who is not listed is at UTC, and :meth:`offsets` alone says so."""
+
+    networks: frozenset[str]
+    users: np.ndarray          # row -> user id, ascending and distinct
+    tz_offset_min: np.ndarray  # int64 minutes east of UTC
+    city: np.ndarray           # city name, None where there is none
+
+    def offsets(self, names) -> np.ndarray:
+        """The int64 tz offset of each of ``names``, 0 for one not listed."""
+        return np.append(self.tz_offset_min, 0)[index_of(self.users, names)]
+
+    @classmethod
+    def from_columns(cls, networks: Iterable[str], users, tz_offset_min,
+                     city) -> "UserTable":
+        """Table from plain columns of one value per listed user; ``networks``
+        holds the network of each. Raises ValueError for a user listed more
+        than once, whatever the networks, as either line could win."""
+        networks, names = list(networks), np.array(list(users), dtype=object)
+        order = np.argsort(names, kind="stable")
+        repeat = order[:-1][names[order[1:]] == names[order[:-1]]]
+        if repeat.size:  # named at the first of its lines in the file
+            user = names[repeat.min()]
+            nets = dict.fromkeys(n for n, u in zip(networks, names) if u == user)
+            raise ValueError(f"user {user!r} is listed more than once for "
+                             f"network{'s' * (len(nets) > 1)} {' and '.join(nets)}")
+        return cls(frozenset(networks), names[order],
+                   np.asarray(tz_offset_min, dtype=np.int64)[order],
+                   np.array(list(city), dtype=object)[order])
 
 
 class SocialGraph:
@@ -242,10 +261,9 @@ class SocialGraph:
     __slots__ = ("users", "src", "dst")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
-        names = np.array(list(chain.from_iterable(edges)), dtype=object)
-        self.users, codes = np.unique(names, return_inverse=True)
+        self.users, codes = _intern(chain.from_iterable(edges))
         n = len(self.users)
-        keys = _distinct(codes[0::2].astype(np.int64) * n + codes[1::2])
+        keys = _distinct(codes[0::2] * n + codes[1::2])
         self.src, self.dst = np.divmod(keys, n)
 
     @property
@@ -291,7 +309,8 @@ def _lines(block: bytes, path) -> list[str]:
 def _check_lines(lines: Iterable[str], n_fields: int, parse_row,
                  network: str | None, network_field: int):
     """Check and parse lines one at a time. Returns the parsed records and
-    the counts of malformed lines and of lines of another network."""
+    the counts of malformed lines and of lines of another network. Loads
+    users and edges; for posts and reactions, the reference of tests."""
     records = []
     malformed = 0
     skipped = 0
@@ -369,34 +388,42 @@ def _field(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
 
 def _stamps(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
     """int64 values of the fields ``buf[start[i]:stop[i]]``, and the mask of
-    those that are ``-?[0-9]+`` with at most ``_MAX_BLOCK_DIGITS`` digits;
-    a field outside the mask has the value 0."""
-    value = np.zeros(start.size, dtype=np.int64)
+    those that are ``-?[0-9]+`` within int64; the value of a field outside
+    the mask means nothing."""
+    # Made first: made after the temporaries below, it sat among the holes
+    # they leave, and the peak RSS of `postsched all` rose by 1.5 MB.
+    value = np.empty(start.size, dtype=np.uint64)
     negative = (stop > start) & (buf[np.minimum(start, buf.size - 1)] == ord("-"))
-    n_digits = stop - start - negative
-    valid = (n_digits >= 1) & (n_digits <= _MAX_BLOCK_DIGITS)
-    at = np.flatnonzero(valid)
-    if at.size:
-        # The digits right-aligned in ``width`` columns, led by "0" bytes.
-        width = int(n_digits[at].max())
-        padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])
-        digits = np.lib.stride_tricks.sliding_window_view(padded, width)[stop[at]]
-        digits[np.arange(width) < (width - n_digits[at])[:, None]] = ord("0")
-        digits -= ord("0")   # a byte below "0" wraps past 9
-        valid[at] = (digits <= 9).all(axis=1)
-        v = digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        value[at] = np.where(negative[at], -v, v)
-    return value, valid
+    first = start + negative
+    # Leading zeros are stripped only from the rare fields too long to read.
+    for i in np.flatnonzero(stop - first > _INT64_DIGITS).tolist():
+        field = buf[first[i]:stop[i]].tobytes()
+        first[i] += min(len(field) - len(field.lstrip(b"0")), len(field) - 1)
+    n_digits = stop - first
+    # The last ``width`` bytes of each field, with "0" before its digits.
+    width = int(n_digits.clip(1, _INT64_DIGITS).max(initial=1))
+    padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])
+    digits = np.lib.stride_tricks.sliding_window_view(padded, width)[stop]
+    digits[np.arange(width) < (width - n_digits)[:, None]] = ord("0")
+    digits -= ord("0")   # a byte below "0" wraps past 9
+    v = digits.astype(np.uint64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+    # -2**63 is in range, 2**63 is not; -v wraps to the bits of the int64.
+    valid = ((n_digits >= 1) & (n_digits <= _INT64_DIGITS) & (digits <= 9).all(axis=1)
+             & (v <= negative.astype(np.uint64) + np.uint64(_INT64.max)))
+    value[:] = np.where(negative, -v, v)
+    return value.view(np.int64), valid
 
 
 def _split_block(block: bytes, network: str | None):
-    """The data lines of a block, split at once with numpy.
+    """The data lines of a block, checked and split at once with numpy.
 
-    Returns the networks present, the two id columns and the int64 times of
-    the lines that pass every check of the per-line path and are of
-    ``network``, with the count of passing lines of another network; and,
-    in file order, each line that fails a check, as its text and the number
-    of rows before it. The block holds no CR and is valid UTF-8.
+    Each line is checked as :func:`_check_lines` checks it, in its order:
+    four fields and no NUL byte, then a known network, then the network
+    asked for (a line of another is skipped), then ids of at most
+    ``MAX_ID_BYTES`` bytes and a timestamp. Returns the networks present,
+    the two id columns and the int64 times of the lines that pass, with the
+    counts of malformed and of skipped lines. The block holds no CR and is
+    valid UTF-8.
     """
     buf = np.frombuffer(block, dtype=np.uint8)
     newline = np.flatnonzero(buf == ord("\n"))
@@ -406,76 +433,58 @@ def _split_block(block: bytes, network: str | None):
     data[data] = buf[start[data]] != ord("#")
     tab = np.flatnonzero(buf == ord("\t"))
     line_of_tab = np.searchsorted(newline, tab)
-    passed = data & (np.bincount(line_of_tab, minlength=start.size) == 3)
-    passed[np.searchsorted(newline, np.flatnonzero(buf == 0))] = False
-    line = np.flatnonzero(passed)
-    tab = tab[passed[line_of_tab]].reshape(-1, 3)
+    shaped = data & (np.bincount(line_of_tab, minlength=start.size) == 3)
+    shaped[np.searchsorted(newline, np.flatnonzero(buf == 0))] = False
+    line = np.flatnonzero(shaped)
+    tab = tab[shaped[line_of_tab]].reshape(-1, 3)
+    n_data = int(data.sum())
     del newline, line_of_tab  # before the larger temporaries below
-    # Check the widths first, so that no long field widens a column.
-    fits = ((tab[:, 0] - start[line] <= _NETWORK_KEYS.itemsize)
-            & (np.diff(tab, axis=1).max(axis=1) <= MAX_ID_BYTES + 1))
-    line, tab = line[fits], tab[fits]
+    # Each width is checked before its field is taken, so that no long
+    # field widens a column.
+    short = tab[:, 0] - start[line] <= _NETWORK_KEYS.itemsize
+    line, tab = line[short], tab[short]
     nets = _field(buf, start[line], tab[:, 0])
     which = np.searchsorted(_NETWORK_KEYS, nets).clip(0, _NETWORK_KEYS.size - 1)
-    times, stamped = _stamps(buf, tab[:, 2] + 1, stop[line])
-    ok = (_NETWORK_KEYS[which] == nets) & stamped
-    mine = ok if network is None else ok & (nets == network.encode())
-    passed[:] = False
-    passed[line[ok]] = True
-    failed = np.flatnonzero(data & ~passed)
+    known = _NETWORK_KEYS[which] == nets
+    mine = known if network is None else known & (nets == network.encode())
+    skipped = int(known.sum() - mine.sum())
     line, tab, which = line[mine], tab[mine], which[mine]
+    fits = np.diff(tab, axis=1).max(axis=1) <= MAX_ID_BYTES + 1
+    line, tab, which = line[fits], tab[fits], which[fits]
+    times, stamped = _stamps(buf, tab[:, 2] + 1, stop[line])
+    tab, which = tab[stamped], which[stamped]
     present = {_NETWORK_KEYS[i].decode()
                for i in present_codes(which, _NETWORK_KEYS.size).tolist()}
-    return ((present, _field(buf, tab[:, 0] + 1, tab[:, 1]),
-             _field(buf, tab[:, 1] + 1, tab[:, 2]), times[mine],
-             int(ok.sum() - mine.sum())),
-            [(block[i:j].decode(), at) for i, j, at in zip(
-                start[failed].tolist(), stop[failed].tolist(),
-                np.searchsorted(line, failed).tolist())])
+    return (present, _field(buf, tab[:, 0] + 1, tab[:, 1]),
+            _field(buf, tab[:, 1] + 1, tab[:, 2]), times[stamped],
+            n_data - skipped - len(tab), skipped)
 
 
 def _load_events(path, network: str | None, max_malformed_frac: float):
     """Networks present, two id columns (bytes) and int64 times of a posts
-    or reactions file, with its report. The lines that pass the checks are
-    split many at once, and only the others are checked one at a time, so
-    the counts are exact either way."""
-    networks: set[str] = set()
-    first = [np.empty(0, dtype=np.bytes_)]
-    second = [np.empty(0, dtype=np.bytes_)]
-    times = [np.empty(0, dtype=np.int64)]
-    malformed = 0
-    skipped = 0
+    or reactions file, with its report; each block is checked and split by
+    :func:`_split_block`."""
+    no_ids = np.empty(0, dtype=np.bytes_)
+    splits = [(set(), no_ids, no_ids, np.empty(0, dtype=np.int64), 0, 0)]
     for block in _blocks(path):
         if not block.isascii():
             _text(block, path)
         # A CR ends a line like an LF does, as blank lines are skipped.
         block = block.replace(b"\r", b"\n")
         split = _split_block(block, network)
-        if split is None:   # every line one at a time, as tests compare
-            split = ((set(), first[0], second[0], times[0], 0),
-                     [(line, 0) for line in _lines(block, path)])
-        (present, a, b, t, other), failed = split
-        networks |= present
-        skipped += other
-        # Each run of failed lines goes before the row that follows it.
-        done = 0
-        for at, run in groupby(failed, key=itemgetter(1)):
-            rows, bad, other = _check_lines([line for line, _ in run], 4,
-                                            _event_row, network, 0)
-            malformed += bad
-            skipped += other
-            nets, ra, rb, rt = zip(*rows) if rows else ((), (), (), ())
-            networks |= set(nets)
-            first += [a[done:at], encode_ids(ra)]
-            second += [b[done:at], encode_ids(rb)]
-            times += [t[done:at], np.array(rt, dtype=np.int64)]
-            done = at
-        first.append(a[done:])
-        second.append(b[done:])
-        times.append(t[done:])
+        if split is None:   # every line by the reference checks, as tests compare
+            rows, bad, other = _check_lines(_lines(block, path), 4, _event_row,
+                                            network, 0)
+            nets, a, b, t = zip(*rows) if rows else ((),) * 4
+            split = (set(nets), encode_ids(a), encode_ids(b),
+                     np.array(t, dtype=np.int64), bad, other)
+        splits.append(split)
+    networks, first, second, times, malformed, skipped = zip(*splits)
     times = np.concatenate(times)
-    report = _report(path, times.size, malformed, skipped, max_malformed_frac)
-    return (networks, np.concatenate(first), np.concatenate(second), times), report
+    report = _report(path, times.size, sum(malformed), sum(skipped),
+                     max_malformed_frac)
+    return (set().union(*networks), np.concatenate(first), np.concatenate(second),
+            times), report
 
 
 def load_posts(path, network: str | None = None,
@@ -495,17 +504,16 @@ def load_reactions(path, network: str | None = None,
 
 
 def load_users(path, network: str | None = None,
-               max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC):
+               max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC
+               ) -> tuple[UserTable, LoadReport]:
     def row(f):
         city = f[2] if f[2] and f[2] != MISSING_ID else None
-        return UserMeta(f[0], _tz_offset(f[1]), city, f[3])
-    users, report = _load_tsv(path, 4, row, network, 3, max_malformed_frac)
-    # One id may name an account on each of several networks, but a second
-    # line for the same account would silently override the first.
-    for (user, net), n in Counter((u.user, u.network) for u in users).items():
-        if n > 1:
-            raise IngestError(f"{path}: user {user!r} is listed more than once "
-                              f"for network {net}")
+        return f[3], f[0], _tz_offset(f[1]), city
+    rows, report = _load_tsv(path, 4, row, network, 3, max_malformed_frac)
+    try:
+        users = UserTable.from_columns(*(zip(*rows) if rows else ((),) * 4))
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
     return users, report
 
 
@@ -583,7 +591,7 @@ class UserProfiles:
     unknown_tz: frozenset[str]  # users bucketized at UTC for lack of metadata
 
 
-def build_profiles(posts: PostTable, pairs: PairTable, users: list[UserMeta],
+def build_profiles(posts: PostTable, pairs: PairTable, users: UserTable,
                    grid: WeeklyGrid, window: TimeWindow) -> UserProfiles:
     """Aggregate in-window events into per-user weekly profiles.
 
@@ -594,7 +602,6 @@ def build_profiles(posts: PostTable, pairs: PairTable, users: list[UserMeta],
     events but no timezone metadata default to UTC and are flagged in
     ``unknown_tz``.
     """
-    tz = {u.user: u.tz_offset_min for u in users}
     post_rows = np.flatnonzero(window.mask(posts.created_at))
     react_rows = np.flatnonzero(window.mask(pairs.reaction_time)
                                 & pairs.known_reactor)
@@ -602,30 +609,28 @@ def build_profiles(posts: PostTable, pairs: PairTable, users: list[UserMeta],
                                             len(posts.users))].tolist())
               | set(pairs.users[present_codes(pairs.reactor[react_rows],
                                               len(pairs.users))].tolist()))
-    names = np.array(sorted(set(tz) | active), dtype=object)
-    created = weekly_counts(names, tz, posts.users, posts.author[post_rows],
+    listed = set(users.users.tolist())
+    names = np.array(sorted(listed | active), dtype=object)
+    created = weekly_counts(names, users, posts.users, posts.author[post_rows],
                             posts.created_at[post_rows], grid)
-    reactions = weekly_counts(names, tz, pairs.users, pairs.reactor[react_rows],
+    reactions = weekly_counts(names, users, pairs.users, pairs.reactor[react_rows],
                               pairs.reaction_time[react_rows], grid)
-    return UserProfiles(names, created, reactions, frozenset(active - set(tz)))
+    return UserProfiles(names, created, reactions, frozenset(active - listed))
 
 
-def weekly_counts(rows: np.ndarray, tz: Mapping[str, int],
-                  vocabulary: np.ndarray, codes: np.ndarray, times: np.ndarray,
+def weekly_counts(rows: np.ndarray, users: UserTable, vocabulary: np.ndarray,
+                  codes: np.ndarray, times: np.ndarray,
                   grid: WeeklyGrid) -> np.ndarray:
     """Events per row and local weekly bucket, as a float64 matrix whose rows
-    follow ``rows``, an array of user ids. Event i is by the user
-    ``vocabulary[codes[i]]`` at ``times[i]``, bucketed at the user's ``tz``
-    offset (UTC without one); the events of users without a row are
-    dropped."""
+    follow ``rows``, an ascending array of user ids. Event i is by the user
+    ``vocabulary[codes[i]]`` at ``times[i]``, bucketed at the user's offset
+    in ``users``; the events of users without a row are dropped."""
     n = grid.buckets_per_week
-    names = rows.tolist()
-    row = lookup(vocabulary, {u: i for i, u in enumerate(names)})[codes]
+    row = index_of(rows, vocabulary)[codes]
     row, times = row[row >= 0], times[row >= 0]
-    offset = np.array([tz.get(u, 0) for u in names], dtype=np.int64)
-    out = np.zeros((len(names), n))
-    np.add.at(out.reshape(-1), row * n + grid.bucket_indices(times, offset[row]),
-              1.0)
+    out = np.zeros((len(rows), n))
+    np.add.at(out.reshape(-1),
+              row * n + grid.bucket_indices(times, users.offsets(rows)[row]), 1.0)
     return out
 
 

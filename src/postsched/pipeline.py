@@ -24,9 +24,9 @@ from .ingest import (
     PairTable,
     PostTable,
     SocialGraph,
-    UserMeta,
+    UserTable,
     build_profiles,
-    lookup,
+    index_of,
 )
 from .schedules import (
     Adjacency,
@@ -81,7 +81,6 @@ class DerivedSchedules:
     personalized: dict[str, ScheduleTable]  # kind -> a row per user with signal
     baselines: ScheduleTable     # AFD/MFU rows per tz cohort, by (offset, kind)
     chosen: Chosen               # fallback chain result, a row per target
-    audience_profiles: np.ndarray  # raw Q(u), rows as personalized["S1"] (feeds AFD)
     unknown_tz: frozenset[str]
 
     @property
@@ -91,7 +90,7 @@ class DerivedSchedules:
 
 
 def derive_schedules(posts: PostTable, pairs: PairTable,
-                     graph: SocialGraph, users: list[UserMeta],
+                     graph: SocialGraph, users: UserTable,
                      grid: WeeklyGrid, kernel: DelayKernel,
                      window: TimeWindow,
                      model: VisibilityModel = VisibilityModel(),
@@ -106,37 +105,32 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     targets.
     """
     profiles = build_profiles(posts, pairs, users, grid, window)
-    tz_of = {u.user: u.tz_offset_min for u in users}
-    names = profiles.users.tolist()
-    row_of = {u: i for i, u in enumerate(names)}
+    names = profiles.users
     if targets is None:
-        target_list = sorted(set(names).union(graph.users.tolist()))
-    else:
-        target_list = sorted(set(targets))
-    row = lookup(graph.users, row_of)
+        targets = set(names.tolist()).union(graph.users.tolist())
+    targets = np.array(sorted(set(targets)), dtype=object)
+    row = index_of(names, graph.users)
 
     # Audience edges to the members who reacted in the window. Senders are
     # the targets with such members; both are numbered in name order.
-    target_of = lookup(graph.users, {u: i for i, u in enumerate(target_list)})
-    target_at, member_row = target_of[graph.src], row[graph.dst]
+    target_at, member_row = index_of(targets, graph.users)[graph.src], row[graph.dst]
     edge = (target_at >= 0) & (member_row >= 0)
     target_at, member_row = target_at[edge], member_row[edge]
     reacted = profiles.reactions.any(axis=1)[member_row]
     senders, target_at = np.unique(target_at[reacted], return_inverse=True)
     members, member_at = np.unique(member_row[reacted], return_inverse=True)
     audience = Adjacency.from_edges(len(senders), target_at, member_at)
-    sender_names = [target_list[t] for t in senders]
-    member_names = [names[m] for m in members]
+    sender_names, member_names = targets[senders], names[members]
     # The edges into each member from the authors with a profile row.
-    member_of = lookup(graph.users, {u: i for i, u in enumerate(member_names)})
-    follower_at, author_row = member_of[graph.dst], row[graph.src]
+    follower_at = index_of(member_names, graph.users)[graph.dst]
+    author_row = row[graph.src]
     edge = (follower_at >= 0) & (author_row >= 0)
     followed = Adjacency.from_edges(len(members), follower_at[edge],
                                     author_row[edge])
 
     received = window.mask(pairs.post_time) & pairs.known_reactor
-    author = lookup(pairs.users, {u: i for i, u in enumerate(sender_names)})
-    reactor = lookup(pairs.users, {u: i for i, u in enumerate(member_names)})
+    author = index_of(sender_names, pairs.users)
+    reactor = index_of(member_names, pairs.users)
     weights = compute_weights(author[pairs.author[received]],
                               reactor[pairs.reactor[received]], audience)
     reactions = profiles.reactions[members]
@@ -155,32 +149,31 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
             audience_reaction_profile(delayed, audience, w, v), sender_names, kind)
     del delayed, visible
 
-    # Timezone-cohort baselines, one AFD and one MFU row per cohort. Users
-    # without metadata fall into UTC. Every sender has a member who reacted,
-    # so its S1 sum carries mass.
-    offsets = sorted({tz_of.get(u, 0) for u in set(names) | set(sender_names)})
-    cohort = {off: i for i, off in enumerate(offsets)}
-    sums = np.stack([cohort_sum(rows, [cohort[tz_of.get(u, 0)] for u in of],
-                                len(offsets))
-                     for rows, of in ((first_degree, sender_names),
-                                      (created, names))], axis=1)
+    # Timezone-cohort baselines, one AFD and one MFU row per cohort. Every
+    # sender has a member who reacted, so its S1 sum carries mass.
+    offsets, cohort = np.unique(
+        users.offsets(np.concatenate([sender_names, names])), return_inverse=True)
+    sums = np.stack([cohort_sum(first_degree, cohort[:len(senders)], len(offsets)),
+                     cohort_sum(created, cohort[len(senders):], len(offsets))],
+                    axis=1)
     del created
     n = grid.buckets_per_week
     baselines = normalize_rows(
-        sums.reshape(-1, n), np.repeat([cohort_label(off) for off in offsets], 2),
+        sums.reshape(-1, n),
+        np.repeat([cohort_label(off) for off in offsets.tolist()], 2),
         np.tile(["AFD", "MFU"], len(offsets)))
 
     # The fallback chain. Each target takes its row from the first rule that
     # has one for it, as an index into the stack of every candidate row; row
     # 0 is the uniform schedule. Only the rows that some target takes are
     # kept as candidates.
-    cohorts = [cohort_label(tz_of.get(u, 0)) for u in target_list]
+    cohorts = [cohort_label(off) for off in users.offsets(targets).tolist()]
     afd, mfu = (baselines.select(baselines.provenance == kind)
                 for kind in ("AFD", "MFU"))
     stack = [ScheduleTable([None], ["uniform"], np.full((1, n), 1.0 / n))]
-    choice = np.zeros(len(target_list), dtype=np.int64)
-    for table, keys in ((personalized["S1w"], target_list),
-                        (personalized["S1"], target_list),
+    choice = np.zeros(len(targets), dtype=np.int64)
+    for table, keys in ((personalized["S1w"], targets),
+                        (personalized["S1"], targets),
                         (afd, cohorts), (mfu, cohorts)):
         rows = table.rows_of(keys)
         take = (choice == 0) & (rows >= 0)
@@ -190,10 +183,9 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     candidates = ScheduleTable(
         *(np.concatenate([getattr(t, column) for t in stack])[used]
           for column in ("users", "provenance", "probabilities")))
-    chosen = Chosen(np.array(target_list, dtype=object), candidates, choice)
+    chosen = Chosen(targets, candidates, choice)
 
-    return DerivedSchedules(personalized, baselines, chosen, first_degree,
-                            unknown_tz)
+    return DerivedSchedules(personalized, baselines, chosen, unknown_tz)
 
 
 def _row_texts(probabilities: np.ndarray) -> Iterator[str]:
@@ -225,13 +217,13 @@ def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
     """Inverse of :func:`write_schedules`, one table per provenance.
 
     Every row must hold ``n_buckets`` probabilities that are finite, >= 0
-    and sum to 1; a malformed line raises :class:`PostschedError` naming the
-    file and line.
+    and sum to 1, and a user may have one row per provenance; a malformed or
+    repeated line raises :class:`PostschedError` naming the file and line.
     """
     users: list[str] = []
     provenance: list[str] = []
     rows: list[np.ndarray] = []
-    lines: list[int] = []
+    line_of: dict[tuple[str, str], int] = {}  # (user, provenance) -> line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -241,6 +233,9 @@ def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
             if len(fields) != 3:
                 raise PostschedError(f"{path}:{lineno}: expected 3 tab-separated "
                                      f"fields, got {len(fields)}")
+            if line_of.setdefault((fields[0], fields[1]), lineno) != lineno:
+                raise PostschedError(f"{path}:{lineno}: user {fields[0]!r} is "
+                                     f"listed more than once under {fields[1]}")
             values = fields[2].split(",")
             if len(values) != n_buckets:
                 raise PostschedError(f"{path}:{lineno}: expected {n_buckets} "
@@ -251,12 +246,11 @@ def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
                 raise PostschedError(f"{path}:{lineno}: {exc}") from None
             users.append(fields[0])
             provenance.append(fields[1])
-            lines.append(lineno)
     probabilities = np.array(rows).reshape(len(rows), n_buckets)
     bad = np.flatnonzero(invalid_rows(probabilities))
     if bad.size:
-        raise PostschedError(f"{path}:{lines[bad[0]]}: probabilities must be "
-                             f"finite, >= 0 and sum to 1 within {UNIT_SUM_TOL}")
+        raise PostschedError(f"{path}:{list(line_of.values())[bad[0]]}: probabilities "
+                             f"must be finite, >= 0 and sum to 1 within {UNIT_SUM_TOL}")
     return ScheduleTable(users, provenance, probabilities).by_provenance()
 
 

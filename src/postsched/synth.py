@@ -33,8 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import NETWORKS, PostTable, ReactionTable, UserMeta, encode_ids
+from .ingest import NETWORKS, PostTable, ReactionTable, UserTable, encode_ids
 from .temporal import (
+    DAY_SECONDS,
     DEFAULT_START_EPOCH,
     EPOCH_TO_MONDAY,
     UNIT_SUM_TOL,
@@ -213,7 +214,7 @@ class SynthConfig:
 
     @property
     def span_s(self) -> int:
-        return self.span_days * 86400
+        return self.span_days * DAY_SECONDS
 
     def author_ids(self) -> list[str]:
         return [f"a{i:05d}" for i in range(self.n_authors)]
@@ -331,7 +332,7 @@ class SynthResult:
     posts: PostTable
     reactions: ReactionTable
     edges: list[tuple[str, str]]
-    users: list[UserMeta]
+    users: UserTable
     truth: dict[str, int]
     population: Population
     paths: dict[str, str] = field(default_factory=dict)
@@ -369,8 +370,9 @@ def generate(config: SynthConfig, out_dir=None,
     reactions = ReactionTable(networks if reactor.size else frozenset(), ids,
                               post_ids[post_row], reactor, reacted_at)
 
-    users = [UserMeta(u.user_id, u.tz_offset_min, None, config.network)
-             for u in sorted(pop.users, key=lambda u: u.user_id)]
+    users = UserTable.from_columns([config.network] * ids.size, ids,
+                                   [u.tz_offset_min for u in pop.users],
+                                   [None] * ids.size)
     truth = {a: ground_truth_peak(config, a, pop) for a in sorted(pop.audiences)}
 
     result = SynthResult(posts, reactions, list(pop.edges), users, truth, pop)
@@ -477,8 +479,8 @@ def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, s
         network, reactions.post_id[order],
         reactions.users[reactions.reactor[order]], reactions.reacted_at[order]])
     _write_rows(paths["edges"], [network, *zip(*sorted(result.edges))])
-    _write_rows(paths["users"], [*zip(*(
-        (u.user, u.tz_offset_min, u.city or "-", u.network)
-        for u in sorted(result.users, key=lambda u: u.user)))])
+    users = result.users
+    cities = [city or "-" for city in users.city.tolist()]
+    _write_rows(paths["users"], [users.users, users.tz_offset_min, cities, network])
     _write_rows(paths["truth"], [*zip(*sorted(result.truth.items()))])
     return {k: str(v) for k, v in paths.items()}

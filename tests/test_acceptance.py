@@ -45,7 +45,7 @@ from postsched.evaluation import evaluate_schedules
 from postsched.ingest import (
     PairTable,
     PostTable,
-    UserMeta,
+    UserTable,
     join_reactions,
     load_posts,
     load_reactions,
@@ -228,7 +228,9 @@ def test_criterion_1_derivation_over_graph():
                                    [t for _, t in posts]),
             PairTable.from_columns([names[0]] * len(reacts), [u for u, _ in reacts],
                                    [t for _, t in reacts], [t for _, t in reacts]),
-            SocialGraph(edges), [UserMeta(u, 0, None, "TW") for u in names],
+            SocialGraph(edges),
+            UserTable.from_columns(["TW"] * len(names), names, [0] * len(names),
+                                   [None] * len(names)),
             grid, DelayKernel(mass, width), window, model)
 
         for target in names:

@@ -272,7 +272,8 @@ class TestExitCodes:
         return [repr(v) for v in values]
 
     @pytest.mark.parametrize("case", [
-        "cut_off", "not_a_number", "short_row", "fields", "negative", "sum"])
+        "cut_off", "not_a_number", "short_row", "fields", "negative", "sum",
+        "repeated"])
     def test_malformed_schedules_return_two_naming_line(self, tmp_path, capsys,
                                                         case):
         cfg, out = synth_config(tmp_path)
@@ -292,6 +293,9 @@ class TestExitCodes:
             lines[1] = user + "\t" + prov
         elif case == "negative":
             lines[1] = "\t".join([user, prov, ",".join(self._negate_one(probs))])
+        elif case == "repeated":  # the first row's user, scored twice
+            assert lines[0].split("\t")[1] == prov
+            lines[1] = lines[0]
         else:
             doubled = [repr(2 * float(x)) for x in probs]
             lines[1] = "\t".join([user, prov, ",".join(doubled)])

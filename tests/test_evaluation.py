@@ -11,7 +11,7 @@ from postsched.evaluation import (
     write_gain_csv,
     write_gain_tsv,
 )
-from postsched.ingest import PostTable, UserMeta
+from postsched.ingest import PostTable, UserTable
 from postsched.temporal import EPOCH_TO_MONDAY, WEEK_SECONDS, ScheduleTable
 
 MONDAY = 1420416000
@@ -32,6 +32,12 @@ def table(schedules, kind="S1"):
                          np.array(list(schedules.values()), dtype=float))
 
 
+def tz_table(offsets):
+    """A UserTable of a user -> tz offset dict."""
+    return UserTable.from_columns(["TW"] * len(offsets), list(offsets),
+                                  list(offsets.values()), [None] * len(offsets))
+
+
 def one_user(post_buckets, reactions=(), ranking=(7,), k=1, grid=WeeklyGrid()):
     """Gain report of one user u1, who posted once per entry of
     ``post_buckets`` in the first week and received one reaction per
@@ -47,7 +53,7 @@ def one_user(post_buckets, reactions=(), ranking=(7,), k=1, grid=WeeklyGrid()):
     p[list(ranking)] = np.arange(len(ranking), 0, -1)
     return evaluate_schedules({"S1": table({"u1": p / p.sum()})},
                               *tables(posts, pairs),
-                              [UserMeta("u1", 0, None, "TW")], window, grid,
+                              tz_table({"u1": 0}), window, grid,
                               k=k, day_filter="all")
 
 
@@ -129,7 +135,7 @@ class TestBuildEvalData:
             ("u1", "b", MONDAY - 100, MONDAY + 50),   # post outside
             ("u1", "b", window.end - 10, window.end + 50),  # reaction outside
         ]
-        users = [UserMeta("u1", 0, None, "TW")]
+        users = tz_table({"u1": 0})
         d = build_eval_data(*tables(posts, pairs), users, window, grid)
         assert d.users.tolist() == ["u1"]
         assert d.posts.sum() == 1
@@ -139,7 +145,7 @@ class TestBuildEvalData:
         window = TimeWindow.from_days(MONDAY, 56)
         grid = WeeklyGrid()
         posts = [("TW", "u1", "p1", MONDAY)]
-        users = [UserMeta("u1", 60, None, "TW")]
+        users = tz_table({"u1": 60})
         d = build_eval_data(*tables(posts, []), users, window, grid)
         assert d.posts[0, 4] == 1
 
@@ -149,7 +155,8 @@ class TestBuildEvalData:
         pairs = [("u1", "b", MONDAY, MONDAY + 24 * 3600 - 1),
                  ("u1", "b", MONDAY, MONDAY + 24 * 3600),
                  ("u2", "b", MONDAY, MONDAY + 10)]  # u2 posted nothing
-        d = build_eval_data(*tables(posts, pairs), [], window, WeeklyGrid())
+        d = build_eval_data(*tables(posts, pairs), tz_table({}), window,
+                            WeeklyGrid())
         assert d.users.tolist() == ["u1"]
         assert d.reactions[0, 0] == 1
 
@@ -175,7 +182,7 @@ class TestEvaluateSchedules:
         window = TimeWindow.from_days(MONDAY, 14)
         rpm = {b: 2 for b in range(672)}
         posts, pairs = self._flat_user(grid, window, rpm)
-        users = [UserMeta("u1", 0, None, "TW")]
+        users = tz_table({"u1": 0})
         sched = np.full(672, 1 / 672)
         report = evaluate_schedules({"S1": table({"u1": sched})}, *tables(posts, pairs),
                                     users, window, grid, k=8)
@@ -190,7 +197,7 @@ class TestEvaluateSchedules:
         rpm = {b: 1 for b in range(672)}
         rpm[10] = 9
         posts, pairs = self._flat_user(grid, window, rpm)
-        users = [UserMeta("u1", 0, None, "TW")]
+        users = tz_table({"u1": 0})
         p = np.ones(672)
         p[10] = 100.0
         sched = p / p.sum()
@@ -203,7 +210,7 @@ class TestEvaluateSchedules:
         grid = WeeklyGrid(672)
         window = TimeWindow.from_days(MONDAY, 7)
         posts = [("TW", "u1", "p1", MONDAY + 900 * 5)]
-        users = [UserMeta("u1", 0, None, "TW")]
+        users = tz_table({"u1": 0})
         sched = np.full(672, 1 / 672)
         report = evaluate_schedules({"S1": table({"u1": sched})}, *tables(posts, []),
                                     users, window, grid, k=2)
@@ -222,7 +229,7 @@ class TestEvaluateSchedules:
         pairs = [("u1", "b", MONDAY, MONDAY + 10),
                  ("u1", "b", MONDAY, MONDAY + 20),
                  ("u2", "b", MONDAY + 900, MONDAY + 910)]
-        users = [UserMeta("u1", 0, None, "TW"), UserMeta("u2", 0, None, "TW")]
+        users = tz_table({"u1": 0, "u2": 0})
         p = np.zeros(672)
         p[0] = 0.9
         p[1] = 0.1
@@ -240,7 +247,7 @@ class TestEvaluateSchedules:
         window = TimeWindow.from_days(MONDAY, 7)
         posts = [("TW", "u1", "p1", MONDAY)]
         pairs = [("u1", "b", MONDAY, MONDAY + 10)]
-        users = [UserMeta("u1", 0, None, "TW")]
+        users = tz_table({"u1": 0})
         sched = np.full(672, 1 / 672)
         report = evaluate_schedules({"S1": table({"u1": sched})}, *tables(posts, pairs),
                                     users, window, grid, k=3)
@@ -263,7 +270,7 @@ class TestBaselines:
                  ("TW", "u2", "p2", MONDAY)]
         pairs = [("u1", "b", MONDAY, MONDAY + 10),
                  ("u2", "b", MONDAY, MONDAY + 10)]
-        users = [UserMeta("u1", 60, None, "TW")]
+        users = tz_table({"u1": 60})
         first = {4: np.eye(672)[4], 0: np.eye(672)[0]}
         mfu = ScheduleTable(["tz:0", "tz:60"], ["MFU", "MFU"],
                             np.array([first[0], first[4]]))
@@ -389,7 +396,7 @@ def test_gain_report_matches_brute_force():
             [t for _, t in posts])
         pair_table = PairTable.from_columns(*(list(c) for c in zip(*pairs))) \
             if pairs else PairTable.from_columns([], [], [], [])
-        users = [UserMeta(u, off, None, "TW") for u, off in tz.items()]
+        users = tz_table(tz)
 
         def as_tables(by_kind):
             return {kind: ScheduleTable(list(rows), [kind] * len(rows),

@@ -15,7 +15,7 @@ from postsched import (
     PairTable,
     SocialGraph,
     TimeWindow,
-    UserMeta,
+    UserTable,
     WeeklyGrid,
     build_profiles,
     join_reactions,
@@ -58,6 +58,12 @@ def post_rows(table):
     return list(zip(table.users[table.author].tolist(),
                     [p.decode() for p in table.post_id.tolist()],
                     table.created_at.tolist()))
+
+
+def tz_table(offsets):
+    """A UserTable of a user -> tz offset dict."""
+    return UserTable.from_columns(["TW"] * len(offsets), list(offsets),
+                                  list(offsets.values()), [None] * len(offsets))
 
 
 def profiles(posts, pairs, users, grid, window):
@@ -148,8 +154,10 @@ class TestLoaders:
         p = write(tmp_path / "users.tsv",
                   "u1\t-300\tNYC\tTW\nu2\t0\t-\tTW\n")
         users, _ = load_users(p)
-        assert users[0] == UserMeta("u1", -300, "NYC", "TW")
-        assert users[1].city is None
+        assert users.networks == {"TW"}
+        assert users.users.tolist() == ["u1", "u2"]
+        assert users.tz_offset_min.tolist() == [-300, 0]
+        assert users.city.tolist() == ["NYC", None]
 
     def test_user_tz_out_of_range_is_malformed(self, tmp_path):
         p = write(tmp_path / "users.tsv", "u1\t9999\tNYC\tTW\n")
@@ -168,14 +176,15 @@ class TestLoaders:
                   + f"x\t{offset}\t-\tTW\n")
         users, report = load_users(p)
         assert report.malformed == 1
-        assert [u.user for u in users] == [f"u{i}" for i in range(99)]
+        assert users.users.tolist() == sorted(f"u{i}" for i in range(99))
 
     @pytest.mark.parametrize("offset", [-720, 840])
     def test_tz_offset_range_ends_accepted(self, tmp_path, offset):
         p = write(tmp_path / "users.tsv", f"u1\t{offset}\t-\tTW\n")
         users, report = load_users(p)
         assert report.malformed == 0
-        assert users == [UserMeta("u1", offset, None, "TW")]
+        assert users.users.tolist() == ["u1"]
+        assert users.tz_offset_min.tolist() == [offset]
 
     @pytest.mark.parametrize("second", ["u1\t0\tNYC\tTW", "u1\t60\tLA\tTW"],
                              ids=["same-line", "other-tz"])
@@ -186,10 +195,17 @@ class TestLoaders:
             load_users(p, "TW")
 
     def test_same_user_on_two_networks(self, tmp_path):
+        # Filtered by network, each line stands alone. Unfiltered, either
+        # offset could win, so the file is refused.
         p = write(tmp_path / "users.tsv", "u1\t0\tNYC\tTW\nu1\t60\tLA\tFB\n")
-        for network, want in (("TW", ["TW"]), ("FB", ["FB"]), (None, ["TW", "FB"])):
+        for network, offset in (("TW", 0), ("FB", 60)):
             users, _ = load_users(p, network)
-            assert [u.network for u in users] == want
+            assert users.networks == {network}
+            assert users.offsets(["u1"]).tolist() == [offset]
+        with pytest.raises(IngestError, match=r"users\.tsv: user 'u1' is listed "
+                                              r"more than once for networks TW "
+                                              r"and FB"):
+            load_users(p, None)
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -197,8 +213,8 @@ class TestLoaders:
 
 
 class TestLoadReportAccounting:
-    """Clean files are split by columns at once, others checked line by
-    line; the report counts every line the same way on either path."""
+    """Every posts line is checked and split by the byte path; the report
+    counts every line as the per-line reference path does."""
 
     CLEAN = ("# comment\n\nTW\tu1\tp1\t100\nFB\tu2\tp2\t200\n"
              "\n# another\nTW\tu3\tp3\t-7\n")
@@ -208,7 +224,8 @@ class TestLoadReportAccounting:
                      "TW\tu7\tp7\t+8\n")      # bad timestamp
 
     @pytest.fixture
-    def fallback_calls(self, monkeypatch):
+    def reference_calls(self, monkeypatch):
+        """The lines that reach the per-line reference path."""
         calls = []
         real = ingest._check_lines
 
@@ -220,11 +237,11 @@ class TestLoadReportAccounting:
 
     @pytest.mark.parametrize("network,expected", [
         (None, (3, 0, 0)), ("TW", (2, 0, 1)), ("GP", (0, 0, 3))])
-    def test_clean_file_takes_fast_path(self, tmp_path, fallback_calls,
+    def test_clean_file_takes_fast_path(self, tmp_path, reference_calls,
                                         network, expected):
         p = write(tmp_path / "posts.tsv", self.CLEAN)
         posts, report = load_posts(p, network)
-        assert not fallback_calls
+        assert not reference_calls
         assert (report.parsed, report.malformed, report.skipped_network) == expected
         assert len(posts) == report.parsed
 
@@ -238,10 +255,10 @@ class TestLoadReportAccounting:
         assert post_rows(fast_posts) == post_rows(slow_posts)
         assert fast_posts.networks == slow_posts.networks
 
-    def test_dirty_file_counts_every_line(self, tmp_path, fallback_calls):
+    def test_dirty_file_counts_every_line(self, tmp_path, reference_calls):
         p = write(tmp_path / "posts.tsv", self.DIRTY)
         posts, report = load_posts(p, "TW", max_malformed_frac=1.0)
-        assert fallback_calls
+        assert not reference_calls
         assert (report.parsed, report.malformed, report.skipped_network) == (2, 3, 2)
         assert post_rows(posts) == [("u1", "p1", 100), ("u3", "p3", -7)]
 
@@ -251,8 +268,8 @@ class TestLoadReportAccounting:
             load_posts(p, "TW", max_malformed_frac=0.5)
 
     def test_scattered_bad_lines_keep_the_rest_on_the_fast_path(
-            self, tmp_path, monkeypatch, fallback_calls):
-        # Only the bad lines go line by line, and the report stays exact.
+            self, tmp_path, monkeypatch, reference_calls):
+        # No line goes line by line, and the report stays exact.
         lines = [f"TW\tu{i % 97}\tp{i}\t{1000 + i}" for i in range(20000)]
         bad = list(range(1111, 20000, 2111))
         for i in bad:
@@ -261,7 +278,7 @@ class TestLoadReportAccounting:
         p = write(tmp_path / "posts.tsv", "\n".join(lines) + "\n")
         posts, report = load_posts(p, "TW")
         assert (report.parsed, report.malformed) == (20000 - 10, 10)
-        assert sum(len(c) for c in fallback_calls) == 10
+        assert not reference_calls
         monkeypatch.setattr(ingest, "_split_block", lambda block, network: None)
         slow_posts, slow_report = load_posts(p, "TW")
         assert report == slow_report
@@ -270,8 +287,7 @@ class TestLoadReportAccounting:
     @pytest.mark.parametrize("block_chars", [1, 20, 64])
     def test_block_size_does_not_change_result(self, tmp_path, monkeypatch,
                                                block_chars):
-        # Small blocks mix clean blocks (split by columns) with dirty ones
-        # (checked line by line) within one file.
+        # Small blocks mix clean blocks with dirty ones within one file.
         p = write(tmp_path / "posts.tsv", self.DIRTY + self.CLEAN * 3)
         whole = load_posts(p, "TW", max_malformed_frac=1.0)
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_chars)
@@ -310,6 +326,10 @@ BAD_LINES = [
     b"TW\tu1\tp1\t99999999999999999999",          # beyond int64
     b"TW\tu1\tp1\t9223372036854775807",           # 19 digits, within int64
     b"TW\tu1\tp1\t9999999999999999999",           # 19 digits, beyond int64
+    b"TW\tu1\tp1\t" + b"0" * 11 + b"9223372036854775807",  # 30 digits, in int64
+    b"TW\tu1\tp1\t-" + b"0" * 3 + b"9223372036854775808",  # -2**63, led by zeros
+    b"TW\tu1\tp1\t-9223372036854775809",          # below int64
+    b"TW\tu1\tp1\t" + b"0" * 40,                   # 40 zeros: 0
     b"TW\tu1\tp1\t-",                             # a sign without digits
     b"TW\tu1\tp1\t",                              # empty timestamp
     b"TW\tu1\tp1\t+5",                            # a plus sign
@@ -338,8 +358,8 @@ clean_lines = st.builds(
 
 
 class TestByteColumns:
-    """Blocks whose lines all pass every check are split into byte columns
-    at once; the tables and reports equal those of the per-line path."""
+    """Blocks are checked and split into byte columns at once; the tables
+    and reports equal those of the per-line reference path."""
 
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(st.one_of(clean_lines, st.sampled_from(BAD_LINES)),
@@ -582,7 +602,7 @@ class TestBuildProfiles:
 
     def test_post_bucket_zero(self):
         posts = [("TW", "u1", "p1", self.MONDAY + 5 * 60)]
-        users = [UserMeta("u1", 0, None, "TW")]
+        users = tz_table({"u1": 0})
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
         assert prof.created[row(prof, "u1"), 0] == 1.0
@@ -593,7 +613,7 @@ class TestBuildProfiles:
             [("TW", "a", "p1", self.MONDAY)],
             [("TW", "p1", "u1", self.MONDAY + 20 * 60),
              ("TW", "p1", "u1", self.MONDAY + 22 * 60)])
-        users = [UserMeta("u1", 0, None, "TW"), UserMeta("a", 0, None, "TW")]
+        users = tz_table({"u1": 0, "a": 0})
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles([], res.pairs, users, self.grid(), window)
         assert prof.reactions[row(prof, "u1"), 1] == 2.0
@@ -602,7 +622,7 @@ class TestBuildProfiles:
         window = TimeWindow.from_days(self.MONDAY, 63)
         posts = [("TW", "u1", "p1", window.end),
                  ("TW", "u1", "p2", window.end + 1)]
-        users = [UserMeta("u1", 0, None, "TW")]
+        users = tz_table({"u1": 0})
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
         assert prof.created[row(prof, "u1")].sum() == 1.0
 
@@ -612,19 +632,19 @@ class TestBuildProfiles:
         posts = [("TW", f"u{int(rng.integers(0, 5))}", f"p{i}",
                             int(self.MONDAY + rng.integers(0, 63 * 86400)))
                  for i in range(200)]
-        users = [UserMeta(f"u{i}", 0, None, "TW") for i in range(5)]
+        users = tz_table({f"u{i}": 0 for i in range(5)})
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
         assert prof.created.sum() == len(posts)
 
     def test_unknown_tz_flagged_and_defaults_utc(self):
         posts = [("TW", "ghost", "p1", self.MONDAY)]
         window = TimeWindow.from_days(self.MONDAY, 63)
-        prof = profiles(posts, NO_PAIRS, [], self.grid(), window)
+        prof = profiles(posts, NO_PAIRS, tz_table({}), self.grid(), window)
         assert "ghost" in prof.unknown_tz
         assert prof.created[row(prof, "ghost"), 0] == 1.0
 
     def test_zero_profiles_for_inactive_users(self):
-        users = [UserMeta("quiet", 0, None, "TW")]
+        users = tz_table({"quiet": 0})
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles([], NO_PAIRS, users, self.grid(), window)
         assert prof.created[row(prof, "quiet")].sum() == 0.0
@@ -633,13 +653,49 @@ class TestBuildProfiles:
     def test_rows_follow_sorted_users_in_local_time(self):
         posts = [("TW", "zed", "p1", self.MONDAY),
                  ("TW", "amy", "p2", self.MONDAY)]
-        users = [UserMeta("zed", 0, None, "TW"), UserMeta("amy", 60, None, "TW"),
-                 UserMeta("kim", 0, None, "TW")]
+        users = tz_table({"zed": 0, "amy": 60, "kim": 0})
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
         assert prof.users.tolist() == ["amy", "kim", "zed"]
         assert prof.created.shape == prof.reactions.shape == (3, 672)
         assert prof.created[0, 4] == prof.created[2, 0] == 1.0
+
+
+class TestUserTable:
+    def test_rows_follow_sorted_users(self):
+        users = UserTable.from_columns(["TW", "TW", "TW"], ["zed", "amy", "kim"],
+                                       [0, 60, -300], [None, "Oslo", None])
+        assert users.users.tolist() == ["amy", "kim", "zed"]
+        assert users.tz_offset_min.tolist() == [60, -300, 0]
+        assert users.city.tolist() == ["Oslo", None, None]
+        assert users.networks == {"TW"}
+
+    def test_unlisted_users_are_at_utc(self):
+        users = tz_table({"amy": 60, "zed": -300})
+        assert users.offsets(["zed", "bob", "amy", "zzz", ""]).tolist() == [
+            -300, 0, 60, 0, 0]
+        assert tz_table({}).offsets(["amy"]).tolist() == [0]
+        assert users.offsets([]).dtype == np.int64
+
+    @pytest.mark.parametrize("networks,message", [
+        (["TW", "TW"], "for network TW$"), (["TW", "FB"], "for networks TW and FB$")])
+    def test_repeated_user_is_refused_whatever_the_networks(self, networks,
+                                                            message):
+        with pytest.raises(ValueError, match="user 'u1' is listed more than "
+                                             "once " + message):
+            UserTable.from_columns(networks + ["TW"], ["u1", "u1", "u0"],
+                                   [0, 60, 0], [None] * 3)
+
+
+@settings(max_examples=200)
+@given(vocabulary=st.sets(st.text("abé", max_size=3)),
+       keys=st.lists(st.text("abé", max_size=3), max_size=12))
+def test_index_of_equals_a_dict_lookup(vocabulary, keys):
+    vocabulary = np.array(sorted(vocabulary), dtype=object)
+    index = {u: i for i, u in enumerate(vocabulary.tolist())}
+    got = ingest.index_of(vocabulary, keys)
+    assert got.dtype == np.int64
+    assert got.tolist() == [index.get(k, -1) for k in keys]
 
 
 class TestAdapter:

@@ -17,6 +17,7 @@ from postsched import (
     SynthConfig,
     TimeWindow,
     WeeklyGrid,
+    delayed_profile,
     derive_schedules,
     generate,
     ground_truth_peak,
@@ -25,7 +26,8 @@ from postsched.ingest import (
     PairTable,
     PostTable,
     SocialGraph,
-    UserMeta,
+    UserTable,
+    build_profiles,
     join_reactions,
 )
 from postsched.pipeline import (
@@ -119,7 +121,7 @@ class TestDeriveSchedules:
         grid = WeeklyGrid(672)
         window = TimeWindow.from_days(DEFAULT_START_EPOCH, 7)
         kernel = DelayKernel.delta(0)
-        users = [UserMeta("lonely", 0, None, "TW")]
+        users = UserTable.from_columns(["TW"], ["lonely"], [0], [None])
         derived = derive_schedules(PostTable.from_columns([], [], [], []),
                                    PairTable.from_columns([], [], [], []),
                                    SocialGraph(()), users, grid, kernel, window)
@@ -135,10 +137,14 @@ class TestDeriveSchedules:
         derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
         assert set(derived.personalized["S1"].users) == set(cfg.author_ids())
+        # AFD sums the raw first-degree profiles of the S1 users alone: the
+        # delayed rows of their audiences.
+        prof = build_profiles(posts, join.pairs, result.users, grid, window)
+        delayed = delayed_profile(prof.reactions, kernel)
+        names = prof.users.tolist()
+        total = sum(delayed[names.index(member)] for author, member in result.edges
+                    if author in derived.personalized["S1"].users)
         afd = derived.baselines.by_provenance()["AFD"]
-        total = None
-        for q in derived.audience_profiles:
-            total = q.copy() if total is None else total + q
         assert np.allclose(afd.probabilities[row(afd, "tz:0")], total / total.sum())
 
 
@@ -184,8 +190,6 @@ class TestDeriveSchedules:
                       derived.recommended]
             rows = [(k, u, p) for t in tables
                     for k, u, p in zip(t.provenance, t.users, t.probabilities)]
-            rows += [("Q", user, q) for user, q in
-                     zip(derived.personalized["S1"].users, derived.audience_profiles)]
             return sorted((k, u, p.tobytes()) for k, u, p in rows)
 
         default = [flat(derive(kernel)) for kernel in kernels]
@@ -202,7 +206,7 @@ class TestDeriveSchedules:
         rng = np.random.default_rng(8)
         # Cross edges give members several followed accounts, so S2 reads
         # more than the star.
-        names = [u.user for u in result.users]
+        names = result.users.users.tolist()
         edges = list(result.edges) + [
             (names[a], names[b]) for a, b in rng.integers(0, len(names), (60, 2))]
 
@@ -211,8 +215,7 @@ class TestDeriveSchedules:
                                        result.users, cfg.grid, kernel, window)
             return [(t.users.tolist(), t.provenance.tolist(), t.probabilities.tobytes())
                     for t in (*derived.personalized.values(), derived.baselines,
-                              derived.recommended)] + [
-                derived.audience_profiles.tobytes(), derived.unknown_tz]
+                              derived.recommended)] + [derived.unknown_tz]
 
         shuffled = [edges[i] for i in rng.permutation(len(edges))] + edges[::3]
         assert tables(shuffled) == tables(edges)

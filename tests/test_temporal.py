@@ -17,7 +17,7 @@ from postsched import (
     normalize_rows,
 )
 from postsched import temporal
-from postsched.ingest import UserMeta
+from postsched.ingest import UserTable
 from postsched.temporal import WEEK_SECONDS
 
 
@@ -29,7 +29,8 @@ def created_profile(timestamps, tz_offset_min, grid):
                                    [f"p{i}" for i in range(len(ts))], ts)
     window = TimeWindow(min(ts, default=0), max(ts, default=0))
     profiles = build_profiles(posts, PairTable.from_columns([], [], [], []),
-                              [UserMeta("u", tz_offset_min, None, "TW")],
+                              UserTable.from_columns(["TW"], ["u"],
+                                                     [tz_offset_min], [None]),
                               grid, window)
     return profiles.created[0]
 
