@@ -34,12 +34,14 @@ def daily_rhythm(evening_bias, jitter):
 
 
 EAST, WEST = 0, -300  # five hours apart
-east_users = {f"e{i}": daily_rhythm(0.8, 0.3) for i in range(40)}
-west_users = {f"w{i}": daily_rhythm(2.5, 0.3) for i in range(40)}
-offsets = {u: EAST for u in east_users} | {u: WEST for u in west_users}
+# A cohort is a members x buckets matrix with one tz offset per row.
+east_users = np.array([daily_rhythm(0.8, 0.3) for _ in range(40)])
+west_users = np.array([daily_rhythm(2.5, 0.3) for _ in range(40)])
+east_offsets = np.full(len(east_users), EAST)
+west_offsets = np.full(len(west_users), WEST)
 
-east = cohort_aggregate(east_users, offsets, EAST, grid, "east-city")
-west = cohort_aggregate(west_users, offsets, WEST, grid, "west-city")
+east = cohort_aggregate(east_users, east_offsets, EAST, grid, "east-city")
+west = cohort_aggregate(west_users, west_offsets, WEST, grid, "west-city")
 
 r = correlation(east.series, west.series)
 c = cosine_similarity(east.series, west.series)
@@ -47,15 +49,14 @@ print(f"cohort-level (each in its own local time): corr={r:.3f} cosine={c:.3f}")
 
 # Aggregating the west cohort in the east city's clock instead rotates its
 # rhythm by 20 buckets, so the 09:00 hump lands mid-afternoon.
-west_misaligned = cohort_aggregate(west_users, offsets, EAST, grid,
+west_misaligned = cohort_aggregate(west_users, west_offsets, EAST, grid,
                                    "west-in-east-clock")
 print(f"west aggregated in east's clock:           corr="
       f"{correlation(east.series, west_misaligned.series):.3f}")
 
 for metric in ("correlation", "cosine"):
-    dist = pairwise_distribution(list(east_users.values()),
-                                 list(west_users.values()),
-                                 metric, sample_budget=4000, seed=7)
+    dist = pairwise_distribution(east_users, west_users, metric,
+                                 sample_budget=4000, seed=7)
     centers = (dist.bin_edges[:-1] + dist.bin_edges[1:]) / 2
     mean = float((centers * dist.counts).sum() / dist.n_valid)
     top = centers[int(np.argmax(dist.counts))]

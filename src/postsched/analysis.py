@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import temporal
 from .errors import UndefinedMetricError
-from .temporal import WeeklyGrid
+from .ingest import UserTable, index_of
+from .temporal import ScheduleTable, WeeklyGrid
 
 METRICS = ("correlation", "cosine")
 
@@ -63,26 +64,13 @@ def cosine_similarity(s1, s2) -> float:
     return float((a @ b) / (na * nb))
 
 
-def shift_to_offset(values, from_offset_min: int, to_offset_min: int,
-                    grid: WeeklyGrid) -> np.ndarray:
-    """Re-express a local-time weekly series in another timezone's local time.
-
-    The offset difference must be a whole number of buckets (true for the
-    default grid, since real timezone offsets are multiples of 15 minutes).
-    """
-    diff_s = (from_offset_min - to_offset_min) * 60
-    if diff_s % grid.bucket_width_s != 0:
-        raise ValueError("offset difference is not a whole number of buckets")
-    return np.roll(np.asarray(values, dtype=np.float64),
-                   -(diff_s // grid.bucket_width_s))
-
-
 @dataclass(frozen=True)
 class Cohort:
-    """A labelled user group with its normalized aggregate behavior series."""
+    """A labelled user group with its normalized aggregate behavior series;
+    ``rows`` holds its members' rows in the matrix summed, such as S1's."""
 
     label: str
-    members: tuple[str, ...]
+    rows: np.ndarray
     series: np.ndarray
     tz_offset_min: int
 
@@ -92,27 +80,65 @@ class Cohort:
         object.__setattr__(self, "series", s)
 
 
-def cohort_aggregate(series_by_user: Mapping[str, np.ndarray],
-                     offsets: Mapping[str, int], cohort_offset_min: int,
-                     grid: WeeklyGrid, label: str = "") -> Cohort:
-    """Sum member series in the cohort's local time and renormalize.
-
-    ``offsets`` holds the tz offset of every member. Each member's series is
-    shifted from their own timezone to the cohort's before summing (an hour
-    of offset difference is 4 buckets on the default grid). Undefined for an
+def cohort_aggregate(series, offsets, cohort_offset_min: int, grid: WeeklyGrid,
+                     label: str = "", rows=None) -> Cohort:
+    """Sum the rows of ``series``, a members x buckets matrix, in order and
+    in the cohort's local time, and renormalize. Row i is shifted from the
+    tz offset ``offsets[i]`` to the cohort's, a whole number of buckets away
+    (an hour is 4 buckets on the default grid). ``rows`` says where the rows
+    came from, by default their positions in ``series``. Undefined for an
     empty cohort or an all-zero aggregate.
     """
-    if not series_by_user:
+    shifted = np.array(series, dtype=np.float64)
+    if not len(shifted):
         raise UndefinedMetricError("empty cohort")
-    acc = np.zeros(grid.buckets_per_week)
-    for user in sorted(series_by_user):
-        acc += shift_to_offset(series_by_user[user],
-                               offsets[user], cohort_offset_min, grid)
+    shift, off_grid = np.divmod((np.asarray(offsets) - cohort_offset_min) * 60,
+                                grid.bucket_width_s)
+    if off_grid.any():
+        raise ValueError("offset difference is not a whole number of buckets")
+    for k in set(shift.tolist()) - {0}:
+        shifted[shift == k] = np.roll(shifted[shift == k], -k, axis=1)
+    acc = shifted.sum(axis=0)
     total = acc.sum()
     if total <= 0:
         raise UndefinedMetricError(f"cohort {label!r} aggregate has no mass")
-    return Cohort(label, tuple(sorted(series_by_user)), acc / total,
-                  cohort_offset_min)
+    return Cohort(label, np.arange(len(shifted)) if rows is None else rows,
+                  acc / total, cohort_offset_min)
+
+
+def city_cohorts(s1: ScheduleTable, users: UserTable, grid: WeeklyGrid,
+                 min_cohort: int) -> list[Cohort]:
+    """The cohorts of the schedules ``s1``, in label order: ``ALL`` of every
+    user with a row, and each city of ``users`` with at least ``min_cohort``
+    listed members that have one. A cohort sums its members' rows in
+    ascending user id, at their most common tz offset (a tie goes to the
+    one met first in that order). Raises ValueError naming the user for a
+    city named ``ALL`` or an offset off the cohort's bucket grid."""
+    if (reserved := np.flatnonzero(users.city == "ALL")).size:
+        raise ValueError(f"user {users.users[reserved[0]]!r} is in city "
+                         "'ALL', the label of the cohort of every user")
+    order = np.argsort(s1.users, kind="stable")
+    names = s1.users[order]
+    offsets = users.offsets(names)
+    city = np.append(users.city, None)[index_of(users.users, names)]
+    has_city = np.flatnonzero(city.astype(bool))
+    labels, code = np.unique(city[has_city], return_inverse=True)
+    members = [has_city[code == k] for k in range(len(labels))]
+    cohorts = []
+    for label, at in [("ALL", np.arange(len(names))), *zip(labels, members)]:
+        if not len(at) or (label != "ALL" and len(at) < min_cohort):
+            continue
+        off = offsets[at]
+        _, first, counts = np.unique(off, return_index=True, return_counts=True)
+        tz = int(off[first[counts == counts.max()].min()])
+        if (bad := np.flatnonzero((off - tz) * 60 % grid.bucket_width_s)).size:
+            raise ValueError(
+                f"user {names[at[bad[0]]]!r} has tz offset {off[bad[0]]} min, "
+                f"which is not a whole number of {grid.bucket_width_s // 60}"
+                f"-minute buckets from cohort {label!r} at {tz} min")
+        cohorts.append(cohort_aggregate(s1.probabilities[order[at]], off, tz,
+                                        grid, label, order[at]))
+    return sorted(cohorts, key=lambda cohort: cohort.label)
 
 
 @dataclass(frozen=True)
@@ -148,21 +174,17 @@ def histogram_bins(bin_width: float) -> int:
 
 
 def _row_terms(rows: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """What a metric takes from each row on its own, row by row as
+    """What a metric takes from each row on its own, to the bit as
     :func:`correlation` and :func:`cosine_similarity` compute it: the centre
     subtracted from the row (its mean, or 0 for cosine), and the row's
     factor of the denominator (the centred row's squared norm, or the norm
     for cosine). The metric is undefined where the factor is 0."""
-    centre = np.zeros(len(rows))
-    factor = np.empty(len(rows))
-    for r, row in enumerate(rows):
-        if metric == "correlation":
-            centre[r] = row.mean()
-            d = row - centre[r]
-            factor[r] = d @ d
-        else:
-            factor[r] = np.linalg.norm(row)
-    return centre, factor
+    centre = (rows.mean(axis=1) if metric == "correlation"
+              else np.zeros(len(rows)))
+    d = rows - centre[:, None]
+    # One dot product per row, as the pairs are scored below.
+    factor = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    return centre, factor if metric == "correlation" else np.sqrt(factor)
 
 
 def pairwise_distribution(series1: Sequence[np.ndarray],

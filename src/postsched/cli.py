@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -540,57 +539,38 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     return [tsv, csv]
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted as RFC 4180 says if it holds , or "."""
+    return '"%s"' % text.replace('"', '""') if "," in text or '"' in text else text
+
+
 def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     _require_inputs(cfg, ("users",))
     sched_path = _artifact(out_dir, "schedules.tsv", "schedule")
     users, _ = inputs.users
-    grid = cfg.grid
     s1 = inputs.tables(sched_path).get("S1")
     if s1 is None:
         raise PostschedError(
             "no first-degree schedules found; run the `schedule` subcommand first")
-    row_of = {u: i for i, u in enumerate(s1.users.tolist())}
-
-    def series(members):
-        return s1.probabilities[[row_of[m] for m in members]]
-
-    city_members: dict[str, list[str]] = {}
-    for user, city in zip(users.users.tolist(), users.city.tolist()):
-        if city and user in row_of:
-            city_members.setdefault(city, []).append(user)
-    cohorts = {}
-    cohort_sets = {"ALL": sorted(row_of)}
-    for city, members in sorted(city_members.items()):
-        if len(members) >= cfg.min_cohort:
-            cohort_sets[city] = sorted(members)
-    for label, members in cohort_sets.items():
-        offsets = dict(zip(members, users.offsets(members).tolist()))
-        # The most common offset; a tie goes to the one met first in id order.
-        cohort_tz = Counter(offsets.values()).most_common(1)[0][0]
-        for m, off in offsets.items():
-            if (off - cohort_tz) * 60 % grid.bucket_width_s:
-                raise PostschedError(
-                    f"{cfg.users}: user {m!r} has tz offset {off} min, which is "
-                    f"not a whole number of {grid.bucket_width_s // 60}-minute "
-                    f"buckets from cohort {label!r} at {cohort_tz} min")
-        cohorts[label] = analysis.cohort_aggregate(
-            dict(zip(members, series(members))), offsets, cohort_tz, grid, label)
+    try:
+        cohorts = analysis.city_cohorts(s1, users, cfg.grid, cfg.min_cohort)
+    except ValueError as exc:
+        raise PostschedError(f"{cfg.users}: {exc}") from None
+    labels = [_csv_field(cohort.label) for cohort in cohorts]
 
     series_path = out_dir / "cohort_series.csv"
     with open(series_path, "w", encoding="utf-8") as fh:
         fh.write("cohort,bucket,value\n")
-        for label in sorted(cohorts):
-            for bucket, value in enumerate(cohorts[label].series):
+        for label, cohort in zip(labels, cohorts):
+            for bucket, value in enumerate(cohort.series):
                 fh.write(f"{label},{bucket},{value:.17g}\n")
 
     dist_path = out_dir / "metric_distributions.csv"
-    labels = sorted(cohorts)
+    members = [s1.probabilities[cohort.rows] for cohort in cohorts]
     with open(dist_path, "w", encoding="utf-8") as fh:
         fh.write("cohort_a,cohort_b,metric,bin_left,bin_right,count\n")
-        for i, la in enumerate(labels):
-            for lb in labels[i:]:
-                sa = series(cohorts[la].members)
-                sb = series(cohorts[lb].members)
+        for i, (la, sa) in enumerate(zip(labels, members)):
+            for lb, sb in zip(labels[i:], members[i:]):
                 for metric in analysis.METRICS:
                     dist = analysis.pairwise_distribution(
                         sa, sb, metric, cfg.sample_budget, cfg.seed,

@@ -123,7 +123,7 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
     owners = np.array(sorted(set(baseline_users)), dtype=object)
     cohorts = [cohort_label(off) for off in users.offsets(owners).tolist()]
     for kind, table in (baselines or {}).items():
-        rows = table.rows_of(cohorts)
+        rows = index_of(table.users, cohorts)
         if (rows >= 0).any():
             scored[kind] = (table, owners[rows >= 0], rows[rows >= 0])
 

@@ -175,7 +175,7 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     for table, keys in ((personalized["S1w"], targets),
                         (personalized["S1"], targets),
                         (afd, cohorts), (mfu, cohorts)):
-        rows = table.rows_of(keys)
+        rows = index_of(table.users, keys)
         take = (choice == 0) & (rows >= 0)
         choice[take] = sum(map(len, stack)) + rows[take]
         stack.append(table)

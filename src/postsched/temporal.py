@@ -262,11 +262,6 @@ class ScheduleTable:
     def __len__(self) -> int:
         return len(self.probabilities)
 
-    def rows_of(self, keys) -> np.ndarray:
-        """The row of each key in ``users``, -1 for a key without one."""
-        index = {user: i for i, user in enumerate(self.users.tolist())}
-        return np.array([index.get(k, -1) for k in keys], dtype=np.int64)
-
     def select(self, rows) -> "ScheduleTable":
         """The rows at ``rows``, an index array or a boolean mask."""
         return ScheduleTable(self.users[rows], self.provenance[rows],

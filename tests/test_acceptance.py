@@ -46,6 +46,7 @@ from postsched.ingest import (
     PairTable,
     PostTable,
     UserTable,
+    index_of,
     join_reactions,
     load_posts,
     load_reactions,
@@ -60,7 +61,7 @@ def normalize(q, kind="S1"):
 
 def top_bucket(table, user, grid):
     """``user``'s best bucket in a schedule table."""
-    (row,) = table.rows_of([user])
+    (row,) = index_of(table.users, [user])
     assert row >= 0, f"{user} has no schedule"
     return int(top_k_times(table.probabilities[row], 1, grid)[0])
 
@@ -249,7 +250,7 @@ def test_criterion_1_derivation_over_graph():
             oracle = {"S1": brute_first(brute_rd),
                       "S2": brute_second(brute_rd, brute_v)}
             for kind, table in tables.items():
-                (at,) = table.rows_of([target])
+                (at,) = index_of(table.users, [target])
                 assert at >= 0, (kind, target)
                 diff = np.max(np.abs(table.probabilities[at] - oracle[kind]))
                 worst = max(worst, float(diff))

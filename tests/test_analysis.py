@@ -1,7 +1,11 @@
 """Correlation, cosine similarity, cohort aggregation, pair sampling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postsched import (
     UndefinedMetricError,
@@ -12,7 +16,9 @@ from postsched import (
     pairwise_distribution,
     temporal,
 )
-from postsched.analysis import shift_to_offset
+from postsched.analysis import city_cohorts
+from postsched.ingest import UserTable
+from postsched.temporal import ScheduleTable
 
 
 class TestCorrelation:
@@ -79,55 +85,139 @@ class TestCohortAggregate:
 
     def test_single_user_is_their_normalized_series(self):
         g = self.grid()
-        s = np.zeros(672)
-        s[10] = 4.0
-        cohort = cohort_aggregate({"u1": s}, {"u1": 0}, 0, g, "city")
+        s = np.zeros((1, 672))
+        s[0, 10] = 4.0
+        cohort = cohort_aggregate(s, [0], 0, g, "city")
         assert cohort.series[10] == 1.0
+        assert cohort.rows.tolist() == [0]
 
     def test_identical_users_keep_series(self):
         g = self.grid()
         s = np.random.default_rng(5).random(672)
-        cohort = cohort_aggregate({"u1": s, "u2": s}, {"u1": 0, "u2": 0}, 0, g)
+        cohort = cohort_aggregate([s, s], [0, 0], 0, g)
         assert np.allclose(cohort.series, s / s.sum())
 
     def test_hour_offset_shifts_four_buckets(self):
         g = self.grid()
-        s = np.zeros(672)
-        s[10] = 1.0
+        s = np.zeros((1, 672))
+        s[0, 10] = 1.0
         # User at UTC+1; the cohort is at UTC. An event in the user's local
         # bucket 10 happened at UTC bucket 6.
-        cohort = cohort_aggregate({"u1": s}, {"u1": 60}, 0, g)
+        cohort = cohort_aggregate(s, [60], 0, g)
         assert cohort.series[6] == 1.0
 
     def test_shift_roundtrip(self):
+        # A series that sums to 1 exactly, so renormalizing keeps its bits.
         g = self.grid()
         rng = np.random.default_rng(7)
-        s = rng.random(672)
-        out = shift_to_offset(shift_to_offset(s, 0, -300, g), -300, 0, g)
-        assert np.array_equal(out, s)
+        s = np.zeros(672)
+        s[rng.choice(672, 64, replace=False)] = 1 / 64
+        there = cohort_aggregate(s[None], [0], -300, g)
+        back = cohort_aggregate(there.series[None], [-300], 0, g)
+        assert np.array_equal(back.series, s)
+        assert not np.array_equal(there.series, s)
+
+    def test_offset_off_the_bucket_grid_rejected(self):
+        with pytest.raises(ValueError):
+            cohort_aggregate(np.ones((1, 672)), [10], 0, self.grid())
 
     def test_empty_cohort_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            cohort_aggregate({}, {}, 0, self.grid())
+            cohort_aggregate(np.zeros((0, 672)), [], 0, self.grid())
 
     def test_zero_mass_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            cohort_aggregate({"u1": np.zeros(672)}, {"u1": 0}, 0, self.grid())
+            cohort_aggregate(np.zeros((1, 672)), [0], 0, self.grid())
 
     def test_mass_weighted_mixing(self):
         g = self.grid()
         rng = np.random.default_rng(11)
-        sa = {f"a{i}": rng.random(672) * 5 for i in range(3)}
-        sb = {f"b{i}": rng.random(672) * 2 for i in range(4)}
-        union = dict(sa) | dict(sb)
-        offs = {u: 0 for u in union}
-        agg_a = cohort_aggregate(sa, offs, 0, g)
-        agg_b = cohort_aggregate(sb, offs, 0, g)
-        agg_u = cohort_aggregate(union, offs, 0, g)
-        mass_a = sum(v.sum() for v in sa.values())
-        mass_b = sum(v.sum() for v in sb.values())
-        mix = mass_a * agg_a.series + mass_b * agg_b.series
+        sa = rng.random((3, 672)) * 5
+        sb = rng.random((4, 672)) * 2
+        union = np.vstack([sa, sb])
+        agg_a = cohort_aggregate(sa, np.zeros(3, dtype=int), 0, g)
+        agg_b = cohort_aggregate(sb, np.zeros(4, dtype=int), 0, g)
+        agg_u = cohort_aggregate(union, np.zeros(7, dtype=int), 0, g)
+        mix = sa.sum() * agg_a.series + sb.sum() * agg_b.series
         assert np.allclose(agg_u.series, mix / mix.sum(), atol=1e-12)
+
+
+def reference_cohorts(s1, users, grid, min_cohort):
+    """The cohorts of ``s1`` by per-user dicts, one ``np.roll`` per member in
+    id order and a ``Counter`` tie-break: {label: (rows, offset, series)},
+    or the user named by an off-grid offset."""
+    row_of = {u: i for i, u in enumerate(s1.users.tolist())}
+    tz = dict(zip(users.users.tolist(), users.tz_offset_min.tolist()))
+    city_members = {}
+    for user, city in zip(users.users.tolist(), users.city.tolist()):
+        if city and user in row_of:
+            city_members.setdefault(city, []).append(user)
+    cohort_sets = {"ALL": sorted(row_of)}
+    for city, members in sorted(city_members.items()):
+        if len(members) >= min_cohort:
+            cohort_sets[city] = sorted(members)
+    cohorts = {}
+    for label, members in cohort_sets.items():
+        offsets = {m: tz.get(m, 0) for m in members}
+        cohort_tz = Counter(offsets.values()).most_common(1)[0][0]
+        acc = np.zeros(grid.buckets_per_week)
+        for m in members:
+            diff_s = (offsets[m] - cohort_tz) * 60
+            if diff_s % grid.bucket_width_s:
+                return m
+            acc += np.roll(s1.probabilities[row_of[m]],
+                           -(diff_s // grid.bucket_width_s))
+        cohorts[label] = ([row_of[m] for m in members], cohort_tz,
+                          acc / acc.sum())
+    return cohorts
+
+
+NAMES = [f"u{i:02d}" for i in range(24)]
+UNLISTED = "not in users.tsv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 7, 24, 168, 672]),
+       s1_order=st.permutations(NAMES), n_s1=st.integers(1, len(NAMES)),
+       cities=st.lists(st.sampled_from([UNLISTED, None, "", "Oslo", "Lima",
+                                        "New York, NY"]),
+                       min_size=len(NAMES), max_size=len(NAMES)),
+       pool=st.lists(st.sampled_from([0, 0, 60, -300, 330, 15, 1440, -10080]),
+                     min_size=1, max_size=3),
+       picks=st.lists(st.integers(0, 2), min_size=len(NAMES),
+                      max_size=len(NAMES)),
+       min_cohort=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_city_cohorts_equal_a_per_user_reference(n, s1_order, n_s1, cities, pool,
+                                                 picks, min_cohort, seed):
+    """S1 rows in random order, users missing from users.tsv and listed
+    users without an S1 row; cities with None and ""; offsets on the bucket
+    grid and off it. The series match to the bit."""
+    grid = WeeklyGrid(n)
+    rng = np.random.default_rng(seed)
+    probs = rng.random((n_s1, n)) ** 3
+    probs[rng.random(probs.shape) < 0.3] = 0.0
+    probs[:, rng.integers(n)] += 1e-3
+    probs /= probs.sum(axis=1, keepdims=True)
+    # Rows a few ulps off a unit sum, as a hand-edited file may hold.
+    probs *= 1 + rng.integers(-64, 65, size=(n_s1, 1)) * 2.0**-52
+    probs[probs == 0.0] = -0.0
+    s1 = ScheduleTable(s1_order[:n_s1], ["S1"] * n_s1, probs)
+    listed = [i for i, city in enumerate(cities) if city != UNLISTED]
+    users = UserTable.from_columns(
+        ["TW"] * len(listed), [NAMES[i] for i in listed],
+        [pool[picks[i] % len(pool)] for i in listed], [cities[i] for i in listed])
+    want = reference_cohorts(s1, users, grid, min_cohort)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"user {want!r} has tz offset"):
+            city_cohorts(s1, users, grid, min_cohort)
+        return
+    got = city_cohorts(s1, users, grid, min_cohort)
+    assert [c.label for c in got] == sorted(want)
+    for cohort in got:
+        rows, tz, series = want[cohort.label]
+        assert cohort.rows.tolist() == rows
+        assert cohort.tz_offset_min == tz
+        assert cohort.series.tobytes() == series.tobytes()
 
 
 class TestPairwiseDistribution:

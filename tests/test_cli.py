@@ -1,5 +1,6 @@
 """CLI subcommands, config validation, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 import os
@@ -423,10 +424,10 @@ class TestAnalyzeStage:
                            sample_budget=50, **extra)
         assert run(["analyze", "--config", cfg]) == 0
         series: dict[str, dict[int, float]] = {}
-        for line in (out / "cohort_series.csv").read_text().splitlines()[1:]:
-            label, bucket, value = line.split(",")
-            if float(value):
-                series.setdefault(label, {})[int(bucket)] = float(value)
+        with open(out / "cohort_series.csv", newline="", encoding="utf-8") as fh:
+            for label, bucket, value in list(csv.reader(fh))[1:]:
+                if float(value):
+                    series.setdefault(label, {})[int(bucket)] = float(value)
         return series
 
     def test_cohort_tz_tie_goes_to_first_member_by_id(self, tmp_path):
@@ -445,6 +446,63 @@ class TestAnalyzeStage:
                               min_cohort=2)
         assert set(series) == {"ALL", "Pair"}
         assert series["Pair"] == {2: 0.5, 3: 0.5}
+
+    def test_labels_with_commas_and_quotes_are_quoted(self, tmp_path):
+        users = ["a\t0\tNew York, NY\tTW", "b\t0\tNew York, NY\tTW",
+                 'c\t0\tSay "hi"\tTW', 'd\t0\tSay "hi"\tTW']
+        series = self.analyze(tmp_path, users, {"a": 1, "b": 2, "c": 3, "d": 4})
+        assert series["New York, NY"] == {1: 0.5, 2: 0.5}
+        assert series['Say "hi"'] == {3: 0.5, 4: 0.5}
+        out = tmp_path / "run"
+        for name, n_fields in (("cohort_series.csv", 3),
+                               ("metric_distributions.csv", 6)):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                assert {len(row) for row in csv.reader(fh)} == {n_fields}
+        text = (out / "metric_distributions.csv").read_text(encoding="utf-8")
+        assert '\n"New York, NY","Say ""hi""",cosine,' in text
+
+    def test_city_named_all_returns_two_naming_it(self, tmp_path, capsys):
+        # Three of the six authors in a city named ALL would replace the
+        # cohort of every user with theirs.
+        cfg, out = synth_config(tmp_path, synth_authors=6, synth_followers=5,
+                                synth_span_days=70, derivation_days=63)
+        assert run(["synth", "--config", cfg]) == 0
+        users = out / "users.tsv"
+        text = users.read_text(encoding="utf-8")
+        for author in ("a00000", "a00001", "a00002"):
+            text = text.replace(f"{author}\t0\t-\t", f"{author}\t0\tALL\t")
+        users.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["all", "--config", out / "synth.config"]) == 2
+        err = capsys.readouterr().err
+        assert "users.tsv" in err and "'ALL'" in err and "'a00000'" in err
+        assert not (out / "cohort_series.csv").exists()
+
+    def test_analyze_ignores_s1_row_order(self, tmp_path):
+        # Cities and offsets that shift members, so that the sum order shows.
+        cfg, out = synth_config(tmp_path, synth_authors=6, synth_followers=5,
+                                synth_span_days=70, derivation_days=63)
+        assert run(["synth", "--config", cfg]) == 0
+        users = out / "users.tsv"
+        lines = users.read_text(encoding="utf-8").splitlines()
+        for i, (tz, city) in enumerate([(0, "Oslo"), (-300, "Lima"),
+                                        (60, "Oslo"), (0, "Lima"),
+                                        (-300, "Lima"), (60, "Oslo")]):
+            user, _, _, network = lines[i].split("\t")
+            lines[i] = "\t".join([user, str(tz), city, network])
+        users.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = out / "synth.config"
+        assert run(["schedule", "--config", cfg]) == 0
+        assert run(["analyze", "--config", cfg]) == 0
+        want = {a: (out / a).read_bytes()
+                for a in ("cohort_series.csv", "metric_distributions.csv")}
+        assert want["cohort_series.csv"].count(b"\nLima,") == 672
+        schedules = out / "schedules.tsv"
+        rows = schedules.read_text(encoding="utf-8").splitlines()
+        schedules.write_text("\n".join(rows[::-1][1::2] + rows[::-1][::2]) + "\n",
+                             encoding="utf-8")
+        assert run(["analyze", "--config", cfg]) == 0
+        assert {a: (out / a).read_bytes() for a in want} == want
 
 
 class TestFullChain:

@@ -28,6 +28,7 @@ from postsched.ingest import (
     SocialGraph,
     UserTable,
     build_profiles,
+    index_of,
     join_reactions,
 )
 from postsched.pipeline import (
@@ -64,7 +65,7 @@ def star_inputs(span_days=21, **overrides):
 
 def row(table, user):
     """The row index of ``user`` in ``table``; fails if it has none."""
-    (at,) = table.rows_of([user])
+    (at,) = index_of(table.users, [user])
     assert at >= 0, user
     return at
 
