@@ -14,25 +14,26 @@ Timestamps are ASCII decimal integers, ``-?[0-9]+``, within the signed
 UTC-12:00 .. UTC+14:00 (-720 .. 840 minutes). The reactor column may hold
 "-" when the source data does not identify who reacted; such rows support
 delay estimation and analysis but not schedule derivation. A line holding
-a NUL byte is malformed. Malformed lines are counted, never silently dropped.
-A user is listed at most once in users.tsv.
+a NUL byte is malformed, and so is one with an id or a city longer than
+``MAX_ID_BYTES``. Malformed lines are counted, never silently dropped. A
+user is listed at most once in users.tsv; a city of "-" or "" is none.
 
-Every input loads into columns. Posts and reactions load into tables whose
-user ids are int64 codes into a sorted ``users`` vocabulary, whose post ids
-are a fixed-width bytes (``S``) column and whose times are int64 arrays; a
-block of lines is checked and split into them with numpy, never one Python
-object per row. :func:`join_reactions` joins them on sorted post-id keys
-into the :class:`PairTable` that later stages read. The follower graph
-loads as a :class:`SocialGraph` of edge code columns, and users.tsv as a
+Every input loads into columns, checked and split a block of lines at a
+time with numpy, never one Python object per row, by one parser that a
+field spec per file drives. Posts and reactions load into tables whose user
+ids are int64 codes into a sorted ``users`` vocabulary, whose post ids are
+a fixed-width bytes (``S``) column and whose times are int64 arrays.
+:func:`join_reactions` joins them on sorted post-id keys into the
+:class:`PairTable` that later stages read. The follower graph loads as a
+:class:`SocialGraph` of edge code columns, and users.tsv as a
 :class:`UserTable`. :func:`index_of` finds ids in these sorted vocabularies.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,23 +46,30 @@ MISSING_ID = "-"
 
 DEFAULT_MAX_MALFORMED_FRAC = 0.01
 
-# ``int()`` alone would also take "1_000", "+5", padded whitespace and
-# non-ASCII digits.
-_TIMESTAMP = re.compile(r"-?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 
 # Significant digits of -2**63, the longest int64: no valid timestamp has more.
 _INT64_DIGITS = len(str(-_INT64.min))
 
 # An id column is as wide as its longest id, so one long id would widen
-# every row; a posts or reactions line with a longer id is malformed.
+# every row; a line with a longer id or city is malformed.
 MAX_ID_BYTES = 255
 
-# The network names as a sorted bytes column, for a vectorized lookup.
+# The network names as a sorted bytes column, for a vectorized lookup, and
+# as str in the same order.
 _NETWORK_KEYS = np.array(sorted(n.encode() for n in NETWORKS))
+_NETWORK_NAMES = np.array([n.decode() for n in _NETWORK_KEYS], dtype=object)
 
 # Timezone offsets in minutes, UTC-12:00 .. UTC+14:00.
 _TZ_OFFSETS = range(-12 * 60, 14 * 60 + 1)
+
+# The kind of each field of an input file, in file order: the network
+# ("net"), text of at most MAX_ID_BYTES bytes ("id", a city too), a
+# ``-?[0-9]+`` timestamp within int64 ("stamp"), or such a number within
+# _TZ_OFFSETS ("tz").
+_EVENTS = ("net", "id", "id", "stamp")   # posts.tsv and reactions.tsv
+_EDGES = ("net", "id", "id")
+_USERS = ("id", "tz", "id", "net")
 
 # Input files are read in blocks of whole lines of about this many bytes,
 # which bounds the memory taken by the per-block temporaries.
@@ -101,14 +109,10 @@ def present_codes(codes: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(np.bincount(codes, minlength=n))
 
 
-def _intern(names) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted vocabulary of the distinct names, as str, and the int64 code
-    of each name into it. ``names`` is a bytes column or a sequence of str;
-    UTF-8 byte order is code-point order, so both sort alike."""
-    if not (isinstance(names, np.ndarray) and names.dtype.kind == "S"):
-        vocab, codes = np.unique(np.array(list(names), dtype=object),
-                                 return_inverse=True)
-        return vocab, codes.astype(np.int64)
+def _intern(names: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted vocabulary of the distinct names in a bytes column, as str, and
+    the int64 code of each name into it. UTF-8 byte order is code-point
+    order, so the vocabulary sorts as str does."""
     # The rows of one user often come together, as in a file sorted by
     # author, so only the first row of each run of equal ids is sorted.
     head = np.flatnonzero(np.append(names.size > 0, names[1:] != names[:-1]))
@@ -136,7 +140,7 @@ class PostTable:
         """Table from plain columns; ``networks`` holds the network names
         present, one per row or each once, author ids are interned, and each
         id column is a bytes column or a sequence of str."""
-        users, author = _intern(authors)
+        users, author = _intern(encode_ids(authors))
         return cls(frozenset(networks), users, author, encode_ids(post_ids),
                    np.asarray(created_at, dtype=np.int64))
 
@@ -158,7 +162,7 @@ class ReactionTable:
     def from_columns(cls, networks: Iterable[str], post_ids, reactors,
                      reacted_at) -> "ReactionTable":
         """Table from plain columns, as :meth:`PostTable.from_columns`."""
-        users, reactor = _intern(reactors)
+        users, reactor = _intern(encode_ids(reactors))
         return cls(frozenset(networks), users, encode_ids(post_ids), reactor,
                    np.asarray(reacted_at, dtype=np.int64))
 
@@ -197,13 +201,14 @@ class PairTable:
                          self.post_time[rows], self.reaction_time[rows])
 
     @classmethod
-    def from_columns(cls, authors: Sequence[str], reactors: Sequence[str],
-                     post_time, reaction_time) -> "PairTable":
+    def from_columns(cls, authors, reactors, post_time,
+                     reaction_time) -> "PairTable":
         """Table from plain columns; author and reactor ids share one
-        vocabulary."""
-        users, codes = _intern([*authors, *reactors])
-        n = len(authors)
-        return cls(users, codes[:n], codes[n:],
+        vocabulary, and each id column is a bytes column or a sequence of
+        str."""
+        authors = encode_ids(authors)
+        users, codes = _intern(np.concatenate([authors, encode_ids(reactors)]))
+        return cls(users, codes[:authors.size], codes[authors.size:],
                    np.asarray(post_time, dtype=np.int64),
                    np.asarray(reaction_time, dtype=np.int64))
 
@@ -234,17 +239,19 @@ class UserTable:
     def from_columns(cls, networks: Iterable[str], users, tz_offset_min,
                      city) -> "UserTable":
         """Table from plain columns of one value per listed user; ``networks``
-        holds the network of each. Raises ValueError for a user listed more
-        than once, whatever the networks, as either line could win."""
-        networks, names = list(networks), np.array(list(users), dtype=object)
-        order = np.argsort(names, kind="stable")
-        repeat = order[:-1][names[order[1:]] == names[order[:-1]]]
-        if repeat.size:  # named at the first of its lines in the file
-            user = names[repeat.min()]
-            nets = dict.fromkeys(n for n, u in zip(networks, names) if u == user)
-            raise ValueError(f"user {user!r} is listed more than once for "
+        holds the network of each, and ``users`` is a bytes column or a
+        sequence of str. Raises ValueError for a user listed more than once,
+        whatever the networks, as either line could win."""
+        networks = list(networks)
+        names, codes = _intern(encode_ids(users))
+        if names.size < codes.size:  # named at the first of its lines in the file
+            user = codes[np.argmax(np.bincount(codes)[codes] > 1)]
+            nets = dict.fromkeys(n for n, c in zip(networks, codes.tolist())
+                                 if c == user)
+            raise ValueError(f"user {names[user]!r} is listed more than once for "
                              f"network{'s' * (len(nets) > 1)} {' and '.join(nets)}")
-        return cls(frozenset(networks), names[order],
+        order = np.argsort(codes)
+        return cls(frozenset(networks), names,
                    np.asarray(tz_offset_min, dtype=np.int64)[order],
                    np.array(list(city), dtype=object)[order])
 
@@ -261,9 +268,21 @@ class SocialGraph:
     __slots__ = ("users", "src", "dst")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
-        self.users, codes = _intern(chain.from_iterable(edges))
+        ends = encode_ids(chain.from_iterable(edges))
+        self._build(ends[0::2], ends[1::2])
+
+    @classmethod
+    def from_columns(cls, src, dst) -> "SocialGraph":
+        """Graph of the edges (src[i], dst[i]); each column is a bytes column
+        or a sequence of str."""
+        graph = cls.__new__(cls)
+        graph._build(encode_ids(src), encode_ids(dst))
+        return graph
+
+    def _build(self, src: np.ndarray, dst: np.ndarray) -> None:
+        self.users, codes = _intern(np.concatenate([src, dst]))
         n = len(self.users)
-        keys = _distinct(codes[0::2] * n + codes[1::2])
+        keys = _distinct(codes[:src.size] * n + codes[src.size:])
         self.src, self.dst = np.divmod(keys, n)
 
     @property
@@ -291,47 +310,6 @@ def _blocks(path) -> Iterator[bytes]:
             yield b"".join(head)
 
 
-def _text(block: bytes, path) -> str:
-    try:
-        return block.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _lines(block: bytes, path) -> list[str]:
-    """The data lines of a block, without comments and blank lines. CRLF and
-    a lone CR end a line like LF; as blank lines are skipped, turning every
-    CR into LF gives the same lines."""
-    text = _text(block, path).replace("\r", "\n")
-    return [line for line in text.split("\n") if line and line[0] != "#"]
-
-
-def _check_lines(lines: Iterable[str], n_fields: int, parse_row,
-                 network: str | None, network_field: int):
-    """Check and parse lines one at a time. Returns the parsed records and
-    the counts of malformed lines and of lines of another network. Loads
-    users and edges; for posts and reactions, the reference of tests."""
-    records = []
-    malformed = 0
-    skipped = 0
-    for line in lines:
-        fields = line.split("\t")
-        if len(fields) != n_fields or "\0" in line:
-            malformed += 1
-            continue
-        if fields[network_field] not in NETWORKS:
-            malformed += 1
-            continue
-        if network is not None and fields[network_field] != network:
-            skipped += 1
-            continue
-        try:
-            records.append(parse_row(fields))
-        except ValueError:
-            malformed += 1
-    return records, malformed, skipped
-
-
 def _report(path, parsed: int, malformed: int, skipped: int,
             max_malformed_frac: float) -> LoadReport:
     total = parsed + malformed
@@ -341,38 +319,6 @@ def _report(path, parsed: int, malformed: int, skipped: int,
             f"{max_malformed_frac:.2%} limit"
         )
     return LoadReport(str(path), parsed, malformed, skipped)
-
-
-def _load_tsv(path, n_fields: int, parse_row, network: str | None,
-              network_field: int, max_malformed_frac: float):
-    lines = chain.from_iterable(_lines(block, path) for block in _blocks(path))
-    records, malformed, skipped = _check_lines(lines, n_fields, parse_row,
-                                               network, network_field)
-    return records, _report(path, len(records), malformed, skipped,
-                            max_malformed_frac)
-
-
-def _timestamp(text: str) -> int:
-    if not _TIMESTAMP.fullmatch(text):
-        raise ValueError(f"bad timestamp {text!r}")
-    value = int(text)
-    if not _INT64.min <= value <= _INT64.max:
-        raise ValueError(f"timestamp {text} out of the int64 range")
-    return value
-
-
-def _tz_offset(text: str) -> int:
-    if not _TIMESTAMP.fullmatch(text) or int(text) not in _TZ_OFFSETS:
-        raise ValueError(f"tz offset {text!r} is not a whole number of minutes "
-                         f"in [{_TZ_OFFSETS[0]}, {_TZ_OFFSETS[-1]}]")
-    return int(text)
-
-
-def _event_row(f: list[str]) -> tuple[str, str, str, int]:
-    for text in f[1:3]:
-        if len(text.encode()) > MAX_ID_BYTES:
-            raise ValueError(f"id longer than {MAX_ID_BYTES} bytes")
-    return f[0], f[1], f[2], _timestamp(f[3])
 
 
 def _field(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -395,35 +341,39 @@ def _stamps(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
     value = np.empty(start.size, dtype=np.uint64)
     negative = (stop > start) & (buf[np.minimum(start, buf.size - 1)] == ord("-"))
     first = start + negative
-    # Leading zeros are stripped only from the rare fields too long to read.
-    for i in np.flatnonzero(stop - first > _INT64_DIGITS).tolist():
-        field = buf[first[i]:stop[i]].tobytes()
-        first[i] += min(len(field) - len(field.lstrip(b"0")), len(field) - 1)
     n_digits = stop - first
+    # A field of more digits than an int64 has is read from its last ones,
+    # and is in range only if all before them are zeros (checked below).
+    long = np.flatnonzero(n_digits > _INT64_DIGITS)
+    n_digits[long] = _INT64_DIGITS
     # The last ``width`` bytes of each field, with "0" before its digits.
-    width = int(n_digits.clip(1, _INT64_DIGITS).max(initial=1))
+    width = int(n_digits.clip(1).max(initial=1))
     padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])
     digits = np.lib.stride_tricks.sliding_window_view(padded, width)[stop]
     digits[np.arange(width) < (width - n_digits)[:, None]] = ord("0")
     digits -= ord("0")   # a byte below "0" wraps past 9
     v = digits.astype(np.uint64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.uint64)
     # -2**63 is in range, 2**63 is not; -v wraps to the bits of the int64.
-    valid = ((n_digits >= 1) & (n_digits <= _INT64_DIGITS) & (digits <= 9).all(axis=1)
+    valid = ((n_digits >= 1) & (digits <= 9).all(axis=1)
              & (v <= negative.astype(np.uint64) + np.uint64(_INT64.max)))
+    if long.size:   # buf[first:stop - 19] of each long field holds only zeros
+        bounds = np.column_stack([first[long], stop[long] - _INT64_DIGITS])
+        valid[long] &= ~np.logical_or.reduceat(buf != ord("0"), bounds.reshape(-1))[::2]
     value[:] = np.where(negative, -v, v)
     return value.view(np.int64), valid
 
 
-def _split_block(block: bytes, network: str | None):
+def _split_block(block: bytes, spec: tuple[str, ...], network: str | None):
     """The data lines of a block, checked and split at once with numpy.
 
-    Each line is checked as :func:`_check_lines` checks it, in its order:
-    four fields and no NUL byte, then a known network, then the network
-    asked for (a line of another is skipped), then ids of at most
-    ``MAX_ID_BYTES`` bytes and a timestamp. Returns the networks present,
-    the two id columns and the int64 times of the lines that pass, with the
-    counts of malformed and of skipped lines. The block holds no CR and is
-    valid UTF-8.
+    ``spec`` gives the kind of each field (see ``_EVENTS``). Each line is
+    checked in this order: as many fields as ``spec`` and no NUL byte, then
+    a known network, then the network asked for (a line of another is
+    skipped), then every other field as its kind says. Returns the network
+    of each line that passes, as a uint8 index into ``_NETWORK_NAMES``, the
+    columns of its other fields in file order (bytes for "id", int64
+    otherwise), and the counts of malformed and of skipped lines. The block
+    holds no CR and is valid UTF-8.
     """
     buf = np.frombuffer(block, dtype=np.uint8)
     newline = np.flatnonzero(buf == ord("\n"))
@@ -433,85 +383,100 @@ def _split_block(block: bytes, network: str | None):
     data[data] = buf[start[data]] != ord("#")
     tab = np.flatnonzero(buf == ord("\t"))
     line_of_tab = np.searchsorted(newline, tab)
-    shaped = data & (np.bincount(line_of_tab, minlength=start.size) == 3)
+    shaped = data & (np.bincount(line_of_tab, minlength=start.size) == len(spec) - 1)
     shaped[np.searchsorted(newline, np.flatnonzero(buf == 0))] = False
     line = np.flatnonzero(shaped)
-    tab = tab[shaped[line_of_tab]].reshape(-1, 3)
+    # Field j of row i is buf[bound[i, j] + 1:bound[i, j + 1]].
+    bound = np.column_stack([start[line] - 1,
+                             tab[shaped[line_of_tab]].reshape(-1, len(spec) - 1),
+                             stop[line]])
     n_data = int(data.sum())
-    del newline, line_of_tab  # before the larger temporaries below
+    del newline, line_of_tab, tab, start, stop  # before the larger temporaries below
     # Each width is checked before its field is taken, so that no long
     # field widens a column.
-    short = tab[:, 0] - start[line] <= _NETWORK_KEYS.itemsize
-    line, tab = line[short], tab[short]
-    nets = _field(buf, start[line], tab[:, 0])
+    net = spec.index("net")
+    bound = bound[bound[:, net + 1] - bound[:, net] <= _NETWORK_KEYS.itemsize + 1]
+    nets = _field(buf, bound[:, net] + 1, bound[:, net + 1])
     which = np.searchsorted(_NETWORK_KEYS, nets).clip(0, _NETWORK_KEYS.size - 1)
     known = _NETWORK_KEYS[which] == nets
     mine = known if network is None else known & (nets == network.encode())
     skipped = int(known.sum() - mine.sum())
-    line, tab, which = line[mine], tab[mine], which[mine]
-    fits = np.diff(tab, axis=1).max(axis=1) <= MAX_ID_BYTES + 1
-    line, tab, which = line[fits], tab[fits], which[fits]
-    times, stamped = _stamps(buf, tab[:, 2] + 1, stop[line])
-    tab, which = tab[stamped], which[stamped]
-    present = {_NETWORK_KEYS[i].decode()
-               for i in present_codes(which, _NETWORK_KEYS.size).tolist()}
-    return (present, _field(buf, tab[:, 0] + 1, tab[:, 1]),
-            _field(buf, tab[:, 1] + 1, tab[:, 2]), times[stamped],
-            n_data - skipped - len(tab), skipped)
+    bound, which = bound[mine], which[mine]
+    ids = [j for j, kind in enumerate(spec) if kind == "id"]
+    fits = np.diff(bound, axis=1)[:, ids].max(axis=1) <= MAX_ID_BYTES + 1
+    bound, which = bound[fits], which[fits]
+    numbers, passed = {}, np.ones(len(bound), dtype=bool)
+    for j, kind in enumerate(spec):
+        if kind in ("stamp", "tz"):
+            numbers[j], valid = _stamps(buf, bound[:, j] + 1, bound[:, j + 1])
+            if kind == "tz":
+                valid &= ((numbers[j] >= _TZ_OFFSETS[0])
+                          & (numbers[j] <= _TZ_OFFSETS[-1]))
+            passed &= valid
+    bound = bound[passed]
+    columns = [numbers[j][passed] if j in numbers
+               else _field(buf, bound[:, j] + 1, bound[:, j + 1])
+               for j, kind in enumerate(spec) if kind != "net"]
+    return (which[passed].astype(np.uint8), columns,
+            n_data - skipped - len(bound), skipped)
 
 
-def _load_events(path, network: str | None, max_malformed_frac: float):
-    """Networks present, two id columns (bytes) and int64 times of a posts
-    or reactions file, with its report; each block is checked and split by
+def _load(path, spec: tuple[str, ...], network: str | None,
+          max_malformed_frac: float):
+    """The network of each line of a file that passes, the columns of its
+    other fields and the file's report; each block is checked and split by
     :func:`_split_block`."""
-    no_ids = np.empty(0, dtype=np.bytes_)
-    splits = [(set(), no_ids, no_ids, np.empty(0, dtype=np.int64), 0, 0)]
+    splits = []
     for block in _blocks(path):
         if not block.isascii():
-            _text(block, path)
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
         # A CR ends a line like an LF does, as blank lines are skipped.
         block = block.replace(b"\r", b"\n")
-        split = _split_block(block, network)
-        if split is None:   # every line by the reference checks, as tests compare
-            rows, bad, other = _check_lines(_lines(block, path), 4, _event_row,
-                                            network, 0)
-            nets, a, b, t = zip(*rows) if rows else ((),) * 4
-            split = (set(nets), encode_ids(a), encode_ids(b),
-                     np.array(t, dtype=np.int64), bad, other)
-        splits.append(split)
-    networks, first, second, times, malformed, skipped = zip(*splits)
-    times = np.concatenate(times)
-    report = _report(path, times.size, sum(malformed), sum(skipped),
+        splits.append(_split_block(block, spec, network))
+    # An empty file has no block; the columns of an empty one have its dtypes.
+    which, columns, malformed, skipped = zip(
+        *splits or [_split_block(b"", spec, network)])
+    which = np.concatenate(which)
+    report = _report(path, which.size, sum(malformed), sum(skipped),
                      max_malformed_frac)
-    return (set().union(*networks), np.concatenate(first), np.concatenate(second),
-            times), report
+    return which, [np.concatenate(column) for column in zip(*columns)], report
+
+
+def _present(which: np.ndarray) -> np.ndarray:
+    """The names of the networks in ``which``, a column of network indices."""
+    return _NETWORK_NAMES[present_codes(which, _NETWORK_NAMES.size)]
 
 
 def load_posts(path, network: str | None = None,
                max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC
                ) -> tuple[PostTable, LoadReport]:
-    (nets, authors, post_ids, times), report = _load_events(
-        path, network, max_malformed_frac)
-    return PostTable.from_columns(nets, authors, post_ids, times), report
+    which, (authors, post_ids, times), report = _load(
+        path, _EVENTS, network, max_malformed_frac)
+    return PostTable.from_columns(_present(which), authors, post_ids, times), report
 
 
 def load_reactions(path, network: str | None = None,
                    max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC
                    ) -> tuple[ReactionTable, LoadReport]:
-    (nets, post_ids, reactors, times), report = _load_events(
-        path, network, max_malformed_frac)
-    return ReactionTable.from_columns(nets, post_ids, reactors, times), report
+    which, (post_ids, reactors, times), report = _load(
+        path, _EVENTS, network, max_malformed_frac)
+    return ReactionTable.from_columns(_present(which), post_ids, reactors,
+                                      times), report
 
 
 def load_users(path, network: str | None = None,
                max_malformed_frac: float = DEFAULT_MAX_MALFORMED_FRAC
                ) -> tuple[UserTable, LoadReport]:
-    def row(f):
-        city = f[2] if f[2] and f[2] != MISSING_ID else None
-        return f[3], f[0], _tz_offset(f[1]), city
-    rows, report = _load_tsv(path, 4, row, network, 3, max_malformed_frac)
+    which, (names, offsets, city), report = _load(
+        path, _USERS, network, max_malformed_frac)
+    cities, codes = _intern(city)
+    cities[(cities == "") | (cities == MISSING_ID)] = None
     try:
-        users = UserTable.from_columns(*(zip(*rows) if rows else ((),) * 4))
+        users = UserTable.from_columns(_NETWORK_NAMES[which], names, offsets,
+                                       cities[codes])
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None
     return users, report
@@ -524,10 +489,8 @@ def load_graph(path, network: str | None = None, bidirectional: bool = False,
     With ``bidirectional=True`` (e.g. mutual-friend networks) the loader
     verifies that every edge is listed in both directions.
     """
-    def row(f):
-        return (f[1], f[2])
-    edges, report = _load_tsv(path, 3, row, network, 0, max_malformed_frac)
-    graph = SocialGraph(edges)
+    _, (src, dst), report = _load(path, _EDGES, network, max_malformed_frac)
+    graph = SocialGraph.from_columns(src, dst)
     if bidirectional and not graph.is_symmetric():
         raise IngestError(f"{path}: bidirectional network with asymmetric edges")
     return graph, report

@@ -1,5 +1,6 @@
 """Canonical TSV parsing, joining, graph loading, and profile building."""
 
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -28,6 +29,7 @@ from postsched import ingest
 from postsched.ingest import (
     AdapterReport,
     ColumnMap,
+    LoadReport,
     PostTable,
     ReactionTable,
     adapt_open_dataset,
@@ -212,9 +214,141 @@ class TestLoaders:
             load_posts(tmp_path / "absent.tsv")
 
 
+# A per-line reference loader for the four input files. It is written apart
+# from the byte path it checks: it decodes the file, splits it with str
+# methods and reads each field with a regex and Python ints.
+REFERENCE_KINDS = {
+    "posts": ("net", "id", "id", "stamp"),
+    "reactions": ("net", "id", "id", "stamp"),
+    "edges": ("net", "id", "id"),
+    "users": ("id", "tz", "id", "net"),
+}
+STAMP = re.compile(r"-?[0-9]+")
+
+
+def reference_field(kind, text):
+    """The value of a field of ``kind``; ValueError when it is malformed."""
+    if kind == "id":
+        if len(text.encode()) > ingest.MAX_ID_BYTES:
+            raise ValueError(text)
+        return text
+    if not STAMP.fullmatch(text):
+        raise ValueError(text)
+    low, high = (-720, 840) if kind == "tz" else (-2**63, 2**63 - 1)
+    if not low <= int(text) <= high:
+        raise ValueError(text)
+    return int(text)
+
+
+def reference_rows(path, kind, network, max_malformed_frac):
+    """The rows of a file as (network, other fields...) tuples in file order,
+    with its LoadReport, checked one line at a time."""
+    kinds = REFERENCE_KINDS[kind]
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    net = kinds.index("net")
+    rows, malformed, skipped = [], 0, 0
+    for line in text.replace("\r", "\n").split("\n"):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if (len(fields) != len(kinds) or "\0" in line
+                or fields[net] not in ("TW", "FB", "FP", "GP")):
+            malformed += 1
+        elif network is not None and fields[net] != network:
+            skipped += 1
+        else:
+            try:
+                rows.append((fields[net], *(reference_field(k, f)
+                                            for k, f in zip(kinds, fields)
+                                            if k != "net")))
+            except ValueError:
+                malformed += 1
+    total = len(rows) + malformed
+    if total and malformed / total > max_malformed_frac:
+        raise IngestError(f"{path}: {malformed} of {total} lines malformed, "
+                          f"above the {max_malformed_frac:.2%} limit")
+    return rows, LoadReport(str(path), len(rows), malformed, skipped)
+
+
+def reference_events(path, kind, network, max_malformed_frac=1.0,
+                     bidirectional=False):
+    """Rows, user vocabulary, networks and report of a posts or reactions
+    file; the user is the author (posts) or the reactor (reactions)."""
+    rows, report = reference_rows(path, kind, network, max_malformed_frac)
+    user = 1 if kind == "posts" else 2
+    return ([row[1:] for row in rows], sorted({row[user] for row in rows}),
+            {row[0] for row in rows}, report)
+
+
+def reference_users(path, kind, network, max_malformed_frac=1.0,
+                    bidirectional=False):
+    rows, report = reference_rows(path, kind, network, max_malformed_frac)
+    listed = Counter(user for _, user, _, _ in rows)
+    repeated = [user for _, user, _, _ in rows if listed[user] > 1]
+    if repeated:
+        nets = dict.fromkeys(net for net, user, _, _ in rows if user == repeated[0])
+        raise IngestError(f"{path}: user {repeated[0]!r} is listed more than "
+                          f"once for network{'s' * (len(nets) > 1)} "
+                          f"{' and '.join(nets)}")
+    return (sorted((user, tz, None if city in ("", "-") else city)
+                   for _, user, tz, city in rows),
+            {net for net, _, _, _ in rows}, report)
+
+
+def reference_edges(path, kind, network, max_malformed_frac=1.0,
+                    bidirectional=False):
+    rows, report = reference_rows(path, kind, network, max_malformed_frac)
+    edges = {(src, dst) for _, src, dst in rows}
+    if bidirectional and edges != {(dst, src) for src, dst in edges}:
+        raise IngestError(f"{path}: bidirectional network with asymmetric edges")
+    return sorted(edges), sorted({user for edge in edges for user in edge}), report
+
+
+def loaded_events(path, kind, network, max_malformed_frac=1.0,
+                  bidirectional=False):
+    """What ``reference_events`` gives, from the loader."""
+    if kind == "posts":
+        posts, report = load_posts(path, network, max_malformed_frac)
+        return post_rows(posts), posts.users.tolist(), set(posts.networks), report
+    table, report = load_reactions(path, network, max_malformed_frac)
+    rows = list(zip([p.decode() for p in table.post_id.tolist()],
+                    table.users[table.reactor].tolist(), table.reacted_at.tolist()))
+    return rows, table.users.tolist(), set(table.networks), report
+
+
+def loaded_users(path, kind, network, max_malformed_frac=1.0,
+                 bidirectional=False):
+    users, report = load_users(path, network, max_malformed_frac)
+    return (list(zip(users.users.tolist(), users.tz_offset_min.tolist(),
+                     users.city.tolist())), set(users.networks), report)
+
+
+def loaded_edges(path, kind, network, max_malformed_frac=1.0,
+                 bidirectional=False):
+    graph, report = load_graph(path, network, bidirectional, max_malformed_frac)
+    return graph_pairs(graph), graph.users.tolist(), report
+
+
+READERS = {"posts": (loaded_events, reference_events),
+           "reactions": (loaded_events, reference_events),
+           "users": (loaded_users, reference_users),
+           "edges": (loaded_edges, reference_edges)}
+
+
+def outcome(read, path, kind, *args):
+    """What ``read`` gives for a file, or the message it raises."""
+    try:
+        return read(path, kind, *args)
+    except IngestError as exc:
+        return str(exc)
+
+
 class TestLoadReportAccounting:
     """Every posts line is checked and split by the byte path; the report
-    counts every line as the per-line reference path does."""
+    counts every line as the per-line reference does."""
 
     CLEAN = ("# comment\n\nTW\tu1\tp1\t100\nFB\tu2\tp2\t200\n"
              "\n# another\nTW\tu3\tp3\t-7\n")
@@ -223,42 +357,23 @@ class TestLoadReportAccounting:
                      "FB\tu6\tp6\tnoon\n"     # other network: skipped first
                      "TW\tu7\tp7\t+8\n")      # bad timestamp
 
-    @pytest.fixture
-    def reference_calls(self, monkeypatch):
-        """The lines that reach the per-line reference path."""
-        calls = []
-        real = ingest._check_lines
-
-        def spy(*args):
-            calls.append(args[0])
-            return real(*args)
-        monkeypatch.setattr(ingest, "_check_lines", spy)
-        return calls
-
     @pytest.mark.parametrize("network,expected", [
         (None, (3, 0, 0)), ("TW", (2, 0, 1)), ("GP", (0, 0, 3))])
-    def test_clean_file_takes_fast_path(self, tmp_path, reference_calls,
-                                        network, expected):
+    def test_clean_file_takes_fast_path(self, tmp_path, network, expected):
         p = write(tmp_path / "posts.tsv", self.CLEAN)
         posts, report = load_posts(p, network)
-        assert not reference_calls
         assert (report.parsed, report.malformed, report.skipped_network) == expected
         assert len(posts) == report.parsed
 
     @pytest.mark.parametrize("network", [None, "TW", "FB"])
-    def test_fast_path_and_fallback_agree(self, tmp_path, monkeypatch, network):
+    def test_fast_path_and_fallback_agree(self, tmp_path, network):
         p = write(tmp_path / "posts.tsv", self.CLEAN)
-        fast_posts, fast_report = load_posts(p, network)
-        monkeypatch.setattr(ingest, "_split_block", lambda block, network: None)
-        slow_posts, slow_report = load_posts(p, network)
-        assert fast_report == slow_report
-        assert post_rows(fast_posts) == post_rows(slow_posts)
-        assert fast_posts.networks == slow_posts.networks
+        assert (loaded_events(p, "posts", network, 0.01)
+                == reference_events(p, "posts", network, 0.01))
 
-    def test_dirty_file_counts_every_line(self, tmp_path, reference_calls):
+    def test_dirty_file_counts_every_line(self, tmp_path):
         p = write(tmp_path / "posts.tsv", self.DIRTY)
         posts, report = load_posts(p, "TW", max_malformed_frac=1.0)
-        assert not reference_calls
         assert (report.parsed, report.malformed, report.skipped_network) == (2, 3, 2)
         assert post_rows(posts) == [("u1", "p1", 100), ("u3", "p3", -7)]
 
@@ -267,9 +382,8 @@ class TestLoadReportAccounting:
         with pytest.raises(IngestError, match="3 of 5 lines malformed"):
             load_posts(p, "TW", max_malformed_frac=0.5)
 
-    def test_scattered_bad_lines_keep_the_rest_on_the_fast_path(
-            self, tmp_path, monkeypatch, reference_calls):
-        # No line goes line by line, and the report stays exact.
+    def test_scattered_bad_lines_keep_the_rest_on_the_fast_path(self, tmp_path):
+        # Scattered bad lines leave the report exact and the rest loaded.
         lines = [f"TW\tu{i % 97}\tp{i}\t{1000 + i}" for i in range(20000)]
         bad = list(range(1111, 20000, 2111))
         for i in bad:
@@ -278,11 +392,8 @@ class TestLoadReportAccounting:
         p = write(tmp_path / "posts.tsv", "\n".join(lines) + "\n")
         posts, report = load_posts(p, "TW")
         assert (report.parsed, report.malformed) == (20000 - 10, 10)
-        assert not reference_calls
-        monkeypatch.setattr(ingest, "_split_block", lambda block, network: None)
-        slow_posts, slow_report = load_posts(p, "TW")
-        assert report == slow_report
-        assert post_rows(posts) == post_rows(slow_posts)
+        assert (loaded_events(p, "posts", "TW", 0.01)
+                == reference_events(p, "posts", "TW", 0.01))
 
     @pytest.mark.parametrize("block_chars", [1, 20, 64])
     def test_block_size_does_not_change_result(self, tmp_path, monkeypatch,
@@ -306,16 +417,6 @@ class TestLoadReportAccounting:
         assert len(posts) == 98
 
 
-def load_either(path, network):
-    """Columns and report of a posts file, or the message it raises."""
-    try:
-        posts, report = load_posts(path, network, max_malformed_frac=1.0)
-    except IngestError as exc:
-        return str(exc)
-    return (post_rows(posts), posts.users.tolist(), posts.author.tolist(),
-            posts.post_id.tolist(), posts.networks, report)
-
-
 # One line of each kind that a single-line perturbation of an input makes.
 BAD_LINES = [
     b"TW\tu1\t100",                               # a field dropped
@@ -329,6 +430,7 @@ BAD_LINES = [
     b"TW\tu1\tp1\t" + b"0" * 11 + b"9223372036854775807",  # 30 digits, in int64
     b"TW\tu1\tp1\t-" + b"0" * 3 + b"9223372036854775808",  # -2**63, led by zeros
     b"TW\tu1\tp1\t-9223372036854775809",          # below int64
+    b"TW\tu1\tp1\t" + b"0" * 5 + b"1" + b"0" * 19,   # 10**19 led by zeros: beyond
     b"TW\tu1\tp1\t" + b"0" * 40,                   # 40 zeros: 0
     b"TW\tu1\tp1\t-",                             # a sign without digits
     b"TW\tu1\tp1\t",                              # empty timestamp
@@ -348,36 +450,102 @@ BAD_LINES = [
     b"",                                          # blank
 ]
 
+# Lines of users.tsv; "@" in a user id is replaced by a drawn number.
+BAD_USER_LINES = [
+    b"v@\t-721\t-\tTW",                           # below UTC-12
+    b"v@\t841\t-\tTW",                            # above UTC+14
+    b"v@\t+5\t-\tTW",                             # a plus sign
+    b"v@\t1_0\t-\tFB",                            # an underscore
+    b"v@\t" + b"0" * 25 + b"\t-\tTW",               # 25 zeros: UTC
+    b"v@\t-000000000000000000000060\tOslo\tTW",     # zero-led: -60
+    b"v@\t" + b"0" * 20 + b"841\t-\tTW",            # zero-led, above UTC+14
+    b"v@\t-0001" + b"0" * 19 + b"\t-\tTW",           # -10**19: beyond int64
+    b"v@\t60\t-\tTW",                             # "-" city
+    b"v@\t60\t\tTW",                              # empty city
+    "v@\t330\tSão Paulo\tFB".encode(),            # non-ASCII city
+    b"v@\t0\tOslo\tXX",                           # unknown network
+    b"v@\t0\tOslo\ttw",                           # network in the wrong case
+    b"v@\t0\tOslo",                                # a field dropped
+    b"v@\t0\tOslo\tTW\tx",                         # a field added
+    b"v@\t0\t" + b"c" * 256 + b"\tTW",              # a city beyond MAX_ID_BYTES
+    b"v@\t0\t" + b"c" * 255 + b"\tTW",              # the longest city
+    b"v@" + b"u" * 254 + b"\t0\t-\tTW",             # a user id beyond it
+    b"v@\t0\tOslo\x00\tTW",                        # NUL
+    b"v@\t0\tOslo\tTW\r",                          # CR before LF
+    b"v@\t\xff0\t-\tTW",                           # a byte that is not UTF-8
+    b"#v@\t0\t-\tTW",                              # comment
+    b"",                                          # blank
+]
+# Either drawn twice lists a user twice; both, for networks TW and FB.
+REPEATED_USER_LINES = [b"dup\t0\tOslo\tTW", b"dup\t60\tLima\tFB"]
+
+BAD_EDGE_LINES = [
+    b"TW\ta",                                     # two fields
+    b"TW\ta\tb\tc",                               # four fields
+    b"XX\ta\tb",                                  # unknown network
+    b"TW\ta\x00\tb",                               # NUL
+    b"TW\t" + b"a" * 256 + b"\tb",                 # an id beyond MAX_ID_BYTES
+    b"TW\tb\t" + "é".encode() * 128,              # 128 characters, 256 bytes
+    b"TW\ta\t" + b"b" * 255,                      # the longest id
+    b"TW\t\t",                                    # empty ids
+    b"TW\ta\tb\r",                                # CR before LF
+    b"TW\ta\rb",                                  # a lone CR inside the line
+    b"#TW\ta\tb",                                 # comment
+    b"TW\t\xffa\tb",                              # a byte that is not UTF-8
+    b"",                                          # blank
+]
+
+networks = st.sampled_from(ingest.NETWORKS)
 clean_lines = st.builds(
     lambda net, author, post, stamp: b"\t".join(
         [net.encode(), author.encode(), post.encode(), str(stamp).encode()]),
-    st.sampled_from(ingest.NETWORKS),
+    networks,
     st.sampled_from(["u1", "u10", "u", "é", "-", ""]),
     st.sampled_from(["p1", "p10", "p", "pé", ""]),
     st.one_of(st.integers(-10**18 + 1, 10**18 - 1), st.sampled_from([0, -1, 7])))
+numbered = st.integers(0, 10**9).map(lambda n: str(n).encode())
+user_lines = st.one_of(
+    st.builds(lambda n, tz, city, net: b"\t".join(
+        [b"u" + n, str(tz).encode(), city.encode(), net.encode()]),
+        numbered, st.integers(-720, 840),
+        st.sampled_from(["Oslo", "Lima", "é", "-", ""]), networks),
+    st.builds(lambda line, n: line.replace(b"@", n),
+              st.sampled_from(BAD_USER_LINES), numbered),
+    st.sampled_from(REPEATED_USER_LINES))
+edge_lines = st.one_of(
+    st.builds(lambda net, src, dst: "\t".join([net, src, dst]).encode(), networks,
+              *[st.sampled_from(["a", "b", "é", "a0", "-", ""])] * 2),
+    st.sampled_from(BAD_EDGE_LINES))
+LINES = {"posts": st.one_of(clean_lines, st.sampled_from(BAD_LINES)),
+         "reactions": st.one_of(clean_lines, st.sampled_from(BAD_LINES)),
+         "users": user_lines, "edges": edge_lines}
 
 
 class TestByteColumns:
-    """Blocks are checked and split into byte columns at once; the tables
-    and reports equal those of the per-line reference path."""
+    """Blocks are checked and split into byte columns at once; the tables,
+    reports and messages equal those of the per-line reference."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(lines=st.lists(st.one_of(clean_lines, st.sampled_from(BAD_LINES)),
-                          max_size=40),
+    @settings(max_examples=1000, deadline=None)
+    @given(file=st.sampled_from(sorted(LINES)).flatmap(
+               lambda kind: st.tuples(st.just(kind),
+                                      st.lists(LINES[kind], max_size=40))),
            network=st.sampled_from([None, "TW", "FB"]),
            block_bytes=st.sampled_from([16, 64, 1 << 20]),
-           last_newline=st.booleans())
-    def test_byte_and_line_paths_agree(self, lines, network, block_bytes,
-                                       last_newline):
+           last_newline=st.booleans(),
+           max_malformed_frac=st.sampled_from([1.0, 0.25]),
+           bidirectional=st.booleans())
+    def test_byte_and_line_paths_agree(self, file, network, block_bytes,
+                                       last_newline, max_malformed_frac,
+                                       bidirectional):
+        kind, lines = file
+        loaded, reference = READERS[kind]
+        args = (kind, network, max_malformed_frac, bidirectional)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "posts.tsv"
+            path = Path(tmp) / f"{kind}.tsv"
             path.write_bytes(b"\n".join(lines) + b"\n" * last_newline)
             with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
-                fast = load_either(path, network)
-                with mock.patch.object(ingest, "_split_block",
-                                       lambda block, network: None):
-                    slow = load_either(path, network)
-        assert fast == slow
+                got = outcome(loaded, path, *args)
+            assert got == outcome(reference, path, *args)
 
     @pytest.mark.parametrize("block_bytes", [1, 7, 1 << 20])
     def test_crlf_and_cr_read_as_lf(self, tmp_path, monkeypatch, block_bytes):
@@ -388,12 +556,12 @@ class TestByteColumns:
         for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
             path = tmp_path / f"{name}.tsv"
             path.write_bytes(ending.join(lines).encode() + b"\n")
-            loaded.append(load_either(path, None)[:-1]
+            loaded.append(loaded_events(path, "posts", None)[:-1]
                           + (vars(load_posts(path)[1]) | {"path": None},))
         mixed = tmp_path / "mixed.tsv"
         mixed.write_bytes(b"TW\tu1\tp1\t100\r\nTW\tu2\tp2\t200\r"
                           b"TW\tu1\tp3\t300\n")
-        loaded.append(load_either(mixed, None)[:-1]
+        loaded.append(loaded_events(mixed, "posts", None)[:-1]
                       + (vars(load_posts(mixed)[1]) | {"path": None},))
         assert all(got == loaded[0] for got in loaded)
         assert loaded[0][0] == [("u1", "p1", 100), ("u2", "p2", 200),
@@ -436,6 +604,47 @@ class TestByteColumns:
             max_malformed_frac=1.0)
         assert (report.parsed, report.malformed) == (1, 1)
         assert reactions.users.tolist() == ["é" * 127]
+        users, report = load_users(
+            write(tmp_path / "users.tsv",
+                  f"{'u' * 255}\t0\t{'c' * 255}\tTW\n"
+                  f"{'u' * 256}\t0\t-\tTW\n"               # a long user id
+                  f"u1\t0\t{'c' * 256}\tTW\n"),            # a long city
+            max_malformed_frac=1.0)
+        assert (report.parsed, report.malformed) == (1, 2)
+        assert users.users.tolist() == ["u" * 255]
+        assert users.city.tolist() == ["c" * 255]
+        graph, report = load_graph(
+            write(tmp_path / "edges.tsv",
+                  f"TW\ta\t{'b' * 255}\nTW\t{'a' * 256}\tb\n"
+                  f"TW\ta\t{'é' * 128}\n"),
+            max_malformed_frac=1.0)
+        assert (report.parsed, report.malformed) == (1, 2)
+        assert graph.users.tolist() == ["a", "b" * 255]
+
+    def test_zero_padded_numbers_load_exactly(self, tmp_path):
+        stamps = [0, 7, -1, 1420000000, -2**63, 2**63 - 1]
+        lines = [f"TW\tu1\tp{i}\t{t:026d}\n" for i, t in enumerate(stamps)]
+        padded = write(tmp_path / "padded.tsv", "".join(lines))
+        assert all(len(line.split("\t")[3]) >= 26 for line in lines)
+        posts, report = load_posts(padded)
+        assert report.malformed == 0
+        assert posts.created_at.tolist() == stamps
+        # The zero-led rows of BAD_LINES, and one beyond int64 after zeros.
+        zero_led = [line.split(b"\t")[3] for line in BAD_LINES
+                    if re.fullmatch(rb"TW\tu1\tp1\t-?00[0-9]*", line)]
+        zero_led.append(b"0" * 9 + b"1" * 20)
+        in_range = [int(t) for t in zero_led if -2**63 <= int(t) < 2**63]
+        p = tmp_path / "zero_led.tsv"
+        p.write_bytes(b"".join(b"TW\tu1\tp%d\t%s\n" % (i, t)
+                               for i, t in enumerate(zero_led)))
+        posts, report = load_posts(p, max_malformed_frac=1.0)
+        assert (report.parsed, report.malformed) == (3, 2)
+        assert posts.created_at.tolist() == in_range == [2**63 - 1, -2**63, 0]
+        users, report = load_users(write(
+            tmp_path / "users.tsv", "u1\t-000000000000000000000060\t-\tTW\n"
+                                    f"u2\t{'0' * 30}840\t-\tTW\n"))
+        assert report.malformed == 0
+        assert users.tz_offset_min.tolist() == [-60, 840]
 
     def test_prefix_and_non_ascii_ids_round_trip(self, tmp_path):
         rows = [("u10", "p1", 1), ("u1", "p10", 2), ("é", "pé", 3),
