@@ -210,7 +210,8 @@ def pairwise_distribution(series1: Sequence[np.ndarray],
     s1 = np.asarray(series1, dtype=np.float64)
     s2 = np.asarray(series2, dtype=np.float64)
     if s1.ndim != 2 or s2.ndim != 2 or s1.shape[1] != s2.shape[1]:
-        raise ValueError("series must be 1-D and equal length")
+        raise ValueError("each cohort must be a members x buckets matrix, "
+                         "both of one width")
     rng = np.random.default_rng(seed)
     left = rng.integers(0, len(s1), size=sample_budget)
     right = rng.integers(0, len(s2), size=sample_budget)

@@ -41,6 +41,7 @@ from .ingest import (
     load_posts,
     load_reactions,
     load_users,
+    write_columns,
 )
 from .temporal import (
     DAY_FILTERS,
@@ -315,8 +316,8 @@ class Inputs:
 
     def tables(self, path: Path) -> dict[str, ScheduleTable]:
         """The schedules of a `schedule` artifact, one table per provenance:
-        those handed over for it, else read from the file. ``%.17g``
-        round-trips a float64, so both hold the same values."""
+        those handed over for it, else read from the file, whose text
+        round-trips each float64 (:func:`~postsched.ingest.float_texts`)."""
         if path in self.handed:
             return self.handed[path]
         return pipeline.read_schedules(path, self.cfg.grid.buckets_per_week)
@@ -370,7 +371,6 @@ def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     try:
         config = synth.SynthConfig(
             seed=cfg.seed,
-            lag_width_s=cfg.delay_lag_s,
             buckets_per_week=cfg.buckets_per_week,
             network=cfg.network,
             **settings,
@@ -450,16 +450,13 @@ def stage_ptr(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
 
     curve = delays.cumulative_curve(delay, cfg.delay_window_s, cfg.delay_lag_s)
     curve_path = out_dir / "cumulative_curve.csv"
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("network,lag_start_s,cumulative_fraction\n")
-        for start, frac in zip(kernel.lag_starts(), curve):
-            fh.write(f"{cfg.network},{int(start)},{frac:.17g}\n")
+    write_columns(curve_path, [cfg.network, kernel.lag_starts(), curve], ",",
+                  "network,lag_start_s,cumulative_fraction")
 
     quant_path = out_dir / "delay_quantiles.tsv"
-    with open(quant_path, "w", encoding="utf-8") as fh:
-        for p in (0.25, 0.50, 0.75, 0.90):
-            t = delays.time_to_fraction(delay, p, cfg.delay_window_s)
-            fh.write(f"{p:.2f}\t{t}\n")
+    fractions = (0.25, 0.50, 0.75, 0.90)
+    write_columns(quant_path, [[f"{p:.2f}" for p in fractions], [
+        delays.time_to_fraction(delay, p, cfg.delay_window_s) for p in fractions]])
     return [kernel_path, curve_path, quant_path]
 
 
@@ -558,28 +555,27 @@ def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
         raise PostschedError(f"{cfg.users}: {exc}") from None
     labels = [_csv_field(cohort.label) for cohort in cohorts]
 
+    n = cfg.grid.buckets_per_week
     series_path = out_dir / "cohort_series.csv"
-    with open(series_path, "w", encoding="utf-8") as fh:
-        fh.write("cohort,bucket,value\n")
-        for label, cohort in zip(labels, cohorts):
-            for bucket, value in enumerate(cohort.series):
-                fh.write(f"{label},{bucket},{value:.17g}\n")
+    write_columns(series_path, [
+        np.repeat(labels, n), np.tile(np.arange(n), len(cohorts)),
+        np.array([cohort.series for cohort in cohorts]).reshape(-1)],
+        ",", "cohort,bucket,value")
 
     dist_path = out_dir / "metric_distributions.csv"
     members = [s1.probabilities[cohort.rows] for cohort in cohorts]
-    with open(dist_path, "w", encoding="utf-8") as fh:
-        fh.write("cohort_a,cohort_b,metric,bin_left,bin_right,count\n")
-        for i, (la, sa) in enumerate(zip(labels, members)):
-            for lb, sb in zip(labels[i:], members[i:]):
-                for metric in analysis.METRICS:
-                    dist = analysis.pairwise_distribution(
-                        sa, sb, metric, cfg.sample_budget, cfg.seed,
-                        cfg.metric_bin_width)
-                    for left, right, count in zip(dist.bin_edges[:-1],
-                                                  dist.bin_edges[1:],
-                                                  dist.counts):
-                        fh.write(f"{la},{lb},{metric},{left:.6g},"
-                                 f"{right:.6g},{int(count)}\n")
+    rows = []
+    for i, (la, sa) in enumerate(zip(labels, members)):
+        for lb, sb in zip(labels[i:], members[i:]):
+            for metric in analysis.METRICS:
+                dist = analysis.pairwise_distribution(
+                    sa, sb, metric, cfg.sample_budget, cfg.seed,
+                    cfg.metric_bin_width)
+                edges = ["%.6g" % x for x in dist.bin_edges.tolist()]
+                rows += [(la, lb, metric, left, right, count) for left, right, count
+                         in zip(edges, edges[1:], dist.counts.tolist())]
+    write_columns(dist_path, [*zip(*rows)], ",",
+                  "cohort_a,cohort_b,metric,bin_left,bin_right,count")
     return [series_path, dist_path]
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .temporal import UNIT_SUM_TOL
+from .ingest import write_columns
+from .temporal import kernel_mass
 
 DEFAULT_WINDOW_S = 24 * 3600
 DEFAULT_LAG_WIDTH_S = 900
@@ -33,13 +34,7 @@ class DelayKernel:
     lag_width_s: int = DEFAULT_LAG_WIDTH_S
 
     def __post_init__(self) -> None:
-        m = np.array(self.mass, dtype=np.float64)
-        if m.ndim != 1 or m.size == 0:
-            raise ValueError("kernel mass must be a non-empty 1-D vector")
-        if np.any(m < 0) or not np.all(np.isfinite(m)):
-            raise ValueError("kernel mass must be finite and >= 0")
-        if abs(m.sum() - 1.0) > UNIT_SUM_TOL:
-            raise ValueError(f"kernel mass must sum to 1 within {UNIT_SUM_TOL}")
+        m = kernel_mass(self.mass)
         if self.lag_width_s <= 0:
             raise ValueError("lag width must be positive")
         m.setflags(write=False)
@@ -116,8 +111,5 @@ def cumulative_curve(delays, window_s: int = DEFAULT_WINDOW_S,
 
 def write_kernel_table(kernel: DelayKernel, path) -> None:
     """Persist a kernel as a two-column text table (lag_start_seconds, probability)."""
-    lines = [f"# lag_width_s={kernel.lag_width_s}"]
-    for start, prob in zip(kernel.lag_starts(), kernel.mass):
-        lines.append(f"{int(start)}\t{prob:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_columns(path, [kernel.lag_starts(), kernel.mass],
+                  header=f"# lag_width_s={kernel.lag_width_s}")

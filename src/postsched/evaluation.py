@@ -20,11 +20,13 @@ from .ingest import (
     PairTable,
     PostTable,
     UserTable,
+    float_texts,
     index_of,
     present_codes,
     weekly_counts,
+    write_columns,
 )
-from .schedules import cohort_label, top_k_times
+from .schedules import baseline_rows, top_k_times
 from .temporal import ScheduleTable, TimeWindow, WeeklyGrid
 
 ATTRIBUTION_WINDOW_S = 24 * 3600
@@ -121,9 +123,9 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
     scored = {kind: (table, table.users, np.arange(len(table)))
               for kind, table in tables.items()}
     owners = np.array(sorted(set(baseline_users)), dtype=object)
-    cohorts = [cohort_label(off) for off in users.offsets(owners).tolist()]
+    offsets = users.offsets(owners)
     for kind, table in (baselines or {}).items():
-        rows = index_of(table.users, cohorts)
+        rows = baseline_rows(table, offsets)
         if (rows >= 0).any():
             scored[kind] = (table, owners[rows >= 0], rows[rows >= 0])
 
@@ -157,18 +159,21 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
     return GainReport(tuple(rows), k, day_filter, excluded)
 
 
+def _gain_columns(report: GainReport, undefined: str) -> list:
+    """The report's columns, with ``undefined`` for an rg_avg of None."""
+    rows = report.rows
+    texts = float_texts([0.0 if r.rg_avg is None else r.rg_avg for r in rows])
+    texts[[r.rg_avg is None for r in rows]] = undefined
+    return [[r.schedule for r in rows], [r.rank for r in rows], texts,
+            [r.n_users for r in rows], [r.n_posts for r in rows]]
+
+
 def write_gain_tsv(report: GainReport, path) -> None:
     """Headerless TSV: schedule, rank, rg_avg (NA when undefined), users, posts."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in report.rows:
-            rg = "NA" if r.rg_avg is None else f"{r.rg_avg:.17g}"
-            fh.write(f"{r.schedule}\t{r.rank}\t{rg}\t{r.n_users}\t{r.n_posts}\n")
+    write_columns(path, _gain_columns(report, "NA"))
 
 
 def write_gain_csv(report: GainReport, path) -> None:
     """Plot-ready long-format CSV with a header row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("schedule,rank,rg_avg,users,posts\n")
-        for r in report.rows:
-            rg = "" if r.rg_avg is None else f"{r.rg_avg:.17g}"
-            fh.write(f"{r.schedule},{r.rank},{rg},{r.n_users},{r.n_posts}\n")
+    write_columns(path, _gain_columns(report, ""), ",",
+                  "schedule,rank,rg_avg,users,posts")

@@ -27,18 +27,20 @@ a fixed-width bytes (``S``) column and whose times are int64 arrays.
 :class:`PairTable` that later stages read. The follower graph loads as a
 :class:`SocialGraph` of edge code columns, and users.tsv as a
 :class:`UserTable`. :func:`index_of` finds ids in these sorted vocabularies.
+Text goes out a column at a time too: :func:`float_texts` is the one place
+that prints a float64, and :func:`write_columns` writes the narrow tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import IngestError
-from .temporal import TimeWindow, WeeklyGrid
+from .temporal import TZ_OFFSETS, TimeWindow, WeeklyGrid
 
 NETWORKS = ("TW", "FB", "FP", "GP")
 
@@ -60,13 +62,10 @@ MAX_ID_BYTES = 255
 _NETWORK_KEYS = np.array(sorted(n.encode() for n in NETWORKS))
 _NETWORK_NAMES = np.array([n.decode() for n in _NETWORK_KEYS], dtype=object)
 
-# Timezone offsets in minutes, UTC-12:00 .. UTC+14:00.
-_TZ_OFFSETS = range(-12 * 60, 14 * 60 + 1)
-
 # The kind of each field of an input file, in file order: the network
 # ("net"), text of at most MAX_ID_BYTES bytes ("id", a city too), a
 # ``-?[0-9]+`` timestamp within int64 ("stamp"), or such a number within
-# _TZ_OFFSETS ("tz").
+# temporal.TZ_OFFSETS ("tz").
 _EVENTS = ("net", "id", "id", "stamp")   # posts.tsv and reactions.tsv
 _EDGES = ("net", "id", "id")
 _USERS = ("id", "tz", "id", "net")
@@ -74,6 +73,11 @@ _USERS = ("id", "tz", "id", "net")
 # Input files are read in blocks of whole lines of about this many bytes,
 # which bounds the memory taken by the per-block temporaries.
 _BLOCK_BYTES = 1 << 20
+
+# Text tables are written in blocks of this many lines. A block's cells and
+# lines are Python strings; blocks of 1 << 16 lines took 12 MB more at the
+# peak of writing the synth files.
+_WRITE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,45 @@ def encode_ids(ids) -> np.ndarray:
     if any(b"\0" in i for i in column):
         raise ValueError("an id holds a NUL character")
     return np.array(column, dtype=np.bytes_)
+
+
+def float_texts(values) -> np.ndarray:
+    """Each float64 of ``values`` as ``%g`` text to 17 significant digits,
+    which round-trips it, in an object array of its shape. Each distinct bit
+    pattern is formatted once, so 0.0 and -0.0, though equal, print apart."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    texts = (",".join(["%.17g"] * bits.size)
+             % tuple(bits.view(np.float64).tolist())).split(",")
+    return np.array(texts, dtype=object)[at.reshape(values.shape)]
+
+
+def _cells(column, lo: int, hi: int):
+    """Rows lo..hi of a column as str: a str repeats in every row, a bytes
+    column is UTF-8 and a float column is :func:`float_texts`."""
+    if isinstance(column, str):
+        return repeat(column)
+    part = column[lo:hi]
+    if isinstance(part, np.ndarray):
+        if part.dtype.kind == "S":
+            return map(bytes.decode, part.tolist())
+        part = (float_texts(part) if part.dtype.kind == "f" else part).tolist()
+    return map(str, part)
+
+
+def write_columns(path, columns: list, sep: str = "\t",
+                  header: str | None = None) -> None:
+    """Write ``header``, if given, as the first line, then one line per row
+    of ``columns``, its cells joined by ``sep``. A column is an array or a
+    sequence, all of one length, or a str for a field the same in every row.
+    Each block of rows is joined into one string before it is written."""
+    n = max((len(c) for c in columns if not isinstance(c, str)), default=0)
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for lo in range(0, n, _WRITE_ROWS):
+            cells = [_cells(c, lo, lo + _WRITE_ROWS) for c in columns]
+            fh.write("\n".join(map(sep.join, zip(*cells))) + "\n")
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -410,8 +453,7 @@ def _split_block(block: bytes, spec: tuple[str, ...], network: str | None):
         if kind in ("stamp", "tz"):
             numbers[j], valid = _stamps(buf, bound[:, j] + 1, bound[:, j + 1])
             if kind == "tz":
-                valid &= ((numbers[j] >= _TZ_OFFSETS[0])
-                          & (numbers[j] <= _TZ_OFFSETS[-1]))
+                valid &= (numbers[j] >= TZ_OFFSETS[0]) & (numbers[j] <= TZ_OFFSETS[-1])
             passed &= valid
     bound = bound[passed]
     columns = [numbers[j][passed] if j in numbers

@@ -14,7 +14,7 @@ artifacts record which rule actually produced each recommendation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -26,12 +26,14 @@ from .ingest import (
     SocialGraph,
     UserTable,
     build_profiles,
+    float_texts,
     index_of,
 )
 from .schedules import (
     Adjacency,
     VisibilityModel,
     audience_reaction_profile,
+    baseline_rows,
     cohort_label,
     cohort_sum,
     compute_weights,
@@ -167,15 +169,16 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     # has one for it, as an index into the stack of every candidate row; row
     # 0 is the uniform schedule. Only the rows that some target takes are
     # kept as candidates.
-    cohorts = [cohort_label(off) for off in users.offsets(targets).tolist()]
+    s1w, s1 = personalized["S1w"], personalized["S1"]
     afd, mfu = (baselines.select(baselines.provenance == kind)
                 for kind in ("AFD", "MFU"))
+    offsets = users.offsets(targets)
     stack = [ScheduleTable([None], ["uniform"], np.full((1, n), 1.0 / n))]
     choice = np.zeros(len(targets), dtype=np.int64)
-    for table, keys in ((personalized["S1w"], targets),
-                        (personalized["S1"], targets),
-                        (afd, cohorts), (mfu, cohorts)):
-        rows = index_of(table.users, keys)
+    for table, rows in ((s1w, index_of(s1w.users, targets)),
+                        (s1, index_of(s1.users, targets)),
+                        (afd, baseline_rows(afd, offsets)),
+                        (mfu, baseline_rows(mfu, offsets))):
         take = (choice == 0) & (rows >= 0)
         choice[take] = sum(map(len, stack)) + rows[take]
         stack.append(table)
@@ -188,19 +191,6 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     return DerivedSchedules(personalized, baselines, chosen, unknown_tz)
 
 
-def _row_texts(probabilities: np.ndarray) -> Iterator[str]:
-    """Each row as its comma-joined ``%.17g`` values, formatting each
-    distinct value of a chunk of rows once. Values are told apart by their
-    bits, not by ``==``: 0.0 == -0.0, but the two print apart."""
-    for lo in range(0, len(probabilities), CHUNK_ROWS):
-        rows = probabilities[lo:lo + CHUNK_ROWS]
-        bits, at = np.unique(rows.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64).tolist()
-        words = np.array((",".join(["%.17g"] * len(values)) % tuple(values))
-                         .split(","), dtype=object)
-        yield from map(",".join, words[at.reshape(rows.shape)].tolist())
-
-
 def write_schedules(path, *tables: ScheduleTable | Chosen) -> None:
     """Persist the rows of ``tables``, in order, as: user <tab> provenance
     <tab> comma-joined probabilities. The rows of a :class:`Chosen` are
@@ -208,7 +198,10 @@ def write_schedules(path, *tables: ScheduleTable | Chosen) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for table in map(Chosen.of, tables):
             prov = table.candidates.provenance.tolist()
-            texts = list(_row_texts(table.candidates.probabilities))
+            p = table.candidates.probabilities
+            # CHUNK_ROWS rows at a time bounds the formatter's temporaries.
+            texts = [",".join(row) for lo in range(0, len(p), CHUNK_ROWS)
+                     for row in float_texts(p[lo:lo + CHUNK_ROWS]).tolist()]
             fh.writelines(f"{user}\t{prov[c]}\t{texts[c]}\n" for user, c in
                           zip(table.users.tolist(), table.choice.tolist()))
 
@@ -264,12 +257,13 @@ def write_ranked_times(path, table: ScheduleTable | Chosen,
     """
     chosen = Chosen.of(table)
     labels = [grid.bucket_label(b) for b in range(grid.buckets_per_week)]
-    probs = np.take_along_axis(chosen.candidates.probabilities, buckets, axis=-1)
+    texts = float_texts(np.take_along_axis(chosen.candidates.probabilities,
+                                           buckets, axis=-1))
     # The lines of each candidate, each without the user in front, so that
     # a user's text is ``user + user.join(lines)``.
-    lines = [[f"\t{rank}\t{b}\t{labels[b]}\t{p:.17g}\n"
+    lines = [[f"\t{rank}\t{b}\t{labels[b]}\t{p}\n"
               for rank, (b, p) in enumerate(zip(bs, ps), start=1)]
-             for bs, ps in zip(buckets.tolist(), probs.tolist())]
+             for bs, ps in zip(buckets.tolist(), texts.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         if buckets.shape[-1]:
             fh.writelines(user + user.join(lines[c]) for user, c in

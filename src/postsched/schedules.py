@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import temporal
-from .temporal import WeeklyGrid
+from .ingest import index_of
+from .temporal import ScheduleTable, WeeklyGrid
 
 @dataclass(frozen=True)
 class VisibilityModel:
@@ -184,6 +185,12 @@ def cohort_sum(values: np.ndarray, cohort, n_cohorts: int) -> np.ndarray:
 def cohort_label(tz_offset_min: int) -> str:
     """Row label of a timezone cohort's baseline schedules, e.g. ``tz:-300``."""
     return f"tz:{tz_offset_min}"
+
+
+def baseline_rows(baselines: ScheduleTable, offsets: np.ndarray) -> np.ndarray:
+    """The row of ``baselines``, a table keyed by :func:`cohort_label`, of
+    the timezone cohort at each of ``offsets``; -1 where it has none."""
+    return index_of(baselines.users, [cohort_label(o) for o in offsets.tolist()])
 
 
 def top_k_times(probabilities: np.ndarray, k: int, grid: WeeklyGrid,

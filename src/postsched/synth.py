@@ -28,27 +28,31 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import NETWORKS, PostTable, ReactionTable, UserTable, encode_ids
+from .ingest import (
+    NETWORKS,
+    PostTable,
+    ReactionTable,
+    UserTable,
+    encode_ids,
+    write_columns,
+)
 from .temporal import (
     DAY_SECONDS,
     DEFAULT_START_EPOCH,
     EPOCH_TO_MONDAY,
-    UNIT_SUM_TOL,
+    TZ_OFFSETS,
     WEEK_SECONDS,
     WeeklyGrid,
+    kernel_mass,
 )
 
 # An author's reaction randoms are drawn for a block of members at a time,
 # about this many doubles per block, which bounds the temporaries.
 _BLOCK_DRAWS = 1 << 18
-
-# The synth files are written in blocks of this many lines.
-_WRITE_ROWS = 1 << 16
 
 # The most Poisson cells (users x weeks x buckets) that one config may draw.
 # Each user's draw is held whole, as int64, so this also bounds that array
@@ -72,6 +76,8 @@ class UserSpec:
         # A repeated peak would add peak_rate to its bucket twice.
         if len(set(self.peaks)) < len(self.peaks):
             raise ValueError(f"peaks: a bucket is listed twice in {self.peaks}")
+        if self.tz_offset_min not in TZ_OFFSETS:
+            raise ValueError(f"tz_offset_min: not in {TZ_OFFSETS[0]}..{TZ_OFFSETS[-1]}")
 
     def intensity(self, n_buckets: int) -> np.ndarray:
         """Expected posts per bucket per week."""
@@ -135,7 +141,6 @@ class SynthConfig:
     followers_per_author: int | tuple[int, int]
     span_days: int
     kernel: tuple[float, ...]
-    lag_width_s: int = 900
     buckets_per_week: int = 672
     start_epoch: int = DEFAULT_START_EPOCH
     author_base_rate: float = 0.5
@@ -156,9 +161,7 @@ class SynthConfig:
             raise ValueError("n_authors: must be >= 1")
         if self.span_days < 7:
             raise ValueError("span_days: must cover at least one week")
-        kern = np.asarray(self.kernel, dtype=np.float64)
-        if kern.size == 0 or np.any(kern < 0) or abs(kern.sum() - 1.0) > UNIT_SUM_TOL:
-            raise ValueError("kernel: must be non-negative and sum to 1")
+        kernel_mass(self.kernel)
         if not 0.0 <= self.reaction_probability <= 1.0:
             raise ValueError("reaction_probability: must be in [0, 1]")
         for _, _, p in self.reaction_prob_overrides:
@@ -166,8 +169,6 @@ class SynthConfig:
                 raise ValueError("reaction_prob_overrides: probabilities must "
                                  "be in [0, 1]")
         grid = WeeklyGrid(self.buckets_per_week)
-        if self.lag_width_s != grid.bucket_width_s:
-            raise ValueError("lag_width_s: must equal the grid bucket width")
         pool = grid.buckets_per_week if self.peak_pool is None else len(self.peak_pool)
         if self.planted_peaks is None and not 0 <= self.peaks_per_star <= pool:
             raise ValueError(f"peaks_per_star: must be in [0, {pool}], the size "
@@ -192,6 +193,8 @@ class SynthConfig:
                              "epoch seconds")
         if self.network not in NETWORKS:
             raise ValueError(f"network: unknown network {self.network!r}")
+        if self.tz_offset_min not in TZ_OFFSETS:
+            raise ValueError(f"tz_offset_min: not in {TZ_OFFSETS[0]}..{TZ_OFFSETS[-1]}")
         for name in ("author_base_rate", "author_peak_rate",
                      "follower_base_rate", "follower_peak_rate"):
             if getattr(self, name) < 0:
@@ -211,6 +214,10 @@ class SynthConfig:
     @property
     def grid(self) -> WeeklyGrid:
         return WeeklyGrid(self.buckets_per_week)
+
+    @property
+    def lag_width_s(self) -> int:
+        return self.grid.bucket_width_s
 
     @property
     def span_s(self) -> int:
@@ -406,50 +413,6 @@ def ground_truth_peak(config: SynthConfig, user_id: str,
     return int(np.argmax(score))
 
 
-def _order(keys: list[np.ndarray], tiebreak) -> np.ndarray:
-    """Row order of a stable sort by the integer ``keys``, most significant
-    first, then by ``tiebreak(row)``. Only the runs of rows equal on every
-    key are sorted by ``tiebreak``."""
-    order = np.lexsort(keys[::-1])
-    tied = np.ones(max(order.size - 1, 0), dtype=bool)
-    for key in keys:
-        ordered = key[order]
-        tied &= ordered[1:] == ordered[:-1]
-    bounds = np.flatnonzero(np.diff(tied, prepend=False, append=False))
-    for start, stop in zip(bounds[::2].tolist(), bounds[1::2].tolist()):
-        order[start:stop + 1] = sorted(order[start:stop + 1].tolist(), key=tiebreak)
-    return order
-
-
-def _string_rank(names: np.ndarray) -> np.ndarray:
-    """Rank of each of the distinct ``names`` in string order."""
-    rank = np.empty(names.size, dtype=np.int64)
-    rank[sorted(range(names.size), key=names.__getitem__)] = np.arange(names.size)
-    return rank
-
-
-def _cells(column, lo: int, hi: int):
-    """Rows lo..hi of a column as strings; a str column repeats in every row,
-    and a bytes column is UTF-8."""
-    if isinstance(column, str):
-        return repeat(column)
-    part = column[lo:hi]
-    if isinstance(part, np.ndarray) and part.dtype.kind == "S":
-        return map(bytes.decode, part.tolist())
-    return map(str, part.tolist() if isinstance(part, np.ndarray) else part)
-
-
-def _write_rows(path: Path, columns: list) -> None:
-    """Write one tab-separated line per row of ``columns``, which are arrays
-    or sequences of one length, or a str for a field the same in every row.
-    Each block of rows is joined into one string before it is written."""
-    n = max((len(c) for c in columns if not isinstance(c, str)), default=0)
-    with open(path, "w", encoding="utf-8") as fh:
-        for lo in range(0, n, _WRITE_ROWS):
-            cells = [_cells(c, lo, lo + _WRITE_ROWS) for c in columns]
-            fh.write("\n".join(map("\t".join, zip(*cells))) + "\n")
-
-
 def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, str]:
     """Write canonical TSVs plus the ground-truth sidecar; output is byte
     stable for a given result.
@@ -459,28 +422,22 @@ def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, s
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "posts": out / "posts.tsv",
-        "reactions": out / "reactions.tsv",
-        "edges": out / "edges.tsv",
-        "users": out / "users.tsv",
-        "truth": out / "truth.tsv",
-    }
+    paths = {name: out / f"{name}.tsv"
+             for name in ("posts", "reactions", "edges", "users", "truth")}
     posts, reactions = result.posts, result.reactions
-    order = _order([_string_rank(posts.users)[posts.author], posts.created_at],
-                   posts.post_id.__getitem__)
-    _write_rows(paths["posts"], [
-        network, posts.users[posts.author[order]],
-        posts.post_id[order], posts.created_at[order]])
-    reactor = _string_rank(reactions.users)[reactions.reactor]
-    order = _order([reactions.reacted_at],
-                   lambda row: (reactions.post_id[row], reactor[row]))
-    _write_rows(paths["reactions"], [
+    # UTF-8 byte order is code-point order, so ids sort as str by their bytes.
+    author = np.argsort(np.argsort(encode_ids(posts.users)))[posts.author]
+    order = np.lexsort((posts.post_id, posts.created_at, author))
+    write_columns(paths["posts"], [network, posts.users[posts.author[order]],
+                                   posts.post_id[order], posts.created_at[order]])
+    reactor = np.argsort(np.argsort(encode_ids(reactions.users)))[reactions.reactor]
+    order = np.lexsort((reactor, reactions.post_id, reactions.reacted_at))
+    write_columns(paths["reactions"], [
         network, reactions.post_id[order],
         reactions.users[reactions.reactor[order]], reactions.reacted_at[order]])
-    _write_rows(paths["edges"], [network, *zip(*sorted(result.edges))])
+    write_columns(paths["edges"], [network, *zip(*sorted(result.edges))])
     users = result.users
     cities = [city or "-" for city in users.city.tolist()]
-    _write_rows(paths["users"], [users.users, users.tz_offset_min, cities, network])
-    _write_rows(paths["truth"], [*zip(*sorted(result.truth.items()))])
+    write_columns(paths["users"], [users.users, users.tz_offset_min, cities, network])
+    write_columns(paths["truth"], [*zip(*sorted(result.truth.items()))])
     return {k: str(v) for k, v in paths.items()}

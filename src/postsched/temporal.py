@@ -24,8 +24,9 @@ EPOCH_TO_MONDAY = 3 * DAY_SECONDS
 # Monday-aligned start works.
 DEFAULT_START_EPOCH = 1_420_416_000
 
-# Timezone offsets are bounded by the real-world UTC-14..UTC+14 range.
-MAX_TZ_OFFSET_MIN = 14 * 60
+# Timezone offsets in minutes east of UTC, the real-world UTC-12:00 ..
+# UTC+14:00: what users.tsv, the grid and the generator accept.
+TZ_OFFSETS = range(-12 * 60, 14 * 60 + 1)
 
 # Tolerance on every unit-sum check (schedules, delay kernels).
 UNIT_SUM_TOL = 1e-9
@@ -72,9 +73,8 @@ class WeeklyGrid:
         """Vectorized :meth:`bucket_index` over an array of timestamps;
         ``tz_offset_min`` is one offset or an array of one per timestamp."""
         offsets = np.asarray(tz_offset_min, dtype=np.int64)
-        if np.any(np.abs(offsets) > MAX_TZ_OFFSET_MIN):
-            raise ValueError(f"tz_offset_min outside [-{MAX_TZ_OFFSET_MIN}, "
-                             f"{MAX_TZ_OFFSET_MIN}]")
+        if np.any((offsets < TZ_OFFSETS[0]) | (offsets > TZ_OFFSETS[-1])):
+            raise ValueError(f"tz_offset_min: not in {TZ_OFFSETS[0]}..{TZ_OFFSETS[-1]}")
         ts = np.asarray(timestamps, dtype=np.int64)
         local = ts + offsets * 60
         into_week = (local + EPOCH_TO_MONDAY) % WEEK_SECONDS
@@ -137,6 +137,16 @@ class TimeWindow:
         return (self.end - self.start + 1) / DAY_SECONDS
 
 
+def kernel_mass(mass) -> np.ndarray:
+    """A delay kernel's probability per lag, a float64 copy of ``mass``; raises
+    ValueError unless it is one non-empty row that :func:`invalid_rows` passes."""
+    m = np.array(mass, dtype=np.float64)
+    if m.ndim != 1 or m.size == 0 or invalid_rows(m):
+        raise ValueError("kernel: must be a non-empty 1-D vector, finite, >= 0 "
+                         f"and summing to 1 within {UNIT_SUM_TOL}")
+    return m
+
+
 def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
     """Transform reaction profiles to anticipate where delayed reactions land.
 
@@ -163,16 +173,9 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
     NaN or infinite value is rejected.
 
     ``kernel`` may be a :class:`~postsched.delays.DelayKernel` or a bare
-    probability vector over lags. A kernel that does not sum to 1 within
-    ``UNIT_SUM_TOL`` is rejected.
+    probability vector over lags, which :func:`kernel_mass` checks.
     """
-    mass = np.asarray(getattr(kernel, "mass", kernel), dtype=np.float64)
-    if mass.ndim != 1 or mass.size == 0:
-        raise ValueError("kernel must be a non-empty 1-D vector")
-    if np.any(mass < 0) or not np.all(np.isfinite(mass)):
-        raise ValueError("kernel mass must be finite and >= 0")
-    if abs(mass.sum() - 1.0) > UNIT_SUM_TOL:
-        raise ValueError(f"kernel must sum to 1 within {UNIT_SUM_TOL}")
+    mass = kernel_mass(getattr(kernel, "mass", kernel))
     v = np.asarray(values, dtype=np.float64)
     n = v.shape[-1]
     rows = v.reshape(-1, n)

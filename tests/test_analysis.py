@@ -339,3 +339,13 @@ class TestPairwiseAgainstLoop:
         with pytest.raises(ValueError):
             pairwise_distribution([np.ones(3)], [np.arange(4.0)], "cosine", 5,
                                   seed=1)
+
+    @pytest.mark.parametrize("cohorts", [
+        (np.arange(4.0), [np.arange(4.0)]),         # a bare series
+        ([np.ones(3)], [np.arange(4.0)]),           # two widths
+        (np.ones((1, 2, 4)), [np.arange(4.0)]),     # a stack of matrices
+    ], ids=["1-D", "widths", "3-D"])
+    def test_shape_error_names_the_matrix_rule(self, cohorts):
+        with pytest.raises(ValueError, match="^each cohort must be a members "
+                                             "x buckets matrix"):
+            pairwise_distribution(*cohorts, "cosine", 5, seed=1)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from postsched import (
     IngestError,
@@ -938,3 +939,54 @@ class TestAdapter:
         assert not report.analysis_only
         reactions, _ = load_reactions(tmp_path / "r.tsv")
         assert reactions.users[reactions.reactor[0]] == "u9"
+
+
+def _special_floats() -> np.ndarray:
+    """Doubles where a printed %.17g is easiest to get wrong: each power of
+    ten and the two doubles either side of it, the 50 doubles just below
+    1.0, zeros, subnormals, the extremes, infinities and NaN payloads, each
+    with both signs."""
+    tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    near = [tens]
+    for direction in (np.inf, -np.inf):
+        step = tens
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    below_one = [1.0]
+    for _ in range(50):
+        below_one.append(np.nextafter(below_one[-1], 0.0))
+    bits = np.array([0x1, 0xF, 0x000F_FFFF_FFFF_FFFF, 0x7FEF_FFFF_FFFF_FFFF,
+                     0x7FF0_0000_0000_0000, 0x7FF0_0000_0000_0001,
+                     0x7FF8_0000_0000_0000, 0x7FFF_FFFF_FFFF_FFFF],
+                    dtype=np.uint64).view(np.float64)
+    values = np.concatenate([*near, below_one, [0.0], bits])
+    return np.concatenate([values, -values])
+
+
+class TestFloatTexts:
+    """``float_texts`` is the one formatter of floats in the artifacts; it
+    must print what ``"%.17g" % x`` prints for every float64."""
+
+    @staticmethod
+    def reference(values: np.ndarray) -> list[str]:
+        return ["%.17g" % x for x in values.reshape(-1).tolist()]
+
+    def test_special_values(self):
+        values = _special_floats()
+        assert values.size > 3000
+        texts = ingest.float_texts(values)
+        assert texts.tolist() == self.reference(values)
+        assert "-0" in texts.tolist() and "0" in texts.tolist()
+
+    @settings(max_examples=200)
+    @given(bits=hnp.arrays(
+        np.uint64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
+        elements=st.one_of(st.integers(0, 2**64 - 1),
+                           st.sampled_from(_special_floats().view(np.uint64)
+                                           .tolist()))))
+    def test_any_bit_pattern_prints_as_17g(self, bits):
+        values = bits.view(np.float64)
+        texts = ingest.float_texts(values)
+        assert texts.shape == values.shape
+        assert texts.reshape(-1).tolist() == self.reference(values)

@@ -1,15 +1,18 @@
 """Synthetic generator: determinism, event process, and the planted oracle."""
 
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from postsched import (Population, SynthConfig, UserSpec, generate,
-                        ground_truth_peak, synth)
-from postsched.delays import estimate_delay_kernel
-from postsched.ingest import join_reactions
+                        ground_truth_peak, ingest, synth)
+from postsched.delays import estimate_delay_kernel, write_kernel_table
+from postsched.ingest import join_reactions, load_users
 from postsched.synth import DEFAULT_START_EPOCH, resolve_population
 from postsched.temporal import WeeklyGrid
 
@@ -175,12 +178,20 @@ class TestGoldenBytes:
     def test_block_sizes_change_no_byte(self, tmp_path, monkeypatch, case):
         # One member per block of reaction draws, three lines per write.
         monkeypatch.setattr(synth, "_BLOCK_DRAWS", 1)
-        monkeypatch.setattr(synth, "_WRITE_ROWS", 3)
+        monkeypatch.setattr(ingest, "_WRITE_ROWS", 3)
         overrides, population = GOLDEN_CASES[case]
         result = generate(small_config(**overrides), tmp_path,
                           population=population() if population else None)
         got = {name: file_digest(path) for name, path in result.paths.items()}
         assert got == GOLDEN_DIGESTS[case]
+        # The engine's artifacts go through the same writer.
+        kernel = estimate_delay_kernel(
+            join_reactions(result.posts, result.reactions).pairs.delay)
+        write_kernel_table(kernel, tmp_path / "kernel.tsv")
+        assert (tmp_path / "kernel.tsv").read_text(encoding="utf-8") == "".join(
+            [f"# lag_width_s={kernel.lag_width_s}\n"]
+            + [f"{start}\t{p:.17g}\n" for start, p in
+               zip(kernel.lag_starts().tolist(), kernel.mass.tolist())])
 
     def test_cases_hold_the_ties_they_are_for(self, tmp_path):
         for case, (posts_key, reactions_key) in {
@@ -220,6 +231,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(kernel=(0.5, 0.4))
 
+    @pytest.mark.parametrize("kernel", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                        ((0.5, 0.5),), ()])
+    def test_kernel_must_be_a_finite_vector(self, kernel):
+        with pytest.raises(ValueError, match="^kernel: "):
+            small_config(kernel=kernel)
+
+    def test_tz_offset_outside_utc_range_is_refused(self):
+        for tz in (-780, -721, 841):
+            with pytest.raises(ValueError, match="^tz_offset_min: "):
+                UserSpec("a", 1.0, tz_offset_min=tz)
+            with pytest.raises(ValueError, match="^tz_offset_min: "):
+                small_config(tz_offset_min=tz)
+
     def test_span_at_least_one_week(self):
         with pytest.raises(ValueError):
             small_config(span_days=3)
@@ -228,9 +252,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(start_epoch=DEFAULT_START_EPOCH + 3600)
 
-    def test_lag_width_must_match_grid(self):
-        with pytest.raises(ValueError):
-            small_config(lag_width_s=600)
+    def test_lag_width_is_the_bucket_width(self):
+        assert small_config().lag_width_s == 900
+        assert small_config(buckets_per_week=168).lag_width_s == 3600
 
     def test_rates_bounded_by_one_post_per_second(self):
         small_config(author_base_rate=900.0)
@@ -433,6 +457,31 @@ class TestPopulation:
     def test_user_spec_rejects_bad_values(self, spec):
         with pytest.raises(ValueError):
             UserSpec("u", **spec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tz=st.integers(-2000, 2000))
+    @example(tz=-720)
+    @example(tz=840)
+    @example(tz=-721)
+    @example(tz=-780)
+    @example(tz=841)
+    def test_every_accepted_tz_loads_back_unchanged(self, tz):
+        # The generator and the users.tsv loader hold one tz range: what
+        # one writes, the other reads back as it was.
+        try:
+            spec = UserSpec("a", 1.0, tz_offset_min=tz)
+        except ValueError:
+            with pytest.raises(ValueError, match="^tz_offset_min: "):
+                small_config(tz_offset_min=tz)
+            return
+        cfg = small_config(n_authors=1, followers_per_author=0, span_days=7,
+                           tz_offset_min=tz)
+        with tempfile.TemporaryDirectory() as tmp:
+            result = generate(cfg, tmp, population=Population((spec,), ()))
+            users, report = load_users(result.paths["users"])
+        assert (report.parsed, report.malformed) == (1, 0)
+        assert users.users.tolist() == ["a"]
+        assert users.tz_offset_min.tolist() == [tz]
 
     @pytest.mark.parametrize("rates", [(1e20, 0.0), (600.0, 300.5)])
     def test_population_rates_bounded_by_one_post_per_second(self, rates):

@@ -75,7 +75,7 @@ class TestWeeklyGrid:
         g = WeeklyGrid()
         rng = np.random.default_rng(7)
         ts = rng.integers(0, 10 * WEEK_SECONDS, size=1000)
-        offs = rng.integers(-820, 821, size=1000)
+        offs = rng.integers(-720, 826, size=1000)  # o + 15 stays within 840
         base = np.array([g.bucket_index(int(t), int(o)) for t, o in zip(ts, offs)])
         shifted = np.array([g.bucket_index(int(t), int(o) + 15)
                             for t, o in zip(ts, offs)])
@@ -94,6 +94,9 @@ class TestWeeklyGrid:
             g.bucket_index(0, 841)
         with pytest.raises(ValueError):
             g.bucket_index(0, -841)
+        with pytest.raises(ValueError):
+            g.bucket_index(0, -721)
+        assert g.bucket_index(0, -720) == g.bucket_index(0, 0) - 48
 
     def test_day_mask(self):
         g = WeeklyGrid()
