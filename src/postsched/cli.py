@@ -518,12 +518,10 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
     join = inputs.join
     window = cfg.evaluation_window
 
-    tables = inputs.tables(sched_path)
     report = evaluation.evaluate_schedules(
-        tables, posts, join.pairs, users, window, cfg.grid,
+        inputs.tables(sched_path), posts, join.pairs, users, window, cfg.grid,
         k=cfg.ranks, day_filter=cfg.day_filter,
-        baselines=inputs.tables(base_path),
-        baseline_users={u for t in tables.values() for u in t.users.tolist()})
+        baselines=inputs.tables(base_path))
     if all(r.rg_avg is None for r in report.rows):
         raise PostschedError(
             "evaluation produced no defined gains: no scheduled user posted "

@@ -12,7 +12,7 @@ up the gain report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .ingest import (
     write_columns,
 )
 from .schedules import baseline_rows, top_k_times
-from .temporal import ScheduleTable, TimeWindow, WeeklyGrid
+from .temporal import Chosen, ScheduleTable, TimeWindow, WeeklyGrid
 
 ATTRIBUTION_WINDOW_S = 24 * 3600
 
@@ -50,19 +50,18 @@ class EvalData:
 
 def build_eval_data(posts: PostTable, pairs: PairTable,
                     users: UserTable, window: TimeWindow,
-                    grid: WeeklyGrid,
-                    attribution_s: int = ATTRIBUTION_WINDOW_S) -> EvalData:
+                    grid: WeeklyGrid) -> EvalData:
     """Count in-window posts and attributed received reactions per author.
 
     The rows cover every user who created a post in the window; a user
     without one has no RPM. A reaction counts when its post and the reaction
-    itself fall in the window and it came less than ``attribution_s`` after
-    the post. Users without metadata are bucketed at UTC.
+    itself fall in the window and it came less than ``ATTRIBUTION_WINDOW_S``
+    after the post. Users without metadata are bucketed at UTC.
     """
     post_rows = np.flatnonzero(window.mask(posts.created_at))
     pair_rows = np.flatnonzero(window.mask(pairs.post_time)
                                & window.mask(pairs.reaction_time)
-                               & (pairs.delay < attribution_s))
+                               & (pairs.delay < ATTRIBUTION_WINDOW_S))
     names = np.sort(posts.users[present_codes(posts.author[post_rows],
                                               len(posts.users))])
     return EvalData(names,
@@ -100,15 +99,14 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
                        users: UserTable, window: TimeWindow,
                        grid: WeeklyGrid, k: int = DEFAULT_RANKS,
                        day_filter: str = "weekday",
-                       attribution_s: int = ATTRIBUTION_WINDOW_S,
-                       baselines: Mapping[str, ScheduleTable] | None = None,
-                       baseline_users: Iterable[str] = ()) -> GainReport:
+                       baselines: Mapping[str, ScheduleTable] | None = None
+                       ) -> GainReport:
     """Average ReactionGain per rank for each schedule kind.
 
     ``tables`` maps a kind to schedules keyed by user. ``baselines`` maps a
-    kind to timezone baselines keyed by :func:`cohort_label`; each of the
-    ``baseline_users`` is scored on the baseline row of their timezone (UTC
-    without metadata), and a kind that none of them has is left out.
+    kind to timezone baselines keyed by :func:`cohort_label`; every user of
+    ``tables`` is scored on the baseline row of their timezone (UTC without
+    metadata), and a baseline kind without a row for any of them is left out.
 
     RPM at rank r is attributed reactions over posts in the rank-r bucket,
     and the gain is that over the user's overall RPM. Users are excluded per
@@ -116,27 +114,26 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
     from a kind entirely (and counted) when their overall RPM is zero
     despite having posts. A user without posts in the window is skipped.
     """
-    data = build_eval_data(posts, pairs, users, window, grid, attribution_s)
+    data = build_eval_data(posts, pairs, users, window, grid)
     overall = data.reactions.sum(axis=1) / data.posts.sum(axis=1)
 
-    # kind -> (table, scored users in ascending order, their table rows)
-    scored = {kind: (table, table.users, np.arange(len(table)))
-              for kind, table in tables.items()}
-    owners = np.array(sorted(set(baseline_users)), dtype=object)
+    scored = {kind: Chosen.of(table) for kind, table in tables.items()}
+    owners = np.array(sorted({u for t in tables.values() for u in t.users.tolist()}),
+                      dtype=object)
     offsets = users.offsets(owners)
     for kind, table in (baselines or {}).items():
-        rows = baseline_rows(table, offsets)
-        if (rows >= 0).any():
-            scored[kind] = (table, owners[rows >= 0], rows[rows >= 0])
+        at = baseline_rows(table, offsets)
+        if (at >= 0).any():
+            scored[kind] = Chosen(owners[at >= 0], table, at[at >= 0])
 
     rows: list[GainRow] = []
     excluded: dict[str, int] = {}
     for kind in sorted(scored):
-        table, owner, at = scored[kind]
-        ranked = top_k_times(table.probabilities, k, grid, day_filter)
-        order = np.argsort(owner, kind="stable")
-        user = index_of(data.users, owner[order])
-        at = at[order][user >= 0]
+        chosen = scored[kind]
+        ranked = top_k_times(chosen.candidates.probabilities, k, grid, day_filter)
+        order = np.argsort(chosen.users, kind="stable")
+        user = index_of(data.users, chosen.users[order])
+        at = chosen.choice[order][user >= 0]
         user = user[user >= 0]
         zero = overall[user] == 0
         excluded[kind] = int(zero.sum())

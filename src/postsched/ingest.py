@@ -11,9 +11,11 @@ are skipped:
 
 Timestamps are ASCII decimal integers, ``-?[0-9]+``, within the signed
 64-bit range. Timezone offsets follow the same grammar and lie within
-UTC-12:00 .. UTC+14:00 (-720 .. 840 minutes). The reactor column may hold
-"-" when the source data does not identify who reacted; such rows support
-delay estimation and analysis but not schedule derivation. A line holding
+UTC-12:00 .. UTC+14:00 (-720 .. 840 minutes). The author and reactor
+columns may hold "-" when the source data does not identify who posted or
+reacted. "-" is then nobody: its rows join and support delay estimation and
+analysis, but it gets no profile row, no schedule and no baseline count, so
+a log of "-" reactors cannot drive schedule derivation. A line holding
 a NUL byte is malformed, and so is one with an id or a city longer than
 ``MAX_ID_BYTES``. Malformed lines are counted, never silently dropped. A
 user is listed at most once in users.tsv; a city of "-" or "" is none.
@@ -34,7 +36,7 @@ that prints a float64, and :func:`write_columns` writes the narrow tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -299,6 +301,7 @@ class UserTable:
                    np.array(list(city), dtype=object)[order])
 
 
+@dataclass(frozen=True)
 class SocialGraph:
     """The follower graph as edge columns: edge i puts user
     ``users[dst[i]]`` in the audience of ``users[src[i]]``, so dst can react
@@ -308,25 +311,19 @@ class SocialGraph:
     set of edges, not on their order or repeats.
     """
 
-    __slots__ = ("users", "src", "dst")
-
-    def __init__(self, edges: Iterable[tuple[str, str]]):
-        ends = encode_ids(chain.from_iterable(edges))
-        self._build(ends[0::2], ends[1::2])
+    users: np.ndarray  # code -> user id, ascending
+    src: np.ndarray    # int64 user codes
+    dst: np.ndarray    # int64 user codes
 
     @classmethod
     def from_columns(cls, src, dst) -> "SocialGraph":
         """Graph of the edges (src[i], dst[i]); each column is a bytes column
         or a sequence of str."""
-        graph = cls.__new__(cls)
-        graph._build(encode_ids(src), encode_ids(dst))
-        return graph
-
-    def _build(self, src: np.ndarray, dst: np.ndarray) -> None:
-        self.users, codes = _intern(np.concatenate([src, dst]))
-        n = len(self.users)
+        src, dst = encode_ids(src), encode_ids(dst)
+        users, codes = _intern(np.concatenate([src, dst]))
+        n = len(users)
         keys = _distinct(codes[:src.size] * n + codes[src.size:])
-        self.src, self.dst = np.divmod(keys, n)
+        return cls(users, *np.divmod(keys, n))
 
     @property
     def n_edges(self) -> int:
@@ -603,18 +600,18 @@ def build_profiles(posts: PostTable, pairs: PairTable, users: UserTable,
     Created-post profiles count a user's authored posts; self-reaction
     profiles count the reactions the user performed (as reactor), at the
     reaction's own timestamp. The rows cover every user with metadata or
-    with in-window events; users without events get zero rows. Users with
-    events but no timezone metadata default to UTC and are flagged in
-    ``unknown_tz``.
+    with in-window events, but never ``MISSING_ID``, whose events are
+    dropped; users without events get zero rows. Users with events but no
+    timezone metadata default to UTC and are flagged in ``unknown_tz``.
     """
     post_rows = np.flatnonzero(window.mask(posts.created_at))
-    react_rows = np.flatnonzero(window.mask(pairs.reaction_time)
-                                & pairs.known_reactor)
+    react_rows = np.flatnonzero(window.mask(pairs.reaction_time))
     active = (set(posts.users[present_codes(posts.author[post_rows],
                                             len(posts.users))].tolist())
               | set(pairs.users[present_codes(pairs.reactor[react_rows],
-                                              len(pairs.users))].tolist()))
-    listed = set(users.users.tolist())
+                                              len(pairs.users))].tolist())
+              ) - {MISSING_ID}
+    listed = set(users.users.tolist()) - {MISSING_ID}
     names = np.array(sorted(listed | active), dtype=object)
     created = weekly_counts(names, users, posts.users, posts.author[post_rows],
                             posts.created_at[post_rows], grid)
@@ -669,17 +666,23 @@ def adapt_open_dataset(posts_in, reactions_in, posts_out, reactions_out,
     """Rewrite a foreign post/reaction dump into the canonical TSV format.
 
     Rows that cannot be mapped are skipped and counted. When the source has
-    no reactor column the canonical rows carry "-" and the result is marked
-    analysis-only: delay estimation and cohort analysis work, schedule
-    derivation does not.
+    no author or no reactor column the canonical rows carry "-" in it and
+    the result is marked analysis-only: delay estimation and cohort analysis
+    work, schedule derivation does not.
     """
     if network not in NETWORKS:
         raise ValueError(f"unknown network {network!r}")
     skipped = 0
 
-    def rows(path, needed):
+    def rewrite(path_in, path_out, columns, stamp) -> int:
+        """Write network, the fields at ``columns`` ("-" for None) and the
+        integer at ``stamp`` of each data line of ``path_in``; return how
+        many lines were written."""
         nonlocal skipped
-        with open(path, encoding="utf-8") as fh:
+        needed = max(c for c in (*columns, stamp) if c is not None)
+        written = 0
+        with open(path_out, "w", encoding="utf-8") as out, \
+                open(path_in, encoding="utf-8") as fh:
             for line in fh:
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):
@@ -688,35 +691,20 @@ def adapt_open_dataset(posts_in, reactions_in, posts_out, reactions_out,
                 if len(f) <= needed:
                     skipped += 1
                     continue
-                yield f
+                try:
+                    ts = int(f[stamp])
+                except ValueError:
+                    skipped += 1
+                    continue
+                ids = [MISSING_ID if c is None else f[c] for c in columns]
+                out.write("\t".join([network, *ids, str(ts)]) + "\n")
+                written += 1
+        return written
 
-    n_posts = 0
-    max_post_col = max(colmap.post_id, colmap.created_at,
-                       colmap.author if colmap.author is not None else 0)
-    with open(posts_out, "w", encoding="utf-8") as out:
-        for f in rows(posts_in, max_post_col):
-            author = f[colmap.author] if colmap.author is not None else MISSING_ID
-            try:
-                ts = int(f[colmap.created_at])
-            except ValueError:
-                skipped += 1
-                continue
-            out.write(f"{network}\t{author}\t{f[colmap.post_id]}\t{ts}\n")
-            n_posts += 1
-
-    n_reactions = 0
-    max_react_col = max(colmap.reaction_post_id, colmap.reacted_at,
-                        colmap.reactor if colmap.reactor is not None else 0)
-    with open(reactions_out, "w", encoding="utf-8") as out:
-        for f in rows(reactions_in, max_react_col):
-            reactor = f[colmap.reactor] if colmap.reactor is not None else MISSING_ID
-            try:
-                ts = int(f[colmap.reacted_at])
-            except ValueError:
-                skipped += 1
-                continue
-            out.write(f"{network}\t{f[colmap.reaction_post_id]}\t{reactor}\t{ts}\n")
-            n_reactions += 1
-
+    n_posts = rewrite(posts_in, posts_out, (colmap.author, colmap.post_id),
+                      colmap.created_at)
+    n_reactions = rewrite(reactions_in, reactions_out,
+                          (colmap.reaction_post_id, colmap.reactor),
+                          colmap.reacted_at)
     return AdapterReport(n_posts, n_reactions, skipped,
                          analysis_only=colmap.reactor is None or colmap.author is None)

@@ -42,6 +42,7 @@ from .schedules import (
 from .temporal import (
     CHUNK_ROWS,
     UNIT_SUM_TOL,
+    Chosen,
     ScheduleTable,
     TimeWindow,
     WeeklyGrid,
@@ -51,29 +52,6 @@ from .temporal import (
 )
 
 PERSONALIZED_KINDS = ("S1", "S2", "S1w", "S2w")
-
-
-@dataclass(frozen=True)
-class Chosen:
-    """Rows picked from a table of candidates: row i is the schedule of
-    ``users[i]``, row ``choice[i]`` of ``candidates``. A candidate that many
-    users take is held, formatted and ranked once."""
-
-    users: np.ndarray        # row -> user id
-    candidates: ScheduleTable
-    choice: np.ndarray       # row -> row of candidates
-
-    @classmethod
-    def of(cls, table: ScheduleTable | Chosen) -> Chosen:
-        """``table`` itself, or a table as the Chosen of each of its rows."""
-        if isinstance(table, Chosen):
-            return table
-        return cls(table.users, table, np.arange(len(table)))
-
-    def table(self) -> ScheduleTable:
-        """The rows as a table of their own."""
-        return ScheduleTable(self.users, self.candidates.provenance[self.choice],
-                             self.candidates.probabilities[self.choice])
 
 
 @dataclass(frozen=True)

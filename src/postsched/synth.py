@@ -342,7 +342,7 @@ class SynthResult:
     users: UserTable
     truth: dict[str, int]
     population: Population
-    paths: dict[str, str] = field(default_factory=dict)
+    paths: dict[str, str] = field(default_factory=dict)  # name -> file written
 
 
 def generate(config: SynthConfig, out_dir=None,
@@ -384,9 +384,7 @@ def generate(config: SynthConfig, out_dir=None,
 
     result = SynthResult(posts, reactions, list(pop.edges), users, truth, pop)
     if out_dir is not None:
-        paths = write_synth_files(result, out_dir, config.network)
-        result = SynthResult(posts, reactions, list(pop.edges), users, truth,
-                             pop, paths)
+        result.paths.update(write_synth_files(result, out_dir, config.network))
     return result
 
 

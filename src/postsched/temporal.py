@@ -172,12 +172,17 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
     ``values`` must be finite with the sign bit clear: a negative, ``-0.0``,
     NaN or infinite value is rejected.
 
-    ``kernel`` may be a :class:`~postsched.delays.DelayKernel` or a bare
-    probability vector over lags, which :func:`kernel_mass` checks.
+    ``kernel`` may be a :class:`~postsched.delays.DelayKernel`, whose lag
+    width must be the profiles' bucket width (a week over the buckets), or a
+    bare probability vector over lags, which :func:`kernel_mass` checks.
     """
     mass = kernel_mass(getattr(kernel, "mass", kernel))
     v = np.asarray(values, dtype=np.float64)
     n = v.shape[-1]
+    width = getattr(kernel, "lag_width_s", None)
+    if width is not None and width * n != WEEK_SECONDS:
+        raise ValueError(f"kernel: lag width {width} s is not the bucket width "
+                         f"{WEEK_SECONDS / max(n, 1):g} s of {n}-bucket profiles")
     rows = v.reshape(-1, n)
     out = np.empty(rows.shape)  # C order, so a chunk's flat view writes through
     term = np.empty((min(len(rows), CHUNK_ROWS), n))
@@ -274,6 +279,29 @@ class ScheduleTable:
         """The rows of each provenance, in order of first appearance."""
         return {kind: self.select(self.provenance == kind)
                 for kind in dict.fromkeys(self.provenance.tolist())}
+
+
+@dataclass(frozen=True)
+class Chosen:
+    """Rows picked from a table of candidates: row i is the schedule of
+    ``users[i]``, row ``choice[i]`` of ``candidates``. A candidate that many
+    users take is held, formatted and ranked once."""
+
+    users: np.ndarray        # row -> user id
+    candidates: ScheduleTable
+    choice: np.ndarray       # row -> row of candidates
+
+    @classmethod
+    def of(cls, table: ScheduleTable | Chosen) -> Chosen:
+        """``table`` itself, or a table as the Chosen of each of its rows."""
+        if isinstance(table, Chosen):
+            return table
+        return cls(table.users, table, np.arange(len(table)))
+
+    def table(self) -> ScheduleTable:
+        """The rows as a table of their own."""
+        return ScheduleTable(self.users, self.candidates.provenance[self.choice],
+                             self.candidates.probabilities[self.choice])
 
 
 def normalize_rows(sums: np.ndarray, users, provenance) -> ScheduleTable:

@@ -66,6 +66,11 @@ def top_bucket(table, user, grid):
     return int(top_k_times(table.probabilities[row], 1, grid)[0])
 
 
+def graph_of(edges):
+    """The graph of a list of (src, dst) pairs."""
+    return SocialGraph.from_columns([a for a, _ in edges], [b for _, b in edges])
+
+
 def report(tag, ok, detail=""):
     print(f"\nACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
 
@@ -229,7 +234,7 @@ def test_criterion_1_derivation_over_graph():
                                    [t for _, t in posts]),
             PairTable.from_columns([names[0]] * len(reacts), [u for u, _ in reacts],
                                    [t for _, t in reacts], [t for _, t in reacts]),
-            SocialGraph(edges),
+            graph_of(edges),
             UserTable.from_columns(["TW"] * len(names), names, [0] * len(names),
                                    [None] * len(names)),
             grid, DelayKernel(mass, width), window, model)
@@ -290,7 +295,7 @@ def synth_tables(result):
 
 def derive_for(cfg, result, window):
     posts, join = synth_tables(result)
-    graph = SocialGraph(result.edges)
+    graph = graph_of(result.edges)
     in_window = join.pairs.select(window.mask(join.pairs.post_time))
     kernel = estimate_delay_kernel(in_window.delay, 96 * cfg.lag_width_s,
                                    cfg.lag_width_s)
@@ -370,7 +375,7 @@ def test_criterion_3_delay_shift():
 
 def derive_for_population(cfg, result, pop, window):
     posts, join = synth_tables(result)
-    graph = SocialGraph(result.edges)
+    graph = graph_of(result.edges)
     kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
     authors = sorted({src for src, _ in pop.edges})
     return join, derive_schedules(posts, join.pairs, graph,
@@ -390,8 +395,7 @@ def test_criterion_4_gain_monotonicity():
     mfu = derived.baselines.by_provenance()["MFU"]
     gain = evaluate_schedules({"S1": derived.personalized["S1"]}, posts,
                               join.pairs, result.users, evaluation, cfg.grid,
-                              k=k, day_filter="weekday", baselines={"MFU": mfu},
-                              baseline_users=cfg.author_ids())
+                              k=k, day_filter="weekday", baselines={"MFU": mfu})
 
     rg_top = gain.row("S1", 1).rg_avg
     rg_last = gain.row("S1", k).rg_avg
@@ -519,7 +523,9 @@ def test_criterion_6_delta_kernel_identity():
     for _ in range(CASES):
         n = int(rng.choice([4, 8, 24, 96, 672]))
         prof = random_profile(rng, n)
-        out = delayed_profile(prof, DelayKernel.delta(0, n_lags=1))
+        kernel = DelayKernel.delta(0, n_lags=1,
+                                   lag_width_s=WeeklyGrid(n).bucket_width_s)
+        out = delayed_profile(prof, kernel)
         assert np.array_equal(out, prof)
     report("6 delta-kernel-identity", True, f"({CASES} cases)")
 
@@ -553,8 +559,9 @@ def graph_pairs(g):
     return list(zip(g.users[g.src].tolist(), g.users[g.dst].tolist()))
 
 
-def reversed_pairs(g):
-    return [(b, a) for a, b in graph_pairs(g)]
+def transposed(g):
+    """The graph with every edge of ``g`` reversed."""
+    return SocialGraph.from_columns(g.users[g.dst], g.users[g.src])
 
 
 def test_criterion_6_graph_transpose():
@@ -564,11 +571,11 @@ def test_criterion_6_graph_transpose():
         edges = [(f"u{a}", f"u{b}")
                  for a, b in rng.integers(0, n, size=(int(rng.integers(0, 25)), 2))
                  if a != b]
-        g = SocialGraph(edges)
-        t = SocialGraph(reversed_pairs(g))
+        g = graph_of(edges)
+        t = transposed(g)
         assert set(graph_pairs(g)) == set(edges)
         assert set(graph_pairs(t)) == {(b, a) for a, b in edges}
-        tt = SocialGraph(reversed_pairs(t))
+        tt = transposed(t)
         for column in ("users", "src", "dst"):
             assert np.array_equal(getattr(tt, column), getattr(g, column))
     report("6 graph-transpose", True, f"({CASES} cases)")

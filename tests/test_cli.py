@@ -696,6 +696,39 @@ class TestHandoff:
         assert reads == ["schedules.tsv"]
 
 
+def test_missing_author_is_nobody(tmp_path):
+    """Posts by "-" join their reactions, but "-" gets no schedule and adds
+    nothing to the MFU baselines."""
+    cfg, out = synth_config(tmp_path)
+    assert run(["synth", "--config", cfg]) == 0
+    kv = dict(line.split("=", 1)
+              for line in (out / "synth.config").read_text().splitlines())
+    posts = (out / "posts.tsv").read_text()
+    reactions = (out / "reactions.tsv").read_text()
+    stamp = MONDAY + 30 * 3600  # in the derivation window
+    anonymous = "".join(f"TW\t-\tanon{i}\t{stamp + i}\n" for i in range(40))
+    baselines = {}
+    for name, extra in (("plain", ""), ("anonymous", anonymous)):
+        (tmp_path / f"{name}.tsv").write_text(posts + extra, encoding="utf-8")
+        (tmp_path / f"{name}_r.tsv").write_text(
+            reactions + f"TW\tanon0\tf00000_000\t{stamp + 600}\n" * bool(extra),
+            encoding="utf-8")
+        run_cfg = write_config(tmp_path / f"{name}.config", **{
+            **kv, "posts": tmp_path / f"{name}.tsv",
+            "reactions": tmp_path / f"{name}_r.tsv", "out": tmp_path / name})
+        assert run(["all", "--config", run_cfg]) == 0
+        for artifact in ("schedules.tsv", "baselines.tsv", "recommended.tsv",
+                         "ranked_times.tsv"):
+            text = (tmp_path / name / artifact).read_text()
+            assert not any(line.startswith("-\t") for line in text.splitlines())
+        baselines[name] = [line for line in
+                           (tmp_path / name / "baselines.tsv").read_text().splitlines()
+                           if line.split("\t")[1] == "MFU"]
+    report = json.loads((tmp_path / "anonymous" / "ingest_report.json").read_text())
+    assert report["join"]["joined"] == reactions.count("\n") + 1
+    assert baselines["anonymous"] == baselines["plain"] != []
+
+
 # Single-line perturbations of an input line, as functions of its fields and
 # of the index of its network field. The id field is the first non-network
 # field, and the last field is the timestamp (the network in users.tsv).

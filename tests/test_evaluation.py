@@ -265,23 +265,28 @@ class TestBaselines:
     def test_each_user_scored_on_their_timezone_row(self):
         grid = WeeklyGrid(672)
         window = TimeWindow.from_days(MONDAY, 7)
-        # u1 (UTC+1) posts at local bucket 4, u2 (no metadata: UTC) at 0.
-        posts = [("TW", "u1", "p1", MONDAY),
-                 ("TW", "u2", "p2", MONDAY)]
-        pairs = [("u1", "b", MONDAY, MONDAY + 10),
-                 ("u2", "b", MONDAY, MONDAY + 10)]
-        users = tz_table({"u1": 60})
+        # u1 (UTC+1) posts at local bucket 4, u2 (no metadata: UTC) at 0 and
+        # u3 (UTC+5:30) at 22, each once and with one reaction.
+        names = ("u1", "u2", "u3")
+        posts = [("TW", u, f"p{u}", MONDAY) for u in names]
+        pairs = [(u, "b", MONDAY, MONDAY + 10) for u in names]
+        users = tz_table({"u1": 60, "u3": 330})
         first = {4: np.eye(672)[4], 0: np.eye(672)[0]}
         mfu = ScheduleTable(["tz:0", "tz:60"], ["MFU", "MFU"],
                             np.array([first[0], first[4]]))
         afd = ScheduleTable(["tz:-300"], ["AFD"], np.array([first[0]]))
-        report = evaluate_schedules({}, *tables(posts, pairs), users, window,
-                                    grid, k=1, baselines={"MFU": mfu, "AFD": afd},
-                                    baseline_users=["u2", "u1"])
-        # Both users hit their only posting bucket at rank 1; no user is in
-        # the AFD cohort, so AFD is left out of the report.
+        s1 = table({u: np.full(672, 1 / 672) for u in reversed(names)})
+        report = evaluate_schedules({"S1": s1}, *tables(posts, pairs), users,
+                                    window, grid, k=1,
+                                    baselines={"MFU": mfu, "AFD": afd})
+        # The users of S1 are scored on the baselines. u1 and u2 hit their
+        # only posting bucket at rank 1 of MFU; u3's timezone has no MFU row,
+        # so u3 is left out of it. No user is in the AFD cohort, so AFD is
+        # left out of the report. S1 ranks bucket 0 first, where only u2
+        # posted.
         assert report.row("MFU", 1) == GainRow("MFU", 1, 1.0, 2, 2)
-        assert {r.schedule for r in report.rows} == {"MFU"}
+        assert report.row("S1", 1) == GainRow("S1", 1, 1.0, 1, 1)
+        assert {r.schedule for r in report.rows} == {"MFU", "S1"}
 
 
 def brute_gain_report(kinds, baselines, baseline_users, posts, pairs, tz,
@@ -378,7 +383,8 @@ def random_case(rng):
     labels = [f"tz:{off}" for off in (-300, 0, 60, 330)]
     baselines = {kind: schedules([l for l in labels if rng.random() < 0.6])
                  for kind in ("AFD", "MFU")}
-    baseline_users = [u for u in pool if rng.random() < 0.5]
+    # The baselines score the users of the personalized kinds.
+    baseline_users = sorted({u for rows in kinds.values() for u in rows})
     k = int(rng.integers(1, n_buckets + 4))
     day_filter = str(rng.choice(["all", "weekday", "weekend"]))
     return (kinds, baselines, baseline_users, posts, pairs, tz, window,
@@ -407,6 +413,5 @@ def test_gain_report_matches_brute_force():
         got = evaluate_schedules(as_tables(kinds), post_table, pair_table, users,
                                  window, WeeklyGrid(n_buckets), k=k,
                                  day_filter=day_filter,
-                                 baselines=as_tables(baselines),
-                                 baseline_users=baseline_users)
+                                 baselines=as_tables(baselines))
         assert got == brute_gain_report(*case)

@@ -682,8 +682,14 @@ def graph_pairs(g):
     return list(zip(g.users[g.src].tolist(), g.users[g.dst].tolist()))
 
 
-def reversed_pairs(g):
-    return [(b, a) for a, b in graph_pairs(g)]
+def graph_of(edges):
+    """The graph of a list of (src, dst) pairs."""
+    return SocialGraph.from_columns([a for a, _ in edges], [b for _, b in edges])
+
+
+def transposed(g):
+    """The graph with every edge of ``g`` reversed."""
+    return SocialGraph.from_columns(g.users[g.dst], g.users[g.src])
 
 
 class TestSocialGraph:
@@ -691,7 +697,7 @@ class TestSocialGraph:
     @given(st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "d", "é", "a0"])] * 2),
                     max_size=30))
     def test_columns_match_set_computation(self, edges):
-        g = SocialGraph(edges)
+        g = graph_of(edges)
         pairs = set(edges)
         assert set(graph_pairs(g)) == pairs
         assert g.n_edges == len(pairs)
@@ -707,17 +713,25 @@ class TestSocialGraph:
             n = int(rng.integers(2, 12))
             edges = [(f"u{a}", f"u{b}")
                      for a, b in rng.integers(0, n, size=(30, 2)) if a != b]
-            g = SocialGraph(edges)
-            t = SocialGraph(reversed_pairs(g))
+            g = graph_of(edges)
+            t = transposed(g)
             assert set(graph_pairs(g)) == set(edges)
             assert set(graph_pairs(t)) == {(b, a) for a, b in edges}
-            tt = SocialGraph(reversed_pairs(t))
+            tt = transposed(t)
             for column in ("users", "src", "dst"):
                 assert np.array_equal(getattr(tt, column), getattr(g, column))
 
     def test_duplicate_edges_collapse(self):
-        g = SocialGraph([("a", "b"), ("a", "b")])
-        assert g.n_edges == 1
+        g = SocialGraph.from_columns(["a", "a"], ["b", "b"])
+        assert graph_pairs(g) == [("a", "b")]
+        g = SocialGraph.from_columns(np.array([b"b", b"a", b"b"]),
+                                     np.array([b"a", b"b", b"a"]))
+        assert graph_pairs(g) == [("a", "b"), ("b", "a")]
+
+    def test_empty_columns_build_an_empty_graph(self):
+        g = SocialGraph.from_columns([], [])
+        assert g.n_edges == 0 and g.users.size == 0 and g.is_symmetric()
+        assert g.src.dtype == g.dst.dtype == np.int64
 
     def test_bidirectional_check(self, tmp_path):
         asym = write(tmp_path / "edges.tsv", "FB\ta\tb\n")

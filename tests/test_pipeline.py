@@ -59,7 +59,7 @@ def star_inputs(span_days=21, **overrides):
     result = generate(cfg)
     posts = result.posts
     join = join_reactions(posts, result.reactions)
-    graph = SocialGraph(result.edges)
+    graph = SocialGraph.from_columns(*zip(*result.edges))
     return cfg, result, posts, join, graph
 
 
@@ -125,7 +125,8 @@ class TestDeriveSchedules:
         users = UserTable.from_columns(["TW"], ["lonely"], [0], [None])
         derived = derive_schedules(PostTable.from_columns([], [], [], []),
                                    PairTable.from_columns([], [], [], []),
-                                   SocialGraph(()), users, grid, kernel, window)
+                                   SocialGraph.from_columns([], []), users, grid,
+                                   kernel, window)
         rec = derived.recommended
         assert rec.provenance[row(rec, "lonely")] == "uniform"
         assert np.allclose(rec.probabilities[row(rec, "lonely")], 1 / 672)
@@ -212,7 +213,8 @@ class TestDeriveSchedules:
             (names[a], names[b]) for a, b in rng.integers(0, len(names), (60, 2))]
 
         def tables(edge_list):
-            derived = derive_schedules(posts, join.pairs, SocialGraph(edge_list),
+            derived = derive_schedules(posts, join.pairs,
+                                       SocialGraph.from_columns(*zip(*edge_list)),
                                        result.users, cfg.grid, kernel, window)
             return [(t.users.tolist(), t.provenance.tolist(), t.probabilities.tobytes())
                     for t in (*derived.personalized.values(), derived.baselines,
@@ -220,6 +222,22 @@ class TestDeriveSchedules:
 
         shuffled = [edges[i] for i in rng.permutation(len(edges))] + edges[::3]
         assert tables(shuffled) == tables(edges)
+
+    def test_kernel_of_another_lag_width_is_refused(self):
+        # A 900 s kernel on 3600 s buckets would shift reactions by whole
+        # buckets, four times too far.
+        _, result, posts, join, graph = star_inputs()
+        grid = WeeklyGrid(168)
+        window = TimeWindow.from_days(DEFAULT_START_EPOCH, 14)
+        kernel = DelayKernel.delta(1)
+        refusal = "lag width 900 s is not the bucket width 3600 s"
+        with pytest.raises(ValueError, match=refusal):
+            delayed_profile(np.ones((2, 168)), kernel)
+        with pytest.raises(ValueError, match=refusal):
+            derive_schedules(posts, join.pairs, graph, result.users, grid,
+                             kernel, window)
+        derive_schedules(posts, join.pairs, graph, result.users, grid,
+                         DelayKernel.delta(1, lag_width_s=3600), window)
 
 
 class TestPersistence:
