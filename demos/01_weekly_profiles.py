@@ -5,7 +5,8 @@ Every quantity in the pipeline lives on a weekly grid of 672 fifteen-minute
 buckets that starts Monday 00:00 in the user's local time. This script walks
 through bucketizing a handful of timestamps, folding several weeks of events
 into one profile, and turning a profile into a posting schedule. Profiles
-and schedules are users x buckets matrices; here the population is one user.
+are sparse users x buckets counts and schedules users x buckets matrices;
+here the population is one user.
 """
 
 import numpy as np
@@ -44,14 +45,15 @@ posts = PostTable.from_columns(["TW"], ["demo"] * len(events),
 users = UserTable.from_columns(["TW"], ["demo"], [0], [None])
 profiles = build_profiles(posts, PairTable.from_columns([], [], [], []), users,
                           grid, TimeWindow(monday, monday + 3 * week - 1))
-profile = profiles.created[0]
+# Profiles are sparse counts; rows(...) makes the rows asked for dense.
+profile = profiles.created.rows([0])[0]
 print(f"\nprofile total {profile.sum():.0f} events in "
       f"{np.count_nonzero(profile)} distinct buckets")
 for bucket in np.nonzero(profile)[0]:
     print(f"  {grid.bucket_label(int(bucket))}: {profile[bucket]:.0f}")
 
 # A schedule is the same row normalized into a probability mass function.
-schedule = normalize_rows(profiles.created, profiles.users, "S1").probabilities[0]
+schedule = normalize_rows(profile[None], profiles.users, "S1").probabilities[0]
 best = int(np.argmax(schedule))
 print(f"\nas a schedule, the best bucket is {grid.bucket_label(best)} "
       f"with probability {schedule[best]:.2f}")

@@ -19,6 +19,7 @@ import numpy as np
 from .ingest import (
     PairTable,
     PostTable,
+    SparseCounts,
     UserTable,
     float_texts,
     index_of,
@@ -36,16 +37,16 @@ DEFAULT_RANKS = 32
 
 @dataclass(frozen=True)
 class EvalData:
-    """Evaluation-window histograms: users x buckets counts, bucketed in the
-    user's local time, whose rows follow the sorted ``users``.
+    """Evaluation-window histograms: sparse users x buckets counts, bucketed
+    in the user's local time, whose rows follow the sorted ``users``.
 
     Only events timestamped inside the evaluation window are admitted, so
     derivation-window history can never leak into the metrics.
     """
 
-    users: np.ndarray      # row -> user id, in ascending order
-    posts: np.ndarray      # posts the user created, per bucket
-    reactions: np.ndarray  # attributed reactions received, per bucket of their post
+    users: np.ndarray         # row -> user id, in ascending order
+    posts: SparseCounts       # posts the user created, per bucket
+    reactions: SparseCounts   # attributed reactions received, per bucket of their post
 
 
 def build_eval_data(posts: PostTable, pairs: PairTable,
@@ -115,7 +116,7 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
     despite having posts. A user without posts in the window is skipped.
     """
     data = build_eval_data(posts, pairs, users, window, grid)
-    overall = data.reactions.sum(axis=1) / data.posts.sum(axis=1)
+    overall = data.reactions.row_sums / data.posts.row_sums
 
     scored = {kind: Chosen.of(table) for kind, table in tables.items()}
     owners = np.array(sorted({u for t in tables.values() for u in t.users.tolist()}),
@@ -139,8 +140,8 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
         excluded[kind] = int(zero.sum())
         user, at = user[~zero], at[~zero]
         buckets = ranked[at]
-        posted = data.posts[user[:, None], buckets]
-        rpm = np.divide(data.reactions[user[:, None], buckets], posted,
+        posted = data.posts.at(user[:, None], buckets)
+        rpm = np.divide(data.reactions.at(user[:, None], buckets), posted,
                         out=np.zeros(posted.shape), where=posted > 0)
         gain = rpm / overall[user, None]
         for rank in range(1, k + 1):

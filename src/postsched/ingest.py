@@ -17,8 +17,10 @@ reacted. "-" is then nobody: its rows join and support delay estimation and
 analysis, but it gets no profile row, no schedule and no baseline count, so
 a log of "-" reactors cannot drive schedule derivation. A line holding
 a NUL byte is malformed, and so is one with an id or a city longer than
-``MAX_ID_BYTES``. Malformed lines are counted, never silently dropped. A
-user is listed at most once in users.tsv; a city of "-" or "" is none.
+``MAX_ID_BYTES``, or with an empty author, post_id, reactor, src, dst or
+users.tsv user: an empty id names nobody, not even "-". Malformed lines
+are counted, never silently dropped. A user is listed at most once in
+users.tsv; a city of "-" or "" is none.
 
 Every input loads into columns, checked and split a block of lines at a
 time with numpy, never one Python object per row, by one parser that a
@@ -36,6 +38,7 @@ that prints a float64, and :func:`write_columns` writes the narrow tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator
 
@@ -65,12 +68,18 @@ _NETWORK_KEYS = np.array(sorted(n.encode() for n in NETWORKS))
 _NETWORK_NAMES = np.array([n.decode() for n in _NETWORK_KEYS], dtype=object)
 
 # The kind of each field of an input file, in file order: the network
-# ("net"), text of at most MAX_ID_BYTES bytes ("id", a city too), a
-# ``-?[0-9]+`` timestamp within int64 ("stamp"), or such a number within
+# ("net"), a non-empty id of at most MAX_ID_BYTES bytes ("id"), text of at
+# most that many bytes that may be empty ("text", a city), a ``-?[0-9]+``
+# timestamp within int64 ("stamp"), or such a number within
 # temporal.TZ_OFFSETS ("tz").
 _EVENTS = ("net", "id", "id", "stamp")   # posts.tsv and reactions.tsv
 _EDGES = ("net", "id", "id")
-_USERS = ("id", "tz", "id", "net")
+_USERS = ("id", "tz", "text", "net")
+
+# Zero bytes before and after the lines of a block, so that a window of a
+# field's last _INT64_DIGITS bytes or of its first MAX_ID_BYTES bytes never
+# runs off the block.
+_LEAD, _TAIL = _INT64_DIGITS, MAX_ID_BYTES
 
 # Input files are read in blocks of whole lines of about this many bytes,
 # which bounds the memory taken by the per-block temporaries.
@@ -335,19 +344,26 @@ class SocialGraph:
                               self.src * n + self.dst)
 
 
+def _padded(lines) -> bytes:
+    """Pieces of whole lines joined into one block, between ``_LEAD`` and
+    ``_TAIL`` zero bytes: the one copy a block is padded with."""
+    return b"".join([bytes(_LEAD), *lines, bytes(_TAIL)])
+
+
 def _blocks(path) -> Iterator[bytes]:
-    """A file as blocks of whole lines of about ``_BLOCK_BYTES`` bytes, so
-    that a large file is never held at once. A line ends at LF or CR."""
+    """A file as :func:`_padded` blocks of whole lines of about
+    ``_BLOCK_BYTES`` bytes, so that a large file is never held at once. A
+    line ends at LF or CR."""
     with open(path, "rb") as fh:
         head: list[bytes] = []  # the start of a line that no chunk has ended
         while chunk := fh.read(_BLOCK_BYTES):
             end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
             if end:
-                yield b"".join([*head, chunk[:end]])
+                yield _padded([*head, memoryview(chunk)[:end]])
                 head = []
             head.append(chunk[end:])
         if any(head):
-            yield b"".join(head)
+            yield _padded(head)
 
 
 def _report(path, parsed: int, malformed: int, skipped: int,
@@ -362,12 +378,12 @@ def _report(path, parsed: int, malformed: int, skipped: int,
 
 
 def _field(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The byte fields ``buf[start[i]:stop[i]]`` as a fixed-width S column:
-    the rows of a uint8 matrix, left-aligned and padded with zeros."""
+    """The byte fields ``buf[start[i]:stop[i]]``, each at most ``_TAIL``
+    bytes, as a fixed-width S column: the rows of a uint8 matrix,
+    left-aligned and padded with zeros. ``buf`` ends in ``_TAIL`` zeros."""
     length = stop - start
     width = max(int(length.max(initial=0)), 1)
-    padded = np.concatenate([buf, np.zeros(width, dtype=np.uint8)])
-    out = np.lib.stride_tricks.sliding_window_view(padded, width)[start]
+    out = np.lib.stride_tricks.sliding_window_view(buf, width)[start]
     out *= np.arange(width) < length[:, None]
     return out.view(f"S{width}").reshape(-1)
 
@@ -375,11 +391,11 @@ def _field(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
 def _stamps(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
     """int64 values of the fields ``buf[start[i]:stop[i]]``, and the mask of
     those that are ``-?[0-9]+`` within int64; the value of a field outside
-    the mask means nothing."""
+    the mask means nothing. ``buf`` starts with ``_LEAD`` zeros."""
     # Made first: made after the temporaries below, it sat among the holes
     # they leave, and the peak RSS of `postsched all` rose by 1.5 MB.
     value = np.empty(start.size, dtype=np.uint64)
-    negative = (stop > start) & (buf[np.minimum(start, buf.size - 1)] == ord("-"))
+    negative = (stop > start) & (buf[start] == ord("-"))
     first = start + negative
     n_digits = stop - first
     # A field of more digits than an int64 has is read from its last ones,
@@ -388,11 +404,15 @@ def _stamps(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
     n_digits[long] = _INT64_DIGITS
     # The last ``width`` bytes of each field, with "0" before its digits.
     width = int(n_digits.clip(1).max(initial=1))
-    padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])
-    digits = np.lib.stride_tricks.sliding_window_view(padded, width)[stop]
+    digits = np.lib.stride_tricks.sliding_window_view(buf, width)[stop - width]
     digits[np.arange(width) < (width - n_digits)[:, None]] = ord("0")
     digits -= ord("0")   # a byte below "0" wraps past 9
-    v = digits.astype(np.uint64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+    # Horner's rule a column at a time: a uint64 copy of ``digits`` was the
+    # largest temporary of a block.
+    v = np.zeros(start.size, dtype=np.uint64)
+    for column in digits.T:
+        v *= np.uint64(10)
+        v += column
     # -2**63 is in range, 2**63 is not; -v wraps to the bits of the int64.
     valid = ((n_digits >= 1) & (digits <= 9).all(axis=1)
              & (v <= negative.astype(np.uint64) + np.uint64(_INT64.max)))
@@ -411,20 +431,22 @@ def _split_block(block: bytes, spec: tuple[str, ...], network: str | None):
     a known network, then the network asked for (a line of another is
     skipped), then every other field as its kind says. Returns the network
     of each line that passes, as a uint8 index into ``_NETWORK_NAMES``, the
-    columns of its other fields in file order (bytes for "id", int64
-    otherwise), and the counts of malformed and of skipped lines. The block
-    holds no CR and is valid UTF-8.
+    columns of its other fields in file order (bytes for "id" and "text",
+    int64 otherwise), and the counts of malformed and of skipped lines. The
+    block is :func:`_padded`, holds no CR and is valid UTF-8; every field is
+    read from it in place.
     """
     buf = np.frombuffer(block, dtype=np.uint8)
-    newline = np.flatnonzero(buf == ord("\n"))
-    start = np.concatenate([[0], newline + 1])
-    stop = np.append(newline, buf.size)
+    text = buf[_LEAD:buf.size - _TAIL]
+    newline = np.flatnonzero(text == ord("\n")) + _LEAD
+    start = np.concatenate([[_LEAD], newline + 1])
+    stop = np.append(newline, _LEAD + text.size)
     data = stop > start
     data[data] = buf[start[data]] != ord("#")
-    tab = np.flatnonzero(buf == ord("\t"))
+    tab = np.flatnonzero(text == ord("\t")) + _LEAD
     line_of_tab = np.searchsorted(newline, tab)
     shaped = data & (np.bincount(line_of_tab, minlength=start.size) == len(spec) - 1)
-    shaped[np.searchsorted(newline, np.flatnonzero(buf == 0))] = False
+    shaped[np.searchsorted(newline, np.flatnonzero(text == 0) + _LEAD)] = False
     line = np.flatnonzero(shaped)
     # Field j of row i is buf[bound[i, j] + 1:bound[i, j + 1]].
     bound = np.column_stack([start[line] - 1,
@@ -442,8 +464,13 @@ def _split_block(block: bytes, spec: tuple[str, ...], network: str | None):
     mine = known if network is None else known & (nets == network.encode())
     skipped = int(known.sum() - mine.sum())
     bound, which = bound[mine], which[mine]
+    # Field j is one byte shorter than the gap between its bounds: an id or
+    # a text is at most MAX_ID_BYTES long, and an id is not empty.
+    gap = np.diff(bound, axis=1)
+    texts = [j for j, kind in enumerate(spec) if kind in ("id", "text")]
     ids = [j for j, kind in enumerate(spec) if kind == "id"]
-    fits = np.diff(bound, axis=1)[:, ids].max(axis=1) <= MAX_ID_BYTES + 1
+    fits = ((gap[:, texts].max(axis=1) <= MAX_ID_BYTES + 1)
+            & (gap[:, ids].min(axis=1) > 1))
     bound, which = bound[fits], which[fits]
     numbers, passed = {}, np.ones(len(bound), dtype=bool)
     for j, kind in enumerate(spec):
@@ -477,7 +504,7 @@ def _load(path, spec: tuple[str, ...], network: str | None,
         splits.append(_split_block(block, spec, network))
     # An empty file has no block; the columns of an empty one have its dtypes.
     which, columns, malformed, skipped = zip(
-        *splits or [_split_block(b"", spec, network)])
+        *splits or [_split_block(_padded([]), spec, network)])
     which = np.concatenate(which)
     report = _report(path, which.size, sum(malformed), sum(skipped),
                      max_malformed_frac)
@@ -583,13 +610,68 @@ def join_reactions(posts: PostTable, reactions: ReactionTable) -> JoinResult:
 
 
 @dataclass(frozen=True)
-class UserProfiles:
-    """Created-post and self-reaction counts over one window, as
-    users x buckets matrices whose rows follow the sorted ``users``."""
+class SparseCounts:
+    """Counts over a rows x buckets grid, holding only the cells that have
+    one: the distinct keys ``row * buckets + bucket`` in ascending order, each
+    with its float64 count. Event counts are whole numbers, so every sum of
+    them is exact in float64, whatever its order."""
 
-    users: np.ndarray       # row -> user id, in ascending order
-    created: np.ndarray     # posts authored per row and local bucket
-    reactions: np.ndarray   # reactions performed per row and local bucket
+    shape: tuple[int, int]  # (rows, buckets)
+    keys: np.ndarray        # int64, ascending and distinct
+    counts: np.ndarray      # float64, one per key
+
+    @classmethod
+    def of(cls, values) -> "SparseCounts":
+        """``values`` itself, or a dense rows x buckets matrix as the counts
+        of its non-zero cells."""
+        if isinstance(values, cls):
+            return values
+        values = np.asarray(values, dtype=np.float64)
+        keys = np.flatnonzero(values).astype(np.int64)
+        return cls(values.shape, keys, values.reshape(-1)[keys])
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """The sum of each row, its cells added in bucket order."""
+        return np.bincount(self.keys // self.shape[1], self.counts,
+                           minlength=self.shape[0])
+
+    def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows at ``index``, an int array, as a dense matrix; written
+        into ``out``, a C-contiguous matrix of that shape, if given."""
+        index = np.asarray(index, dtype=np.int64)
+        n = self.shape[1]
+        lo, hi = (np.searchsorted(self.keys, index * n + b) for b in (0, n))
+        length = hi - lo
+        # The positions in ``keys`` of each row's cells, row after row.
+        at = np.arange(length.sum()) + np.repeat(lo - np.cumsum(length) + length,
+                                                 length)
+        if out is None:
+            out = np.zeros((index.size, n))
+        else:
+            out.fill(0.0)
+        out.reshape(-1)[np.repeat(np.arange(index.size) * n, length)
+                        + self.keys[at] % n] = self.counts[at]
+        return out
+
+    def at(self, row, bucket) -> np.ndarray:
+        """The counts at the cells (row, bucket), whose index arrays
+        broadcast together; 0 for a cell without one."""
+        key = np.asarray(row, dtype=np.int64) * self.shape[1] + bucket
+        if not self.keys.size:
+            return np.zeros(key.shape)
+        i = np.searchsorted(self.keys, key).clip(max=self.keys.size - 1)
+        return np.where(self.keys[i] == key, self.counts[i], 0.0)
+
+
+@dataclass(frozen=True)
+class UserProfiles:
+    """Created-post and self-reaction counts over one window, as sparse
+    users x buckets counts whose rows follow the sorted ``users``."""
+
+    users: np.ndarray          # row -> user id, in ascending order
+    created: SparseCounts      # posts authored per row and local bucket
+    reactions: SparseCounts    # reactions performed per row and local bucket
     unknown_tz: frozenset[str]  # users bucketized at UTC for lack of metadata
 
 
@@ -622,18 +704,18 @@ def build_profiles(posts: PostTable, pairs: PairTable, users: UserTable,
 
 def weekly_counts(rows: np.ndarray, users: UserTable, vocabulary: np.ndarray,
                   codes: np.ndarray, times: np.ndarray,
-                  grid: WeeklyGrid) -> np.ndarray:
-    """Events per row and local weekly bucket, as a float64 matrix whose rows
+                  grid: WeeklyGrid) -> SparseCounts:
+    """Events per row and local weekly bucket, as sparse counts whose rows
     follow ``rows``, an ascending array of user ids. Event i is by the user
     ``vocabulary[codes[i]]`` at ``times[i]``, bucketed at the user's offset
     in ``users``; the events of users without a row are dropped."""
     n = grid.buckets_per_week
     row = index_of(rows, vocabulary)[codes]
     row, times = row[row >= 0], times[row >= 0]
-    out = np.zeros((len(rows), n))
-    np.add.at(out.reshape(-1),
-              row * n + grid.bucket_indices(times, users.offsets(rows)[row]), 1.0)
-    return out
+    keys, counts = np.unique(
+        row * n + grid.bucket_indices(times, users.offsets(rows)[row]),
+        return_counts=True)
+    return SparseCounts((len(rows), n), keys, counts.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -665,10 +747,12 @@ def adapt_open_dataset(posts_in, reactions_in, posts_out, reactions_out,
                        network: str, colmap: ColumnMap = ColumnMap()) -> AdapterReport:
     """Rewrite a foreign post/reaction dump into the canonical TSV format.
 
-    Rows that cannot be mapped are skipped and counted. When the source has
-    no author or no reactor column the canonical rows carry "-" in it and
-    the result is marked analysis-only: delay estimation and cohort analysis
-    work, schedule derivation does not.
+    Rows that cannot be mapped are skipped and counted: a row with too few
+    fields, a timestamp that is not an integer, or an empty field at a
+    mapped id column, which would make the canonical line malformed. When
+    the source has no author or no reactor column the canonical rows carry
+    "-" in it and the result is marked analysis-only: delay estimation and
+    cohort analysis work, schedule derivation does not.
     """
     if network not in NETWORKS:
         raise ValueError(f"unknown network {network!r}")
@@ -697,6 +781,9 @@ def adapt_open_dataset(posts_in, reactions_in, posts_out, reactions_out,
                     skipped += 1
                     continue
                 ids = [MISSING_ID if c is None else f[c] for c in columns]
+                if "" in ids:
+                    skipped += 1
+                    continue
                 out.write("\t".join([network, *ids, str(ts)]) + "\n")
                 written += 1
         return written

@@ -1,9 +1,9 @@
 """End-to-end schedule derivation over a whole event log.
 
-Glues the modules together: users x buckets profiles from the derivation
-window, delayed reaction profiles through the network delay kernel, the
-four personalized schedule tables, timezone-cohort baselines, and the
-fallback chain for users without enough signal:
+Glues the modules together: sparse users x buckets profiles from the
+derivation window, delayed reaction profiles through the network delay
+kernel, the four personalized schedule tables, timezone-cohort baselines,
+and the fallback chain for users without enough signal:
 
     S1w -> S1 -> AFD(tz) -> MFU(tz) -> uniform
 
@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import temporal
 from .delays import DelayKernel
 from .errors import PostschedError
 from .ingest import (
@@ -78,11 +79,15 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     """Derive all schedules from one derivation window.
 
     ``targets`` restricts which users get personalized schedules (default:
-    every known user). Profiles are users x buckets matrices. The delay
-    transform runs once, on the rows of the targets' audience members who
-    reacted in the window, and each personalized kind is one sum over the
-    audience edges, so a target's schedules do not depend on the other
-    targets.
+    every known user). Profiles are sparse users x buckets counts, and each
+    personalized kind is one sum over the audience edges, so a target's
+    schedules do not depend on the other targets. The audience members who
+    reacted in the window are taken in ascending blocks of
+    ``temporal.CHUNK_ROWS``: a block's reaction rows are made dense and
+    delayed, the posts visible to it are built from the rows its members
+    follow, and its audience edges are added into the four sums. Each sum
+    adds a target's edges in ascending member order, so the block size
+    changes no bit, and no users x buckets matrix is ever held.
     """
     profiles = build_profiles(posts, pairs, users, grid, window)
     names = profiles.users
@@ -96,7 +101,7 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     target_at, member_row = index_of(targets, graph.users)[graph.src], row[graph.dst]
     edge = (target_at >= 0) & (member_row >= 0)
     target_at, member_row = target_at[edge], member_row[edge]
-    reacted = profiles.reactions.any(axis=1)[member_row]
+    reacted = (profiles.reactions.row_sums > 0)[member_row]
     senders, target_at = np.unique(target_at[reacted], return_inverse=True)
     members, member_at = np.unique(member_row[reacted], return_inverse=True)
     audience = Adjacency.from_edges(len(senders), target_at, member_at)
@@ -113,33 +118,49 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     reactor = index_of(member_names, pairs.users)
     weights = compute_weights(author[pairs.author[received]],
                               reactor[pairs.reactor[received]], audience)
-    reactions = profiles.reactions[members]
-    created, unknown_tz = profiles.created, profiles.unknown_tz
-    del profiles  # frees the reaction counts of everyone else
-    delayed = delayed_profile(reactions, kernel)
-    del reactions
-    visible = visible_posts(created, followed, model)
 
-    first_degree = audience_reaction_profile(delayed, audience)
+    n = grid.buckets_per_week
+    sums = {kind: np.zeros((len(senders), n)) for kind in PERSONALIZED_KINDS}
+    # The audience edges in member order, to find a block's by bisection.
+    by_member = np.argsort(audience.col, kind="stable")
+    member_of = audience.col[by_member]
+    step = temporal.CHUNK_ROWS  # read now, as delayed_profile reads it
+    # One pair of buffers serves every block. A block's reaction rows are
+    # not read once they are delayed, so their buffer takes its visible posts.
+    buffers = np.empty((2, min(step, len(members)), n))
+    for lo in range(0, len(members), step):
+        block = members[lo:lo + step]
+        # This block's edges in (target, member) order, members from 0.
+        e = np.sort(by_member[slice(*np.searchsorted(member_of, [lo, lo + step]))])
+        edges = Adjacency(len(senders), audience.row[e], audience.col[e] - lo)
+        f = slice(*np.searchsorted(followed.row, [lo, lo + step]))
+        follows = Adjacency(block.size, followed.row[f] - lo, followed.col[f])
+        reactions, delayed = buffers[:, :block.size]
+        delayed_profile(profiles.reactions.rows(block, out=reactions), kernel,
+                        out=delayed)
+        visible = visible_posts(profiles.created, follows, model, out=reactions)
+        for kind, w, v in (("S1", None, None), ("S2", None, visible),
+                           ("S1w", weights[e], None), ("S2w", weights[e], visible)):
+            audience_reaction_profile(delayed, edges, w, v, out=sums[kind])
+    first_degree = sums["S1"]
     first_degree.setflags(write=False)
-    personalized = {"S1": normalize_rows(first_degree, sender_names, "S1")}
-    for kind, w, v in (("S2", None, visible), ("S1w", weights, None),
-                       ("S2w", weights, visible)):
-        personalized[kind] = normalize_rows(
-            audience_reaction_profile(delayed, audience, w, v), sender_names, kind)
-    del delayed, visible
+    personalized = {kind: normalize_rows(sums[kind], sender_names, kind)
+                    for kind in PERSONALIZED_KINDS}
 
     # Timezone-cohort baselines, one AFD and one MFU row per cohort. Every
-    # sender has a member who reacted, so its S1 sum carries mass.
+    # sender has a member who reacted, so its S1 sum carries mass. MFU sums
+    # the created counts of each cohort's users; they are whole numbers, so
+    # a bincount sums them exactly.
     offsets, cohort = np.unique(
         users.offsets(np.concatenate([sender_names, names])), return_inverse=True)
-    sums = np.stack([cohort_sum(first_degree, cohort[:len(senders)], len(offsets)),
-                     cohort_sum(created, cohort[len(senders):], len(offsets))],
-                    axis=1)
-    del created
-    n = grid.buckets_per_week
+    user_row, bucket = np.divmod(profiles.created.keys, n)
+    mfu = np.bincount(cohort[len(senders):][user_row] * n + bucket,
+                      profiles.created.counts, minlength=len(offsets) * n)
+    cohort_sums = np.stack(
+        [cohort_sum(first_degree, cohort[:len(senders)], len(offsets)),
+         mfu.reshape(-1, n)], axis=1)
     baselines = normalize_rows(
-        sums.reshape(-1, n),
+        cohort_sums.reshape(-1, n),
         np.repeat([cohort_label(off) for off in offsets.tolist()], 2),
         np.tile(["AFD", "MFU"], len(offsets)))
 
@@ -166,7 +187,7 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
           for column in ("users", "provenance", "probabilities")))
     chosen = Chosen(targets, candidates, choice)
 
-    return DerivedSchedules(personalized, baselines, chosen, unknown_tz)
+    return DerivedSchedules(personalized, baselines, chosen, profiles.unknown_tz)
 
 
 def write_schedules(path, *tables: ScheduleTable | Chosen) -> None:

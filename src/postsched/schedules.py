@@ -24,12 +24,12 @@ is one sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import temporal
-from .ingest import index_of
+from .ingest import SparseCounts, index_of
 from .temporal import ScheduleTable, WeeklyGrid
 
 @dataclass(frozen=True)
@@ -70,10 +70,13 @@ class Adjacency:
 
 
 def _sum_over_edges(edges: Adjacency, n_buckets: int,
-                    rows_of: Callable[[slice], np.ndarray]) -> np.ndarray:
+                    rows_of: Callable[[slice], Iterable[np.ndarray]],
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Row r of the result sums, over the edges out of r in order, one row
-    each; ``rows_of`` returns the rows of a slice of the edges."""
-    out = np.zeros((edges.n_rows, n_buckets))
+    each; ``rows_of`` returns the rows of a slice of the edges. The rows are
+    added into ``out`` if given, else into zeros."""
+    if out is None:
+        out = np.zeros((edges.n_rows, n_buckets))
     step = temporal.CHUNK_ROWS
     for lo in range(0, len(edges), step):
         chunk = slice(lo, lo + step)
@@ -88,7 +91,8 @@ def _sum_over_edges(edges: Adjacency, n_buckets: int,
 
 def audience_reaction_profile(delayed: np.ndarray, audience: Adjacency,
                               weights: np.ndarray | None = None,
-                              visible: np.ndarray | None = None) -> np.ndarray:
+                              visible: np.ndarray | None = None,
+                              out: np.ndarray | None = None) -> np.ndarray:
     """Sum the audience's delayed reaction profiles, one row per target.
 
     Row t of the result sums, over the audience edges (t, b) in ascending b,
@@ -101,6 +105,10 @@ def audience_reaction_profile(delayed: np.ndarray, audience: Adjacency,
 
         S1 = (None, None)    S2 = (None, visible)
         S1w = (weights, None)    S2w = (weights, visible)
+
+    With ``out``, the rows are added into it one edge at a time, so the
+    audience can come in blocks of members in ascending order: a target's
+    sum is then the one its whole audience gives, bit for bit.
     """
     if visible is not None and np.any(visible <= 0):
         raise ValueError("visible-posts profile must be strictly positive")
@@ -115,30 +123,40 @@ def audience_reaction_profile(delayed: np.ndarray, audience: Adjacency,
             rows *= weights[chunk, None]
         return rows
 
-    return _sum_over_edges(audience, delayed.shape[-1], rows_of)
+    return _sum_over_edges(audience, delayed.shape[-1], rows_of, out)
 
 
-def visible_posts(created: np.ndarray, followed: Adjacency,
-                  model: VisibilityModel) -> np.ndarray:
+def visible_posts(created: SparseCounts | np.ndarray, followed: Adjacency,
+                  model: VisibilityModel,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Posts visible to each member per bucket, from the creation profiles of
     the users they follow.
 
-    Row r of the result is built from the rows of ``created`` that r's edges
-    in ``followed`` point to: each is rescaled by its own mean (rows with zero
-    mean contribute nothing), they are summed, and the sum is mapped through
-    the visibility model. Every element is >= beta > 0.
+    Row r of the result is built from the rows of ``created`` (sparse counts,
+    or a dense matrix read as the counts of its non-zero cells) that r's
+    edges in ``followed`` point to: each is rescaled by its own mean (rows
+    with zero mean contribute nothing), they are summed, and the sum is
+    mapped through the visibility model. Every element is >= beta > 0. The
+    result is written into ``out``, a members x buckets matrix, if given.
     """
+    created = SparseCounts.of(created)
     n = created.shape[-1]
-    mean = created.sum(axis=-1) / n
+    mean = created.row_sums / n
     posting = mean[followed.col] > 0
     creators = Adjacency(followed.n_rows, followed.row[posting],
                          followed.col[posting])
 
-    def rows_of(chunk: slice) -> np.ndarray:
-        rows = creators.col[chunk]
-        return created[rows] / mean[rows, None]
+    def rows_of(chunk: slice):
+        # Many members follow one author: each distinct row is made dense
+        # and rescaled once, and the chunk's edges take views of it.
+        authors, at = np.unique(creators.col[chunk], return_inverse=True)
+        rows = created.rows(authors)
+        rows /= mean[authors, None]
+        return map(rows.__getitem__, at.tolist())
 
-    acc = _sum_over_edges(creators, n, rows_of)
+    if out is not None:
+        out.fill(0.0)
+    acc = _sum_over_edges(creators, n, rows_of, out)
     acc *= model.alpha
     acc += model.beta
     return acc

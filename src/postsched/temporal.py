@@ -147,7 +147,8 @@ def kernel_mass(mass) -> np.ndarray:
     return m
 
 
-def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
+def delayed_profile(values: np.ndarray, kernel,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Transform reaction profiles to anticipate where delayed reactions land.
 
     ``values`` holds one profile or a stack of them, with buckets on the last
@@ -175,6 +176,8 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
     ``kernel`` may be a :class:`~postsched.delays.DelayKernel`, whose lag
     width must be the profiles' bucket width (a week over the buckets), or a
     bare probability vector over lags, which :func:`kernel_mass` checks.
+    The result is written into ``out``, a C-contiguous array of ``values``'
+    shape, if given.
     """
     mass = kernel_mass(getattr(kernel, "mass", kernel))
     v = np.asarray(values, dtype=np.float64)
@@ -184,12 +187,15 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
         raise ValueError(f"kernel: lag width {width} s is not the bucket width "
                          f"{WEEK_SECONDS / max(n, 1):g} s of {n}-bucket profiles")
     rows = v.reshape(-1, n)
-    out = np.empty(rows.shape)  # C order, so a chunk's flat view writes through
+    if out is None:
+        out = np.empty(v.shape)
+    # ``out`` is in C order, so a chunk's flat view writes through.
+    out_rows = out.reshape(rows.shape)
     term = np.empty((min(len(rows), CHUNK_ROWS), n))
     lags = np.flatnonzero(mass)
     for lo in range(0, len(rows), CHUNK_ROWS):
         src = rows[lo:lo + CHUNK_ROWS]
-        dst = out[lo:lo + CHUNK_ROWS]
+        dst = out_rows[lo:lo + CHUNK_ROWS]
         if np.signbit(src).any() or not np.isfinite(src).all():
             raise ValueError("values must be finite with the sign bit clear "
                              "(no negative, -0.0, NaN or infinite value)")
@@ -214,7 +220,7 @@ def delayed_profile(values: np.ndarray, kernel) -> np.ndarray:
             np.multiply(src[:, :s], mass[m], out=acc[:, n - s:])
             if i:
                 dst += part
-    return out.reshape(v.shape)
+    return out
 
 
 def _scatter_is_cheaper(src: np.ndarray, lags: int) -> bool:

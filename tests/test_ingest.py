@@ -33,6 +33,7 @@ from postsched.ingest import (
     LoadReport,
     PostTable,
     ReactionTable,
+    SparseCounts,
     adapt_open_dataset,
 )
 
@@ -214,6 +215,23 @@ class TestLoaders:
         with pytest.raises(OSError):
             load_posts(tmp_path / "absent.tsv")
 
+    @pytest.mark.parametrize("load, text", [
+        (load_posts, "TW\tu1\tp1\t12\nTW\t\tp2\t12\nTW\tu1\t\t12\n"),
+        (load_reactions, "TW\tp1\tu1\t12\nTW\tp1\t\t12\nTW\t\tu1\t12\n"),
+        (load_graph, "TW\tu1\tb\nTW\t\tb\nTW\tu1\t\n"),
+        (load_users, "u1\t0\t\tTW\n\t0\tNYC\tTW\n"),
+    ], ids=["posts", "reactions", "edges", "users"])
+    def test_empty_id_is_malformed(self, tmp_path, load, text):
+        # An empty id names nobody, so it is neither a user "" nor "-"; an
+        # empty city is still no city.
+        table, report = load(write(tmp_path / "in.tsv", text),
+                             max_malformed_frac=1.0)
+        assert (report.parsed, report.malformed) == (1, text.count("\n") - 1)
+        assert "" not in table.users.tolist()
+        assert "u1" in table.users.tolist()
+        if load is load_users:
+            assert table.city.tolist() == [None]
+
 
 # A per-line reference loader for the four input files. It is written apart
 # from the byte path it checks: it decodes the file, splits it with str
@@ -222,15 +240,15 @@ REFERENCE_KINDS = {
     "posts": ("net", "id", "id", "stamp"),
     "reactions": ("net", "id", "id", "stamp"),
     "edges": ("net", "id", "id"),
-    "users": ("id", "tz", "id", "net"),
+    "users": ("id", "tz", "text", "net"),
 }
 STAMP = re.compile(r"-?[0-9]+")
 
 
 def reference_field(kind, text):
     """The value of a field of ``kind``; ValueError when it is malformed."""
-    if kind == "id":
-        if len(text.encode()) > ingest.MAX_ID_BYTES:
+    if kind in ("id", "text"):
+        if len(text.encode()) > ingest.MAX_ID_BYTES or (kind == "id" and not text):
             raise ValueError(text)
         return text
     if not STAMP.fullmatch(text):
@@ -829,8 +847,8 @@ class TestBuildProfiles:
         users = tz_table({"u1": 0})
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
-        assert prof.created[row(prof, "u1"), 0] == 1.0
-        assert prof.created[row(prof, "u1")].sum() == 1.0
+        assert prof.created.at(row(prof, "u1"), 0) == 1.0
+        assert prof.created.row_sums[row(prof, "u1")] == 1.0
 
     def test_reactions_bucket_one(self):
         res = join(
@@ -840,7 +858,7 @@ class TestBuildProfiles:
         users = tz_table({"u1": 0, "a": 0})
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles([], res.pairs, users, self.grid(), window)
-        assert prof.reactions[row(prof, "u1"), 1] == 2.0
+        assert prof.reactions.at(row(prof, "u1"), 1) == 2.0
 
     def test_window_boundary_exclusion(self):
         window = TimeWindow.from_days(self.MONDAY, 63)
@@ -848,7 +866,7 @@ class TestBuildProfiles:
                  ("TW", "u1", "p2", window.end + 1)]
         users = tz_table({"u1": 0})
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
-        assert prof.created[row(prof, "u1")].sum() == 1.0
+        assert prof.created.row_sums[row(prof, "u1")] == 1.0
 
     def test_conservation_over_users(self):
         rng = np.random.default_rng(41)
@@ -858,21 +876,21 @@ class TestBuildProfiles:
                  for i in range(200)]
         users = tz_table({f"u{i}": 0 for i in range(5)})
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
-        assert prof.created.sum() == len(posts)
+        assert prof.created.row_sums.sum() == len(posts)
 
     def test_unknown_tz_flagged_and_defaults_utc(self):
         posts = [("TW", "ghost", "p1", self.MONDAY)]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, tz_table({}), self.grid(), window)
         assert "ghost" in prof.unknown_tz
-        assert prof.created[row(prof, "ghost"), 0] == 1.0
+        assert prof.created.at(row(prof, "ghost"), 0) == 1.0
 
     def test_zero_profiles_for_inactive_users(self):
         users = tz_table({"quiet": 0})
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles([], NO_PAIRS, users, self.grid(), window)
-        assert prof.created[row(prof, "quiet")].sum() == 0.0
-        assert prof.reactions[row(prof, "quiet")].sum() == 0.0
+        assert prof.created.row_sums[row(prof, "quiet")] == 0.0
+        assert prof.reactions.row_sums[row(prof, "quiet")] == 0.0
 
     def test_rows_follow_sorted_users_in_local_time(self):
         posts = [("TW", "zed", "p1", self.MONDAY),
@@ -882,7 +900,63 @@ class TestBuildProfiles:
         prof = profiles(posts, NO_PAIRS, users, self.grid(), window)
         assert prof.users.tolist() == ["amy", "kim", "zed"]
         assert prof.created.shape == prof.reactions.shape == (3, 672)
-        assert prof.created[0, 4] == prof.created[2, 0] == 1.0
+        assert prof.created.at([0, 2], [4, 0]).tolist() == [1.0, 1.0]
+
+
+@st.composite
+def count_matrices(draw):
+    """A dense matrix of whole-number counts, many of them zero, with rows
+    that are all zero and possibly no rows at all."""
+    rows = draw(st.integers(0, 6))
+    buckets = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 7]),
+                          min_size=rows * buckets, max_size=rows * buckets))
+    return np.array(cells, dtype=np.float64).reshape(rows, buckets)
+
+
+class TestSparseCounts:
+    @settings(max_examples=200)
+    @given(dense=count_matrices(), data=st.data())
+    def test_reads_equal_the_dense_matrix(self, dense, data):
+        counts = SparseCounts.of(dense)
+        rows, n = dense.shape
+        assert counts.shape == dense.shape
+        assert np.all(np.diff(counts.keys) > 0) and np.all(counts.counts > 0)
+        assert counts.row_sums.tobytes() == dense.sum(axis=1).tobytes()
+        index = data.draw(st.lists(st.integers(0, rows - 1), max_size=8)
+                          if rows else st.just([]))
+        assert counts.rows(index).tobytes() == dense[index].reshape(-1, n).tobytes()
+        out = np.full((len(index), n), np.nan)
+        assert counts.rows(index, out=out) is out
+        assert out.tobytes() == dense[index].reshape(-1, n).tobytes()
+        if rows:
+            row = np.array(data.draw(st.lists(st.integers(0, rows - 1), max_size=8)),
+                           dtype=np.int64)
+            bucket = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                                 min_size=row.size, max_size=row.size)),
+                              dtype=np.int64)
+            assert counts.at(row, bucket).tolist() == dense[row, bucket].tolist()
+            assert counts.at(row[:, None], np.arange(n)).tolist() == dense[row].tolist()
+
+    @settings(max_examples=100)
+    @given(events=st.lists(st.tuples(st.sampled_from(["a", "b", "c", "-"]),
+                                     st.integers(0, 3 * 86400)), max_size=30),
+           offsets=st.lists(st.sampled_from([-300, 0, 60]), min_size=3, max_size=3))
+    def test_weekly_counts_equal_a_dense_tally(self, events, offsets):
+        grid = WeeklyGrid(7 * 24)
+        users = tz_table(dict(zip(["a", "b", "d"], offsets)))
+        names = np.array(["a", "b", "d"], dtype=object)
+        vocabulary = np.array(sorted({u for u, _ in events}), dtype=object)
+        codes = ingest.index_of(vocabulary, [u for u, _ in events])
+        got = ingest.weekly_counts(names, users, vocabulary, codes,
+                                   np.array([t for _, t in events], dtype=np.int64),
+                                   grid)
+        want = np.zeros((3, grid.buckets_per_week))
+        for user, t in events:
+            if user in names:
+                i = names.tolist().index(user)
+                want[i, grid.bucket_index(t, users.offsets([user])[0])] += 1
+        assert got.rows(range(3)).tobytes() == want.tobytes()
 
 
 class TestUserTable:
@@ -953,6 +1027,21 @@ class TestAdapter:
         assert not report.analysis_only
         reactions, _ = load_reactions(tmp_path / "r.tsv")
         assert reactions.users[reactions.reactor[0]] == "u9"
+
+
+    def test_empty_id_field_is_skipped(self, tmp_path):
+        # An empty mapped id would make the canonical line malformed.
+        posts_in = write(tmp_path / "raw_posts.tsv",
+                         "p1\tu1\t1420000000\np2\t\t1420000500\n"
+                         "\tu1\t1420000600\n")
+        reactions_in = write(tmp_path / "raw_reactions.tsv",
+                             "p1\t1420000100\n\t1420000200\n")
+        report = adapt_open_dataset(posts_in, reactions_in, tmp_path / "p.tsv",
+                                    tmp_path / "r.tsv", "TW")
+        assert (report.posts_written, report.reactions_written,
+                report.skipped) == (1, 1, 3)
+        for load, path in ((load_posts, "p.tsv"), (load_reactions, "r.tsv")):
+            assert load(tmp_path / path)[1].malformed == 0
 
 
 def _special_floats() -> np.ndarray:

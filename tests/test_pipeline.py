@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,7 @@ from postsched import (
     WeeklyGrid,
     delayed_profile,
     derive_schedules,
+    evaluate_schedules,
     generate,
     ground_truth_peak,
 )
@@ -142,7 +144,8 @@ class TestDeriveSchedules:
         # AFD sums the raw first-degree profiles of the S1 users alone: the
         # delayed rows of their audiences.
         prof = build_profiles(posts, join.pairs, result.users, grid, window)
-        delayed = delayed_profile(prof.reactions, kernel)
+        delayed = delayed_profile(
+            prof.reactions.rows(np.arange(len(prof.users))), kernel)
         names = prof.users.tolist()
         total = sum(delayed[names.index(member)] for author, member in result.edges
                     if author in derived.personalized["S1"].users)
@@ -238,6 +241,106 @@ class TestDeriveSchedules:
                              kernel, window)
         derive_schedules(posts, join.pairs, graph, result.users, grid,
                          DelayKernel.delta(1, lag_width_s=3600), window)
+
+
+DAY = 86400
+
+
+@st.composite
+def small_networks(draw):
+    """Posts, reactions, a follower graph and users.tsv over users u0..u11
+    on a grid of one bucket a day. The graph has self-loops and repeated
+    edges; some members never react, some authors never post, some users
+    are not listed, and the derivation or the evaluation window may hold no
+    event at all."""
+    names = [f"u{i}" for i in range(draw(st.integers(1, 12)))]
+    user = st.sampled_from(names)
+    # Days -7 .. 20 around both windows: derivation 0-6, evaluation 7-20.
+    stamp = st.integers(-7 * DAY, 21 * DAY - 1).map(DEFAULT_START_EPOCH.__add__)
+    posts = draw(st.lists(st.tuples(user, stamp), max_size=30))
+    reactions = draw(st.lists(st.tuples(
+        st.integers(0, max(len(posts) - 1, 0)), user, st.integers(0, 2 * DAY)),
+        max_size=40)) if posts else []
+    edges = draw(st.lists(st.tuples(user, user), max_size=40))
+    listed = draw(st.lists(st.tuples(user, st.sampled_from([-300, 0, 60]),
+                                     st.sampled_from(["Oslo", None])),
+                           unique_by=lambda u: u[0], max_size=len(names)))
+    mass = draw(st.sampled_from([[1.0], [0.0, 1.0], [0.5, 0.5],
+                                 [0.4, 0.3, 0.2, 0.1]]))
+    post_table = PostTable.from_columns(
+        ["TW"], [a for a, _ in posts], [f"p{i}" for i in range(len(posts))],
+        [t for _, t in posts])
+    pairs = PairTable.from_columns(
+        [posts[i][0] for i, _, _ in reactions], [r for _, r, _ in reactions],
+        [posts[i][1] for i, _, _ in reactions],
+        [posts[i][1] + d for i, _, d in reactions])
+    users = UserTable.from_columns(["TW"] * len(listed), [u for u, _, _ in listed],
+                                   [tz for _, tz, _ in listed],
+                                   [c for _, _, c in listed])
+    graph = SocialGraph.from_columns([a for a, _ in edges], [b for _, b in edges])
+    return post_table, pairs, graph, users, DelayKernel(np.array(mass), DAY)
+
+
+class TestStreamedDerivation:
+    """The derivation walks the audience members in blocks of
+    temporal.CHUNK_ROWS and holds no users x buckets matrix: every block
+    size gives the bits of the whole computation, and the peak memory stays
+    below one such matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=small_networks())
+    def test_block_size_changes_no_bit(self, case):
+        # 256 exceeds every member count drawn here, so that case is one
+        # block: the whole users x buckets computation.
+        posts, pairs, graph, users, kernel = case
+        grid = WeeklyGrid(7)
+        window = TimeWindow.from_days(DEFAULT_START_EPOCH, 7)
+        held_out = TimeWindow.from_days(DEFAULT_START_EPOCH + 7 * DAY, 14)
+        outcomes = []
+        for chunk in (1, 7, 256):
+            with mock.patch.object(temporal, "CHUNK_ROWS", chunk):
+                derived = derive_schedules(posts, pairs, graph, users, grid,
+                                           kernel, window)
+                report = evaluate_schedules(
+                    {**derived.personalized, "recommended": derived.recommended},
+                    posts, pairs, users, held_out, grid, k=4, day_filter="all",
+                    baselines=derived.baselines.by_provenance())
+            tables = [*derived.personalized.values(), derived.baselines,
+                      derived.recommended]
+            outcomes.append(([(t.users.tolist(), t.provenance.tolist(),
+                               t.probabilities.tobytes()) for t in tables],
+                             repr(report), derived.unknown_tz))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_memory_stays_below_one_population_matrix(self):
+        # About 2,000 users. Dense profiles, delayed and visible rows and
+        # evaluation counts would each be a users x buckets matrix, as
+        # large as this bound.
+        geometric = 0.97 ** np.arange(96)
+        cfg = SynthConfig(seed=3, n_authors=50, followers_per_author=40,
+                          span_days=28, kernel=tuple(geometric / geometric.sum()),
+                          author_base_rate=0.1,
+                          follower_base_rate=0.001, follower_peak_rate=0.1)
+        result = generate(cfg)
+        join = join_reactions(result.posts, result.reactions)
+        graph = SocialGraph.from_columns(*zip(*result.edges))
+        kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
+        window = TimeWindow.from_days(cfg.start_epoch, 14)
+        held_out = TimeWindow.from_days(cfg.start_epoch + 14 * DAY, 14)
+        n_users = len(result.users.users)
+        assert n_users >= 2000
+        matrix = n_users * cfg.grid.buckets_per_week * 8
+        tracemalloc.start()
+        try:
+            derived = derive_schedules(result.posts, join.pairs, graph,
+                                       result.users, cfg.grid, kernel, window)
+            evaluate_schedules(derived.personalized, result.posts, join.pairs,
+                               result.users, held_out, cfg.grid,
+                               baselines=derived.baselines.by_provenance())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix
 
 
 class TestPersistence:

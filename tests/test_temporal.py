@@ -32,7 +32,7 @@ def created_profile(timestamps, tz_offset_min, grid):
                               UserTable.from_columns(["TW"], ["u"],
                                                      [tz_offset_min], [None]),
                               grid, window)
-    return profiles.created[0]
+    return profiles.created.rows([0])[0]
 
 
 def normalize(q):
