@@ -4,7 +4,13 @@ Builds star-shaped follower graphs where each author's followers share a
 planted weekly activity peak, then simulates the full event process:
 
   * every user posts by a Poisson draw per bucket from their own weekly
-    intensity (a base rate plus extra rate at their peak buckets);
+    intensity (a base rate plus extra rate at their peak buckets). The draws
+    equal numpy's ``Generator.poisson`` over the weeks x buckets grid, draw
+    for draw: below a rate of 10 numpy multiplies uniform doubles one at a
+    time, so the generator takes the same doubles from one block of
+    ``Generator.random`` and moves the stream on by the doubles used. A user
+    with any rate of 10 or more, which numpy draws by rejection, calls
+    ``Generator.poisson`` itself;
   * for each post, each audience member independently gets a chance to
     react; the reaction lands at post time plus a delay sampled from the
     true delay kernel, and is kept with probability
@@ -25,6 +31,7 @@ sidecar for acceptance testing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,9 +62,15 @@ from .temporal import (
 _BLOCK_DRAWS = 1 << 18
 
 # The most Poisson cells (users x weeks x buckets) that one config may draw.
-# Each user's draw is held whole, as int64, so this also bounds that array
-# to 2 GiB. The 16,400-user, 17-week bench point draws 187M cells.
+# The 16,400-user, 17-week bench point draws 187M cells. A user's draws take
+# one float64 block of uniforms, one per cell plus one per post; a block
+# above this many doubles goes through numpy's own sampler, which holds an
+# int64 count per cell. So either array stays within 2 GiB.
 MAX_POISSON_CELLS = 1 << 28
+
+# A user's block of uniforms for the Poisson draws holds this many standard
+# deviations more than the doubles the draws take on average.
+_POISSON_SLACK = 8.0
 
 
 @dataclass(frozen=True)
@@ -268,6 +281,147 @@ def resolve_population(config: SynthConfig) -> Population:
     return Population(tuple(users + followers), tuple(edges))
 
 
+def _runs(u: np.ndarray, threshold: float):
+    """Every position q where ``u[q] > threshold`` (a candidate), and the
+    count that a multiplication-method draw starting at q gives.
+
+    The count is the number of doubles u[q], u[q + 1], ... whose running
+    product stays above the threshold. ``u`` ends in a 0.0 that no draw
+    takes, so every run stops inside it.
+    """
+    q = np.flatnonzero(u > threshold)
+    x = np.ones(q.size, dtype=np.int64)
+    live, prod, pos = np.arange(q.size), u[q], q + 1
+    while live.size:
+        prod = prod * u[pos]
+        more = prod > threshold
+        live, prod, pos = live[more], prod[more], pos[more] + 1
+        x[live] += 1
+    return q, x
+
+
+def _walk(u: np.ndarray, threshold: float, others: list[int],
+          other_thresholds: list[float], n_cells: int):
+    """Cells and counts of the nonzero draws among ``n_cells`` draws from
+    the doubles in ``u``, and how many doubles they take; None if ``u`` runs
+    out first. Every cell draws at ``threshold`` but those listed in
+    ``others`` (ascending), which draw at their own."""
+    size = u.size - 1    # the doubles before the 0.0 sentinel
+    q, x = _runs(u, threshold)
+    # Each double of a run but its last is at least the running product, so
+    # it is a candidate too: the run from q[i] covers candidates i + 1 ..
+    # i + x[i] - 1, and its last double is candidate i + x[i] or the first
+    # position past a stretch of consecutive candidates.
+    if not others:
+        # A position that is no candidate is a cell that takes one double
+        # and draws 0, or the last double of a run. So the first candidate
+        # of each stretch starts a cell, and so does candidate i + x[i] + 1
+        # after candidate i, while it stays in the stretch.
+        at = np.flatnonzero(np.diff(q, prepend=-2) != 1)
+        last = np.append(at[1:], q.size) - 1
+        on = np.zeros(q.size, dtype=bool)
+        while at.size:
+            on[at] = True
+            at = at + x[at] + 1
+            inside = at <= last
+            at, last = at[inside], last[inside]
+        q, x = q[on], x[on]
+        cells = q - (np.cumsum(x) - x)
+        keep = cells < n_cells
+        cells, x = cells[keep], x[keep]
+        taken = n_cells + int(x.sum())
+        return (cells, x, taken) if taken <= size else None
+    nxt = np.arange(q.size) + x
+    nxt += q[np.minimum(nxt, q.size - 1)] == q + x
+    q, x, nxt = q.tolist(), x.tolist(), nxt.tolist()
+    cells: list[int] = []
+    counts: list[int] = []
+    i = c = p = 0    # next candidate, next cell, its first double
+    for s, e in zip([*others, n_cells], [*other_thresholds, 0.0]):
+        # Cells c .. s-1 draw at the common threshold, from double p on.
+        while i < len(q) and q[i] - p < s - c:
+            c += q[i] - p
+            cells.append(c)
+            counts.append(x[i])
+            p, c, i = q[i] + x[i] + 1, c + 1, nxt[i]
+        p, c = p + s - c, s
+        if s == n_cells:
+            break
+        if p >= size:
+            return None
+        count, prod = 0, float(u[p])
+        while prod > e:
+            count += 1
+            p += 1
+            prod *= float(u[p])
+        p += 1
+        if count:
+            cells.append(s)
+            counts.append(count)
+        c = s + 1
+        i = bisect_left(q, p)
+    if p > size:
+        return None
+    return np.array(cells, dtype=np.int64), np.array(counts, dtype=np.int64), p
+
+
+def _poisson_events(rng: np.random.Generator, rates: np.ndarray, n_weeks: int):
+    """Ascending flat cells (week * rates.size + bucket) and counts of the
+    nonzero draws of ``rng.poisson(np.broadcast_to(rates, (n_weeks,
+    rates.size)))``, leaving ``rng`` (a PCG64 generator) as that call would.
+
+    For 0 < rate < 10 numpy draws by the multiplication method: it
+    multiplies one double after another into a product that starts at 1.0
+    and stops at the first product <= exp(-rate); the count is the number of
+    doubles before that one. A rate of 0 takes no double. ``rng.random``
+    gives the same doubles, so one block of them holds every draw, and the
+    generator is then moved on by exactly the doubles used. A user with any
+    rate of 10 or more, which numpy draws by rejection (PTRS), or whose
+    block would exceed MAX_POISSON_CELLS doubles, takes ``rng.poisson``
+    itself.
+    """
+    n = rates.size
+    # Only buckets with a nonzero rate take doubles: cell a of the walk is
+    # week a // k, active bucket a % k.
+    active = np.flatnonzero(rates)
+    k = active.size
+    n_cells = n_weeks * k
+    mean = float(rates.sum()) * n_weeks
+    size = int(n_cells + mean + _POISSON_SLACK * math.sqrt(mean)) + 1
+    if rates.max(initial=0.0) >= 10.0 or size > MAX_POISSON_CELLS:
+        counts = rng.poisson(np.broadcast_to(rates, (n_weeks, n))).reshape(-1)
+        cells = np.flatnonzero(counts)
+        return cells, counts[cells]
+    if n_cells == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    lam = rates[active]
+    common = lam[0]
+    own = np.flatnonzero(lam != common)
+    if 2 * own.size > k:
+        values, freq = np.unique(lam, return_counts=True)
+        common = values[np.argmax(freq)]
+        own = np.flatnonzero(lam != common)
+    others = (np.arange(n_weeks)[:, None] * k + own).reshape(-1).tolist()
+    # math.exp is the C library's exp, which numpy's sampler calls.
+    own_thresholds = [math.exp(-r) for r in lam[own].tolist()] * n_weeks
+    bg = rng.bit_generator
+    saved = bg.state
+    u = np.zeros(size + 1)
+    rng.random(out=u[:size])
+    while (events := _walk(u, math.exp(-common), others, own_thresholds,
+                           n_cells)) is None:
+        u = np.concatenate([u[:-1], rng.random(size // 8 + 16), [0.0]])
+    cells, counts, taken = events
+    bg.state = saved
+    bg.advance(taken)
+    # advance() drops the buffered 32-bit half-word; put it back.
+    state = bg.state
+    state.update(has_uint32=saved["has_uint32"], uinteger=saved["uinteger"])
+    bg.state = state
+    weeks, j = np.divmod(cells, k)
+    return weeks * n + active[j], counts
+
+
 def _user_posts(config: SynthConfig, spec: UserSpec, user_index: int,
                 grid: WeeklyGrid) -> np.ndarray:
     """Sorted post timestamps for one user, over the whole span."""
@@ -277,13 +431,31 @@ def _user_posts(config: SynthConfig, spec: UserSpec, user_index: int,
     width = grid.bucket_width_s
     end = config.start_epoch + config.span_s
     n_weeks = math.ceil(config.span_s / WEEK_SECONDS)
-    lam = spec.intensity(n)
-    counts = rng.poisson(lam=np.broadcast_to(lam, (n_weeks, n))).reshape(-1)
-    slots = np.flatnonzero(counts)
-    weeks, buckets = np.divmod(np.repeat(slots, counts[slots]), n)
+    cells, counts = _poisson_events(rng, spec.intensity(n), n_weeks)
+    weeks, buckets = np.divmod(np.repeat(cells, counts), n)
     offsets = rng.integers(0, width, size=weeks.size)
     times = config.start_epoch + weeks * WEEK_SECONDS + buckets * width + offsets
     return np.sort(times[times < end])
+
+
+def _lag_table(cum: np.ndarray) -> np.ndarray:
+    """The lag of each of G equal bins of [0, 1) that holds no cumulative
+    kernel boundary, and -1 for a bin that holds one. G is a power of two,
+    at least 16 times the lags, so that ``u * G`` is exact."""
+    bins = 1 << (16 * cum.size - 1).bit_length()
+    edges = np.arange(bins + 1) / bins
+    lo = np.searchsorted(cum, edges[:-1], side="right")
+    hi = np.searchsorted(cum, edges[1:], side="left")
+    return np.where(lo == hi, np.minimum(lo, cum.size - 1), -1)
+
+
+def _lags(cum: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, "right")`` clipped to the last lag, for
+    doubles in [0, 1); only keys in a bin with a boundary are searched."""
+    lag = table[(u * table.size).astype(np.intp)]
+    near = lag < 0
+    lag[near] = np.minimum(np.searchsorted(cum, u[near], side="right"), cum.size - 1)
+    return lag
 
 
 def _reactions(config: SynthConfig, pop: Population, times: list[np.ndarray],
@@ -302,6 +474,7 @@ def _reactions(config: SynthConfig, pop: Population, times: list[np.ndarray],
     end = config.start_epoch + config.span_s
     kern = np.asarray(config.kernel, dtype=np.float64)
     cum = np.cumsum(kern)
+    table = _lag_table(cum)
     overrides = {(a, b): p for a, b, p in config.reaction_prob_overrides}
     tz = np.array([u.tz_offset_min for u in pop.users], dtype=np.int64)
     reactor, post_row, reacted_at = ([np.empty(0, dtype=np.int64)] for _ in range(3))
@@ -320,8 +493,7 @@ def _reactions(config: SynthConfig, pop: Population, times: list[np.ndarray],
         for lo in range(0, len(members), step):
             rows = member_row[lo:lo + step]
             draws = rng.random((rows.size, 2, t.size))
-            lag = np.searchsorted(cum, draws[:, 0], side="right")
-            np.clip(lag, 0, kern.size - 1, out=lag)
+            lag = _lags(cum, table, draws[:, 0])
             t_r = t + lag * config.lag_width_s
             avail = np.stack([pop.users[r].availability(n) for r in rows])
             a = np.take_along_axis(
@@ -356,10 +528,13 @@ def generate(config: SynthConfig, out_dir=None,
     grid = config.grid
     limit = grid.bucket_width_s
     for spec in pop.users:
-        if not spec.base_rate + spec.peak_rate <= limit:
+        # Peaks that meet modulo the grid add their rates in one bucket.
+        lam = spec.intensity(grid.buckets_per_week)
+        if not lam.max() <= limit:
             raise ValueError(f"population: user {spec.user_id!r} has base plus "
                              f"peak rate above {limit} posts per bucket, one "
-                             "per second")
+                             f"per second: {lam.max():g} at bucket "
+                             f"{int(np.argmax(lam))}")
     ids = np.array([u.user_id for u in pop.users], dtype=object)
     times = [_user_posts(config, spec, ui, grid) for ui, spec in enumerate(pop.users)]
     counts = np.array([t.size for t in times], dtype=np.int64)
@@ -395,7 +570,9 @@ def ground_truth_peak(config: SynthConfig, user_id: str,
     Scores every bucket k as the followers' summed intensity pushed through
     the delay kernel, sum_m kernel[m] * intensity[(k + m) mod N], and returns
     the maximizer; ties break to the lowest index. This is the independent
-    oracle that the schedule pipeline must recover.
+    oracle that the schedule pipeline must recover. The terms are added lag
+    by lag in ascending order, skipping zero masses, so scores that tie in
+    exact arithmetic (a uniform kernel makes many) can differ in rounding.
     """
     pop = population if population is not None else resolve_population(config)
     n = config.buckets_per_week
@@ -404,10 +581,11 @@ def ground_truth_peak(config: SynthConfig, user_id: str,
     for member in members:
         agg += pop.spec(member).intensity(n)
     kern = np.asarray(config.kernel, dtype=np.float64)
-    lags = np.arange(kern.size)
-    score = np.empty(n)
-    for k in range(n):
-        score[k] = float(agg[(k + lags) % n] @ kern)
+    # twice[m % n:][:n] is agg rolled back by m: element k is agg[(k + m) % n].
+    twice = np.concatenate([agg, agg])
+    score = np.zeros(n)
+    for m in np.flatnonzero(kern).tolist():
+        score += kern[m] * twice[m % n:][:n]
     return int(np.argmax(score))
 
 

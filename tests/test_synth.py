@@ -3,6 +3,7 @@
 import hashlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +62,50 @@ def reaction_rows(reactions):
 
 
 MULTI_LAG = (0.4, 0.3, 0.2, 0.1) + (0.0,) * 92
+
+
+def geometric_kernel(ratio, n_lags=96):
+    mass = ratio ** np.arange(n_lags)
+    return tuple((mass / mass.sum()).tolist())
+
+
+KERNELS = {
+    "geometric-0.5": geometric_kernel(0.5),
+    "geometric-0.8": geometric_kernel(0.8),
+    "geometric-0.97": geometric_kernel(0.97),
+    "delta-0": delta_kernel(0),
+    "delta-95": delta_kernel(95),
+    "multi-lag": MULTI_LAG,
+    "uniform": (1 / 96,) * 96,
+}
+
+
+def enumerated_scores(config, user_id, pop):
+    """Every bucket's oracle score as one dot product per bucket: the
+    enumeration that ground_truth_peak must agree with."""
+    n = config.buckets_per_week
+    agg = np.zeros(n)
+    for member in pop.audience(user_id):
+        agg += pop.spec(member).intensity(n)
+    kern = np.asarray(config.kernel, dtype=np.float64)
+    lags = np.arange(kern.size)
+    return np.array([float(agg[(k + lags) % n] @ kern) for k in range(n)])
+
+
+@st.composite
+def custom_populations(draw):
+    """Up to six users with random rates and peaks (a peak may wrap past
+    the grid) and random edges."""
+    n_users = draw(st.integers(1, 6))
+    users = []
+    for i in range(n_users):
+        peaks = draw(st.lists(st.integers(0, 2 * 672), max_size=3, unique=True))
+        users.append(UserSpec(f"u{i}", draw(st.sampled_from([0.0, 0.01, 0.5])),
+                              draw(st.sampled_from([0.0, 0.3, 1.0])), tuple(peaks)))
+    pairs = [(f"u{i}", f"u{j}") for i in range(n_users) for j in range(n_users)
+             if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Population(tuple(users), tuple(edges))
 
 
 def mixed_population():
@@ -224,6 +269,67 @@ def test_pcg64_block_draws_equal_per_member_draws():
     state = per_member.bit_generator.state
     assert whole.bit_generator.state == state
     assert split.bit_generator.state == state
+
+
+# Rates on both sides of numpy's switch from the multiplication method to
+# rejection at 10, and ones whose exp(-rate) rounds to 1.
+POISSON_RATES = (0.0, 5e-324, 1e-300, 0.001, 0.101, 0.5, 1.01, 9.99,
+                 float(np.nextafter(10.0, 0.0)), 10.0, 12.0)
+
+
+class TestPoissonDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(rates=st.lists(st.sampled_from(POISSON_RATES), max_size=700),
+           n_weeks=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           buffered=st.booleans(), short_block=st.booleans())
+    @example(rates=[0.0] * 672, n_weeks=17, seed=1, buffered=True, short_block=False)
+    @example(rates=[0.5] * 672, n_weeks=6, seed=2, buffered=False, short_block=True)
+    @example(rates=[9.99] * 700, n_weeks=6, seed=3, buffered=True, short_block=True)
+    def test_events_equal_numpy_draws(self, rates, n_weeks, seed, buffered,
+                                      short_block):
+        rates = np.array(rates, dtype=np.float64)
+        want_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        if buffered:
+            # A 32-bit draw leaves the other half of its 64 bits buffered.
+            for rng in (want_rng, got_rng):
+                rng.integers(0, 2**32, dtype=np.uint32)
+            assert got_rng.bit_generator.state["has_uint32"] == 1
+        want = want_rng.poisson(np.broadcast_to(rates, (n_weeks, rates.size))).reshape(-1)
+        # With no slack the first block of uniforms is often too short, and
+        # the draws go on in more doubles from the same generator.
+        slack = 0.0 if short_block else synth._POISSON_SLACK
+        with mock.patch.object(synth, "_POISSON_SLACK", slack):
+            cells, counts = synth._poisson_events(got_rng, rates, n_weeks)
+        assert cells.tolist() == np.flatnonzero(want).tolist()
+        assert counts.tolist() == want[want > 0].tolist()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.integers(0, 900, size=5).tolist() == \
+            want_rng.integers(0, 900, size=5).tolist()
+        assert got_rng.random() == want_rng.random()
+
+
+class TestLagDraws:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_lag_table_equals_searchsorted(self, kernel):
+        cum = np.cumsum(np.asarray(KERNELS[kernel]))
+        table = synth._lag_table(cum)
+        bins = table.size
+        assert bins & (bins - 1) == 0 and bins >= 16 * cum.size
+        edges = np.arange(bins) / bins
+        inner = cum[cum < 1.0]
+        keys = np.concatenate([
+            edges, np.nextafter(edges[1:], 0.0), [0.0, 1.0 - 2.0**-53],
+            inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+            np.random.default_rng(0).random(100_000)])
+        keys = keys[keys < 1.0]    # random() gives doubles in [0, 1)
+        want = np.minimum(np.searchsorted(cum, keys, side="right"), cum.size - 1)
+        assert np.array_equal(synth._lags(cum, table, keys), want)
+        # The generator passes the lag half of a (members, 2, posts) block.
+        block = np.random.default_rng(1).random((30, 2, 41))
+        want = np.minimum(np.searchsorted(cum, block[:, 0], side="right"),
+                          cum.size - 1)
+        assert np.array_equal(synth._lags(cum, table, block[:, 0]), want)
 
 
 class TestConfigValidation:
@@ -411,6 +517,41 @@ class TestGroundTruthPeak:
         cfg = small_config(follower_peak_rate=0.0)
         assert ground_truth_peak(cfg, "a00000") == 0
 
+    @pytest.mark.parametrize("kernel", ["multi-lag", "geometric-0.97", "uniform"])
+    def test_flat_intensity_gives_bucket_zero_for_any_kernel(self, kernel):
+        cfg = small_config(follower_peak_rate=0.0, kernel=KERNELS[kernel])
+        assert ground_truth_peak(cfg, "a00000") == 0
+
+    def test_equal_peaks_delta_kernel_ties_break_low(self):
+        cfg = small_config(kernel=delta_kernel(3),
+                           planted_peaks=((200, 50), (50, 200), (7,)))
+        assert ground_truth_peak(cfg, "a00000") == 47
+        assert ground_truth_peak(cfg, "a00001") == 47
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_oracle_equals_per_bucket_enumeration(self, data):
+        kernel = data.draw(st.sampled_from(sorted(KERNELS)))
+        if data.draw(st.booleans()):
+            pop = data.draw(custom_populations())
+            cfg = small_config(n_authors=1, kernel=KERNELS[kernel])
+        else:
+            cfg = small_config(
+                seed=data.draw(st.integers(0, 1000)), kernel=KERNELS[kernel],
+                followers_per_author=(0, 5),
+                peaks_per_star=data.draw(st.integers(0, 3)),
+                follower_base_rate=data.draw(st.sampled_from([0.0, 0.001, 0.05])),
+                follower_peak_rate=data.draw(st.sampled_from([0.0, 0.1, 2.0])))
+            pop = resolve_population(cfg)
+        for author in sorted(pop.audiences):
+            score = enumerated_scores(cfg, author, pop)
+            got = ground_truth_peak(cfg, author, pop)
+            # Both sum the same products in different orders. Buckets whose
+            # scores tie in exact arithmetic (a uniform kernel makes many)
+            # can differ in the last bits, so either may pick any of them;
+            # a bucket that wins by more than rounding is picked by both.
+            assert score[got] >= score.max() * (1 - 1e-12), (author, got)
+
     def test_truth_sidecar_matches_oracle(self, tmp_path):
         cfg = small_config(planted_peaks=((3,), (5,), (11,)))
         result = generate(cfg, tmp_path)
@@ -482,6 +623,18 @@ class TestPopulation:
         assert (report.parsed, report.malformed) == (1, 0)
         assert users.users.tolist() == ["a"]
         assert users.tz_offset_min.tolist() == [tz]
+
+    def test_peaks_meeting_modulo_the_grid_bounded_by_one_post_per_second(self):
+        # Peaks 5 and 677 are one bucket of the 672-bucket grid, where the
+        # user expects 1200 posts a week: more than one per second.
+        pop = Population((UserSpec("a", 1.0), UserSpec("x", 0.0, 600.0, (5, 677))),
+                         (("a", "x"),))
+        assert pop.spec("x").intensity(672)[5] == 1200.0
+        cfg = small_config(n_authors=1, followers_per_author=1)
+        with pytest.raises(ValueError, match="^population: user 'x' has base plus "
+                                             "peak rate above 900 posts per bucket, "
+                                             "one per second: 1200 at bucket 5$"):
+            generate(cfg, population=pop)
 
     @pytest.mark.parametrize("rates", [(1e20, 0.0), (600.0, 300.5)])
     def test_population_rates_bounded_by_one_post_per_second(self, rates):
