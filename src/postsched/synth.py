@@ -7,10 +7,10 @@ planted weekly activity peak, then simulates the full event process:
     intensity (a base rate plus extra rate at their peak buckets). The draws
     equal numpy's ``Generator.poisson`` over the weeks x buckets grid, draw
     for draw: below a rate of 10 numpy multiplies uniform doubles one at a
-    time, so the generator takes the same doubles from one block of
-    ``Generator.random`` and moves the stream on by the doubles used. A user
-    with any rate of 10 or more, which numpy draws by rejection, calls
-    ``Generator.poisson`` itself;
+    time, so for a sparse user the generator takes the same doubles from
+    one block of ``Generator.random`` and moves the stream on by the doubles
+    used. A busy user, or one with any rate of 10 or more, which numpy draws
+    by rejection, calls ``Generator.poisson`` itself;
   * for each post, each audience member independently gets a chance to
     react; the reaction lands at post time plus a delay sampled from the
     true delay kernel, and is kept with probability
@@ -71,6 +71,16 @@ MAX_POISSON_CELLS = 1 << 28
 # A user's block of uniforms for the Poisson draws holds this many standard
 # deviations more than the doubles the draws take on average.
 _POISSON_SLACK = 8.0
+
+# The walk visits in Python each nonzero draw at the common rate and each
+# cell at another rate, about a third of a microsecond each. Over 17 weeks
+# of 672 buckets numpy's sampler was faster above about this many expected
+# visits (2-vCPU x86, numpy 2.4), so such a user calls it instead.
+_WALK_MAX_VISITS = 150.0
+
+# Oracle scores are sums of at most a week of nonnegative terms; two whose
+# relative gap is below this differ only by float64 rounding.
+_TIE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -312,25 +322,6 @@ def _walk(u: np.ndarray, threshold: float, others: list[int],
     # it is a candidate too: the run from q[i] covers candidates i + 1 ..
     # i + x[i] - 1, and its last double is candidate i + x[i] or the first
     # position past a stretch of consecutive candidates.
-    if not others:
-        # A position that is no candidate is a cell that takes one double
-        # and draws 0, or the last double of a run. So the first candidate
-        # of each stretch starts a cell, and so does candidate i + x[i] + 1
-        # after candidate i, while it stays in the stretch.
-        at = np.flatnonzero(np.diff(q, prepend=-2) != 1)
-        last = np.append(at[1:], q.size) - 1
-        on = np.zeros(q.size, dtype=bool)
-        while at.size:
-            on[at] = True
-            at = at + x[at] + 1
-            inside = at <= last
-            at, last = at[inside], last[inside]
-        q, x = q[on], x[on]
-        cells = q - (np.cumsum(x) - x)
-        keep = cells < n_cells
-        cells, x = cells[keep], x[keep]
-        taken = n_cells + int(x.sum())
-        return (cells, x, taken) if taken <= size else None
     nxt = np.arange(q.size) + x
     nxt += q[np.minimum(nxt, q.size - 1)] == q + x
     q, x, nxt = q.tolist(), x.tolist(), nxt.tolist()
@@ -376,9 +367,9 @@ def _poisson_events(rng: np.random.Generator, rates: np.ndarray, n_weeks: int):
     doubles before that one. A rate of 0 takes no double. ``rng.random``
     gives the same doubles, so one block of them holds every draw, and the
     generator is then moved on by exactly the doubles used. A user with any
-    rate of 10 or more, which numpy draws by rejection (PTRS), or whose
-    block would exceed MAX_POISSON_CELLS doubles, takes ``rng.poisson``
-    itself.
+    rate of 10 or more, which numpy draws by rejection (PTRS), whose block
+    would exceed MAX_POISSON_CELLS doubles, or whose walk would make more
+    than _WALK_MAX_VISITS visits in Python, takes ``rng.poisson`` itself.
     """
     n = rates.size
     # Only buckets with a nonzero rate take doubles: cell a of the walk is
@@ -386,21 +377,19 @@ def _poisson_events(rng: np.random.Generator, rates: np.ndarray, n_weeks: int):
     active = np.flatnonzero(rates)
     k = active.size
     n_cells = n_weeks * k
-    mean = float(rates.sum()) * n_weeks
-    size = int(n_cells + mean + _POISSON_SLACK * math.sqrt(mean)) + 1
-    if rates.max(initial=0.0) >= 10.0 or size > MAX_POISSON_CELLS:
-        counts = rng.poisson(np.broadcast_to(rates, (n_weeks, n))).reshape(-1)
-        cells = np.flatnonzero(counts)
-        return cells, counts[cells]
     if n_cells == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lam = rates[active]
-    common = lam[0]
+    # The median rate: the one that covers more than half the cells, if any.
+    common = np.sort(lam)[k // 2]
     own = np.flatnonzero(lam != common)
-    if 2 * own.size > k:
-        values, freq = np.unique(lam, return_counts=True)
-        common = values[np.argmax(freq)]
-        own = np.flatnonzero(lam != common)
+    visits = n_weeks * ((k - own.size) * -math.expm1(-common) + own.size)
+    mean = float(rates.sum()) * n_weeks
+    size = int(n_cells + mean + _POISSON_SLACK * math.sqrt(mean)) + 1
+    if lam.max() >= 10.0 or size > MAX_POISSON_CELLS or visits > _WALK_MAX_VISITS:
+        counts = rng.poisson(np.broadcast_to(rates, (n_weeks, n))).reshape(-1)
+        cells = np.flatnonzero(counts)
+        return cells, counts[cells]
     others = (np.arange(n_weeks)[:, None] * k + own).reshape(-1).tolist()
     # math.exp is the C library's exp, which numpy's sampler calls.
     own_thresholds = [math.exp(-r) for r in lam[own].tolist()] * n_weeks
@@ -570,9 +559,9 @@ def ground_truth_peak(config: SynthConfig, user_id: str,
     Scores every bucket k as the followers' summed intensity pushed through
     the delay kernel, sum_m kernel[m] * intensity[(k + m) mod N], and returns
     the maximizer; ties break to the lowest index. This is the independent
-    oracle that the schedule pipeline must recover. The terms are added lag
-    by lag in ascending order, skipping zero masses, so scores that tie in
-    exact arithmetic (a uniform kernel makes many) can differ in rounding.
+    oracle that the schedule pipeline must recover. Scores that tie in exact
+    arithmetic (a uniform kernel makes many) can round apart, so a score
+    within _TIE_REL_TOL of the best counts as a tie.
     """
     pop = population if population is not None else resolve_population(config)
     n = config.buckets_per_week
@@ -586,7 +575,7 @@ def ground_truth_peak(config: SynthConfig, user_id: str,
     score = np.zeros(n)
     for m in np.flatnonzero(kern).tolist():
         score += kern[m] * twice[m % n:][:n]
-    return int(np.argmax(score))
+    return int(np.flatnonzero(score >= score.max() * (1 - _TIE_REL_TOL))[0])
 
 
 def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, str]:
