@@ -14,7 +14,7 @@ import numpy as np
 from postsched import SynthConfig, TimeWindow, generate, ground_truth_peak
 from postsched.delays import estimate_delay_kernel
 from postsched.evaluation import evaluate_schedules
-from postsched.ingest import SocialGraph, join_reactions
+from postsched.ingest import SocialGraph, join_reactions, share_users
 from postsched.pipeline import derive_schedules
 from postsched.schedules import top_k_times
 
@@ -45,18 +45,22 @@ join = join_reactions(posts, result.reactions)
 pairs = join.pairs
 kernel = estimate_delay_kernel(pairs.delay[derivation.mask(pairs.post_time)])
 graph = SocialGraph.from_columns(*zip(*result.edges))
-derived = derive_schedules(posts, pairs, graph, result.users, cfg.grid, kernel,
-                           derivation, targets=cfg.author_ids())
+# Re-coded onto one vocabulary of users, the tables name the authors to
+# schedule by their codes in it.
+posts, pairs, graph, users = share_users(posts, pairs, graph, result.users)
+derived = derive_schedules(posts, pairs, graph, users, cfg.grid, kernel,
+                           derivation,
+                           targets=np.searchsorted(users.users, cfg.author_ids()))
 
 # One sort ranks every author's S1 schedule.
 s1 = derived.personalized["S1"]
-top = dict(zip(s1.users, top_k_times(s1.probabilities, 1, cfg.grid)[:, 0]))
+top = dict(zip(s1.labels, top_k_times(s1.probabilities, 1, cfg.grid)[:, 0]))
 hits = sum(1 for a in cfg.author_ids() if top[a] == ground_truth_peak(cfg, a))
 print(f"S1 recovered the planted peak for {hits}/{cfg.n_authors} authors")
 
 # Every author with a personalized schedule is also scored on the MFU/AFD
 # baseline rows of their timezone.
-report = evaluate_schedules(derived.personalized, posts, pairs, result.users,
+report = evaluate_schedules(derived.personalized, posts, pairs, users,
                             evaluation, cfg.grid, k=8,
                             baselines=derived.baselines.by_provenance())
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import temporal
 from .errors import UndefinedMetricError
-from .ingest import UserTable, index_of
+from .ingest import UserTable, share_users
 from .temporal import ScheduleTable, WeeklyGrid
 
 METRICS = ("correlation", "cosine")
@@ -35,17 +35,7 @@ def correlation(s1, s2) -> float:
 
     Undefined (raises) when either series has zero variance.
     """
-    a = np.asarray(s1, dtype=np.float64)
-    b = np.asarray(s2, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("series must be 1-D and equal length")
-    da = a - a.mean()
-    db = b - b.mean()
-    va = float(da @ da)
-    vb = float(db @ db)
-    if va == 0.0 or vb == 0.0:
-        raise UndefinedMetricError("correlation undefined for constant series")
-    return float((da @ db) / np.sqrt(va * vb))
+    return _score(s1, s2, "correlation", "correlation undefined for constant series")
 
 
 def cosine_similarity(s1, s2) -> float:
@@ -53,15 +43,23 @@ def cosine_similarity(s1, s2) -> float:
 
     Undefined (raises) when either vector is zero.
     """
+    return _score(s1, s2, "cosine", "cosine similarity undefined for zero vector")
+
+
+def _score(s1, s2, metric: str, undefined: str) -> float:
+    """The metric of two series, as :func:`pairwise_distribution` scores a
+    pair of rows; raises UndefinedMetricError(``undefined``) where it has
+    none."""
     a = np.asarray(s1, dtype=np.float64)
     b = np.asarray(s2, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("series must be 1-D and equal length")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise UndefinedMetricError("cosine similarity undefined for zero vector")
-    return float((a @ b) / (na * nb))
+    rows = np.stack([a, b])
+    centre, factor = _row_terms(rows, metric)
+    if not factor.all():
+        raise UndefinedMetricError(undefined)
+    return float(_pair_scores(rows, rows, centre, centre, factor, factor,
+                              np.array([0]), np.array([1]), metric)[0])
 
 
 @dataclass(frozen=True)
@@ -117,15 +115,15 @@ def city_cohorts(s1: ScheduleTable, users: UserTable, grid: WeeklyGrid,
     if (reserved := np.flatnonzero(users.city == "ALL")).size:
         raise ValueError(f"user {users.users[reserved[0]]!r} is in city "
                          "'ALL', the label of the cohort of every user")
-    order = np.argsort(s1.users, kind="stable")
-    names = s1.users[order]
-    offsets = users.offsets(names)
-    city = np.append(users.city, None)[index_of(users.users, names)]
+    s1, users = share_users(s1, users)
+    order = np.argsort(s1.owner, kind="stable")
+    owner = s1.owner[order]
+    offsets, city = users.tz_offset_min[owner], users.city[owner]
     has_city = np.flatnonzero(city.astype(bool))
     labels, code = np.unique(city[has_city], return_inverse=True)
     members = [has_city[code == k] for k in range(len(labels))]
     cohorts = []
-    for label, at in [("ALL", np.arange(len(names))), *zip(labels, members)]:
+    for label, at in [("ALL", np.arange(len(owner))), *zip(labels, members)]:
         if not len(at) or (label != "ALL" and len(at) < min_cohort):
             continue
         off = offsets[at]
@@ -133,9 +131,10 @@ def city_cohorts(s1: ScheduleTable, users: UserTable, grid: WeeklyGrid,
         tz = int(off[first[counts == counts.max()].min()])
         if (bad := np.flatnonzero((off - tz) * 60 % grid.bucket_width_s)).size:
             raise ValueError(
-                f"user {names[at[bad[0]]]!r} has tz offset {off[bad[0]]} min, "
-                f"which is not a whole number of {grid.bucket_width_s // 60}"
-                f"-minute buckets from cohort {label!r} at {tz} min")
+                f"user {users.users[owner[at[bad[0]]]]!r} has tz offset "
+                f"{off[bad[0]]} min, which is not a whole number of "
+                f"{grid.bucket_width_s // 60}-minute buckets from cohort "
+                f"{label!r} at {tz} min")
         cohorts.append(cohort_aggregate(s1.probabilities[order[at]], off, tz,
                                         grid, label, order[at]))
     return sorted(cohorts, key=lambda cohort: cohort.label)
@@ -174,17 +173,32 @@ def histogram_bins(bin_width: float) -> int:
 
 
 def _row_terms(rows: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """What a metric takes from each row on its own, to the bit as
-    :func:`correlation` and :func:`cosine_similarity` compute it: the centre
-    subtracted from the row (its mean, or 0 for cosine), and the row's
-    factor of the denominator (the centred row's squared norm, or the norm
-    for cosine). The metric is undefined where the factor is 0."""
+    """What a metric takes from each row on its own: the centre subtracted
+    from the row (its mean, or 0 for cosine), and the row's factor of the
+    denominator (the centred row's squared norm, or the norm for cosine).
+    The metric is undefined where the factor is 0."""
     centre = (rows.mean(axis=1) if metric == "correlation"
               else np.zeros(len(rows)))
     d = rows - centre[:, None]
     # One dot product per row, as the pairs are scored below.
     factor = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
     return centre, factor if metric == "correlation" else np.sqrt(factor)
+
+
+def _pair_scores(s1, s2, centre1, centre2, factor1, factor2, i, j,
+                 metric: str) -> np.ndarray:
+    """The metric of each pair of rows ``(s1[i[p]], s2[j[p]])`` from their
+    :func:`_row_terms`, whose factors must be non-zero."""
+    dots = np.empty(len(i))
+    step = temporal.CHUNK_ROWS
+    for lo in range(0, len(i), step):
+        a = s1[i[lo:lo + step]] - centre1[i[lo:lo + step], None]
+        b = s2[j[lo:lo + step]] - centre2[j[lo:lo + step], None]
+        # One dot product per pair; np.einsum differs from @ in the last bit.
+        dots[lo:lo + step] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    if metric == "correlation":
+        return dots / np.sqrt(factor1[i] * factor2[j])
+    return dots / (factor1[i] * factor2[j])
 
 
 def pairwise_distribution(series1: Sequence[np.ndarray],
@@ -196,8 +210,8 @@ def pairwise_distribution(series1: Sequence[np.ndarray],
     Pairs are drawn with replacement (one member from each cohort) so large
     cohorts can be summarized with a fixed budget; a fixed seed gives
     bit-identical histograms across runs. Each distinct drawn pair is scored
-    once, to the bit as :func:`correlation` or :func:`cosine_similarity`
-    scores it. Undefined when either cohort is empty or no sampled pair
+    once, as :func:`correlation` or :func:`cosine_similarity` scores it.
+    Undefined when either cohort is empty or no sampled pair
     yields a defined metric.
     """
     if metric not in METRICS:
@@ -221,21 +235,9 @@ def pairwise_distribution(series1: Sequence[np.ndarray],
     pairs, pair_of_draw = np.unique(left * len(s2) + right, return_inverse=True)
     i, j = np.divmod(pairs, len(s2))
     defined = (factor1[i] != 0.0) & (factor2[j] != 0.0)
-    i, j = i[defined], j[defined]
-    dots = np.empty(len(i))
-    step = temporal.CHUNK_ROWS
-    for lo in range(0, len(i), step):
-        a = s1[i[lo:lo + step]] - centre1[i[lo:lo + step], None]
-        b = s2[j[lo:lo + step]] - centre2[j[lo:lo + step], None]
-        # One dot product per pair; np.einsum differs from @ in the last bit.
-        dots[lo:lo + step] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-    if metric == "correlation":
-        scores = dots / np.sqrt(factor1[i] * factor2[j])
-    else:
-        scores = dots / (factor1[i] * factor2[j])
-
     pair_scores = np.zeros(len(pairs))
-    pair_scores[defined] = scores
+    pair_scores[defined] = _pair_scores(s1, s2, centre1, centre2, factor1,
+                                        factor2, i[defined], j[defined], metric)
     valid = defined[pair_of_draw]
     values = pair_scores[pair_of_draw[valid]]
     if not len(values):

@@ -41,6 +41,8 @@ from .ingest import (
     load_posts,
     load_reactions,
     load_users,
+    present_codes,
+    share_users,
     write_columns,
 )
 from .temporal import (
@@ -303,15 +305,17 @@ class Inputs:
     """The parsed input files of one invocation, and the schedules it
     derived.
 
-    Each file is parsed on first use and kept, so `all` parses and joins
-    its inputs once and a single subcommand parses only the files it reads.
-    The `schedule` stage leaves the tables of schedules.tsv and
-    baselines.tsv in ``handed``, so that `evaluate` and `analyze` in the
+    The files of ``keys`` are parsed on first use and kept, their tables
+    re-coded onto one vocabulary of users (:func:`share_users`), so `all`
+    parses and joins its inputs once and a single subcommand parses only the
+    files it reads. The `schedule` stage leaves the tables of schedules.tsv
+    and baselines.tsv in ``handed``, so that `evaluate` and `analyze` in the
     same run take them instead of re-reading the files.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, keys: tuple[str, ...]):
         self.cfg = cfg
+        self.keys = keys
         self.handed: dict[Path, dict[str, ScheduleTable]] = {}
 
     def tables(self, path: Path) -> dict[str, ScheduleTable]:
@@ -323,28 +327,23 @@ class Inputs:
         return pipeline.read_schedules(path, self.cfg.grid.buckets_per_week)
 
     @cached_property
-    def posts(self):
-        return load_posts(self.cfg.posts, self.cfg.network,
-                          self.cfg.max_malformed_frac)
-
-    @cached_property
-    def reactions(self):
-        return load_reactions(self.cfg.reactions, self.cfg.network,
-                              self.cfg.max_malformed_frac)
+    def files(self) -> dict[str, tuple]:
+        """The table and load report of each input file of ``keys``."""
+        cfg = self.cfg
+        load = {"posts": load_posts, "reactions": load_reactions,
+                "users": load_users}
+        files = {key: load_graph(cfg.edges, cfg.network, cfg.bidirectional,
+                                 cfg.max_malformed_frac) if key == "edges"
+                 else load[key](getattr(cfg, key), cfg.network,
+                                cfg.max_malformed_frac)
+                 for key in self.keys}
+        tables = share_users(*(table for table, _ in files.values()))
+        return {key: (table, report) for (key, (_, report)), table
+                in zip(files.items(), tables)}
 
     @cached_property
     def join(self):
-        return join_reactions(self.posts[0], self.reactions[0])
-
-    @cached_property
-    def graph(self):
-        return load_graph(self.cfg.edges, self.cfg.network,
-                          self.cfg.bidirectional, self.cfg.max_malformed_frac)
-
-    @cached_property
-    def users(self):
-        return load_users(self.cfg.users, self.cfg.network,
-                          self.cfg.max_malformed_frac)
+        return join_reactions(self.files["posts"][0], self.files["reactions"][0])
 
 
 def _artifact(out_dir: Path, name: str, producer: str) -> Path:
@@ -406,27 +405,19 @@ def stage_synth(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
 
 def stage_ingest_report(cfg: RunConfig, out_dir: Path,
                         inputs: Inputs) -> list[Path]:
-    _require_inputs(cfg, ("posts", "reactions", "edges", "users"))
-    _, posts_rep = inputs.posts
-    _, react_rep = inputs.reactions
-    graph, edges_rep = inputs.graph
-    _, users_rep = inputs.users
+    graph, _ = inputs.files["edges"]
     join = inputs.join
     reactors_present = bool(join.pairs.known_reactor.any())
     report = {
-        "files": {
-            "posts": vars(posts_rep),
-            "reactions": vars(react_rep),
-            "edges": vars(edges_rep),
-            "users": vars(users_rep),
-        },
+        "files": {key: vars(rep) for key, (_, rep) in inputs.files.items()},
         "join": {
             "joined": join.n_joined,
             "dangling": join.n_dangling,
             "negative_delay": join.n_negative_delay,
         },
         "graph": {
-            "users": len(graph.users),
+            "users": present_codes(np.concatenate([graph.src, graph.dst]),
+                                   len(graph.users)).size,
             "edges": graph.n_edges,
             "symmetric": graph.is_symmetric(),
         },
@@ -441,7 +432,6 @@ def stage_ingest_report(cfg: RunConfig, out_dir: Path,
 
 
 def stage_ptr(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
-    _require_inputs(cfg, ("posts", "reactions"))
     delay = inputs.join.pairs.delay
     kernel = delays.estimate_delay_kernel(delay, cfg.delay_window_s,
                                           cfg.delay_lag_s)
@@ -461,9 +451,8 @@ def stage_ptr(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
 
 
 def _derive(cfg: RunConfig, inputs: Inputs) -> pipeline.DerivedSchedules:
-    posts, _ = inputs.posts
-    graph, _ = inputs.graph
-    users, _ = inputs.users
+    (posts, _), (graph, _), (users, _) = (inputs.files[key] for key in
+                                          ("posts", "edges", "users"))
     pairs = inputs.join.pairs
     window = cfg.derivation_window
     usable = pairs.select(pairs.known_reactor)
@@ -483,7 +472,6 @@ def _derive(cfg: RunConfig, inputs: Inputs) -> pipeline.DerivedSchedules:
 
 
 def stage_schedule(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
-    _require_inputs(cfg, ("posts", "reactions", "edges", "users"))
     derived = _derive(cfg, inputs)
     grid = cfg.grid
 
@@ -510,16 +498,21 @@ def stage_schedule(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
 
 
 def stage_evaluate(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
-    _require_inputs(cfg, ("posts", "reactions", "users"))
     sched_path = _artifact(out_dir, "schedules.tsv", "schedule")
     base_path = _artifact(out_dir, "baselines.tsv", "schedule")
-    posts, _ = inputs.posts
-    users, _ = inputs.users
+    (posts, _), (users, _) = inputs.files["posts"], inputs.files["users"]
     join = inputs.join
     window = cfg.evaluation_window
+    tables = inputs.tables(sched_path)
+    if not tables:
+        raise PostschedError(
+            f"{sched_path.name} holds no personalized schedule: no user has "
+            "an audience member who reacted inside the derivation window, so "
+            "every user fell back to a baseline; check edges and "
+            "derivation_start/derivation_days")
 
     report = evaluation.evaluate_schedules(
-        inputs.tables(sched_path), posts, join.pairs, users, window, cfg.grid,
+        tables, posts, join.pairs, users, window, cfg.grid,
         k=cfg.ranks, day_filter=cfg.day_filter,
         baselines=inputs.tables(base_path))
     if all(r.rg_avg is None for r in report.rows):
@@ -540,9 +533,8 @@ def _csv_field(text: str) -> str:
 
 
 def stage_analyze(cfg: RunConfig, out_dir: Path, inputs: Inputs) -> list[Path]:
-    _require_inputs(cfg, ("users",))
     sched_path = _artifact(out_dir, "schedules.tsv", "schedule")
-    users, _ = inputs.users
+    users, _ = inputs.files["users"]
     s1 = inputs.tables(sched_path).get("S1")
     if s1 is None:
         raise PostschedError(
@@ -590,13 +582,24 @@ ALL_CHAIN = ("ingest-report", "ptr", "schedule", "evaluate", "analyze")
 
 INPUT_KEYS = ("posts", "reactions", "edges", "users")
 
+# The input files that each subcommand reads, in INPUT_KEYS order.
+STAGE_INPUTS = {
+    "synth": (),
+    "ingest-report": INPUT_KEYS,
+    "ptr": ("posts", "reactions"),
+    "schedule": INPUT_KEYS,
+    "evaluate": ("posts", "reactions", "users"),
+    "analyze": ("users",),
+    "all": INPUT_KEYS,
+}
+
 
 def _run(subcommand: str, cfg: RunConfig) -> list[Path]:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = Inputs(cfg)
+    _require_inputs(cfg, STAGE_INPUTS[subcommand])
+    inputs = Inputs(cfg, STAGE_INPUTS[subcommand])
     if subcommand == "all":
-        _require_inputs(cfg, INPUT_KEYS)
         outputs: list[Path] = []
         for name in ALL_CHAIN:
             outputs.extend(STAGES[name](cfg, out_dir, inputs))

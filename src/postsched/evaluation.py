@@ -22,8 +22,7 @@ from .ingest import (
     SparseCounts,
     UserTable,
     float_texts,
-    index_of,
-    present_codes,
+    share_users,
     weekly_counts,
     write_columns,
 )
@@ -37,14 +36,14 @@ DEFAULT_RANKS = 32
 
 @dataclass(frozen=True)
 class EvalData:
-    """Evaluation-window histograms: sparse users x buckets counts, bucketed
-    in the user's local time, whose rows follow the sorted ``users``.
+    """Evaluation-window histograms: sparse counts whose rows are the codes
+    of ``users``, bucketed in the user's local time.
 
     Only events timestamped inside the evaluation window are admitted, so
     derivation-window history can never leak into the metrics.
     """
 
-    users: np.ndarray         # row -> user id, in ascending order
+    users: np.ndarray         # code -> user id, in ascending order
     posts: SparseCounts       # posts the user created, per bucket
     reactions: SparseCounts   # attributed reactions received, per bucket of their post
 
@@ -54,21 +53,20 @@ def build_eval_data(posts: PostTable, pairs: PairTable,
                     grid: WeeklyGrid) -> EvalData:
     """Count in-window posts and attributed received reactions per author.
 
-    The rows cover every user who created a post in the window; a user
-    without one has no RPM. A reaction counts when its post and the reaction
-    itself fall in the window and it came less than ``ATTRIBUTION_WINDOW_S``
-    after the post. Users without metadata are bucketed at UTC.
+    A user without a post in the window has an empty row and no RPM. A
+    reaction counts when its post and the reaction itself fall in the
+    window and it came less than ``ATTRIBUTION_WINDOW_S`` after the post.
+    Users without metadata are bucketed at UTC.
     """
+    posts, pairs, users = share_users(posts, pairs, users)
     post_rows = np.flatnonzero(window.mask(posts.created_at))
     pair_rows = np.flatnonzero(window.mask(pairs.post_time)
                                & window.mask(pairs.reaction_time)
                                & (pairs.delay < ATTRIBUTION_WINDOW_S))
-    names = np.sort(posts.users[present_codes(posts.author[post_rows],
-                                              len(posts.users))])
-    return EvalData(names,
-                    weekly_counts(names, users, posts.users, posts.author[post_rows],
+    return EvalData(users.users,
+                    weekly_counts(users, posts.author[post_rows],
                                   posts.created_at[post_rows], grid),
-                    weekly_counts(names, users, pairs.users, pairs.author[pair_rows],
+                    weekly_counts(users, pairs.author[pair_rows],
                                   pairs.post_time[pair_rows], grid))
 
 
@@ -115,35 +113,37 @@ def evaluate_schedules(tables: Mapping[str, ScheduleTable],
     from a kind entirely (and counted) when their overall RPM is zero
     despite having posts. A user without posts in the window is skipped.
     """
+    *shared, posts, pairs, users = share_users(*tables.values(), posts, pairs,
+                                               users)
     data = build_eval_data(posts, pairs, users, window, grid)
-    overall = data.reactions.row_sums / data.posts.row_sums
-
-    scored = {kind: Chosen.of(table) for kind, table in tables.items()}
-    owners = np.array(sorted({u for t in tables.values() for u in t.users.tolist()}),
-                      dtype=object)
-    offsets = users.offsets(owners)
+    scored = {kind: Chosen.of(table) for kind, table in zip(tables, shared)}
+    owned = np.zeros(len(users.users), dtype=bool)
+    for table in shared:
+        owned[table.owner] = True
+    owners = np.flatnonzero(owned)
+    offsets = users.tz_offset_min[owners]
     for kind, table in (baselines or {}).items():
         at = baseline_rows(table, offsets)
         if (at >= 0).any():
-            scored[kind] = Chosen(owners[at >= 0], table, at[at >= 0])
+            scored[kind] = Chosen(users.users, owners[at >= 0], table, at[at >= 0])
 
     rows: list[GainRow] = []
     excluded: dict[str, int] = {}
     for kind in sorted(scored):
         chosen = scored[kind]
         ranked = top_k_times(chosen.candidates.probabilities, k, grid, day_filter)
-        order = np.argsort(chosen.users, kind="stable")
-        user = index_of(data.users, chosen.users[order])
-        at = chosen.choice[order][user >= 0]
-        user = user[user >= 0]
-        zero = overall[user] == 0
+        order = np.argsort(chosen.owner, kind="stable")
+        posted_any = data.posts.row_sums[chosen.owner[order]] > 0
+        user, at = chosen.owner[order][posted_any], chosen.choice[order][posted_any]
+        overall = data.reactions.row_sums[user] / data.posts.row_sums[user]
+        zero = overall == 0
         excluded[kind] = int(zero.sum())
-        user, at = user[~zero], at[~zero]
+        user, at, overall = user[~zero], at[~zero], overall[~zero]
         buckets = ranked[at]
         posted = data.posts.at(user[:, None], buckets)
         rpm = np.divide(data.reactions.at(user[:, None], buckets), posted,
                         out=np.zeros(posted.shape), where=posted > 0)
-        gain = rpm / overall[user, None]
+        gain = rpm / overall[:, None]
         for rank in range(1, k + 1):
             if rank > ranked.shape[-1]:
                 rows.append(GainRow(kind, rank, None, 0, 0))

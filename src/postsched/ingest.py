@@ -30,14 +30,16 @@ a fixed-width bytes (``S``) column and whose times are int64 arrays.
 :func:`join_reactions` joins them on sorted post-id keys into the
 :class:`PairTable` that later stages read. The follower graph loads as a
 :class:`SocialGraph` of edge code columns, and users.tsv as a
-:class:`UserTable`. :func:`index_of` finds ids in these sorted vocabularies.
+:class:`UserTable` of a value per code. :func:`share_users` re-codes tables
+onto one vocabulary, so that a code is one user in all of them; ids come
+back as text only where they are written.
 Text goes out a column at a time too: :func:`float_texts` is the one place
 that prints a float64, and :func:`write_columns` writes the narrow tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -163,6 +165,35 @@ def present_codes(codes: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(np.bincount(codes, minlength=n))
 
 
+def rows_by_code(codes: np.ndarray, n: int) -> np.ndarray:
+    """For each code below ``n``, the row of a table whose row i has the
+    distinct code ``codes[i]``; -1 for a code without a row."""
+    rows = np.full(n, -1, dtype=np.int64)
+    rows[codes] = np.arange(len(codes))
+    return rows
+
+
+def share_users(*tables):
+    """``tables`` re-coded, each by its ``recoded(users, code)``, onto one
+    vocabulary: the distinct ids of all their ``users``, ascending, so that
+    code order is id order. Tables that share one already are returned."""
+    vocabularies = [table.users for table in tables]
+    if all(v is vocabularies[0] for v in vocabularies):
+        return tables
+    ids = np.concatenate(vocabularies)
+    # A stable sort merges the vocabularies, each already ascending, as runs.
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    code = np.empty(ids.size, dtype=np.int64)
+    code[order] = np.cumsum(first) - 1
+    users = ids[first]
+    ends = np.cumsum([len(v) for v in vocabularies])
+    return tuple(table.recoded(users, code[end - len(v):end])
+                 for table, v, end in zip(tables, vocabularies, ends))
+
+
 def _intern(names: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted vocabulary of the distinct names in a bytes column, as str, and
     the int64 code of each name into it. UTF-8 byte order is code-point
@@ -198,6 +229,9 @@ class PostTable:
         return cls(frozenset(networks), users, author, encode_ids(post_ids),
                    np.asarray(created_at, dtype=np.int64))
 
+    def recoded(self, users: np.ndarray, code: np.ndarray) -> "PostTable":
+        return replace(self, users=users, author=code[self.author])
+
 
 @dataclass(frozen=True)
 class ReactionTable:
@@ -219,6 +253,9 @@ class ReactionTable:
         users, reactor = _intern(encode_ids(reactors))
         return cls(frozenset(networks), users, encode_ids(post_ids), reactor,
                    np.asarray(reacted_at, dtype=np.int64))
+
+    def recoded(self, users: np.ndarray, code: np.ndarray) -> "ReactionTable":
+        return replace(self, users=users, reactor=code[self.reactor])
 
 
 @dataclass(frozen=True)
@@ -254,6 +291,10 @@ class PairTable:
         return PairTable(self.users, self.author[rows], self.reactor[rows],
                          self.post_time[rows], self.reaction_time[rows])
 
+    def recoded(self, users: np.ndarray, code: np.ndarray) -> "PairTable":
+        return replace(self, users=users, author=code[self.author],
+                       reactor=code[self.reactor])
+
     @classmethod
     def from_columns(cls, authors, reactors, post_time,
                      reaction_time) -> "PairTable":
@@ -267,27 +308,26 @@ class PairTable:
                    np.asarray(reaction_time, dtype=np.int64))
 
 
-def index_of(vocabulary: np.ndarray, keys) -> np.ndarray:
-    """The int64 position of each of ``keys`` in ``vocabulary``, an array of
-    distinct ids such as a table's sorted ``users``; -1 for a key it lacks.
-    A dict finds them: ``searchsorted`` on object arrays took 3x as long."""
-    index = {key: i for i, key in enumerate(vocabulary.tolist())}
-    return np.array([index.get(key, -1) for key in list(keys)], dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class UserTable:
-    """users.tsv as columns, a row per user in ascending ``users`` order. A
-    user who is not listed is at UTC, and :meth:`offsets` alone says so."""
+    """users.tsv as columns of a value per code of ``users``. A user who is
+    not listed, such as another table's user after :func:`share_users`, is
+    at UTC with no city, and :meth:`recoded` alone says so."""
 
     networks: frozenset[str]
-    users: np.ndarray          # row -> user id, ascending and distinct
-    tz_offset_min: np.ndarray  # int64 minutes east of UTC
-    city: np.ndarray           # city name, None where there is none
+    users: np.ndarray          # code -> user id, ascending and distinct
+    listed: np.ndarray         # bool per code: the user has a line
+    tz_offset_min: np.ndarray  # int64 minutes east of UTC per code
+    city: np.ndarray           # city name per code, None where there is none
 
-    def offsets(self, names) -> np.ndarray:
-        """The int64 tz offset of each of ``names``, 0 for one not listed."""
-        return np.append(self.tz_offset_min, 0)[index_of(self.users, names)]
+    def recoded(self, users: np.ndarray, code: np.ndarray) -> "UserTable":
+        n = len(users)
+        columns = (np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64),
+                   np.full(n, None, dtype=object))
+        for column, values in zip(columns, (self.listed, self.tz_offset_min,
+                                            self.city)):
+            column[code] = values
+        return UserTable(self.networks, users, *columns)
 
     @classmethod
     def from_columns(cls, networks: Iterable[str], users, tz_offset_min,
@@ -305,7 +345,7 @@ class UserTable:
             raise ValueError(f"user {names[user]!r} is listed more than once for "
                              f"network{'s' * (len(nets) > 1)} {' and '.join(nets)}")
         order = np.argsort(codes)
-        return cls(frozenset(networks), names,
+        return cls(frozenset(networks), names, np.ones(names.size, dtype=bool),
                    np.asarray(tz_offset_min, dtype=np.int64)[order],
                    np.array(list(city), dtype=object)[order])
 
@@ -314,10 +354,10 @@ class UserTable:
 class SocialGraph:
     """The follower graph as edge columns: edge i puts user
     ``users[dst[i]]`` in the audience of ``users[src[i]]``, so dst can react
-    to src's posts. ``users`` holds every user on an edge in ascending order,
-    and ``src`` and ``dst`` are int64 codes into it; each distinct edge is
-    held once, in ascending (src, dst) order. The columns depend only on the
-    set of edges, not on their order or repeats.
+    to src's posts. ``users`` holds every user on an edge, and maybe others,
+    in ascending order, and ``src`` and ``dst`` are int64 codes into it;
+    each distinct edge is held once, in ascending (src, dst) order. The
+    columns depend only on the set of edges, not on their order or repeats.
     """
 
     users: np.ndarray  # code -> user id, ascending
@@ -333,6 +373,9 @@ class SocialGraph:
         n = len(users)
         keys = _distinct(codes[:src.size] * n + codes[src.size:])
         return cls(users, *np.divmod(keys, n))
+
+    def recoded(self, users: np.ndarray, code: np.ndarray) -> "SocialGraph":
+        return SocialGraph(users, code[self.src], code[self.dst])
 
     @property
     def n_edges(self) -> int:
@@ -577,13 +620,16 @@ def join_reactions(posts: PostTable, reactions: ReactionTable) -> JoinResult:
     """Join reactions to their posts, producing delay pairs.
 
     One pair per reaction whose post_id resolves and whose delay is >= 0,
-    in reaction order. Dangling references and negative delays (clock skew,
-    perturbation artifacts) are dropped and counted separately, so that
-    ``n_joined + n_dangling + n_negative_delay == len(reactions)``.
+    in reaction order, over the users of both tables re-coded onto one
+    vocabulary (:func:`share_users`). Dangling references and negative
+    delays (clock skew, perturbation artifacts) are dropped and counted
+    separately, so that ``n_joined + n_dangling + n_negative_delay ==
+    len(reactions)``.
     """
     networks = posts.networks | reactions.networks
     if len(networks) > 1:
         raise IngestError(f"join requires a single network, got {sorted(networks)}")
+    posts, reactions = share_users(posts, reactions)
     # In a stable sort, equal keys keep their file order, so the first
     # duplicate in the file is the earliest row that follows an equal key.
     order = np.argsort(posts.post_id, kind="stable")
@@ -598,12 +644,8 @@ def join_reactions(posts: PostTable, reactions: ReactionTable) -> JoinResult:
     post_row = order[slot[resolved]]
     in_order = reactions.reacted_at[resolved] >= posts.created_at[post_row]
     joined, post_row = resolved[in_order], post_row[in_order]
-
-    users = _distinct(np.concatenate([posts.users, reactions.users]))
-    pairs = PairTable(users,
-                      np.searchsorted(users, posts.users)[posts.author[post_row]],
-                      np.searchsorted(users, reactions.users)[reactions.reactor[joined]],
-                      posts.created_at[post_row],
+    pairs = PairTable(posts.users, posts.author[post_row],
+                      reactions.reactor[joined], posts.created_at[post_row],
                       reactions.reacted_at[joined])
     return JoinResult(pairs, len(reactions) - resolved.size,
                       resolved.size - joined.size)
@@ -667,12 +709,13 @@ class SparseCounts:
 @dataclass(frozen=True)
 class UserProfiles:
     """Created-post and self-reaction counts over one window, as sparse
-    users x buckets counts whose rows follow the sorted ``users``."""
+    counts whose rows are the codes of ``users``."""
 
-    users: np.ndarray          # row -> user id, in ascending order
-    created: SparseCounts      # posts authored per row and local bucket
-    reactions: SparseCounts    # reactions performed per row and local bucket
-    unknown_tz: frozenset[str]  # users bucketized at UTC for lack of metadata
+    users: np.ndarray          # code -> user id, in ascending order
+    profiled: np.ndarray       # the codes of the profiled users, ascending
+    created: SparseCounts      # posts authored per code and local bucket
+    reactions: SparseCounts    # reactions performed per code and local bucket
+    unknown_tz: np.ndarray     # codes bucketized at UTC for lack of metadata
 
 
 def build_profiles(posts: PostTable, pairs: PairTable, users: UserTable,
@@ -681,41 +724,40 @@ def build_profiles(posts: PostTable, pairs: PairTable, users: UserTable,
 
     Created-post profiles count a user's authored posts; self-reaction
     profiles count the reactions the user performed (as reactor), at the
-    reaction's own timestamp. The rows cover every user with metadata or
-    with in-window events, but never ``MISSING_ID``, whose events are
-    dropped; users without events get zero rows. Users with events but no
-    timezone metadata default to UTC and are flagged in ``unknown_tz``.
+    reaction's own timestamp. The ``profiled`` users are every user with
+    metadata or with in-window events, but never ``MISSING_ID``, whose
+    events are dropped; the rows of users without events are empty. Users
+    with events but no timezone metadata default to UTC and are flagged in
+    ``unknown_tz``.
     """
+    posts, pairs, users = share_users(posts, pairs, users)
+    n = len(users.users)
+    somebody = users.users != MISSING_ID
     post_rows = np.flatnonzero(window.mask(posts.created_at))
+    post_rows = post_rows[somebody[posts.author[post_rows]]]
     react_rows = np.flatnonzero(window.mask(pairs.reaction_time))
-    active = (set(posts.users[present_codes(posts.author[post_rows],
-                                            len(posts.users))].tolist())
-              | set(pairs.users[present_codes(pairs.reactor[react_rows],
-                                              len(pairs.users))].tolist())
-              ) - {MISSING_ID}
-    listed = set(users.users.tolist()) - {MISSING_ID}
-    names = np.array(sorted(listed | active), dtype=object)
-    created = weekly_counts(names, users, posts.users, posts.author[post_rows],
+    react_rows = react_rows[somebody[pairs.reactor[react_rows]]]
+    created = weekly_counts(users, posts.author[post_rows],
                             posts.created_at[post_rows], grid)
-    reactions = weekly_counts(names, users, pairs.users, pairs.reactor[react_rows],
+    reactions = weekly_counts(users, pairs.reactor[react_rows],
                               pairs.reaction_time[react_rows], grid)
-    return UserProfiles(names, created, reactions, frozenset(active - listed))
+    active = (created.row_sums > 0) | (reactions.row_sums > 0)
+    return UserProfiles(users.users,
+                        np.flatnonzero(active | (users.listed & somebody)),
+                        created, reactions,
+                        np.flatnonzero(active & ~users.listed))
 
 
-def weekly_counts(rows: np.ndarray, users: UserTable, vocabulary: np.ndarray,
-                  codes: np.ndarray, times: np.ndarray,
+def weekly_counts(users: UserTable, codes: np.ndarray, times: np.ndarray,
                   grid: WeeklyGrid) -> SparseCounts:
-    """Events per row and local weekly bucket, as sparse counts whose rows
-    follow ``rows``, an ascending array of user ids. Event i is by the user
-    ``vocabulary[codes[i]]`` at ``times[i]``, bucketed at the user's offset
-    in ``users``; the events of users without a row are dropped."""
+    """Events per user code and local weekly bucket, as sparse counts over
+    the codes of ``users``. Event i is by the user of code ``codes[i]`` at
+    ``times[i]``, bucketed at that user's offset in ``users``."""
     n = grid.buckets_per_week
-    row = index_of(rows, vocabulary)[codes]
-    row, times = row[row >= 0], times[row >= 0]
     keys, counts = np.unique(
-        row * n + grid.bucket_indices(times, users.offsets(rows)[row]),
+        codes * n + grid.bucket_indices(times, users.tz_offset_min[codes]),
         return_counts=True)
-    return SparseCounts((len(rows), n), keys, counts.astype(np.float64))
+    return SparseCounts((len(users.users), n), keys, counts.astype(np.float64))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ artifacts record which rule actually produced each recommendation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +27,8 @@ from .ingest import (
     UserTable,
     build_profiles,
     float_texts,
-    index_of,
+    rows_by_code,
+    share_users,
 )
 from .schedules import (
     Adjacency,
@@ -62,7 +62,7 @@ class DerivedSchedules:
     personalized: dict[str, ScheduleTable]  # kind -> a row per user with signal
     baselines: ScheduleTable     # AFD/MFU rows per tz cohort, by (offset, kind)
     chosen: Chosen               # fallback chain result, a row per target
-    unknown_tz: frozenset[str]
+    unknown_tz: np.ndarray       # codes into chosen.users bucketed at UTC
 
     @property
     def recommended(self) -> ScheduleTable:
@@ -75,11 +75,13 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
                      grid: WeeklyGrid, kernel: DelayKernel,
                      window: TimeWindow,
                      model: VisibilityModel = VisibilityModel(),
-                     targets: Iterable[str] | None = None) -> DerivedSchedules:
+                     targets: np.ndarray | None = None) -> DerivedSchedules:
     """Derive all schedules from one derivation window.
 
-    ``targets`` restricts which users get personalized schedules (default:
-    every known user). Profiles are sparse users x buckets counts, and each
+    The tables are re-coded onto one vocabulary of users (see
+    :func:`~postsched.ingest.share_users`), and ``targets``, codes into it,
+    restricts which users get schedules (default: every user with a profile
+    or an edge). Profiles are sparse users x buckets counts, and each
     personalized kind is one sum over the audience edges, so a target's
     schedules do not depend on the other targets. The audience members who
     reacted in the window are taken in ascending blocks of
@@ -89,35 +91,32 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     adds a target's edges in ascending member order, so the block size
     changes no bit, and no users x buckets matrix is ever held.
     """
+    posts, pairs, graph, users = share_users(posts, pairs, graph, users)
     profiles = build_profiles(posts, pairs, users, grid, window)
-    names = profiles.users
+    n_users = len(users.users)
+    is_target = np.zeros(n_users, dtype=bool)
     if targets is None:
-        targets = set(names.tolist()).union(graph.users.tolist())
-    targets = np.array(sorted(set(targets)), dtype=object)
-    row = index_of(names, graph.users)
+        for codes in (profiles.profiled, graph.src, graph.dst):
+            is_target[codes] = True
+    else:
+        is_target[targets] = True
+    targets = np.flatnonzero(is_target)
 
     # Audience edges to the members who reacted in the window. Senders are
-    # the targets with such members; both are numbered in name order.
-    target_at, member_row = index_of(targets, graph.users)[graph.src], row[graph.dst]
-    edge = (target_at >= 0) & (member_row >= 0)
-    target_at, member_row = target_at[edge], member_row[edge]
-    reacted = (profiles.reactions.row_sums > 0)[member_row]
-    senders, target_at = np.unique(target_at[reacted], return_inverse=True)
-    members, member_at = np.unique(member_row[reacted], return_inverse=True)
+    # the targets with such members; both are numbered in code order.
+    edge = is_target[graph.src] & (profiles.reactions.row_sums > 0)[graph.dst]
+    senders, target_at = np.unique(graph.src[edge], return_inverse=True)
+    members, member_at = np.unique(graph.dst[edge], return_inverse=True)
     audience = Adjacency.from_edges(len(senders), target_at, member_at)
-    sender_names, member_names = targets[senders], names[members]
-    # The edges into each member from the authors with a profile row.
-    follower_at = index_of(member_names, graph.users)[graph.dst]
-    author_row = row[graph.src]
-    edge = (follower_at >= 0) & (author_row >= 0)
-    followed = Adjacency.from_edges(len(members), follower_at[edge],
-                                    author_row[edge])
+    # The edges into each member from the authors it follows.
+    member_row = rows_by_code(members, n_users)
+    follows = member_row[graph.dst] >= 0
+    followed = Adjacency.from_edges(len(members), member_row[graph.dst][follows],
+                                    graph.src[follows])
 
     received = window.mask(pairs.post_time) & pairs.known_reactor
-    author = index_of(sender_names, pairs.users)
-    reactor = index_of(member_names, pairs.users)
-    weights = compute_weights(author[pairs.author[received]],
-                              reactor[pairs.reactor[received]], audience)
+    weights = compute_weights(rows_by_code(senders, n_users)[pairs.author[received]],
+                              member_row[pairs.reactor[received]], audience)
 
     n = grid.buckets_per_week
     sums = {kind: np.zeros((len(senders), n)) for kind in PERSONALIZED_KINDS}
@@ -144,20 +143,20 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
             audience_reaction_profile(delayed, edges, w, v, out=sums[kind])
     first_degree = sums["S1"]
     first_degree.setflags(write=False)
-    personalized = {kind: normalize_rows(sums[kind], sender_names, kind)
+    personalized = {kind: normalize_rows(sums[kind], users.users, kind, senders)
                     for kind in PERSONALIZED_KINDS}
 
-    # Timezone-cohort baselines, one AFD and one MFU row per cohort. Every
+    # Timezone-cohort baselines, one AFD and one MFU row per cohort of the
+    # users' offsets; a cohort without a sender or a post has neither. Every
     # sender has a member who reacted, so its S1 sum carries mass. MFU sums
     # the created counts of each cohort's users; they are whole numbers, so
     # a bincount sums them exactly.
-    offsets, cohort = np.unique(
-        users.offsets(np.concatenate([sender_names, names])), return_inverse=True)
-    user_row, bucket = np.divmod(profiles.created.keys, n)
-    mfu = np.bincount(cohort[len(senders):][user_row] * n + bucket,
-                      profiles.created.counts, minlength=len(offsets) * n)
+    offsets, cohort = np.unique(users.tz_offset_min, return_inverse=True)
+    user, bucket = np.divmod(profiles.created.keys, n)
+    mfu = np.bincount(cohort[user] * n + bucket, profiles.created.counts,
+                      minlength=len(offsets) * n)
     cohort_sums = np.stack(
-        [cohort_sum(first_degree, cohort[:len(senders)], len(offsets)),
+        [cohort_sum(first_degree, cohort[senders], len(offsets)),
          mfu.reshape(-1, n)], axis=1)
     baselines = normalize_rows(
         cohort_sums.reshape(-1, n),
@@ -171,11 +170,11 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     s1w, s1 = personalized["S1w"], personalized["S1"]
     afd, mfu = (baselines.select(baselines.provenance == kind)
                 for kind in ("AFD", "MFU"))
-    offsets = users.offsets(targets)
+    offsets = users.tz_offset_min[targets]
     stack = [ScheduleTable([None], ["uniform"], np.full((1, n), 1.0 / n))]
     choice = np.zeros(len(targets), dtype=np.int64)
-    for table, rows in ((s1w, index_of(s1w.users, targets)),
-                        (s1, index_of(s1.users, targets)),
+    for table, rows in ((s1w, rows_by_code(s1w.owner, n_users)[targets]),
+                        (s1, rows_by_code(s1.owner, n_users)[targets]),
                         (afd, baseline_rows(afd, offsets)),
                         (mfu, baseline_rows(mfu, offsets))):
         take = (choice == 0) & (rows >= 0)
@@ -184,8 +183,8 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
     used, choice = np.unique(choice, return_inverse=True)
     candidates = ScheduleTable(
         *(np.concatenate([getattr(t, column) for t in stack])[used]
-          for column in ("users", "provenance", "probabilities")))
-    chosen = Chosen(targets, candidates, choice)
+          for column in ("labels", "provenance", "probabilities")))
+    chosen = Chosen(users.users, targets, candidates, choice)
 
     return DerivedSchedules(personalized, baselines, chosen, profiles.unknown_tz)
 
@@ -202,7 +201,8 @@ def write_schedules(path, *tables: ScheduleTable | Chosen) -> None:
             texts = [",".join(row) for lo in range(0, len(p), CHUNK_ROWS)
                      for row in float_texts(p[lo:lo + CHUNK_ROWS]).tolist()]
             fh.writelines(f"{user}\t{prov[c]}\t{texts[c]}\n" for user, c in
-                          zip(table.users.tolist(), table.choice.tolist()))
+                          zip(table.users[table.owner].tolist(),
+                              table.choice.tolist()))
 
 
 def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
@@ -266,5 +266,5 @@ def write_ranked_times(path, table: ScheduleTable | Chosen,
     with open(path, "w", encoding="utf-8") as fh:
         if buckets.shape[-1]:
             fh.writelines(user + user.join(lines[c]) for user, c in
-                          zip(map(str, chosen.users.tolist()),
+                          zip(map(str, chosen.users[chosen.owner].tolist()),
                               chosen.choice.tolist()))

@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import temporal
-from .ingest import SparseCounts, index_of
+from .ingest import SparseCounts
 from .temporal import ScheduleTable, WeeklyGrid
 
 @dataclass(frozen=True)
@@ -208,7 +208,10 @@ def cohort_label(tz_offset_min: int) -> str:
 def baseline_rows(baselines: ScheduleTable, offsets: np.ndarray) -> np.ndarray:
     """The row of ``baselines``, a table keyed by :func:`cohort_label`, of
     the timezone cohort at each of ``offsets``; -1 where it has none."""
-    return index_of(baselines.users, [cohort_label(o) for o in offsets.tolist()])
+    row = {label: i for i, label in enumerate(baselines.labels.tolist())}
+    cohorts, at = np.unique(offsets, return_inverse=True)
+    return np.array([row.get(cohort_label(o), -1) for o in cohorts.tolist()],
+                    dtype=np.int64)[at]
 
 
 def top_k_times(probabilities: np.ndarray, k: int, grid: WeeklyGrid,

@@ -45,6 +45,7 @@ from .ingest import (
     ReactionTable,
     UserTable,
     encode_ids,
+    share_users,
     write_columns,
 )
 from .temporal import (
@@ -544,6 +545,8 @@ def generate(config: SynthConfig, out_dir=None,
     users = UserTable.from_columns([config.network] * ids.size, ids,
                                    [u.tz_offset_min for u in pop.users],
                                    [None] * ids.size)
+    # Codes in id order, as every loaded table has them.
+    posts, reactions, users = share_users(posts, reactions, users)
     truth = {a: ground_truth_peak(config, a, pop) for a in sorted(pop.audiences)}
 
     result = SynthResult(posts, reactions, list(pop.edges), users, truth, pop)
@@ -590,13 +593,11 @@ def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, s
     paths = {name: out / f"{name}.tsv"
              for name in ("posts", "reactions", "edges", "users", "truth")}
     posts, reactions = result.posts, result.reactions
-    # UTF-8 byte order is code-point order, so ids sort as str by their bytes.
-    author = np.argsort(np.argsort(encode_ids(posts.users)))[posts.author]
-    order = np.lexsort((posts.post_id, posts.created_at, author))
+    # The tables share one ascending vocabulary, so codes sort as ids do.
+    order = np.lexsort((posts.post_id, posts.created_at, posts.author))
     write_columns(paths["posts"], [network, posts.users[posts.author[order]],
                                    posts.post_id[order], posts.created_at[order]])
-    reactor = np.argsort(np.argsort(encode_ids(reactions.users)))[reactions.reactor]
-    order = np.lexsort((reactor, reactions.post_id, reactions.reacted_at))
+    order = np.lexsort((reactions.reactor, reactions.post_id, reactions.reacted_at))
     write_columns(paths["reactions"], [
         network, reactions.post_id[order],
         reactions.users[reactions.reactor[order]], reactions.reacted_at[order]])

@@ -245,15 +245,17 @@ def invalid_rows(probabilities: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ScheduleTable:
     """Posting schedules as rows of one matrix: row i is the probability mass
-    function over weekly buckets of ``users[i]``, produced by the rule
-    ``provenance[i]`` (S1, S1w, AFD, MFU, uniform, ...). Peaks are the
+    function over weekly buckets of ``users[owner[i]]``, produced by the
+    rule ``provenance[i]`` (S1, S1w, AFD, MFU, uniform, ...). Peaks are the
     recommended posting times. A timezone baseline's row is labelled with its
     cohort (:func:`~postsched.schedules.cohort_label`) instead of a user.
+    ``owner`` is the row number by default, so ``users`` labels each row.
     """
 
-    users: np.ndarray          # row -> user id
+    users: np.ndarray          # code -> user id or cohort label
     provenance: np.ndarray     # row -> rule that produced the row
     probabilities: np.ndarray  # rows x buckets, read-only
+    owner: np.ndarray | None = None  # row -> int64 code into users
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probabilities, dtype=np.float64).view()
@@ -265,21 +267,32 @@ class ScheduleTable:
                              f"sum to 1 within {UNIT_SUM_TOL}")
         p.setflags(write=False)
         users = np.asarray(self.users, dtype=object).reshape(-1)
+        owner = np.arange(users.size) if self.owner is None else self.owner
         provenance = np.asarray(self.provenance, dtype=object).reshape(-1)
-        if users.size != len(p) or provenance.size != len(p):
+        if len(owner) != len(p) or provenance.size != len(p):
             raise ValueError("a schedule table needs one user and one "
                              "provenance per row")
         object.__setattr__(self, "users", users)
+        object.__setattr__(self, "owner", np.asarray(owner, dtype=np.int64))
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "probabilities", p)
 
     def __len__(self) -> int:
         return len(self.probabilities)
 
+    @property
+    def labels(self) -> np.ndarray:
+        """The user id or cohort label of each row."""
+        return self.users[self.owner]
+
     def select(self, rows) -> "ScheduleTable":
         """The rows at ``rows``, an index array or a boolean mask."""
-        return ScheduleTable(self.users[rows], self.provenance[rows],
-                             self.probabilities[rows])
+        return ScheduleTable(self.users, self.provenance[rows],
+                             self.probabilities[rows], self.owner[rows])
+
+    def recoded(self, users: np.ndarray, code: np.ndarray) -> "ScheduleTable":
+        return ScheduleTable(users, self.provenance, self.probabilities,
+                             code[self.owner])
 
     def by_provenance(self) -> dict[str, "ScheduleTable"]:
         """The rows of each provenance, in order of first appearance."""
@@ -290,10 +303,11 @@ class ScheduleTable:
 @dataclass(frozen=True)
 class Chosen:
     """Rows picked from a table of candidates: row i is the schedule of
-    ``users[i]``, row ``choice[i]`` of ``candidates``. A candidate that many
-    users take is held, formatted and ranked once."""
+    ``users[owner[i]]``, row ``choice[i]`` of ``candidates``. A candidate
+    that many users take is held, formatted and ranked once."""
 
-    users: np.ndarray        # row -> user id
+    users: np.ndarray        # code -> user id
+    owner: np.ndarray        # row -> int64 code into users
     candidates: ScheduleTable
     choice: np.ndarray       # row -> row of candidates
 
@@ -302,24 +316,28 @@ class Chosen:
         """``table`` itself, or a table as the Chosen of each of its rows."""
         if isinstance(table, Chosen):
             return table
-        return cls(table.users, table, np.arange(len(table)))
+        return cls(table.users, table.owner, table, np.arange(len(table)))
 
     def table(self) -> ScheduleTable:
         """The rows as a table of their own."""
         return ScheduleTable(self.users, self.candidates.provenance[self.choice],
-                             self.candidates.probabilities[self.choice])
+                             self.candidates.probabilities[self.choice],
+                             self.owner)
 
 
-def normalize_rows(sums: np.ndarray, users, provenance) -> ScheduleTable:
+def normalize_rows(sums: np.ndarray, users, provenance,
+                   owner=None) -> ScheduleTable:
     """Normalize non-negative rows into schedules: s[i] = q[i] / sum(q).
 
-    Row i of ``sums`` belongs to ``users[i]``; ``provenance`` is one label
-    for every row or one per row. All-zero rows carry no signal and are
-    dropped, so the caller can fall back to a baseline for their users.
+    Row i of ``sums`` belongs to ``users[owner[i]]``, by default to
+    ``users[i]``; ``provenance`` is one label for every row or one per row.
+    All-zero rows carry no signal and are dropped, so the caller can fall
+    back to a baseline for their users.
     """
     sums = np.asarray(sums, dtype=np.float64)
     total = sums.sum(axis=-1)
     keep = total > 0
     labels = np.broadcast_to(np.asarray(provenance, dtype=object), total.shape)
-    return ScheduleTable(np.asarray(users, dtype=object)[keep], labels[keep],
-                         sums[keep] / total[keep, None])
+    owner = np.arange(len(sums)) if owner is None else np.asarray(owner)
+    return ScheduleTable(users, labels[keep], sums[keep] / total[keep, None],
+                         owner[keep])

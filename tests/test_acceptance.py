@@ -46,10 +46,10 @@ from postsched.ingest import (
     PairTable,
     PostTable,
     UserTable,
-    index_of,
     join_reactions,
     load_posts,
     load_reactions,
+    share_users,
 )
 from postsched.schedules import VisibilityModel
 
@@ -61,9 +61,17 @@ def normalize(q, kind="S1"):
 
 def top_bucket(table, user, grid):
     """``user``'s best bucket in a schedule table."""
-    (row,) = index_of(table.users, [user])
-    assert row >= 0, f"{user} has no schedule"
-    return int(top_k_times(table.probabilities[row], 1, grid)[0])
+    labels = table.labels.tolist()
+    assert user in labels, f"{user} has no schedule"
+    return int(top_k_times(table.probabilities[labels.index(user)], 1, grid)[0])
+
+
+def derive_for_names(posts, pairs, graph, users, *args, targets):
+    """derive_schedules for the users named in ``targets``, as codes into
+    the vocabulary that the tables share."""
+    shared = share_users(posts, pairs, graph, users)
+    return derive_schedules(*shared, *args,
+                            targets=np.searchsorted(shared[0].users, targets))
 
 
 def graph_of(edges):
@@ -244,7 +252,7 @@ def test_criterion_1_derivation_over_graph():
                                if a == target and reactions[b].any()})
             tables = {kind: derived.personalized[kind] for kind in ("S1", "S2")}
             if not audience:
-                assert target not in tables["S1"].users
+                assert target not in tables["S1"].labels
                 continue
             brute_rd = {b: brute_delayed(list(reactions[b]), list(mass))
                         for b in audience}
@@ -255,8 +263,8 @@ def test_criterion_1_derivation_over_graph():
             oracle = {"S1": brute_first(brute_rd),
                       "S2": brute_second(brute_rd, brute_v)}
             for kind, table in tables.items():
-                (at,) = index_of(table.users, [target])
-                assert at >= 0, (kind, target)
+                assert target in table.labels, (kind, target)
+                at = table.labels.tolist().index(target)
                 diff = np.max(np.abs(table.probabilities[at] - oracle[kind]))
                 worst = max(worst, float(diff))
     report("1 derivation-over-graph", worst <= 1e-12,
@@ -299,7 +307,7 @@ def derive_for(cfg, result, window):
     in_window = join.pairs.select(window.mask(join.pairs.post_time))
     kernel = estimate_delay_kernel(in_window.delay, 96 * cfg.lag_width_s,
                                    cfg.lag_width_s)
-    return posts, join, derive_schedules(posts, join.pairs, graph,
+    return posts, join, derive_for_names(posts, join.pairs, graph,
                                          result.users, cfg.grid, kernel, window,
                                          targets=cfg.author_ids())
 
@@ -313,7 +321,7 @@ def test_criterion_2_planted_peak_recovery():
     grid = cfg.grid
     hits = 0
     s1 = derived.personalized["S1"]
-    top = dict(zip(s1.users, top_k_times(s1.probabilities, 1, grid)[:, 0]))
+    top = dict(zip(s1.labels, top_k_times(s1.probabilities, 1, grid)[:, 0]))
     for author in cfg.author_ids():
         if author in top and top[author] == ground_truth_peak(cfg, author):
             hits += 1
@@ -378,7 +386,7 @@ def derive_for_population(cfg, result, pop, window):
     graph = graph_of(result.edges)
     kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
     authors = sorted({src for src, _ in pop.edges})
-    return join, derive_schedules(posts, join.pairs, graph,
+    return join, derive_for_names(posts, join.pairs, graph,
                                   result.users, cfg.grid, kernel, window,
                                   targets=authors)
 

@@ -53,8 +53,32 @@ class TestCorrelation:
         assert correlation(x, y) == pytest.approx(correlation(y, x), abs=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^series must be 1-D and equal length$"):
             correlation([1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="^series must be 1-D and equal length$"):
+            cosine_similarity(np.ones((2, 2)), np.ones((2, 2)))
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           kind=st.sampled_from(["random", "flat", "zero", "equal"]))
+    def test_scalar_metrics_equal_the_reference_to_the_bit(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        a, b = rng.random(n) ** 3, rng.random(n)
+        if kind == "flat":
+            a[:] = 1.0 / n
+        elif kind == "zero":
+            b[:] = 0.0
+        elif kind == "equal":
+            b = a.copy()
+        for got, want in ((correlation, scalar_correlation),
+                          (cosine_similarity, scalar_cosine)):
+            try:
+                expected = want(a, b)
+            except UndefinedMetricError as exc:
+                with pytest.raises(UndefinedMetricError, match=f"^{exc}$"):
+                    got(a, b)
+                continue
+            assert np.float64(got(a, b)).tobytes() == np.float64(expected).tobytes()
 
 
 class TestCosine:
@@ -270,10 +294,36 @@ class TestPairwiseDistribution:
         assert dist.counts.sum() == dist.n_valid
 
 
+def scalar_correlation(s1, s2):
+    """Pearson correlation of two series by centred dot products, written
+    apart from the row terms that the package scores pairs with."""
+    a = np.asarray(s1, dtype=np.float64)
+    b = np.asarray(s2, dtype=np.float64)
+    da = a - a.mean()
+    db = b - b.mean()
+    va = float(da @ da)
+    vb = float(db @ db)
+    if va == 0.0 or vb == 0.0:
+        raise UndefinedMetricError("correlation undefined for constant series")
+    return float((da @ db) / np.sqrt(va * vb))
+
+
+def scalar_cosine(s1, s2):
+    """Cosine similarity of two series by their norms, written apart from
+    the row terms that the package scores pairs with."""
+    a = np.asarray(s1, dtype=np.float64)
+    b = np.asarray(s2, dtype=np.float64)
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise UndefinedMetricError("cosine similarity undefined for zero vector")
+    return float((a @ b) / (na * nb))
+
+
 def loop_distribution(series1, series2, metric, sample_budget, seed):
     """The sampled metric values, clipped, and the undefined count, one
     scalar metric call per draw."""
-    fn = {"correlation": correlation, "cosine": cosine_similarity}[metric]
+    fn = {"correlation": scalar_correlation, "cosine": scalar_cosine}[metric]
     rng = np.random.default_rng(seed)
     left = rng.integers(0, len(series1), size=sample_budget)
     right = rng.integers(0, len(series2), size=sample_budget)

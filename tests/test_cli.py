@@ -797,3 +797,131 @@ def test_one_perturbed_line_never_escapes_main(tiny_inputs, tmp_path_factory,
         **kv, **{key: run_dir / f"{key}.tsv" for key in NETWORK_FIELD},
         "out": run_dir / "out", "max_malformed_frac": max_malformed_frac})
     assert run(["all", "--config", cfg]) in (0, 1, 2)
+
+
+# Users renamed in the golden input: a non-ASCII id, and ids that are
+# prefixes of one another ("a000" < "a00000" < "a0000000").
+GOLDEN_RENAMES = {"f00000_000": "ä1", "a00001": "a0000000", "f00002_000": "a000"}
+# The user fields of each input file.
+USER_FIELDS = {"posts": (1,), "reactions": (2,), "edges": (1, 2), "users": (0,)}
+
+
+def golden_inputs(tmp_path, monkeypatch):
+    """The config of a small synth input, rewritten to hold the id shapes
+    that the user vocabulary must order and join: renamed users, offsets and
+    cities, a user listed only in users.tsv, an author without a users.tsv
+    line, an edge to a user with no events and reactions by "-". Paths are
+    relative to ``tmp_path``, so that ingest_report.json and the manifest do
+    not depend on where it is."""
+    monkeypatch.chdir(tmp_path)
+    cfg, out = synth_config(Path("."))
+    assert run(["synth", "--config", cfg]) == 0
+    for name, columns in USER_FIELDS.items():
+        path = out / f"{name}.tsv"
+        lines = []
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            fields = line.split("\t")
+            for c in columns:
+                fields[c] = GOLDEN_RENAMES.get(fields[c], fields[c])
+            if name == "users":
+                if fields[0] == "f00002_003":
+                    continue
+                fields[1] = str((0, 60, -300, 330)[i % 4])
+                fields[2] = ("Oslo", "Köln", "Oslo", "-")[i % 4]
+            if name == "reactions" and i < 2:
+                lines.append("\t".join([*fields[:2], "-", str(int(fields[3]) + 5)]))
+            lines.append("\t".join(fields))
+        lines += {"users": ["zz_only\t-300\tOslo\tTW"],
+                  "edges": ["TW\ta00000\tnobody"]}.get(name, [])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+def digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+# SHA-256 of each artifact of `all` on the golden input, as written before
+# the tables shared one vocabulary of users.
+GOLDEN_ALL = {
+    "ingest_report.json":
+        "5770e6fd18e8f05dcd42de7b61387192c52271cce60984a8a95273ca73800623",
+    "delay_kernel.tsv":
+        "b0f1271d705ceb7842d8aed5b72dc7b84b4f8a078188b040b155d72b93e653f3",
+    "cumulative_curve.csv":
+        "76be8b12c9caa40d76cce6733efccf49044942eee479c3fb0767b049bf1138bc",
+    "delay_quantiles.tsv":
+        "87e8600b06ccd1adc47bf0fda37098d9bc68e36906e5c31d0a07ee3c713c2ecd",
+    "schedules.tsv":
+        "f6004c65a50914e68ffe6a3cfa3e770ee19a1ce37aab64a2200397b2c04bdb2b",
+    "baselines.tsv":
+        "1a22a8cef7c8251675fd6138865fc6335f311c722fb147d99540bb5673109fb3",
+    "recommended.tsv":
+        "fba42c34038a0881981c6d5b02e7d259233fc5cb0626adde9e60515f477147fa",
+    "ranked_times.tsv":
+        "5ab3b91a55f582d164b1ca4b2720f83a254162c7c59d8a91e1159da2fd09664e",
+    "gain_report.tsv":
+        "588b3cf6efee258c803d9fa4aa767b3dd850d817b4068020983ac5c01f94dc2e",
+    "gain_by_rank.csv":
+        "227252b9deb54e6518361f9428e85025c086938df0e4f56fc05ea457ba2cf530",
+    "cohort_series.csv":
+        "8097b10d2dff14609f0c98a5927470fd19ec263643adc15357d087d0c4c54f12",
+    "metric_distributions.csv":
+        "2bf70db47b210f16fc56edda7d5b19ee84fd7d98c9cd55c34940aad564e3a4cf",
+    "manifest.json":
+        "9467a566c64e02bae1d1baeefb9943a83e4e418895902a5b51aaa8393ed4903a",
+}
+
+# SHA-256 of the outputs of a lone `evaluate` and `analyze` after S1 rows of
+# two users in no input were added to the golden schedules.tsv: `evaluate`
+# skips them, and `analyze` counts them in ALL at UTC.
+GOLDEN_GHOSTS = {
+    "gain_report.tsv":
+        "588b3cf6efee258c803d9fa4aa767b3dd850d817b4068020983ac5c01f94dc2e",
+    "gain_by_rank.csv":
+        "227252b9deb54e6518361f9428e85025c086938df0e4f56fc05ea457ba2cf530",
+    "cohort_series.csv":
+        "67ce5c4814ef40cf8f7be0f0b5bdf9a90dd90c177cbcc1478f421858a888182c",
+    "metric_distributions.csv":
+        "7c503aab0d397be263ea07e19d9b4a9f42bdb84e21e98d7053d0c8d266a42e73",
+}
+
+
+class TestGoldenRun:
+    def test_all_matches_recorded_digests(self, tmp_path, monkeypatch):
+        out = golden_inputs(tmp_path, monkeypatch)
+        assert run(["all", "--config", out / "synth.config"]) == 0
+        assert digests(out, (*ARTIFACTS, "manifest.json")) == GOLDEN_ALL
+
+    def test_lone_stages_over_users_in_no_input(self, tmp_path, monkeypatch):
+        out = golden_inputs(tmp_path, monkeypatch)
+        cfg = out / "synth.config"
+        assert run(["schedule", "--config", cfg]) == 0
+        schedules = out / "schedules.tsv"
+        text = schedules.read_text(encoding="utf-8")
+        probs = text.split("\n", 1)[0].split("\t")[2]
+        schedules.write_text(text + "".join(f"{ghost}\tS1\t{probs}\n"
+                                            for ghost in ("zzz_ghost", "a0000")),
+                             encoding="utf-8")
+        assert run(["evaluate", "--config", cfg]) == 0
+        assert run(["analyze", "--config", cfg]) == 0
+        assert digests(out, ("gain_report.tsv", "gain_by_rank.csv",
+                             "cohort_series.csv", "metric_distributions.csv")
+                       ) == GOLDEN_GHOSTS
+
+
+def test_no_personalized_schedule_is_named(tmp_path, capsys):
+    # With no edges, no user has an audience member who reacted, so every
+    # user falls back to a baseline and schedules.tsv is empty.
+    cfg, out = synth_config(tmp_path, seed=3, synth_followers=6)
+    assert run(["synth", "--config", cfg]) == 0
+    (out / "edges.tsv").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["all", "--config", out / "synth.config"]) == 2
+    err = capsys.readouterr().err
+    assert "schedules.tsv holds no personalized schedule" in err
+    assert (out / "schedules.tsv").read_bytes() == b""
+    capsys.readouterr()
+    assert run(["evaluate", "--config", out / "synth.config"]) == 2
+    assert capsys.readouterr().err == err

@@ -35,6 +35,7 @@ from postsched.ingest import (
     ReactionTable,
     SparseCounts,
     adapt_open_dataset,
+    share_users,
 )
 
 
@@ -205,7 +206,7 @@ class TestLoaders:
         for network, offset in (("TW", 0), ("FB", 60)):
             users, _ = load_users(p, network)
             assert users.networks == {network}
-            assert users.offsets(["u1"]).tolist() == [offset]
+            assert users.tz_offset_min.tolist() == [offset]
         with pytest.raises(IngestError, match=r"users\.tsv: user 'u1' is listed "
                                               r"more than once for networks TW "
                                               r"and FB"):
@@ -882,7 +883,7 @@ class TestBuildProfiles:
         posts = [("TW", "ghost", "p1", self.MONDAY)]
         window = TimeWindow.from_days(self.MONDAY, 63)
         prof = profiles(posts, NO_PAIRS, tz_table({}), self.grid(), window)
-        assert "ghost" in prof.unknown_tz
+        assert prof.users[prof.unknown_tz].tolist() == ["ghost"]
         assert prof.created.at(row(prof, "ghost"), 0) == 1.0
 
     def test_zero_profiles_for_inactive_users(self):
@@ -944,19 +945,17 @@ class TestSparseCounts:
            offsets=st.lists(st.sampled_from([-300, 0, 60]), min_size=3, max_size=3))
     def test_weekly_counts_equal_a_dense_tally(self, events, offsets):
         grid = WeeklyGrid(7 * 24)
-        users = tz_table(dict(zip(["a", "b", "d"], offsets)))
-        names = np.array(["a", "b", "d"], dtype=object)
-        vocabulary = np.array(sorted({u for u, _ in events}), dtype=object)
-        codes = ingest.index_of(vocabulary, [u for u, _ in events])
-        got = ingest.weekly_counts(names, users, vocabulary, codes,
-                                   np.array([t for _, t in events], dtype=np.int64),
-                                   grid)
-        want = np.zeros((3, grid.buckets_per_week))
+        offset = dict(zip(["a", "b", "d"], offsets))
+        posts, users = ingest.share_users(
+            post_table([("TW", u, f"p{i}", t) for i, (u, t) in enumerate(events)]),
+            tz_table(offset))
+        got = ingest.weekly_counts(users, posts.author, posts.created_at, grid)
+        names = users.users.tolist()
+        want = np.zeros((len(names), grid.buckets_per_week))
         for user, t in events:
-            if user in names:
-                i = names.tolist().index(user)
-                want[i, grid.bucket_index(t, users.offsets([user])[0])] += 1
-        assert got.rows(range(3)).tobytes() == want.tobytes()
+            want[names.index(user), grid.bucket_index(t, offset.get(user, 0))] += 1
+        assert got.shape == want.shape
+        assert got.rows(range(len(names))).tobytes() == want.tobytes()
 
 
 class TestUserTable:
@@ -969,11 +968,18 @@ class TestUserTable:
         assert users.networks == {"TW"}
 
     def test_unlisted_users_are_at_utc(self):
-        users = tz_table({"amy": 60, "zed": -300})
-        assert users.offsets(["zed", "bob", "amy", "zzz", ""]).tolist() == [
-            -300, 0, 60, 0, 0]
-        assert tz_table({}).offsets(["amy"]).tolist() == [0]
-        assert users.offsets([]).dtype == np.int64
+        names = ["zed", "bob", "amy", "zzz"]
+        posts, users = share_users(
+            post_table([("TW", u, f"p{i}", 0) for i, u in enumerate(names)]),
+            UserTable.from_columns(["TW", "TW"], ["amy", "zed"], [60, -300],
+                                   ["Oslo", None]))
+        assert users.users.tolist() == sorted(names)
+        assert users.tz_offset_min[posts.author].tolist() == [-300, 0, 60, 0]
+        assert users.city[posts.author].tolist() == [None, None, "Oslo", None]
+        assert users.listed[posts.author].tolist() == [True, False, True, False]
+        _, nobody = share_users(post_table([("TW", "amy", "p", 0)]), tz_table({}))
+        assert nobody.tz_offset_min.tolist() == [0]
+        assert nobody.tz_offset_min.dtype == np.int64
 
     @pytest.mark.parametrize("networks,message", [
         (["TW", "TW"], "for network TW$"), (["TW", "FB"], "for networks TW and FB$")])
@@ -985,15 +991,35 @@ class TestUserTable:
                                    [0, 60, 0], [None] * 3)
 
 
+# Ids that sort apart by code point but not by UTF-16 unit or Latin-1 byte,
+# and ids that are prefixes of one another.
+IDS = st.sampled_from(["a", "a0", "a00", "b", "é", "ä1", "\uffff",
+                       "\U0001f600", "-"])
+
+
 @settings(max_examples=200)
-@given(vocabulary=st.sets(st.text("abé", max_size=3)),
-       keys=st.lists(st.text("abé", max_size=3), max_size=12))
-def test_index_of_equals_a_dict_lookup(vocabulary, keys):
-    vocabulary = np.array(sorted(vocabulary), dtype=object)
-    index = {u: i for i, u in enumerate(vocabulary.tolist())}
-    got = ingest.index_of(vocabulary, keys)
-    assert got.dtype == np.int64
-    assert got.tolist() == [index.get(k, -1) for k in keys]
+@given(posts=st.lists(IDS, max_size=8),
+       reactors=st.lists(IDS, max_size=8),
+       edges=st.lists(st.tuples(IDS, IDS), max_size=6),
+       listed=st.sets(IDS, max_size=6))
+def test_share_users_keeps_every_id_in_one_sorted_vocabulary(posts, reactors,
+                                                             edges, listed):
+    tables = (post_table([("TW", a, f"p{i}", 0) for i, a in enumerate(posts)]),
+              reaction_table([("TW", "p0", r, 0) for r in reactors]),
+              SocialGraph.from_columns([a for a, _ in edges], [b for _, b in edges]),
+              tz_table(dict.fromkeys(listed, 60)))
+    shared = share_users(*tables)
+    users = shared[0].users
+    assert all(table.users is users for table in shared)
+    assert users.tolist() == sorted({*posts, *reactors, *listed,
+                                     *(u for e in edges for u in e)})
+    assert post_rows(shared[0]) == post_rows(tables[0])
+    assert users[shared[1].reactor].tolist() == reactors
+    assert graph_pairs(shared[2]) == graph_pairs(tables[2])
+    listed_at = shared[3].listed
+    assert users[listed_at].tolist() == sorted(listed)
+    assert shared[3].tz_offset_min.tolist() == [60 * bool(x) for x in listed_at]
+    assert all(a is b for a, b in zip(share_users(*shared), shared))
 
 
 class TestAdapter:

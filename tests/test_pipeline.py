@@ -30,9 +30,11 @@ from postsched.ingest import (
     SocialGraph,
     UserTable,
     build_profiles,
-    index_of,
     join_reactions,
+    share_users,
 )
+from postsched.analysis import city_cohorts
+from postsched.errors import UndefinedMetricError
 from postsched.pipeline import (
     read_schedules,
     write_ranked_times,
@@ -67,9 +69,9 @@ def star_inputs(span_days=21, **overrides):
 
 def row(table, user):
     """The row index of ``user`` in ``table``; fails if it has none."""
-    (at,) = index_of(table.users, [user])
-    assert at >= 0, user
-    return at
+    labels = table.labels.tolist()
+    assert user in labels, user
+    return labels.index(user)
 
 
 class TestDeriveSchedules:
@@ -94,7 +96,7 @@ class TestDeriveSchedules:
                                    result.users, grid, kernel, window)
         for kind in ("S1", "S2", "S1w", "S2w"):
             for author in cfg.author_ids():
-                assert author in derived.personalized[kind].users, (kind, author)
+                assert author in derived.personalized[kind].labels, (kind, author)
 
     def test_fallback_chain_for_users_without_signal(self):
         cfg, result, posts, join, graph = star_inputs()
@@ -107,7 +109,7 @@ class TestDeriveSchedules:
         # timezone baseline (AFD first).
         follower = "f00000_000"
         rec = derived.recommended
-        assert follower not in derived.personalized["S1"].users
+        assert follower not in derived.personalized["S1"].labels
         assert rec.provenance[row(rec, follower)] == "AFD"
         afd = derived.baselines.by_provenance()["AFD"]
         assert np.array_equal(rec.probabilities[row(rec, follower)],
@@ -118,7 +120,7 @@ class TestDeriveSchedules:
         s1w = derived.personalized["S1w"]
         assert np.array_equal(rec.probabilities[row(rec, author)],
                               s1w.probabilities[row(s1w, author)])
-        assert rec.users.tolist() == sorted(rec.users.tolist())
+        assert rec.labels.tolist() == sorted(rec.labels.tolist())
 
     def test_uniform_fallback_when_nothing_derivable(self):
         grid = WeeklyGrid(672)
@@ -140,7 +142,7 @@ class TestDeriveSchedules:
         kernel = DelayKernel(np.asarray(cfg.kernel), cfg.lag_width_s)
         derived = derive_schedules(posts, join.pairs, graph,
                                    result.users, grid, kernel, window)
-        assert set(derived.personalized["S1"].users) == set(cfg.author_ids())
+        assert set(derived.personalized["S1"].labels) == set(cfg.author_ids())
         # AFD sums the raw first-degree profiles of the S1 users alone: the
         # delayed rows of their audiences.
         prof = build_profiles(posts, join.pairs, result.users, grid, window)
@@ -148,7 +150,7 @@ class TestDeriveSchedules:
             prof.reactions.rows(np.arange(len(prof.users))), kernel)
         names = prof.users.tolist()
         total = sum(delayed[names.index(member)] for author, member in result.edges
-                    if author in derived.personalized["S1"].users)
+                    if author in derived.personalized["S1"].labels)
         afd = derived.baselines.by_provenance()["AFD"]
         assert np.allclose(afd.probabilities[row(afd, "tz:0")], total / total.sum())
 
@@ -160,13 +162,14 @@ class TestDeriveSchedules:
         full = derive_schedules(posts, join.pairs, graph, result.users,
                                 cfg.grid, kernel, window)
         subset = ["a00001", "a00003", "f00000_000"]
-        part = derive_schedules(posts, join.pairs, graph, result.users,
-                                cfg.grid, kernel, window, targets=subset)
-        assert set(part.recommended.users) == set(subset)
+        shared = share_users(posts, join.pairs, graph, result.users)
+        part = derive_schedules(*shared, cfg.grid, kernel, window,
+                                targets=np.searchsorted(shared[0].users, subset))
+        assert set(part.recommended.labels) == set(subset)
         for kind, table in part.personalized.items():
-            assert set(table.users) == {"a00001", "a00003"}
+            assert set(table.labels) == {"a00001", "a00003"}
             whole = full.personalized[kind]
-            for user, probs in zip(table.users, table.probabilities):
+            for user, probs in zip(table.labels, table.probabilities):
                 assert np.array_equal(probs, whole.probabilities[row(whole, user)])
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
@@ -194,7 +197,7 @@ class TestDeriveSchedules:
             tables = [*derived.personalized.values(), derived.baselines,
                       derived.recommended]
             rows = [(k, u, p) for t in tables
-                    for k, u, p in zip(t.provenance, t.users, t.probabilities)]
+                    for k, u, p in zip(t.provenance, t.labels, t.probabilities)]
             return sorted((k, u, p.tobytes()) for k, u, p in rows)
 
         default = [flat(derive(kernel)) for kernel in kernels]
@@ -219,9 +222,10 @@ class TestDeriveSchedules:
             derived = derive_schedules(posts, join.pairs,
                                        SocialGraph.from_columns(*zip(*edge_list)),
                                        result.users, cfg.grid, kernel, window)
-            return [(t.users.tolist(), t.provenance.tolist(), t.probabilities.tobytes())
-                    for t in (*derived.personalized.values(), derived.baselines,
-                              derived.recommended)] + [derived.unknown_tz]
+            tables = (*derived.personalized.values(), derived.baselines,
+                      derived.recommended)
+            return [(t.labels.tolist(), t.provenance.tolist(), t.probabilities.tobytes())
+                    for t in tables] + [derived.unknown_tz.tolist()]
 
         shuffled = [edges[i] for i in rng.permutation(len(edges))] + edges[::3]
         assert tables(shuffled) == tables(edges)
@@ -307,9 +311,9 @@ class TestStreamedDerivation:
                     baselines=derived.baselines.by_provenance())
             tables = [*derived.personalized.values(), derived.baselines,
                       derived.recommended]
-            outcomes.append(([(t.users.tolist(), t.provenance.tolist(),
+            outcomes.append(([(t.labels.tolist(), t.provenance.tolist(),
                                t.probabilities.tobytes()) for t in tables],
-                             repr(report), derived.unknown_tz))
+                             repr(report), derived.unknown_tz.tolist()))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_memory_stays_below_one_population_matrix(self):
@@ -343,6 +347,52 @@ class TestStreamedDerivation:
         assert peak < matrix
 
 
+class TestOneCodeSpace:
+    """Tables that each intern their own users and the same tables re-coded
+    onto one vocabulary give the same schedules, gains and cohorts, bit for
+    bit."""
+
+    @staticmethod
+    def own_vocabulary(table):
+        """``table`` with a vocabulary of its own row labels."""
+        return ScheduleTable(table.labels, table.provenance, table.probabilities)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=small_networks(), min_cohort=st.integers(1, 3))
+    def test_separate_and_shared_vocabularies_agree(self, case, min_cohort):
+        posts, pairs, graph, users, kernel = case
+        grid = WeeklyGrid(7)
+        window = TimeWindow.from_days(DEFAULT_START_EPOCH, 7)
+        held_out = TimeWindow.from_days(DEFAULT_START_EPOCH + 7 * DAY, 14)
+        shared = share_users(posts, pairs, graph, users)
+        outcomes = []
+        for tables, own in (((posts, pairs, graph, users), True),
+                            (shared, False)):
+            derived = derive_schedules(*tables, grid, kernel, window)
+            scored = {**derived.personalized, "recommended": derived.recommended}
+            if own:
+                scored = {k: self.own_vocabulary(t) for k, t in scored.items()}
+            report = evaluate_schedules(
+                scored, tables[0], tables[1], tables[3], held_out, grid, k=4,
+                day_filter="all", baselines=derived.baselines.by_provenance())
+            s1 = derived.personalized["S1"]
+            try:
+                cohorts = [(c.label, c.rows.tolist(), c.tz_offset_min,
+                            c.series.tobytes())
+                           for c in city_cohorts(self.own_vocabulary(s1) if own
+                                                 else s1, tables[3], grid,
+                                                 min_cohort)]
+            except (UndefinedMetricError, ValueError) as exc:
+                cohorts = repr(exc)
+            outcomes.append((
+                [(t.labels.tolist(), t.provenance.tolist(), t.probabilities.tobytes())
+                 for t in (*derived.personalized.values(), derived.baselines,
+                           derived.recommended)],
+                derived.chosen.users[derived.unknown_tz].tolist(),
+                repr(report), cohorts))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestPersistence:
     def test_schedule_roundtrip(self, tmp_path):
         cfg, result, posts, join, graph = star_inputs()
@@ -355,7 +405,7 @@ class TestPersistence:
         s1 = derived.personalized["S1"]
         write_schedules(path, s1)
         back = read_schedules(path, 672)
-        assert back["S1"].users.tolist() == s1.users.tolist()
+        assert back["S1"].labels.tolist() == s1.labels.tolist()
         assert np.array_equal(back["S1"].probabilities, s1.probabilities)
 
     def test_mixed_provenance_tables_roundtrip_bit_for_bit(self, tmp_path):
@@ -374,7 +424,7 @@ class TestPersistence:
             assert set(back) == set(table.provenance) == kinds
             for kind, got in back.items():
                 want = table.select(table.provenance == kind)
-                assert got.users.tolist() == want.users.tolist()
+                assert got.labels.tolist() == want.labels.tolist()
                 assert got.provenance.tolist() == want.provenance.tolist()
                 assert got.probabilities.tobytes() == want.probabilities.tobytes()
 
@@ -415,7 +465,7 @@ class TestPersistence:
                                        "Sat", "Sun")
         assert 0.0 <= float(prob) <= 1.0
         assert len(lines) == 5 * len(rec) + 1
-        assert user == rec.users[0]
+        assert user == rec.labels[0]
         assert label == grid.bucket_label(int(bucket))
         assert float(prob) == rec.probabilities[0, int(bucket)]
 
@@ -430,7 +480,7 @@ class TestWritersAgainstPerRowReference:
     def reference_schedules(table):
         return "".join(
             f"{user}\t{prov}\t" + ",".join("%.17g" % v for v in row.tolist()) + "\n"
-            for user, prov, row in zip(table.users, table.provenance,
+            for user, prov, row in zip(table.labels, table.provenance,
                                        table.probabilities))
 
     @classmethod
@@ -438,7 +488,7 @@ class TestWritersAgainstPerRowReference:
         return "".join(
             f"{user}\t{rank}\t{b}\t{cls.GRID.bucket_label(b)}\t"
             f"{float(table.probabilities[r, b]):.17g}\n"
-            for r, user in enumerate(table.users)
+            for r, user in enumerate(table.labels)
             for rank, b in enumerate(buckets[r].tolist(), start=1))
 
     @classmethod
@@ -506,7 +556,7 @@ class TestWritersAgainstPerRowReference:
             else st.just([])), dtype=np.int64)
         chosen = pipeline.Chosen(
             np.array([f"u{i}" for i in range(choice.size)], dtype=object),
-            candidates, choice)
+            np.arange(choice.size), candidates, choice)
         table = chosen.table()
         files = {}
         with tempfile.TemporaryDirectory() as tmp:

@@ -287,7 +287,7 @@ class TestNormalizeToSchedule:
         assert len(normalize(np.zeros(4))) == 0
         s = normalize_rows(np.array([[0.0, 0.0], [1.0, 3.0], [0.0, 0.0]]),
                            ["a", "b", "c"], ["S1", "S1w", "S1"])
-        assert s.users.tolist() == ["b"]
+        assert s.labels.tolist() == ["b"]
         assert s.provenance.tolist() == ["S1w"]
         assert np.allclose(s.probabilities, [[0.25, 0.75]])
 
