@@ -22,8 +22,10 @@ import argparse
 import hashlib
 import json
 import math
+import queue
 import re
 import sys
+import threading
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -282,13 +284,58 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+class _Digests:
+    """SHA-256 digests of the files handed to it, taken in order on one
+    worker thread while the run goes on: reading a file and hashing it
+    release the interpreter lock. A file handed again is hashed again, and
+    the later digest stands. The worker runs inside a with block, whose
+    exit stops and joins it however the block ends."""
+
+    def __init__(self):
+        self._todo: queue.SimpleQueue = queue.SimpleQueue()
+        self._taken: dict[str, str | Exception] = {}  # written by the worker
+        self._thread = threading.Thread(target=self._work, name="digests")
+
+    def _work(self) -> None:
+        for path in iter(self._todo.get, None):
+            try:
+                self._taken[path] = _sha256(Path(path))
+            except Exception as exc:  # raised in the caller by of()
+                self._taken[path] = exc
+
+    def __enter__(self) -> _Digests:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._todo.put(None)
+        self._thread.join()
+
+    def hand(self, paths: list[Path]) -> None:
+        for path in paths:
+            self._todo.put(str(path))
+
+    def of(self, paths: list[Path]) -> dict[str, str]:
+        """The digest of each of ``paths``, by path; read after the with
+        block. A file that could not be read raises PostschedError."""
+        digests = {}
+        for path in sorted(set(map(str, paths))):
+            taken = digests[path] = self._taken[path]
+            if isinstance(taken, OSError):
+                raise PostschedError(f"cannot read {path} for the manifest: "
+                                     f"{taken}") from None
+            if isinstance(taken, Exception):
+                raise taken
+        return digests
+
+
 def _write_manifest(out_dir: Path, subcommand: str, cfg: RunConfig,
-                    inputs: list[Path], outputs: list[Path]) -> Path:
+                    inputs: dict[str, str], outputs: dict[str, str]) -> Path:
     manifest = {
         "subcommand": subcommand,
         "parameters": {f.name: getattr(cfg, f.name) for f in fields(RunConfig)},
-        "inputs": {str(p): _sha256(Path(p)) for p in sorted(set(map(str, inputs)))},
-        "outputs": {str(p): _sha256(Path(p)) for p in sorted(set(map(str, outputs)))},
+        "inputs": inputs,
+        "outputs": outputs,
     }
     path = out_dir / "manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -599,17 +646,18 @@ def _run(subcommand: str, cfg: RunConfig) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     _require_inputs(cfg, STAGE_INPUTS[subcommand])
     inputs = Inputs(cfg, STAGE_INPUTS[subcommand])
-    if subcommand == "all":
-        outputs: list[Path] = []
-        for name in ALL_CHAIN:
-            outputs.extend(STAGES[name](cfg, out_dir, inputs))
-        input_paths = _input_paths(cfg, INPUT_KEYS)
-    else:
-        outputs = STAGES[subcommand](cfg, out_dir, inputs)
-        input_paths = [p for p in _input_paths(cfg, INPUT_KEYS) if p.exists()]
-        if subcommand == "synth":
-            input_paths = []
-    outputs.append(_write_manifest(out_dir, subcommand, cfg, input_paths, outputs))
+    input_paths = [] if subcommand == "synth" else [
+        p for p in _input_paths(cfg, INPUT_KEYS) if p.exists()]
+    outputs: list[Path] = []
+    # Each file is hashed as soon as it is complete, while later stages run.
+    with _Digests() as digests:
+        digests.hand(input_paths)
+        for name in ALL_CHAIN if subcommand == "all" else (subcommand,):
+            written = STAGES[name](cfg, out_dir, inputs)
+            digests.hand(written)
+            outputs.extend(written)
+    outputs.append(_write_manifest(out_dir, subcommand, cfg, digests.of(input_paths),
+                                   digests.of(outputs)))
     return outputs
 
 

@@ -35,6 +35,11 @@ onto one vocabulary, so that a code is one user in all of them; ids come
 back as text only where they are written.
 Text goes out a column at a time too: :func:`float_texts` is the one place
 that prints a float64, and :func:`write_columns` writes the narrow tables.
+A float64 becomes the bytes of its ``%.17g`` text in numpy when its
+magnitude is in [1e-280, 1e280): 17 digits from a double-double product by
+a power of ten, laid out in a fixed-width ``S`` slot. Python's ``%`` still
+prints zeros, subnormals and other values outside that range, infinities,
+NaNs and the rare value within ``_HALF_MARGIN`` of a rounding half.
 """
 
 from __future__ import annotations
@@ -87,6 +92,22 @@ _LEAD, _TAIL = _INT64_DIGITS, MAX_ID_BYTES
 # which bounds the memory taken by the per-block temporaries.
 _BLOCK_BYTES = 1 << 20
 
+# The longest text of "%.17g", as of -2.2250738585072014e-308.
+_FLOAT_WIDTH = 24
+
+# float_texts formats this many distinct values at a time, which bounds
+# its temporaries at a few MB.
+_FLOAT_BLOCK = 1 << 14
+
+# A double-double product of a value by a power of ten is within 5e-15 of
+# the exact product (see _scaled). A value whose 18th digit onwards is
+# this near a half could round either way, so Python prints it.
+_HALF_MARGIN = 2.0**-32
+
+# "00" .. "99" as two ASCII bytes each.
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)),
+                             dtype=np.uint16)
+
 # Text tables are written in blocks of this many lines. A block's cells and
 # lines are Python strings; blocks of 1 << 16 lines took 12 MB more at the
 # peak of writing the synth files.
@@ -112,15 +133,148 @@ def encode_ids(ids) -> np.ndarray:
     return np.array(column, dtype=np.bytes_)
 
 
+def _pow10(s: int) -> tuple[float, float]:
+    """10**s as a double-double ``hi + lo``, each part correctly rounded
+    from the exact value, so the pair is within 2**-106 of 10**s relative."""
+    if s >= 0:
+        hi = float(10**s)
+        return hi, float(10**s - int(hi))
+    hi = 1 / 10**-s
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * 10**-s) / (den * 10**-s)
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each double into two of 26 significant bits."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**s`` as ``hi + lo`` with ``|lo| <= ulp(hi) / 2``: Dekker's
+    exact product of ``a`` by the high part of 10**s, plus ``a`` times its
+    low part. For a product below about 1e17 the pair is within 5e-15 of
+    the exact one: 10**s is carried to 2**-106 relative (1.3e-15), and the
+    low product and its sum round by at most 1.2e-15 and 1.8e-15."""
+    low = int(s.min(initial=0))
+    table = np.zeros((s.max(initial=0) - low + 1, 2))
+    for k in np.flatnonzero(np.bincount(s - low)).tolist():
+        table[k] = _pow10(k + low)
+    p_hi, p_lo = table[s - low].T
+    product = a * p_hi
+    (ah, al), (bh, bl) = _halves(a), _halves(p_hi)
+    error = ((ah * bh - product) + ah * bl + al * bh) + al * bl + a * p_lo
+    hi = product + error
+    return hi, error - (hi - product)
+
+
+def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each positive double of ``a`` rounded half-even to 17 significant
+    digits, as ``digits * 10**(e - 16)`` with 1e16 <= ``digits`` < 1e17, and
+    whether the rounding is sure: it is not within _HALF_MARGIN of a half."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, 16 - e)
+    # log10 can be a unit off next to a power of ten; the scaled value then
+    # lies outside [1e16, 1e17). hi alone can round onto either end (as
+    # 9.999999999999999e-05 does onto 1e16), so lo's sign tells.
+    shift = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+             - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
+    off = np.flatnonzero(shift)
+    if off.size:
+        e[off] += shift[off]
+        hi[off], lo[off] = _scaled(a[off], 16 - e[off])
+    # hi is a whole number above 2**53, so the fraction is lo's.
+    floor = np.floor(lo)
+    fraction = lo - floor
+    digits = hi.astype(np.int64) + floor.astype(np.int64) + (fraction > 0.5)
+    sure = ((np.abs(fraction - 0.5) >= _HALF_MARGIN)
+            & (digits >= 10**16) & (digits <= 10**17))
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    return digits, e + carry, sure
+
+
+def _place_texts(digits: np.ndarray, e: np.ndarray,
+                 negative: np.ndarray) -> np.ndarray:
+    """Each ``digits * 10**(e - 16)`` as ``%.17g`` prints it, a row of
+    _FLOAT_WIDTH bytes each: fixed-point when -4 <= e < 17, else with an
+    exponent, the trailing zeros of its digits dropped, NUL after the text."""
+    n = len(digits)
+    top, bottom = np.divmod(digits, 10**8)
+    top, bottom = top.astype(np.uint32), bottom.astype(np.uint32)
+    pairs = np.empty((n, 9), dtype=np.uint16)
+    pairs[:, 0] = _DIGIT_PAIRS[top // 10**8]
+    for j, unit in enumerate((10**6, 10**4, 100, 1), start=1):
+        pairs[:, j] = _DIGIT_PAIRS[top // unit % 100]
+        pairs[:, j + 4] = _DIGIT_PAIRS[bottom // unit % 100]
+    chars = pairs.view(np.uint8)[:, 1:]  # 17 ASCII digits, the first not 0
+    sig = 17 - np.argmax(chars[:, ::-1] != ord("0"), axis=1)
+    # The point follows digit ``point``; -1 puts "0." and -e - 1 zeros
+    # before the digits. A whole number keeps its zeros and has no point.
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed, np.maximum(e, -1), 0)
+    shown = np.maximum(sig, point + 1)
+    short = np.flatnonzero(shown < 17)
+    chars[short] *= np.arange(17) < shown[short, None]
+    dotted = shown - 1 > point
+    # Digit i goes to place first + i, or first + i + 1 once past the point.
+    first = negative + np.where(point < 0, -e, 0)
+    slots = np.zeros((n, _FLOAT_WIDTH), dtype=np.uint8)
+    # Texts of one layout (sign, point, first place and whether a point is
+    # shown) take their bytes from the same places: a slice copy each.
+    layout = ((first * 18 + point + 1) * 2 + negative) * 2 + dotted
+    for key in _distinct(layout).tolist():
+        rows = np.flatnonzero(layout == key)
+        f, p, minus, dot, exp = (int(column[rows[0]]) for column in
+                                 (first, point, negative, dotted, e))
+        head = b"-" * minus + (b"0." + b"0" * (-exp - 1) if p < 0 else b"")
+        slots[rows, :len(head)] = list(head)
+        if p >= 0:
+            slots[rows, f:f + p + 1] = chars[rows, :p + 1]
+            slots[rows, f + p + 1] = ord(".") * dot
+        slots[rows, f + p + 2:f + 18] = chars[rows, p + 1:]
+    # e, its sign and two or three digits.
+    ex = np.flatnonzero(~fixed)
+    mag = np.abs(e[ex])
+    three = mag >= 100
+    hundreds, tens, ones = (mag // 100 + ord("0"), mag // 10 % 10 + ord("0"),
+                            mag % 10 + ord("0"))
+    end = first + shown + dotted
+    at = (ex * _FLOAT_WIDTH + end[ex])[:, None] + np.arange(5)
+    slots.reshape(-1)[at] = np.stack([
+        np.full(ex.size, ord("e")), np.where(e[ex] < 0, ord("-"), ord("+")),
+        np.where(three, hundreds, tens), np.where(three, tens, ones),
+        np.where(three, ones, 0)], axis=1)
+    return slots
+
+
 def float_texts(values) -> np.ndarray:
-    """Each float64 of ``values`` as ``%g`` text to 17 significant digits,
-    which round-trips it, in an object array of its shape. Each distinct bit
-    pattern is formatted once, so 0.0 and -0.0, though equal, print apart."""
+    """Each float64 of ``values`` as the bytes that ``"%.17g"`` prints for
+    it, which round-trip it, in an ``S`` array of its shape.
+
+    Each distinct bit pattern is formatted once, so 0.0 and -0.0, though
+    equal, print apart. numpy makes the text of a value whose magnitude is
+    in [1e-280, 1e280): its 17 digits come from a double-double product
+    (:func:`_significands`) and are laid out in a fixed-width slot
+    (:func:`_place_texts`) whose trailing NULs an ``S`` array drops.
+    Python's ``%`` prints the rest: zeros, subnormals and other values
+    outside that range, infinities, NaNs, and a value within _HALF_MARGIN
+    of a rounding half, where the product cannot tell the side."""
     values = np.asarray(values, dtype=np.float64)
     bits, at = np.unique(values.view(np.int64), return_inverse=True)
-    texts = (",".join(["%.17g"] * bits.size)
-             % tuple(bits.view(np.float64).tolist())).split(",")
-    return np.array(texts, dtype=object)[at.reshape(values.shape)]
+    x = bits.view(np.float64)
+    slots = np.zeros((x.size, _FLOAT_WIDTH), dtype=np.uint8)
+    for lo in range(0, x.size, _FLOAT_BLOCK):
+        mag = np.abs(x[lo:lo + _FLOAT_BLOCK])
+        at_scale = np.flatnonzero((mag >= 1e-280) & (mag < 1e280))
+        digits, e, sure = _significands(mag[at_scale])
+        rows = lo + at_scale[sure]
+        slots[rows] = _place_texts(digits[sure], e[sure], np.signbit(x[rows]))
+    texts = slots.view(f"S{_FLOAT_WIDTH}").reshape(-1)
+    rest = np.flatnonzero(slots[:, 0] == 0)  # no text starts with NUL
+    texts[rest] = [b"%.17g" % v for v in x[rest].tolist()]
+    return texts[at.reshape(values.shape)]
 
 
 def _cells(column, lo: int, hi: int):
@@ -130,9 +284,11 @@ def _cells(column, lo: int, hi: int):
         return repeat(column)
     part = column[lo:hi]
     if isinstance(part, np.ndarray):
+        if part.dtype.kind == "f":
+            part = float_texts(part)
         if part.dtype.kind == "S":
             return map(bytes.decode, part.tolist())
-        part = (float_texts(part) if part.dtype.kind == "f" else part).tolist()
+        part = part.tolist()
     return map(str, part)
 
 

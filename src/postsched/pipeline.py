@@ -54,6 +54,11 @@ from .temporal import (
 
 PERSONALIZED_KINDS = ("S1", "S2", "S1w", "S2w")
 
+# The schedule writers' file buffer. A row of 672 probabilities is about
+# 15 KB and does not fit the default 8 KB buffer, which then writes a
+# user's prefix and the shared row in two system calls.
+_WRITE_BUFFER = 1 << 18
+
 
 @dataclass(frozen=True)
 class DerivedSchedules:
@@ -192,17 +197,18 @@ def derive_schedules(posts: PostTable, pairs: PairTable,
 def write_schedules(path, *tables: ScheduleTable | Chosen) -> None:
     """Persist the rows of ``tables``, in order, as: user <tab> provenance
     <tab> comma-joined probabilities. The rows of a :class:`Chosen` are
-    written from the text of its candidates, each formatted once."""
-    with open(path, "w", encoding="utf-8") as fh:
+    written from the bytes of its candidates, each formatted and joined once."""
+    with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
         for table in map(Chosen.of, tables):
             prov = table.candidates.provenance.tolist()
             p = table.candidates.probabilities
             # CHUNK_ROWS rows at a time bounds the formatter's temporaries.
-            texts = [",".join(row) for lo in range(0, len(p), CHUNK_ROWS)
-                     for row in float_texts(p[lo:lo + CHUNK_ROWS]).tolist()]
-            fh.writelines(f"{user}\t{prov[c]}\t{texts[c]}\n" for user, c in
-                          zip(table.users[table.owner].tolist(),
-                              table.choice.tolist()))
+            rows = [b",".join(row.tolist()) + b"\n"
+                    for lo in range(0, len(p), CHUNK_ROWS)
+                    for row in float_texts(p[lo:lo + CHUNK_ROWS])]
+            fh.writelines(text for user, c in zip(table.users[table.owner].tolist(),
+                                                  table.choice.tolist())
+                          for text in (f"{user}\t{prov[c]}\t".encode(), rows[c]))
 
 
 def read_schedules(path, n_buckets: int) -> dict[str, ScheduleTable]:
@@ -255,16 +261,16 @@ def write_ranked_times(path, table: ScheduleTable | Chosen,
     :func:`~postsched.schedules.top_k_times` returns them.
     """
     chosen = Chosen.of(table)
-    labels = [grid.bucket_label(b) for b in range(grid.buckets_per_week)]
+    labels = [grid.bucket_label(b).encode() for b in range(grid.buckets_per_week)]
     texts = float_texts(np.take_along_axis(chosen.candidates.probabilities,
                                            buckets, axis=-1))
     # The lines of each candidate, each without the user in front, so that
-    # a user's text is ``user + user.join(lines)``.
-    lines = [[f"\t{rank}\t{b}\t{labels[b]}\t{p}\n"
+    # a user's bytes are ``user + user.join(lines)``.
+    lines = [[b"\t%d\t%d\t%s\t%s\n" % (rank, b, labels[b], p)
               for rank, (b, p) in enumerate(zip(bs, ps), start=1)]
              for bs, ps in zip(buckets.tolist(), texts.tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
+    users = (str(u).encode() for u in chosen.users[chosen.owner].tolist())
+    with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
         if buckets.shape[-1]:
-            fh.writelines(user + user.join(lines[c]) for user, c in
-                          zip(map(str, chosen.users[chosen.owner].tolist()),
-                              chosen.choice.tolist()))
+            fh.writelines(user + user.join(lines[c])
+                          for user, c in zip(users, chosen.choice.tolist()))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from postsched import cli
 from postsched.cli import RunConfig, main, parse_config
-from postsched.errors import ConfigError
+from postsched.errors import ConfigError, PostschedError
 
 MONDAY = 1420416000
 
@@ -542,6 +543,36 @@ class TestFullChain:
         rebuilt = RunConfig(**manifest["parameters"])
         _run("all", rebuilt)
         assert digest_dir(out) == before
+
+    def test_digests_leave_no_thread_and_a_failed_one_is_named(
+            self, tmp_path, capsys, monkeypatch):
+        # The worker that hashes the files is joined however _run ends: after
+        # success, after a stage fails and after a digest fails.
+        cfg, out = synth_config(tmp_path)
+        assert run(["synth", "--config", cfg]) == 0
+        before = threading.active_count()
+        assert run(["all", "--config", out / "synth.config"]) == 0
+        assert threading.active_count() == before
+
+        def fail(*_):
+            raise PostschedError("stage failed")
+
+        with monkeypatch.context() as patch:
+            patch.setitem(cli.STAGES, "evaluate", fail)
+            assert run(["all", "--config", out / "synth.config"]) == 2
+        assert threading.active_count() == before
+
+        def unreadable(path):
+            raise OSError("device gone")
+
+        monkeypatch.setattr(cli, "_sha256", unreadable)
+        capsys.readouterr()
+        assert run(["all", "--config", out / "synth.config"]) == 2
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        # Inputs are read for the manifest in path order, edges.tsv first.
+        assert f"cannot read {out / 'edges.tsv'} for the manifest" in err
+        assert "device gone" in err
 
     def test_gain_report_shape(self, tmp_path):
         cfg, out = synth_config(tmp_path)

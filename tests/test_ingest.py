@@ -1,8 +1,11 @@
 """Canonical TSV parsing, joining, graph loading, and profile building."""
 
+import math
 import re
 import tempfile
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -1070,11 +1073,27 @@ class TestAdapter:
             assert load(tmp_path / path)[1].malformed == 0
 
 
+def _near_halves() -> np.ndarray:
+    """The double nearest to a rounding half of the 17th significant digit
+    and the double on each side of it, for 17-digit decimals at exponents
+    across the range; then doubles that lie exactly on a half, whose 18th
+    digit onwards is 5, which round half to even."""
+    nearest = [float(Decimal(f"{digits}5e{exp}")) for exp in
+               (-300, -279, -40, -22, -21, -20, -19, -18, -17, -1, 0, 5, 260)
+               for digits in (10000000000000000, 12345678901234567,
+                              31415926535897932, 99999999999999999)]
+    around = [np.nextafter(nearest, -np.inf), nearest, np.nextafter(nearest, np.inf)]
+    ties = [(2**17 + 1) / 2**18, 1e15 + 0.25, 1e15 + 0.75, 2**-20 + 2**-72]
+    return np.concatenate([*around, ties])
+
+
 def _special_floats() -> np.ndarray:
     """Doubles where a printed %.17g is easiest to get wrong: each power of
-    ten and the two doubles either side of it, the 50 doubles just below
-    1.0, zeros, subnormals, the extremes, infinities and NaN payloads, each
-    with both signs."""
+    ten and the two doubles either side of it (among them 1e-5, 1e-4, 1e16
+    and 1e17, 9.999999999999999e-05 just below 1e-4, and 1e-280 and 1e280,
+    the ends of the range numpy prints), the 50 doubles just below 1.0,
+    zeros, subnormals, the extremes, infinities and NaN payloads, and the
+    doubles next to a rounding half, each with both signs."""
     tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
     near = [tens]
     for direction in (np.inf, -np.inf):
@@ -1089,24 +1108,51 @@ def _special_floats() -> np.ndarray:
                      0x7FF0_0000_0000_0000, 0x7FF0_0000_0000_0001,
                      0x7FF8_0000_0000_0000, 0x7FFF_FFFF_FFFF_FFFF],
                     dtype=np.uint64).view(np.float64)
-    values = np.concatenate([*near, below_one, [0.0], bits])
+    values = np.concatenate([*near, below_one, [0.0], bits, _near_halves()])
     return np.concatenate([values, -values])
 
 
 class TestFloatTexts:
     """``float_texts`` is the one formatter of floats in the artifacts; it
-    must print what ``"%.17g" % x`` prints for every float64."""
+    must print the bytes of what ``"%.17g" % x`` prints for every float64."""
 
     @staticmethod
-    def reference(values: np.ndarray) -> list[str]:
-        return ["%.17g" % x for x in values.reshape(-1).tolist()]
+    def reference(values: np.ndarray) -> list[bytes]:
+        return [("%.17g" % x).encode() for x in values.reshape(-1).tolist()]
 
     def test_special_values(self):
         values = _special_floats()
         assert values.size > 3000
         texts = ingest.float_texts(values)
         assert texts.tolist() == self.reference(values)
-        assert "-0" in texts.tolist() and "0" in texts.tolist()
+        assert b"-0" in texts.tolist() and b"0" in texts.tolist()
+
+    @pytest.mark.parametrize("value, text", [
+        (9.999999999999999e-05, b"9.9999999999999991e-05"),
+        (1e-5, b"1.0000000000000001e-05"), (1e-4, b"0.0001"),
+        (1e16, b"10000000000000000"), (1e17, b"1e+17"),
+        (-1e-280, b"-9.9999999999999996e-281"), (5e-324, b"4.9406564584124654e-324"),
+        (1e15 + 0.25, b"1000000000000000.2"), (1e15 + 0.75, b"1000000000000000.8"),
+        (-0.0, b"-0"), (np.inf, b"inf"), (-np.inf, b"-inf"), (np.nan, b"nan")])
+    def test_named_values(self, value, text):
+        assert ingest.float_texts([value]).tolist() == [text]
+
+    @settings(max_examples=200)
+    @given(values=hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+        st.floats(1e-280, 1e280, exclude_max=True),
+        st.floats(1e-280, 1e280, exclude_max=True).map(lambda x: -x),
+        st.sampled_from(_near_halves().tolist()))))
+    def test_python_prints_only_values_next_to_a_half(self, values):
+        # Within [1e-280, 1e280) numpy prints every value whose rounding is
+        # sure, and a value it leaves to Python is within twice the margin
+        # of a half, measured exactly.
+        magnitude = np.abs(values)
+        digits, e, sure = ingest._significands(magnitude)
+        texts = ingest._place_texts(digits[sure], e[sure], np.signbit(values[sure]))
+        assert texts.view("S24").reshape(-1).tolist() == self.reference(values[sure])
+        for x, exp in zip(magnitude[~sure].tolist(), e[~sure].tolist()):
+            scaled = Fraction(x) * Fraction(10) ** (16 - exp)
+            assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 2 * ingest._HALF_MARGIN
 
     @settings(max_examples=200)
     @given(bits=hnp.arrays(
