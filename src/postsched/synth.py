@@ -10,7 +10,11 @@ planted weekly activity peak, then simulates the full event process:
     time, so for a sparse user the generator takes the same doubles from
     one block of ``Generator.random`` and moves the stream on by the doubles
     used. A busy user, or one with any rate of 10 or more, which numpy draws
-    by rejection, calls ``Generator.poisson`` itself;
+    by rejection, calls ``Generator.poisson`` itself. The work that only
+    depends on the intensity is done once per intensity; per user remains
+    what their own stream needs: seeding it, filling their block in one
+    reused buffer, walking it, moving the stream on, and drawing the
+    offsets of their posts in the bucket;
   * for each post, each audience member independently gets a chance to
     react; the reaction lands at post time plus a delay sampled from the
     true delay kernel, and is kept with probability
@@ -74,10 +78,19 @@ MAX_POISSON_CELLS = 1 << 28
 _POISSON_SLACK = 8.0
 
 # The walk visits in Python each nonzero draw at the common rate and each
-# cell at another rate, about a third of a microsecond each. Over 17 weeks
-# of 672 buckets numpy's sampler was faster above about this many expected
-# visits (2-vCPU x86, numpy 2.4), so such a user calls it instead.
-_WALK_MAX_VISITS = 150.0
+# cell at another rate. Over 17 weeks of 672 buckets a walked user took
+# about 45 us plus 0.4 us a visit, and numpy's sampler about 230 us; it was
+# the faster above about 400 expected visits when most are cells at other
+# rates, 500 when most are at the common rate (2-vCPU x86, numpy 2.4). So a
+# user with more visits calls numpy's sampler instead.
+_WALK_MAX_VISITS = 400.0
+
+# Users who share an intensity fill one reused buffer of this many doubles,
+# 2 MiB, with their blocks of uniforms, as many users at a time as fit. A
+# follower of the 16,400-user bench point takes 11,466 doubles, so a fill
+# holds 22; a buffer that held one at a time took 2.7 s to draw that point's
+# posts, against 1.5 s.
+_UNIFORM_DOUBLES = 1 << 18
 
 # Oracle scores are sums of at most a week of nonnegative terms; two whose
 # relative gap is below this differ only by float64 rounding.
@@ -203,7 +216,11 @@ class SynthConfig:
             if len({p % n for p in peaks}) < len(peaks):
                 raise ValueError(f"{name}: a bucket is listed twice in {peaks}")
         followers = self.followers_per_author
-        most = followers[1] if isinstance(followers, tuple) else followers
+        span = followers if isinstance(followers, tuple) else (followers, followers)
+        if len(span) != 2 or not 0 <= span[0] <= span[1]:
+            raise ValueError(f"followers_per_author: expected N or (LO, HI) with "
+                             f"0 <= LO <= HI, not {followers!r}")
+        most = span[1]
         cells = self.n_authors * (1 + most) * -(-self.span_s // WEEK_SECONDS) * n
         if cells > MAX_POISSON_CELLS:
             raise ValueError(
@@ -292,13 +309,50 @@ def resolve_population(config: SynthConfig) -> Population:
     return Population(tuple(users + followers), tuple(edges))
 
 
+class _Profile:
+    """A weekly intensity and what the Poisson draws of all its users share.
+
+    Only buckets with a nonzero rate take doubles: cell a of the walk is
+    week a // k, active bucket a % k. ``size`` is the doubles of one user's
+    block of uniforms. A walk draws most cells at one common rate, stopping
+    at ``threshold``, and the cells listed in ``others`` at their own.
+    """
+
+    def __init__(self, rates: np.ndarray, n_weeks: int):
+        self.rates = rates
+        self.n_weeks = n_weeks
+        self.active = np.flatnonzero(rates)
+        k = self.active.size
+        self.n_cells = n_weeks * k
+        self.size = self.n_cells
+        self.walk = False
+        if k == 0:
+            return
+        lam = rates[self.active]
+        # The median rate: the one that covers more than half the cells, if any.
+        common = np.sort(lam)[k // 2]
+        own = np.flatnonzero(lam != common)
+        visits = n_weeks * ((k - own.size) * -math.expm1(-common) + own.size)
+        mean = float(rates.sum()) * n_weeks
+        self.size = int(self.n_cells + mean + _POISSON_SLACK * math.sqrt(mean)) + 1
+        self.walk = not (lam.max() >= 10.0 or self.size > MAX_POISSON_CELLS
+                         or visits > _WALK_MAX_VISITS)
+        if not self.walk:
+            return
+        # math.exp is the C library's exp, which numpy's sampler calls.
+        self.threshold = math.exp(-common)
+        self.others = (np.arange(n_weeks)[:, None] * k + own).reshape(-1).tolist()
+        self.other_thresholds = [math.exp(-r) for r in lam[own].tolist()] * n_weeks
+
+
 def _runs(u: np.ndarray, threshold: float):
-    """Every position q where ``u[q] > threshold`` (a candidate), and the
-    count that a multiplication-method draw starting at q gives.
+    """Every position q where ``u[q] > threshold`` (a candidate), the count
+    that a multiplication-method draw starting at q gives, and the candidate
+    after that draw.
 
     The count is the number of doubles u[q], u[q + 1], ... whose running
-    product stays above the threshold. ``u`` ends in a 0.0 that no draw
-    takes, so every run stops inside it.
+    product stays above the threshold. Every block of doubles in ``u`` ends
+    in a 0.0 that no draw takes, so every run stops inside its block.
     """
     q = np.flatnonzero(u > threshold)
     x = np.ones(q.size, dtype=np.int64)
@@ -308,28 +362,26 @@ def _runs(u: np.ndarray, threshold: float):
         more = prod > threshold
         live, prod, pos = live[more], prod[more], pos[more] + 1
         x[live] += 1
-    return q, x
-
-
-def _walk(u: np.ndarray, threshold: float, others: list[int],
-          other_thresholds: list[float], n_cells: int):
-    """Cells and counts of the nonzero draws among ``n_cells`` draws from
-    the doubles in ``u``, and how many doubles they take; None if ``u`` runs
-    out first. Every cell draws at ``threshold`` but those listed in
-    ``others`` (ascending), which draw at their own."""
-    size = u.size - 1    # the doubles before the 0.0 sentinel
-    q, x = _runs(u, threshold)
     # Each double of a run but its last is at least the running product, so
     # it is a candidate too: the run from q[i] covers candidates i + 1 ..
     # i + x[i] - 1, and its last double is candidate i + x[i] or the first
     # position past a stretch of consecutive candidates.
     nxt = np.arange(q.size) + x
     nxt += q[np.minimum(nxt, q.size - 1)] == q + x
-    q, x, nxt = q.tolist(), x.tolist(), nxt.tolist()
+    return q, x, nxt
+
+
+def _walk(u: np.ndarray, q: list[int], x: list[int], nxt: list[int],
+          profile: _Profile):
+    """Cells and counts of the nonzero draws of a user of ``profile`` from
+    the doubles in ``u``, and how many doubles they take; None if ``u`` runs
+    out first. ``q``, ``x`` and ``nxt`` are ``_runs`` of ``u``."""
+    size = u.size - 1    # the doubles before the 0.0 sentinel
+    n_cells = profile.n_cells
     cells: list[int] = []
     counts: list[int] = []
     i = c = p = 0    # next candidate, next cell, its first double
-    for s, e in zip([*others, n_cells], [*other_thresholds, 0.0]):
+    for s, e in zip([*profile.others, n_cells], [*profile.other_thresholds, 0.0]):
         # Cells c .. s-1 draw at the common threshold, from double p on.
         while i < len(q) and q[i] - p < s - c:
             c += q[i] - p
@@ -354,78 +406,135 @@ def _walk(u: np.ndarray, threshold: float, others: list[int],
         i = bisect_left(q, p)
     if p > size:
         return None
-    return np.array(cells, dtype=np.int64), np.array(counts, dtype=np.int64), p
+    return cells, counts, p
 
 
-def _poisson_events(rng: np.random.Generator, rates: np.ndarray, n_weeks: int):
-    """Ascending flat cells (week * rates.size + bucket) and counts of the
-    nonzero draws of ``rng.poisson(np.broadcast_to(rates, (n_weeks,
-    rates.size)))``, leaving ``rng`` (a PCG64 generator) as that call would.
+def _poisson_events(rngs: list[np.random.Generator], profile: _Profile,
+                    buf: np.ndarray):
+    """Flat cells (week * buckets + bucket) and counts of the nonzero draws
+    of ``rng.poisson(np.broadcast_to(profile.rates, (n_weeks, buckets)))``
+    for each of ``rngs`` (PCG64 generators), one generator's ascending cells
+    after another's, with how many cells each has. Each generator is left
+    as that call would leave it.
 
     For 0 < rate < 10 numpy draws by the multiplication method: it
     multiplies one double after another into a product that starts at 1.0
     and stops at the first product <= exp(-rate); the count is the number of
     doubles before that one. A rate of 0 takes no double. ``rng.random``
-    gives the same doubles, so one block of them holds every draw, and the
-    generator is then moved on by exactly the doubles used. A user with any
-    rate of 10 or more, which numpy draws by rejection (PTRS), whose block
-    would exceed MAX_POISSON_CELLS doubles, or whose walk would make more
-    than _WALK_MAX_VISITS visits in Python, takes ``rng.poisson`` itself.
+    gives the same doubles, so one block of them per generator holds every
+    draw, and the generator is then moved on by exactly the doubles used.
+    The blocks lie one after another in ``buf``, which must hold them all,
+    each followed by a 0.0, so that one pass over ``buf`` finds the
+    candidate runs of every block. A profile with any rate of 10 or more,
+    which numpy draws by rejection (PTRS), whose block would exceed
+    MAX_POISSON_CELLS doubles, or whose walk would make more than
+    _WALK_MAX_VISITS visits in Python, takes ``rng.poisson`` itself.
     """
-    n = rates.size
-    # Only buckets with a nonzero rate take doubles: cell a of the walk is
-    # week a // k, active bucket a % k.
-    active = np.flatnonzero(rates)
-    k = active.size
-    n_cells = n_weeks * k
-    if n_cells == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    lam = rates[active]
-    # The median rate: the one that covers more than half the cells, if any.
-    common = np.sort(lam)[k // 2]
-    own = np.flatnonzero(lam != common)
-    visits = n_weeks * ((k - own.size) * -math.expm1(-common) + own.size)
-    mean = float(rates.sum()) * n_weeks
-    size = int(n_cells + mean + _POISSON_SLACK * math.sqrt(mean)) + 1
-    if lam.max() >= 10.0 or size > MAX_POISSON_CELLS or visits > _WALK_MAX_VISITS:
-        counts = rng.poisson(np.broadcast_to(rates, (n_weeks, n))).reshape(-1)
-        cells = np.flatnonzero(counts)
-        return cells, counts[cells]
-    others = (np.arange(n_weeks)[:, None] * k + own).reshape(-1).tolist()
-    # math.exp is the C library's exp, which numpy's sampler calls.
-    own_thresholds = [math.exp(-r) for r in lam[own].tolist()] * n_weeks
-    bg = rng.bit_generator
-    saved = bg.state
-    u = np.zeros(size + 1)
-    rng.random(out=u[:size])
-    while (events := _walk(u, math.exp(-common), others, own_thresholds,
-                           n_cells)) is None:
-        u = np.concatenate([u[:-1], rng.random(size // 8 + 16), [0.0]])
-    cells, counts, taken = events
-    bg.state = saved
-    bg.advance(taken)
-    # advance() drops the buffered 32-bit half-word; put it back.
-    state = bg.state
-    state.update(has_uint32=saved["has_uint32"], uinteger=saved["uinteger"])
-    bg.state = state
-    weeks, j = np.divmod(cells, k)
-    return weeks * n + active[j], counts
+    if not profile.walk:
+        grid = np.broadcast_to(profile.rates, (profile.n_weeks, profile.rates.size))
+        drawn = [rng.poisson(grid).reshape(-1) for rng in rngs]
+        cells = [np.flatnonzero(d) for d in drawn]
+        counts = [d[c] for d, c in zip(drawn, cells)]
+        per_rng = np.array([c.size for c in cells], dtype=np.int64)
+        return np.concatenate(cells), np.concatenate(counts), per_rng
+    size = profile.size
+    stride = size + 1
+    u = buf[:len(rngs) * stride]
+    for j, rng in enumerate(rngs):
+        rng.random(out=u[j * stride:j * stride + size])
+    u[size::stride] = 0.0
+    q, x, nxt = _runs(u, profile.threshold)
+    # Candidates of block j are bounds[j] .. bounds[j + 1] - 1; number them
+    # and their positions within the block.
+    bounds = np.searchsorted(q, np.arange(len(rngs) + 1) * stride)
+    owner = np.repeat(np.arange(len(rngs)), np.diff(bounds))
+    q, nxt = (q - owner * stride).tolist(), (nxt - bounds[owner]).tolist()
+    x, bounds = x.tolist(), bounds.tolist()
+    cells: list[int] = []
+    counts: list[int] = []
+    per_rng = []
+    for j, rng in enumerate(rngs):
+        block = u[j * stride:(j + 1) * stride]
+        lo, hi = bounds[j], bounds[j + 1]
+        drawn = size
+        events = _walk(block, q[lo:hi], x[lo:hi], nxt[lo:hi], profile)
+        while events is None:
+            # The block ran out: walk again over it and more doubles.
+            more = rng.random(size // 8 + 16)
+            drawn += more.size
+            block = np.concatenate([block[:-1], more, [0.0]])
+            runs = (a.tolist() for a in _runs(block, profile.threshold))
+            events = _walk(block, *runs, profile)
+        user_cells, user_counts, taken = events
+        cells += user_cells
+        counts += user_counts
+        per_rng.append(len(user_cells))
+        bg = rng.bit_generator
+        saved = bg.state
+        bg.advance(taken - drawn)
+        if saved["has_uint32"]:
+            # advance() drops the buffered 32-bit half-word; put it back.
+            state = bg.state
+            state.update(has_uint32=1, uinteger=saved["uinteger"])
+            bg.state = state
+    weeks, j = np.divmod(np.array(cells, dtype=np.int64), profile.active.size)
+    return (weeks * profile.rates.size + profile.active[j],
+            np.array(counts, dtype=np.int64), np.array(per_rng, dtype=np.int64))
 
 
-def _user_posts(config: SynthConfig, spec: UserSpec, user_index: int,
-                grid: WeeklyGrid) -> np.ndarray:
-    """Sorted post timestamps for one user, over the whole span."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(1, user_index)))
-    n = grid.buckets_per_week
-    width = grid.bucket_width_s
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Rows starts[i] .. starts[i] + lengths[i] - 1, one range after another."""
+    ends = np.cumsum(lengths)
+    return (np.repeat(starts - ends + lengths, lengths)
+            + np.arange(ends[-1] if ends.size else 0))
+
+
+def _user_posts(config: SynthConfig, profiles: list[_Profile],
+                members: list[np.ndarray], n_users: int):
+    """Every user's sorted post times over the whole span, one user after
+    another in population order, and the row where each user's posts start.
+
+    ``members[i]`` holds the users of ``profiles[i]``, who are drawn a block
+    at a time. Each user draws from their own seeded stream: the Poisson
+    counts, then one offset in the bucket per post.
+    """
+    grid = config.grid
+    n, width = grid.buckets_per_week, grid.bucket_width_s
     end = config.start_epoch + config.span_s
-    n_weeks = math.ceil(config.span_s / WEEK_SECONDS)
-    cells, counts = _poisson_events(rng, spec.intensity(n), n_weeks)
-    weeks, buckets = np.divmod(np.repeat(cells, counts), n)
-    offsets = rng.integers(0, width, size=weeks.size)
-    times = config.start_epoch + weeks * WEEK_SECONDS + buckets * width + offsets
-    return np.sort(times[times < end])
+    buf = np.empty(max([_UNIFORM_DOUBLES] + [p.size + 1 for p in profiles if p.walk]))
+    n_posts = np.zeros(n_users, dtype=np.int64)
+    blocks = []
+    for profile, users in zip(profiles, members):
+        if profile.n_cells == 0:
+            continue
+        step = max(1, buf.size // (profile.size + 1))
+        for lo in range(0, users.size, step):
+            block = users[lo:lo + step]
+            rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                entropy=config.seed, spawn_key=(1, ui)))) for ui in block.tolist()]
+            cells, counts, per_user = _poisson_events(rngs, profile, buf)
+            total = np.append(0, np.cumsum(counts))
+            last = np.cumsum(per_user)
+            offsets = [rng.integers(0, width, size=k) for rng, k in
+                       zip(rngs, (total[last] - total[last - per_user]).tolist()) if k]
+            # One key per post, its cell's place in the block then its offset
+            # in the bucket, so that sorting the keys sorts each user's posts.
+            key = np.repeat(np.arange(cells.size) * width, counts)
+            key += np.concatenate([np.empty(0, dtype=np.int64), *offsets])
+            key.sort()
+            cell, offset = np.divmod(key, width)
+            weeks, buckets = np.divmod(cells, n)
+            times = (weeks * WEEK_SECONDS + buckets * width)[cell] + offset
+            times += config.start_epoch
+            kept = times < end
+            owner = np.repeat(np.arange(block.size), per_user)[cell[kept]]
+            n_posts[block] = np.bincount(owner, minlength=block.size)
+            blocks.append((block, times[kept]))
+    first_post = np.append(0, np.cumsum(n_posts))
+    created_at = np.empty(first_post[-1], dtype=np.int64)
+    for block, times in blocks:
+        created_at[_ranges(first_post[block], n_posts[block])] = times
+    return created_at, first_post
 
 
 def _lag_table(cum: np.ndarray) -> np.ndarray:
@@ -448,11 +557,13 @@ def _lags(cum: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
     return lag
 
 
-def _reactions(config: SynthConfig, pop: Population, times: list[np.ndarray],
-               first_post: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reactions(config: SynthConfig, pop: Population, created_at: np.ndarray,
+               first_post: np.ndarray, availability: np.ndarray,
+               profile_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reactor (index into ``pop.users``), post row and time of every kept
-    reaction. ``times[ui]`` holds user ui's sorted post times, which are the
-    post rows from ``first_post[ui]`` on.
+    reaction. User ui's sorted post times are ``created_at`` from row
+    ``first_post[ui]`` to ``first_post[ui + 1]``, and the user's
+    availability is row ``profile_of[ui]`` of ``availability``.
 
     For each author, member m of the sorted audience takes one ``random(T)``
     for the lag of each of the T posts, then one for the keep draw. A block
@@ -460,7 +571,6 @@ def _reactions(config: SynthConfig, pop: Population, times: list[np.ndarray],
     which yields the same doubles in the same order.
     """
     grid = config.grid
-    n = grid.buckets_per_week
     end = config.start_epoch + config.span_s
     kern = np.asarray(config.kernel, dtype=np.float64)
     cum = np.cumsum(kern)
@@ -471,7 +581,7 @@ def _reactions(config: SynthConfig, pop: Population, times: list[np.ndarray],
     for ui, spec in enumerate(pop.users):
         author = spec.user_id
         members = pop.audiences.get(author)
-        t = times[ui]
+        t = created_at[first_post[ui]:first_post[ui + 1]]
         if not members or t.size == 0:
             continue
         rng = np.random.default_rng(
@@ -485,9 +595,8 @@ def _reactions(config: SynthConfig, pop: Population, times: list[np.ndarray],
             draws = rng.random((rows.size, 2, t.size))
             lag = _lags(cum, table, draws[:, 0])
             t_r = t + lag * config.lag_width_s
-            avail = np.stack([pop.users[r].availability(n) for r in rows])
-            a = np.take_along_axis(
-                avail, grid.bucket_indices(t_r, tz[rows, None]), axis=1)
+            a = np.take_along_axis(availability[profile_of[rows]],
+                                   grid.bucket_indices(t_r, tz[rows, None]), axis=1)
             keep = (t_r < end) & (draws[:, 1] < p_edge[lo:lo + step, None] * a)
             m, k = np.nonzero(keep)
             reactor.append(rows[m])
@@ -515,20 +624,39 @@ def generate(config: SynthConfig, out_dir=None,
     process and its determinism guarantees are unchanged.
     """
     pop = population if population is not None else resolve_population(config)
-    grid = config.grid
-    limit = grid.bucket_width_s
-    for spec in pop.users:
+    edges, seen = set(pop.edges), set()
+    for a, b, _ in config.reaction_prob_overrides:
+        if (a, b) not in edges:
+            raise ValueError(f"reaction_prob_overrides: {(a, b)} is not an edge "
+                             "of the population")
+        if (a, b) in seen:
+            raise ValueError(f"reaction_prob_overrides: {(a, b)} is listed twice")
+        seen.add((a, b))
+    n = config.buckets_per_week
+    limit = config.grid.bucket_width_s
+    # Users with one base rate, peak rate and list of peak buckets modulo the
+    # grid have one intensity, and each group's work is done once.
+    index: dict[tuple, int] = {}
+    profile_of = np.array([index.setdefault(
+        (u.base_rate, u.peak_rate,
+         tuple(sorted(p % n for p in u.peaks)) if u.peak_rate else ()),
+        len(index)) for u in pop.users], dtype=np.int64)
+    first = np.unique(profile_of, return_index=True)[1].tolist()
+    rates = [pop.users[ui].intensity(n) for ui in first]
+    for ui, lam in zip(first, rates):
         # Peaks that meet modulo the grid add their rates in one bucket.
-        lam = spec.intensity(grid.buckets_per_week)
         if not lam.max() <= limit:
-            raise ValueError(f"population: user {spec.user_id!r} has base plus "
-                             f"peak rate above {limit} posts per bucket, one "
+            raise ValueError(f"population: user {pop.users[ui].user_id!r} has base "
+                             f"plus peak rate above {limit} posts per bucket, one "
                              f"per second: {lam.max():g} at bucket "
                              f"{int(np.argmax(lam))}")
+    n_weeks = -(-config.span_s // WEEK_SECONDS)
+    members = np.split(np.argsort(profile_of, kind="stable"),
+                       np.cumsum(np.bincount(profile_of))[:-1])
+    created_at, first_post = _user_posts(
+        config, [_Profile(lam, n_weeks) for lam in rates], members, len(pop.users))
     ids = np.array([u.user_id for u in pop.users], dtype=object)
-    times = [_user_posts(config, spec, ui, grid) for ui, spec in enumerate(pop.users)]
-    counts = np.array([t.size for t in times], dtype=np.int64)
-    first_post = np.concatenate([[0], np.cumsum(counts)])
+    counts = np.diff(first_post)
     # Post k of a user is "<user id>:p<k>".
     author = np.repeat(np.arange(ids.size), counts)
     suffixes = encode_ids([f":p{k}" for k in range(counts.max(initial=0))])
@@ -536,9 +664,11 @@ def generate(config: SynthConfig, out_dir=None,
                            suffixes[np.arange(author.size) - first_post[author]])
     networks = frozenset({config.network})
     posts = PostTable(networks if author.size else frozenset(), ids, author,
-                      post_ids, np.concatenate([np.empty(0, dtype=np.int64), *times]))
+                      post_ids, created_at)
 
-    reactor, post_row, reacted_at = _reactions(config, pop, times, first_post)
+    availability = np.reshape([pop.users[ui].availability(n) for ui in first], (-1, n))
+    reactor, post_row, reacted_at = _reactions(config, pop, created_at, first_post,
+                                               availability, profile_of)
     reactions = ReactionTable(networks if reactor.size else frozenset(), ids,
                               post_ids[post_row], reactor, reacted_at)
 
@@ -586,7 +716,9 @@ def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, s
     stable for a given result.
 
     Posts are sorted by (author, created_at, post_id) and reactions by
-    (reacted_at, post_id, reactor), with ids compared as strings.
+    (reacted_at, post_id, reactor), with ids compared as strings. Each
+    user's posts must be one run of rows in time order, as ``generate``
+    builds them.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -594,9 +726,21 @@ def write_synth_files(result: SynthResult, out_dir, network: str) -> dict[str, s
              for name in ("posts", "reactions", "edges", "users", "truth")}
     posts, reactions = result.posts, result.reactions
     # The tables share one ascending vocabulary, so codes sort as ids do.
-    order = np.lexsort((posts.post_id, posts.created_at, posts.author))
-    write_columns(paths["posts"], [network, posts.users[posts.author[order]],
-                                   posts.post_id[order], posts.created_at[order]])
+    # Each user's posts are one run of rows in time order, so ordering the
+    # runs by user orders the rows, but for posts of one user in one second.
+    author, created_at = posts.author, posts.created_at
+    starts = np.flatnonzero(np.diff(author, prepend=-1))
+    lengths = np.diff(np.append(starts, author.size))
+    by_user = np.argsort(author[starts])
+    order = _ranges(starts[by_user], lengths[by_user])
+    same = np.diff(author[order]) == 0
+    same &= np.diff(created_at[order]) == 0
+    tied = np.flatnonzero(np.append(same, False) | np.append(False, same))
+    # Each such second's rows, a run of the tied ones, go by post id.
+    run = np.cumsum(np.append(True, ~same))[tied]
+    order[tied] = order[tied][np.lexsort((posts.post_id[order[tied]], run))]
+    write_columns(paths["posts"], [network, posts.users[author[order]],
+                                   posts.post_id[order], created_at[order]])
     order = np.lexsort((reactions.reactor, reactions.post_id, reactions.reacted_at))
     write_columns(paths["reactions"], [
         network, reactions.post_id[order],

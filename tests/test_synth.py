@@ -2,6 +2,7 @@
 
 import hashlib
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -95,13 +96,22 @@ def enumerated_scores(config, user_id, pop):
 @st.composite
 def custom_populations(draw):
     """Up to six users with random rates and peaks (a peak may wrap past
-    the grid) and random edges."""
+    the grid) and random edges. A user may share an earlier user's
+    intensity, with its peaks listed in another order and moved by whole
+    weeks. The rates include zero, 10 or more (which numpy draws by
+    rejection) and rates busy enough that numpy's sampler draws them."""
     n_users = draw(st.integers(1, 6))
     users = []
     for i in range(n_users):
+        if users and draw(st.booleans()):
+            like = draw(st.sampled_from(users))
+            weeks = draw(st.integers(0, 1))
+            peaks = tuple(p + 672 * weeks for p in reversed(like.peaks))
+            users.append(UserSpec(f"u{i}", like.base_rate, like.peak_rate, peaks))
+            continue
         peaks = draw(st.lists(st.integers(0, 2 * 672), max_size=3, unique=True))
-        users.append(UserSpec(f"u{i}", draw(st.sampled_from([0.0, 0.01, 0.5])),
-                              draw(st.sampled_from([0.0, 0.3, 1.0])), tuple(peaks)))
+        users.append(UserSpec(f"u{i}", draw(st.sampled_from([0.0, 0.01, 0.5, 2.0])),
+                              draw(st.sampled_from([0.0, 0.3, 1.0, 12.0])), tuple(peaks)))
     pairs = [(f"u{i}", f"u{j}") for i in range(n_users) for j in range(n_users)
              if i != j]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -221,7 +231,9 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("case", ["custom_population", "tied_reactions"])
     def test_block_sizes_change_no_byte(self, tmp_path, monkeypatch, case):
-        # One member per block of reaction draws, three lines per write.
+        # One user per fill of uniforms, one member per block of reaction
+        # draws, three lines per write.
+        monkeypatch.setattr(synth, "_UNIFORM_DOUBLES", 1)
         monkeypatch.setattr(synth, "_BLOCK_DRAWS", 1)
         monkeypatch.setattr(ingest, "_WRITE_ROWS", 3)
         overrides, population = GOLDEN_CASES[case]
@@ -237,6 +249,19 @@ class TestGoldenBytes:
             [f"# lag_width_s={kernel.lag_width_s}\n"]
             + [f"{start}\t{p:.17g}\n" for start, p in
                zip(kernel.lag_starts().tolist(), kernel.mass.tolist())])
+
+    def test_posts_of_one_second_go_by_post_id_bytes(self, tmp_path):
+        # Posts p9 and p10 of one user share a second; as bytes "u:p10"
+        # sorts before "u:p9".
+        result = generate(small_config(n_authors=1, followers_per_author=0),
+                          population=Population((UserSpec("u", 0.0),), ()))
+        times = [100 * k for k in range(10)] + [900]
+        posts = ingest.PostTable.from_columns(
+            ["TW"], ["u"] * 11, [f"u:p{k}" for k in range(11)], times)
+        paths = synth.write_synth_files(replace(result, posts=posts), tmp_path, "TW")
+        lines = Path(paths["posts"]).read_text().splitlines()
+        assert [line.split("\t")[2] for line in lines] == \
+            [f"u:p{k}" for k in range(9)] + ["u:p10", "u:p9"]
 
     def test_cases_hold_the_ties_they_are_for(self, tmp_path):
         for case, (posts_key, reactions_key) in {
@@ -281,24 +306,28 @@ class TestPoissonDraws:
     @settings(max_examples=300, deadline=None)
     @given(rates=st.lists(st.sampled_from(POISSON_RATES), max_size=700),
            n_weeks=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-           buffered=st.booleans(), short_block=st.booleans(), walk_all=st.booleans())
-    @example(rates=[0.0] * 672, n_weeks=17, seed=1, buffered=True, short_block=False,
-             walk_all=False)
-    @example(rates=[0.5] * 672, n_weeks=6, seed=2, buffered=False, short_block=True,
-             walk_all=True)
-    @example(rates=[9.99] * 700, n_weeks=6, seed=3, buffered=True, short_block=True,
-             walk_all=True)
-    def test_events_equal_numpy_draws(self, rates, n_weeks, seed, buffered,
+           n_users=st.integers(1, 3), buffered=st.booleans(),
+           short_block=st.booleans(), walk_all=st.booleans())
+    @example(rates=[0.0] * 672, n_weeks=17, seed=1, n_users=1, buffered=True,
+             short_block=False, walk_all=False)
+    @example(rates=[0.5] * 672, n_weeks=6, seed=2, n_users=3, buffered=False,
+             short_block=True, walk_all=True)
+    @example(rates=[9.99] * 700, n_weeks=6, seed=3, n_users=2, buffered=True,
+             short_block=True, walk_all=True)
+    def test_events_equal_numpy_draws(self, rates, n_weeks, seed, n_users, buffered,
                                       short_block, walk_all):
+        # Users who share the rates draw in one call, each from their own
+        # generator; each must get what Generator.poisson gives it.
         rates = np.array(rates, dtype=np.float64)
-        want_rng = np.random.default_rng(seed)
-        got_rng = np.random.default_rng(seed)
+        want_rngs = [np.random.default_rng(seed + i) for i in range(n_users)]
+        got_rngs = [np.random.default_rng(seed + i) for i in range(n_users)]
         if buffered:
             # A 32-bit draw leaves the other half of its 64 bits buffered.
-            for rng in (want_rng, got_rng):
+            for rng in want_rngs + got_rngs:
                 rng.integers(0, 2**32, dtype=np.uint32)
-            assert got_rng.bit_generator.state["has_uint32"] == 1
-        want = want_rng.poisson(np.broadcast_to(rates, (n_weeks, rates.size))).reshape(-1)
+            assert got_rngs[0].bit_generator.state["has_uint32"] == 1
+        wants = [rng.poisson(np.broadcast_to(rates, (n_weeks, rates.size))).reshape(-1)
+                 for rng in want_rngs]
         # With no slack the first block of uniforms is often too short, and
         # the draws go on in more doubles from the same generator. With no
         # cap on the walk's visits, every user with rates below 10 is walked.
@@ -306,13 +335,81 @@ class TestPoissonDraws:
         visits = float("inf") if walk_all else synth._WALK_MAX_VISITS
         with mock.patch.object(synth, "_POISSON_SLACK", slack), \
                 mock.patch.object(synth, "_WALK_MAX_VISITS", visits):
-            cells, counts = synth._poisson_events(got_rng, rates, n_weeks)
-        assert cells.tolist() == np.flatnonzero(want).tolist()
-        assert counts.tolist() == want[want > 0].tolist()
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert got_rng.integers(0, 900, size=5).tolist() == \
-            want_rng.integers(0, 900, size=5).tolist()
-        assert got_rng.random() == want_rng.random()
+            profile = synth._Profile(rates, n_weeks)
+            # Ones, not zeros: a block that lacks its 0.0 end runs on.
+            buf = np.ones(n_users * (profile.size + 1))
+            cells, counts, per_user = synth._poisson_events(got_rngs, profile, buf)
+        ends = np.cumsum(per_user).tolist()
+        for want, got_rng, want_rng, lo, hi in zip(
+                wants, got_rngs, want_rngs, [0] + ends, ends):
+            assert cells[lo:hi].tolist() == np.flatnonzero(want).tolist()
+            assert counts[lo:hi].tolist() == want[want > 0].tolist()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert got_rng.integers(0, 900, size=5).tolist() == \
+                want_rng.integers(0, 900, size=5).tolist()
+            assert got_rng.random() == want_rng.random()
+        assert ends[-1] == cells.size == counts.size
+
+
+def reference_posts(config, pop):
+    """(author, post_id, created_at) of every post, user after user, drawn
+    the plain way from each user's own SeedSequence: Generator.poisson over
+    the weeks x buckets grid, then one integers(0, width) offset per post."""
+    n, width = config.buckets_per_week, config.lag_width_s
+    week = 7 * 86400
+    n_weeks = -(-config.span_s // week)
+    end = config.start_epoch + config.span_s
+    rows = []
+    for ui, spec in enumerate(pop.users):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(1, ui)))
+        rates = np.full(n, spec.base_rate)
+        for p in spec.peaks:
+            rates[p % n] += spec.peak_rate
+        drawn = rng.poisson(np.broadcast_to(rates, (n_weeks, n))).reshape(-1)
+        cells = np.repeat(np.arange(drawn.size), drawn)
+        offsets = rng.integers(0, width, size=cells.size)
+        times = config.start_epoch + cells // n * week + cells % n * width + offsets
+        times = sorted(t for t in times.tolist() if t < end)
+        rows += [(spec.user_id, f"{spec.user_id}:p{k}", t) for k, t in enumerate(times)]
+    return rows
+
+
+# Two users who share an intensity (peaks 3 and 28 in either order, one
+# set a week later), one at zero rate, one with a rate of 12, one busy
+# enough for numpy's sampler, and a sparse one that is walked.
+EVERY_KIND = Population((
+    UserSpec("shared", 0.01, 1.0, (3, 700)),
+    UserSpec("zero", 0.0, 1.0, ()),
+    UserSpec("twelve", 0.01, 12.0, (5,)),
+    UserSpec("busy", 2.0),
+    UserSpec("again", 0.01, 1.0, (1347, 28)),
+    UserSpec("sparse", 0.001, 0.3, (9, 10))),
+    (("shared", "zero"), ("busy", "sparse"), ("again", "twelve")))
+
+
+class TestPostStream:
+    @settings(max_examples=60, deadline=None)
+    @given(pop=custom_populations(), seed=st.integers(0, 2**32 - 1),
+           span_days=st.sampled_from([7, 10, 14]), one_per_fill=st.booleans())
+    @example(pop=EVERY_KIND, seed=5, span_days=10, one_per_fill=False)
+    @example(pop=EVERY_KIND, seed=6, span_days=14, one_per_fill=True)
+    def test_posts_equal_per_user_poisson_draws(self, pop, seed, span_days,
+                                                one_per_fill):
+        # A span of 10 days ends inside the second week, whose later posts
+        # are dropped.
+        cfg = small_config(seed=seed, n_authors=1, span_days=span_days)
+        if pop is EVERY_KIND:
+            profiles = {(u.base_rate, u.peak_rate, tuple(sorted(p % 672 for p in u.peaks)))
+                        for u in pop.users}
+            assert len(profiles) == len(pop.users) - 1
+            walked = [synth._Profile(u.intensity(672), 2).walk for u in pop.users]
+            assert walked == [True, False, False, False, True, True]
+        # A buffer of one double holds one user's uniforms at a time.
+        with mock.patch.object(synth, "_UNIFORM_DOUBLES",
+                               1 if one_per_fill else synth._UNIFORM_DOUBLES):
+            got = post_rows(generate(cfg, population=pop).posts)
+        assert got == reference_posts(cfg, pop)
 
 
 class TestLagDraws:
@@ -393,6 +490,13 @@ class TestConfigValidation:
         # 400 stars of 41 users over 17 weeks: 187M cells.
         cfg = small_config(n_authors=400, followers_per_author=40, span_days=119)
         assert cfg.n_authors * 41 * 17 * 672 <= synth.MAX_POISSON_CELLS
+
+    @pytest.mark.parametrize("followers", [(5, 3), -1, (-2, 1)],
+                             ids=["reversed-range", "negative", "negative-low"])
+    def test_follower_count_must_be_a_range_from_zero(self, followers):
+        with pytest.raises(ValueError, match="^followers_per_author: expected N or "
+                                             r"\(LO, HI\) with 0 <= LO <= HI"):
+            small_config(followers_per_author=followers)
 
     @pytest.mark.parametrize("overrides", [
         dict(planted_peaks=((7, 100, 7), (8,), (600,))),
@@ -492,6 +596,22 @@ class TestEventProcess:
                           if post_id.startswith("a00000:")}
         assert "f00000_000" not in reactors_to_a0
         assert reactors_to_a0  # other followers still react
+
+    @pytest.mark.parametrize("pair", [("a00000", "f00001_000"), ("f00000_000", "a00000")],
+                             ids=["other-star", "reversed"])
+    def test_override_of_a_pair_that_is_no_edge_is_refused(self, pair):
+        cfg = small_config(reaction_prob_overrides=(pair + (0.5,),))
+        with pytest.raises(ValueError, match=f"^reaction_prob_overrides: "
+                                             rf"\('{pair[0]}', '{pair[1]}'\) is not an "
+                                             "edge of the population$"):
+            generate(cfg)
+
+    def test_override_listed_twice_is_refused(self):
+        cfg = small_config(reaction_prob_overrides=(("a00000", "f00000_000", 0.1),
+                                                    ("a00000", "f00000_000", 0.9)))
+        with pytest.raises(ValueError, match=r"^reaction_prob_overrides: \('a00000', "
+                                             r"'f00000_000'\) is listed twice$"):
+            generate(cfg)
 
     def test_kernel_recovery(self):
         mass = np.array([0.35, 0.25, 0.15, 0.1, 0.06, 0.04, 0.03, 0.02]
